@@ -182,9 +182,19 @@ def _run_train(args) -> int:
     return 0
 
 
+def _load_scorer(path: str, task: MixtureTask) -> MlpScorer:
+    """Load a checkpoint and check it was trained for the dataset's K and feature dim."""
+    scorer = MlpScorer.load(path)
+    if (scorer.cfg.n_classes, scorer.cfg.feature_dim) != (task.k, task.dim):
+        raise ValidationError(
+            f"{path}: checkpoint has n_classes={scorer.cfg.n_classes}, "
+            f"feature_dim={scorer.cfg.feature_dim}; the dataset has k={task.k}, dim={task.dim}")
+    return scorer
+
+
 def _run_eval(args) -> int:
     y, labels, task, corruption, _ = load_dataset(args.data)
-    scorer = MlpScorer.load(args.checkpoint)
+    scorer = _load_scorer(args.checkpoint, task)
     cfg = SamplerConfig(n_steps=args.steps, strategy=args.strategy,
                         n_samples=args.n_samples, seed=args.seed)
     report = harness.evaluate_on(scorer, task, corruption, y, labels, cfg,
@@ -203,7 +213,7 @@ def _run_eval(args) -> int:
 
 def _run_sweep(args) -> int:
     _, _, task, corruption, _ = load_dataset(args.data)
-    scorer = MlpScorer.load(args.checkpoint)
+    scorer = _load_scorer(args.checkpoint, task)
     rows = harness.nfe_sweep(scorer, task, corruption, scorer.schedule,
                              args.n_eval, args.seed)
     if args.out:
@@ -215,7 +225,7 @@ def _run_sweep(args) -> int:
 
 def _run_ablate(args) -> int:
     _, _, task, corruption, _ = load_dataset(args.data)
-    scorer = MlpScorer.load(args.checkpoint)
+    scorer = _load_scorer(args.checkpoint, task)
     rows = harness.selection_ablation(scorer, task, corruption, scorer.schedule,
                                       args.steps, args.n_eval, args.seed)
     if args.out:
@@ -226,10 +236,10 @@ def _run_ablate(args) -> int:
 
 
 def _run_trace(args) -> int:
-    y, _, _, _, _ = load_dataset(args.data)
+    y, _, task, _, _ = load_dataset(args.data)
     if not (0 <= args.input_id < y.shape[0]):
         raise ValidationError(f"input-id {args.input_id} out of range")
-    scorer = MlpScorer.load(args.checkpoint)
+    scorer = _load_scorer(args.checkpoint, task)
     cfg = SamplerConfig(n_steps=args.steps, seed=args.seed)
     rows = harness.trace_topk(scorer, y[args.input_id], scorer.schedule, cfg,
                               args.topk, input_id=args.input_id)

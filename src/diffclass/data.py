@@ -17,7 +17,6 @@ by an int32 zero-based label per record) with a plain-text <stem>.meta header.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,15 +218,19 @@ def bayes_accuracy(task: MixtureTask, corruption: CorruptionSpec, n: int,
     return acc, math.sqrt(max(acc * (1.0 - acc), 1e-12) / n)
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One .bin record: dim little-endian float32 features, then an int32 label."""
+    return np.dtype([("y", "<f4", (dim,)), ("c", "<i4")])
+
+
 def save_dataset(stem: str, y: np.ndarray, labels: np.ndarray, task: MixtureTask,
                  corruption: CorruptionSpec, seed: int) -> None:
-    y = np.ascontiguousarray(y, dtype="<f4")
-    labels = np.ascontiguousarray(labels, dtype="<i4")
-    n, dim = y.shape
+    n, dim = np.shape(y)
+    records = np.empty(n, dtype=_record_dtype(dim))
+    records["y"] = y
+    records["c"] = labels
     with open(stem + ".bin", "wb") as fh:
-        for i in range(n):
-            fh.write(y[i].tobytes())
-            fh.write(struct.pack("<i", int(labels[i])))
+        fh.write(records.tobytes())
     with open(stem + ".meta", "w", encoding="utf-8") as fh:
         fh.write(f"k={task.k}\n")
         fh.write(f"dim={dim}\n")
@@ -242,27 +245,36 @@ def save_dataset(stem: str, y: np.ndarray, labels: np.ndarray, task: MixtureTask
 
 
 def load_dataset(stem: str):
-    """Read a dataset back; returns (features, labels, task, corruption, seed)."""
+    """Read a dataset back; returns (features, labels, task, corruption, seed).
+
+    Raises ValidationError naming the file when the header is incomplete,
+    the record count disagrees with the file length, a label falls outside
+    [0, k), or a feature is not finite.
+    """
     meta: dict[str, str] = {}
     with open(stem + ".meta", encoding="utf-8") as fh:
         for line in fh:
             key, _, value = line.strip().partition("=")
             meta[key] = value
-    k, dim, n = int(meta["k"]), int(meta["dim"]), int(meta["n"])
-    record = 4 * dim + 4
-    y = np.empty((n, dim), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
+    try:
+        k, dim, n = int(meta["k"]), int(meta["dim"]), int(meta["n"])
+        means = np.array([float(v) for v in meta["means"].split(",")]).reshape(k, dim)
+        priors = np.array([float(v) for v in meta["priors"].split(",")])
+        variance, level, seed = float(meta["variance"]), float(meta["level"]), int(meta["seed"])
+        kind = meta["corruption"]
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"{stem}.meta: missing or malformed entry ({exc})") from exc
+    dtype = _record_dtype(dim)
     with open(stem + ".bin", "rb") as fh:
         raw = fh.read()
-    if len(raw) != n * record:
-        raise ValidationError(f"{stem}.bin: expected {n * record} bytes, found {len(raw)}")
-    for i in range(n):
-        chunk = raw[i * record:(i + 1) * record]
-        y[i] = np.frombuffer(chunk[:4 * dim], dtype="<f4")
-        labels[i] = struct.unpack("<i", chunk[4 * dim:])[0]
-    means = np.array([float(v) for v in meta["means"].split(",")]).reshape(k, dim)
-    priors = np.array([float(v) for v in meta["priors"].split(",")])
-    task = MixtureTask(means=means, variance=float(meta["variance"]), priors=priors,
-                       seed=int(meta["seed"]))
-    corruption = CorruptionSpec(meta["corruption"], float(meta["level"]))
-    return y, labels, task, corruption, int(meta["seed"])
+    if len(raw) != n * dtype.itemsize:
+        raise ValidationError(f"{stem}.bin: expected {n * dtype.itemsize} bytes, found {len(raw)}")
+    records = np.frombuffer(raw, dtype=dtype)
+    y = records["y"].astype(np.float64)
+    labels = records["c"].astype(np.int64)
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ValidationError(f"{stem}.bin: label outside [0, {k})")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError(f"{stem}.bin: non-finite feature")
+    task = MixtureTask(means=means, variance=variance, priors=priors, seed=seed)
+    return y, labels, task, CorruptionSpec(kind, level), seed

@@ -23,7 +23,7 @@ from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import ValidationError
 from .mlp import CeClassifier, MlpScorer
 from .sampler import (STRATEGIES, SamplerConfig, posterior_cl, posterior_cp,
-                      posterior_cp_batch, posterior_full)
+                      posterior_cp_batch, posterior_full, step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
 from .train import (AdamState, TrainConfig, adam_update, clip_global_norm, fit)
@@ -151,11 +151,10 @@ def trace_topk(scorer: Scorer, y: np.ndarray, schedule: LogLinearSchedule,
     cfg = replace(sampler_cfg, record_trajectory=True)
     est = posterior_cp(y, scorer, schedule, cfg)
     assert est.trajectory is not None
+    # Snapshot 0 is the start at t=1; snapshot s is the state after step s.
+    times = [t for t, _ in step_times(schedule, cfg)] + [0.0]
     rows = []
-    n_steps = cfg.n_steps
-    for step in range(est.trajectory.shape[0]):
-        p = est.trajectory[step]
-        t = max(0.0, 1.0 - step / n_steps)
+    for step, (p, t) in enumerate(zip(est.trajectory, times)):
         order = np.argsort(-p, kind="stable")[:k]
         for cls in order:
             rows.append({"input_id": input_id, "step": step, "t": t,

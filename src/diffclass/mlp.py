@@ -10,14 +10,18 @@ the softmax of z.
 
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.
-Manual forward/backward keeps the whole gradient path explicit and
-finite-difference checkable.
+Training runs in float64: the manual forward/backward keeps the whole
+gradient path explicit and finite-difference checkable.  Inference
+(score_batch) runs the trunk in float32 on a per-call cast of the
+parameters and the head in float64, keeps no backprop cache, and computes
+the conditioning once per distinct (anchor, t) pair.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +60,12 @@ class MlpConfig:
             raise ValidationError(f"time_input must be one of {TIME_INPUT_MODES}")
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x / (1 + exp(-x)); pass out=x to overwrite the input."""
+    d = np.negative(x)
+    np.exp(d, out=d)
+    d += 1.0
+    return np.divide(x, d, out=out)
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
@@ -97,13 +105,16 @@ def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
     return p
 
 
-def _gn_forward(x, gamma, beta, groups):
+def _gn_forward(x, gamma, beta, groups, out=None):
+    """GroupNorm; normalizes x in place (x becomes xhat), writes the affine output to out."""
     n, h = x.shape
     xg = x.reshape(n, groups, h // groups)
-    mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
-    xhat = ((xg - mu) / np.sqrt(var + GN_EPS)).reshape(n, h)
-    return gamma * xhat + beta, (xhat, var)
+    xg -= xg.mean(axis=2, keepdims=True)
+    var = np.square(xg).mean(axis=2, keepdims=True)
+    xg /= np.sqrt(var + GN_EPS)
+    out = np.multiply(x, gamma, out=out)
+    out += beta
+    return out, (x, var)
 
 
 def _gn_backward(dout, gamma, cache, groups):
@@ -118,26 +129,39 @@ def _gn_backward(dout, gamma, cache, groups):
     return dx.reshape(n, h), dgamma, dbeta
 
 
-def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray):
-    """Trunk forward with cache for backprop; cond is the (n, d) conditioning vector."""
-    cache: dict = {"features": features, "cond": cond}
+def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray,
+                   index: np.ndarray | None = None, keep_cache: bool = True):
+    """Trunk forward; returns (logits, cache for backprop or None).
+
+    cond holds one (d,) conditioning row per input or, when index is given,
+    the distinct rows, input i using cond[index[i]]; the conditioning
+    projections then run once per distinct row (backward_logits needs the
+    per-row form).  The trunk runs in the dtype of features and cond, the
+    head in the dtype of p["out_w"].  Without keep_cache, intermediates are
+    overwritten in place and no cache is kept.
+    """
+    cache: dict | None = {"features": features, "cond": cond} if keep_cache else None
     sc = silu(cond)
-    cache["sc"] = sc
-    a_in = features @ p["in_w"].T + p["in_b"]
-    cache["a_in"] = a_in
-    h = silu(a_in)
+    a_in = features @ p["in_w"].T
+    a_in += p["in_b"]
+    h = silu(a_in, out=None if keep_cache else a_in)
     for b in range(cfg.n_blocks):
-        cache[f"h_{b}"] = h
-        z1 = h @ p[f"w1_{b}"].T + p[f"b1_{b}"]
-        cache[f"z1_{b}"] = z1
-        r = silu(z1) @ p[f"w2_{b}"].T + p[f"b2_{b}"]
-        cvec = sc @ p[f"cw_{b}"].T + p[f"cb_{b}"]
-        pre = h + r + cvec
-        gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups)
-        cache[f"gn_{b}"] = (gnout, gncache)
-        h = silu(gnout)
-    cache["h_top"] = h
-    z = h @ p["out_w"].T + p["out_b"]
+        z1 = h @ p[f"w1_{b}"].T
+        z1 += p[f"b1_{b}"]
+        r = silu(z1, out=None if keep_cache else z1) @ p[f"w2_{b}"].T
+        r += p[f"b2_{b}"]
+        cvec = sc @ p[f"cw_{b}"].T
+        cvec += p[f"cb_{b}"]
+        pre = np.add(h, r, out=r)
+        pre += cvec if index is None else cvec[index]
+        gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups,
+                                     out=None if keep_cache else pre)
+        if cache is not None:
+            cache.update({f"h_{b}": h, f"z1_{b}": z1, f"gn_{b}": (gnout, gncache)})
+        h = silu(gnout, out=None if keep_cache else gnout)
+    if cache is not None:
+        cache.update({"sc": sc, "a_in": a_in, "h_top": h})
+    z = h.astype(p["out_w"].dtype, copy=False) @ p["out_w"].T + p["out_b"]
     return z, cache
 
 
@@ -195,25 +219,52 @@ class MlpScorer(Scorer):
         return cond, tf
 
     def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray):
+        """Float64 logits with the backprop cache; the training forward."""
         features = np.asarray(features, dtype=np.float64)
         anchors = np.asarray(anchors)
         cond, tf = self.conditioning(anchors, t)
         z, cache = forward_logits(self.params, self.cfg, features, cond)
         cache["tf"] = tf
         cache["anchors"] = anchors
+        self._check_finite(z)
+        return z, cache
+
+    def inference_logits(self, features: np.ndarray, anchors: np.ndarray,
+                         t: np.ndarray) -> np.ndarray:
+        """Logits of the inference path: float32 trunk, float64 head, no cache.
+
+        The float64 parameters are cast once per call.  The conditioning runs
+        once per distinct (anchor, t) pair, at most K rows when every row
+        shares t, and is gathered per row.
+        """
+        anchors = np.asarray(anchors)
+        t = np.asarray(t, dtype=np.float64)
+        if anchors.size and (anchors.min() < 0 or anchors.max() >= self.k):
+            raise ValidationError(f"anchors must lie in [0, {self.k})")
+        _, t_index = np.unique(t, return_inverse=True)
+        _, first, index = np.unique(t_index * self.k + anchors,
+                                    return_index=True, return_inverse=True)
+        cond, _ = self.conditioning(anchors[first], t[first])
+        trunk = {name: v if name.startswith("out_") else v.astype(np.float32)
+                 for name, v in self.params.items()}
+        z, _ = forward_logits(trunk, self.cfg, np.asarray(features, dtype=np.float32),
+                              cond.astype(np.float32), index=index, keep_cache=False)
+        self._check_finite(z)
+        return z
+
+    def score_batch(self, features, anchors, t):
+        z = self.inference_logits(features, anchors, t)
+        rows = np.arange(z.shape[0])
+        values = np.exp(z - z[rows, anchors][:, None])
+        values[rows, anchors] = 1.0
+        return values
+
+    def _check_finite(self, z: np.ndarray) -> None:
         if not np.all(np.isfinite(z)):
             raise NumericalError(
                 f"non-finite logits (max |param| = "
                 f"{max(np.abs(v).max() for v in self.params.values()):.3e})"
             )
-        return z, cache
-
-    def score_batch(self, features, anchors, t):
-        z, _ = self.logits(features, anchors, t)
-        rows = np.arange(z.shape[0])
-        values = np.exp(z - z[rows, np.asarray(anchors)][:, None])
-        values[rows, anchors] = 1.0
-        return values
 
     def param_grads(self, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Parameter gradients given dL/dz from the loss; includes embeddings."""
@@ -314,25 +365,46 @@ def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
 
 
 def load_params(path: str):
+    """Read a checkpoint; raises ValidationError naming the path on a bad or short file."""
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ValidationError(f"{path}: not a scorer checkpoint")
-        version, k, f, d, h, blocks, dt, groups, mode = struct.unpack("<9I", fh.read(36))
-        if version != FORMAT_VERSION:
-            raise ValidationError(f"{path}: unsupported format version {version}")
-        sbar_max, decay = struct.unpack("<2d", fh.read(16))
-        cfg = MlpConfig(k, f, embed_dim=d, hidden_dim=h, n_blocks=blocks,
-                        time_embed_dim=dt, groups=groups,
-                        time_input=TIME_INPUT_MODES[mode])
-        schedule = LogLinearSchedule(sbar_max, decay)
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-            params[name] = data.astype(np.float64)
+        raw = fh.read()
+    pos = 0
+
+    def take(nbytes: int) -> bytes:
+        nonlocal pos
+        if pos + nbytes > len(raw):
+            raise ValidationError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+        pos += nbytes
+        return raw[pos - nbytes:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(8) != MAGIC:
+        raise ValidationError(f"{path}: not a scorer checkpoint")
+    version, k, f, d, h, blocks, dt, groups, mode = unpack("<9I")
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported format version {version}")
+    if mode >= len(TIME_INPUT_MODES):
+        raise ValidationError(f"{path}: unknown time-input mode {mode}")
+    sbar_max, decay = unpack("<2d")
+    cfg = MlpConfig(k, f, embed_dim=d, hidden_dim=h, n_blocks=blocks,
+                    time_embed_dim=dt, groups=groups,
+                    time_input=TIME_INPUT_MODES[mode])
+    schedule = LogLinearSchedule(sbar_max, decay)
+    (n_arrays,) = unpack("<I")
+    params: dict[str, np.ndarray] = {}
+    for _ in range(n_arrays):
+        (nlen,) = unpack("<H")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: corrupt array name") from exc
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        count = math.prod(shape)
+        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        params[name] = data.astype(np.float64)
+    if pos != len(raw):
+        raise ValidationError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
     return params, cfg, schedule

@@ -1,11 +1,14 @@
 """Reverse-process posterior estimators.
 
-Three estimators share one Euler kernel, differing in what they carry and
-how many scorer calls they spend per input:
+Three estimators take the same Euler step, each through its own kernel,
+differing in what they carry and how many scorer calls they spend per input:
 
   cp    full probability vector, one scorer call per step        (nfe = steps)
+        kernel: _cp_step_batch, the rank-one form, O(K) per row
   cl    sampled label trajectories, averaged as one-hots         (nfe = N * steps)
+        kernel: _cl_step_batch (cl_step_distribution for one trajectory)
   full  score matrix rebuilt column-by-column each step          (nfe = K * steps)
+        kernel: reverse_step_full, on the explicit K x K matrix
 
 The Euler kernel column for anchor j has off-diagonal entries
 S(i,j) * sigma_t * dt and diagonal 1 minus their sum.  Large sigma_t * dt

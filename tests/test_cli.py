@@ -8,6 +8,8 @@ from diffclass.data import load_dataset
 from diffclass.errors import NumericalError
 
 TINY_TRAIN = ["--epochs", "2", "--batch-size", "64", "--hidden-dim", "32", "--blocks", "2"]
+SMALL_RUN = {"eval": ["--steps", "2"], "sweep": ["--n-eval", "8"],
+             "ablate": ["--steps", "2", "--n-eval", "8"], "trace": ["--steps", "2"]}
 
 
 def _gen(tmp_path, name, n, seed=0, k=4, sep=3.0):
@@ -154,6 +156,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             cli.main(["eval", "--method", "bogus", "--data", "x", "--checkpoint", "y"])
         assert err.value.code == 2
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        train = _gen(tmp_path, "train", 128, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        assert cli.main(["train", "--data", train, "--seed", "0", "--epochs", "1",
+                         "--hidden-dim", "16", "--blocks", "1", "--checkpoint", ckpt]) == 0
+        return train, ckpt
+
+    @pytest.mark.parametrize("keep", [20, -9])
+    def test_truncated_checkpoint_is_2(self, tmp_path, checkpoint, keep, capsys):
+        train, ckpt = checkpoint
+        blob = open(ckpt, "rb").read()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob[:keep])
+        rc = cli.main(["eval", "--data", train, "--checkpoint", ckpt, "--steps", "2"])
+        assert rc == 2 and "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "ablate", "trace"])
+    @pytest.mark.parametrize("k, dim", [(6, 2), (4, 3)])
+    def test_checkpoint_dataset_mismatch_is_2(self, tmp_path, checkpoint, command, k, dim,
+                                              capsys):
+        _, ckpt = checkpoint
+        other = str(tmp_path / "other")
+        assert cli.main(["gen-data", "--k", str(k), "--dim", str(dim), "--n", "32",
+                         "--stem", other]) == 0
+        rc = cli.main([command, "--data", other, "--checkpoint", ckpt] + SMALL_RUN[command])
+        assert rc == 2 and "n_classes=4, feature_dim=2" in capsys.readouterr().err
 
     def test_numerical_failure_is_3(self, monkeypatch):
         def boom(args):

@@ -1,5 +1,7 @@
 """Synthetic tasks: generation, exact posteriors, quadrature agreement, file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,41 @@ class TestDatasetFiles:
         np.testing.assert_allclose(task2.means, task.means)
         assert task2.variance == task.variance
         assert (spec2.kind, spec2.level, seed2) == (spec.kind, spec.level, 10)
+
+    def test_bytes_match_the_per_record_layout(self, tmp_path):
+        """Each record is dim float32 features then one int32 label, little-endian."""
+        task = MixtureTask.ring(4, 3)
+        y, labels = generate(task, 50, NONE, np.random.default_rng(12))
+        stem = str(tmp_path / "d")
+        save_dataset(stem, y, labels, task, NONE, seed=0)
+        expected = b"".join(row.astype("<f4").tobytes() + struct.pack("<i", int(c))
+                            for row, c in zip(y, labels))
+        assert open(stem + ".bin", "rb").read() == expected
+
+    @pytest.mark.parametrize("mutate", ["label_high", "label_negative", "nan", "inf"])
+    def test_corrupt_records_rejected(self, tmp_path, mutate):
+        task = MixtureTask.ring(3, 2)
+        y, labels = generate(task, 10, NONE, np.random.default_rng(13))
+        if mutate.startswith("label"):
+            labels[4] = 3 if mutate == "label_high" else -1
+        elif mutate in ("nan", "inf"):
+            y[7, 1] = float(mutate)
+        stem = str(tmp_path / "bad")
+        save_dataset(stem, y, labels, task, NONE, seed=0)
+        with pytest.raises(ValidationError, match="bad.bin"):
+            load_dataset(stem)
+
+    def test_incomplete_header_rejected(self, tmp_path):
+        task = MixtureTask.ring(3, 2)
+        y, labels = generate(task, 10, NONE, np.random.default_rng(14))
+        stem = str(tmp_path / "bad")
+        save_dataset(stem, y, labels, task, NONE, seed=0)
+        with open(stem + ".meta", encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("priors=")]
+        with open(stem + ".meta", "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ValidationError, match="bad.meta"):
+            load_dataset(stem)
 
     def test_truncated_file_rejected(self, tmp_path):
         task = MixtureTask.ring(3, 2)

@@ -7,7 +7,7 @@ from diffclass.data import CorruptionSpec, MixtureTask, bayes_accuracy, true_pos
 from diffclass.errors import ValidationError
 from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_ablation,
                                topk_hits, trace_topk, train_ce_baseline, write_csv)
-from diffclass.sampler import SamplerConfig
+from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import ExactScorer, UniformScorer
 from diffclass.train import TrainConfig
@@ -126,6 +126,17 @@ class TestTrace:
         assert abs(sum(r["prob"] for r in last) - 1.0) < 1e-9
         assert all(0.0 <= r["prob"] <= 1.0 for r in rows)
         assert {r["step"] for r in rows} == set(range(17))
+
+
+    def test_steps_labelled_with_the_sampler_grid(self):
+        """On the uniform-noise grid the t column follows step_times, not 1 - step/n."""
+        task = MixtureTask.ring(4, 2, separation=2.0)
+        sched = LogLinearSchedule(1.0, 0.5)
+        cfg = SamplerConfig(n_steps=8, time_grid="uniform-noise")
+        rows = trace_topk(_exact(task, sched), np.array([1.0, 0.5]), sched, cfg, k=1)
+        expected = [t for t, _ in step_times(sched, cfg)] + [0.0]
+        assert [r["t"] for r in rows] == expected
+        assert abs(rows[4]["t"] - 0.5) > 0.05
 
 
 class TestCompareGrid:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from diffclass.data import MixtureTask
 from diffclass.errors import NumericalError, ValidationError
-from diffclass.mlp import CeClassifier, MlpConfig, MlpScorer, load_params
+from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, _gn_forward,
+                           forward_logits, load_params, silu)
 from diffclass.schedule import LogLinearSchedule
+from diffclass.train import AdamState, TrainConfig, fit, train_step
 
 SMALL = MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32,
                   n_blocks=2, time_embed_dim=16, groups=4)
@@ -79,6 +82,125 @@ class TestOutputContract:
                         n_blocks=1, time_embed_dim=8, groups=2, time_input="raw")
         scorer = MlpScorer(cfg, SCHED, seed=0)
         np.testing.assert_allclose(scorer.time_scalar(np.array([0.0, 0.5, 1.0])), [0.0, 0.5, 1.0])
+
+
+@pytest.fixture(scope="module")
+def trained_scorer():
+    """Reference-size scorer (K=8, hidden 128, 3 blocks) after one short epoch."""
+    scorer, _ = fit(TrainConfig(epochs=1, seed=0), MixtureTask.ring(8, 2),
+                    n_train=4096, n_eval=256)
+    return scorer
+
+
+def _shared_time_batch(n, seed):
+    """Inputs as one cp step sees them: every row at one t, anchors over all K."""
+    rng = np.random.default_rng(seed)
+    return 3.0 * rng.standard_normal((n, 2)), rng.integers(0, 8, n), np.full(n, 0.625)
+
+
+def _distinct_pairs(anchors, t):
+    """(first row, row -> pair index) of the distinct (anchor, t) pairs."""
+    _, first, index = np.unique(np.stack([t, anchors]), axis=1,
+                                return_index=True, return_inverse=True)
+    return first, index.ravel()
+
+
+class TestInferencePath:
+    def test_float32_trunk_matches_float64_forward(self, trained_scorer):
+        rng = np.random.default_rng(10)
+        n = 4000
+        y = 3.0 * rng.standard_normal((n, 2))
+        anchors = rng.integers(0, 8, n)
+        t = rng.choice(np.linspace(1.0, 0.125, 8), n)
+        z64, _ = trained_scorer.logits(y, anchors, t)
+        z32 = trained_scorer.inference_logits(y, anchors, t)
+        assert z32.dtype == np.float64
+        assert np.abs(z32 - z64).max() <= 1e-5
+        assert np.array_equal(z32.argmax(axis=1), z64.argmax(axis=1))
+
+    def test_conditioning_runs_once_per_distinct_pair(self, trained_scorer, monkeypatch):
+        rows_seen = []
+        original = trained_scorer.conditioning
+
+        def spy(anchors, t):
+            rows_seen.append(len(anchors))
+            return original(anchors, t)
+
+        monkeypatch.setattr(trained_scorer, "conditioning", spy)
+        trained_scorer.score_batch(*_shared_time_batch(1000, 11))
+        assert rows_seen == [8]
+
+    def test_gathered_conditioning_matches_per_row(self, trained_scorer):
+        """Distinct rows gathered per row equal the per-row computation.
+
+        A matmul over the few distinct rows and the same rows inside an n-row
+        matmul may round differently (BLAS picks its kernel by row count), so
+        the match is to rounding, not to the bit; a wrong gather is off by O(1).
+        """
+        y, anchors, t = _shared_time_batch(600, 12)
+        t[::3] = 0.25
+        first, index = _distinct_pairs(anchors, t)
+        assert len(first) == 16
+        cond_u, _ = trained_scorer.conditioning(anchors[first], t[first])
+        cond_rows, _ = trained_scorer.conditioning(anchors, t)
+        np.testing.assert_allclose(cond_u[index], cond_rows, rtol=0, atol=1e-13)
+        p32 = {k: v.astype(np.float32) for k, v in trained_scorer.params.items()}
+        y32 = y.astype(np.float32)
+        z_gather, _ = forward_logits(p32, trained_scorer.cfg, y32, cond_u.astype(np.float32),
+                                     index=index, keep_cache=False)
+        z_rows, _ = forward_logits(p32, trained_scorer.cfg, y32,
+                                   cond_rows.astype(np.float32), keep_cache=False)
+        assert z_gather.dtype == np.float32
+        np.testing.assert_allclose(z_gather, z_rows, rtol=0, atol=1e-5)
+
+    def test_no_cache_forward_returns_no_cache(self, trained_scorer):
+        y, anchors, t = _shared_time_batch(50, 13)
+        cond, _ = trained_scorer.conditioning(anchors, t)
+        z, cache = forward_logits(trained_scorer.params, trained_scorer.cfg, y, cond,
+                                  keep_cache=False)
+        z_cached, kept = forward_logits(trained_scorer.params, trained_scorer.cfg, y, cond)
+        assert cache is None and isinstance(kept, dict)
+        assert np.array_equal(z, z_cached)
+
+    def test_in_place_forms_compute_the_training_arithmetic(self):
+        """silu(out=) and _gn_forward reproduce the float64 formulas bit for bit."""
+        rng = np.random.default_rng(14)
+        x = 3.0 * rng.standard_normal((64, 32))
+        gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
+        expected_silu = x / (1.0 + np.exp(-x))
+        assert np.array_equal(silu(x), expected_silu)
+        buf = x.copy()
+        assert silu(buf, out=buf) is buf and np.array_equal(buf, expected_silu)
+        xg = x.reshape(64, 4, 8)
+        var = xg.var(axis=2, keepdims=True)
+        xhat = ((xg - xg.mean(axis=2, keepdims=True)) / np.sqrt(var + GN_EPS)).reshape(64, 32)
+        out, (cached_xhat, cached_var) = _gn_forward(x.copy(), gamma, beta, 4)
+        assert np.array_equal(out, gamma * xhat + beta)
+        assert np.array_equal(cached_xhat, xhat) and np.array_equal(cached_var, var)
+
+    def test_parameters_stay_float64_through_training(self):
+        config = TrainConfig(epochs=1, batch_size=32, seed=0, embed_dim=16, hidden_dim=32,
+                             n_blocks=2, time_embed_dim=16, groups=4)
+        task = MixtureTask.ring(4, 2)
+        scorer, _ = fit(config, task, n_train=128, n_eval=64)
+        assert all(v.dtype == np.float64 for v in scorer.params.values())
+        rng = np.random.default_rng(15)
+        train_step(scorer, AdamState.init(scorer.params), rng.standard_normal((16, 2)),
+                   rng.integers(0, 4, 16), config.schedule(), rng, lr=1e-3)
+        scorer.score_batch(rng.standard_normal((16, 2)), rng.integers(0, 4, 16), np.full(16, 0.5))
+        assert all(v.dtype == np.float64 for v in scorer.params.values())
+
+    @pytest.mark.parametrize("name", ["in_w", "cw_0", "gn_g_1", "out_w", "embed"])
+    def test_nonfinite_parameter_anywhere_raises(self, name):
+        scorer = _small_scorer(head_scale=0.3)
+        scorer.params[name].flat[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            scorer.score_batch(np.ones((5, 3)), np.arange(5), np.full(5, 0.5))
+
+    def test_out_of_range_anchor_rejected(self):
+        scorer = _small_scorer()
+        with pytest.raises(ValidationError):
+            scorer.score_batch(np.ones((2, 3)), np.array([0, 5]), np.full(2, 0.5))
 
 
 class TestGradients:
@@ -171,6 +293,18 @@ class TestSerialization:
         meta = open(path + ".meta", encoding="utf-8").read()
         assert "n_classes=5" in meta and "hidden_dim=32" in meta
         assert "sigma_bar_max=1.0" in meta
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _small_scorer(head_scale=0.5).save(str(path))
+        blob = path.read_bytes()
+        for cut in [*range(0, len(blob), 97), len(blob) - 1]:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValidationError):
+                load_params(str(path))
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValidationError):
+            load_params(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
