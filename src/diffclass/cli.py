@@ -20,7 +20,7 @@ from .data import (CORRUPTION_KINDS, CorruptionSpec, MixtureTask, generate,
 from .errors import NumericalError, ValidationError
 from .mlp import MlpScorer
 from .sampler import METHOD_SAMPLERS, STRATEGIES, SamplerConfig
-from .train import TrainConfig, fit
+from .train import TrainConfig, TrainingDiverged, fit
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -168,18 +168,27 @@ def _run_train(args) -> int:
         hidden_dim=args.hidden_dim, n_blocks=args.blocks,
         time_input=args.time_input, stratified_t=args.stratified_t,
     )
-    scorer, metrics = fit(config, task, corruption=corruption,
-                          train_data=(y, labels), eval_data=eval_data)
+    try:
+        scorer, metrics = fit(config, task, corruption=corruption,
+                              train_data=(y, labels), eval_data=eval_data)
+    except TrainingDiverged as exc:
+        # Keep what the finished epochs made; main reports the failure and exits 3.
+        _save_training(args, exc.scorer, exc.metrics)
+        raise
+    _save_training(args, scorer, metrics)
+    final = metrics[-1]
+    print(f"trained {args.epochs} epochs: loss={final.loss:.5f} "
+          f"tv={final.tv:.4f} top1={final.top1:.4f}")
+    return 0
+
+
+def _save_training(args, scorer: MlpScorer, metrics: list) -> None:
+    """Write the checkpoint and, when any epoch finished, the per-epoch CSV."""
     scorer.save(args.checkpoint)
-    if args.out:
+    if args.out and metrics:
         rows = [{"epoch": m.epoch, "loss": m.loss, "tv": m.tv, "top1": m.top1,
                  "wall_ms": m.wall_ms if args.timing else float("nan")} for m in metrics]
         harness.write_csv(args.out, rows, ["epoch", "loss", "tv", "top1", "wall_ms"])
-    final = metrics[-1] if metrics else None
-    if final:
-        print(f"trained {args.epochs} epochs: loss={final.loss:.5f} "
-              f"tv={final.tv:.4f} top1={final.top1:.4f}")
-    return 0
 
 
 def _load_scorer(path: str, task: MixtureTask) -> MlpScorer:

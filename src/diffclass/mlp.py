@@ -11,10 +11,19 @@ the softmax of z.
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.
 Training runs in float64: the manual forward/backward keeps the whole
-gradient path explicit and finite-difference checkable.  Inference
-(score_batch) runs the trunk in float32 on a per-call cast of the
-parameters and the head in float64, keeps no backprop cache, and computes
-the conditioning once per distinct (anchor, t) pair.
+gradient path explicit and finite-difference checkable.
+
+Inference runs the trunk in float32 and the head in float64, with no
+backprop cache, split in two halves.  The prefix (trunk_prefix, through
+MlpScorer.prepare) casts the parameters and runs the input layer and
+block 0's residual branch, none of which sees the conditioning, once per
+set of inputs; a sampler prepares its inputs once and reuses them on
+every step.  The tail (forward_logits on the prepared rows) adds block
+0's conditioning, normalizes, and runs the remaining blocks and the head;
+the conditioning runs once per distinct (anchor, t) pair.  Training
+passes raw features through the same two halves.  In float32 GroupNorm
+takes its group means by a block-averaging matmul; float64 keeps numpy's
+reductions, so the training arithmetic is unchanged.
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ class MlpConfig:
             raise ValidationError("need at least 2 classes")
         if self.feature_dim < 1:
             raise ValidationError("feature_dim must be positive")
+        if self.n_blocks < 1:
+            raise ValidationError("n_blocks must be positive: the conditioning enters in the blocks")
         if self.hidden_dim % self.groups != 0:
             raise ValidationError("hidden_dim must be divisible by groups")
         if self.time_embed_dim % 2 != 0:
@@ -81,36 +92,53 @@ def time_features(u: np.ndarray, n_dims: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
-    """He-style init; the output head starts at zero so the initial scores are all ones."""
-    rng = np.random.default_rng(seed)
-    d, h, f = cfg.embed_dim, cfg.hidden_dim, cfg.feature_dim
-    p: dict[str, np.ndarray] = {}
-    p["embed"] = 0.1 * rng.standard_normal((cfg.n_classes, d))
-    p["time_w"] = rng.standard_normal((d, cfg.time_embed_dim)) * np.sqrt(2.0 / cfg.time_embed_dim)
-    p["time_b"] = np.zeros(d)
-    p["in_w"] = rng.standard_normal((h, f)) * np.sqrt(2.0 / f)
-    p["in_b"] = np.zeros(h)
+def param_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in the order init_params draws them."""
+    d, h, k = cfg.embed_dim, cfg.hidden_dim, cfg.n_classes
+    shapes = {"embed": (k, d), "time_w": (d, cfg.time_embed_dim), "time_b": (d,),
+              "in_w": (h, cfg.feature_dim), "in_b": (h,)}
     for b in range(cfg.n_blocks):
-        p[f"w1_{b}"] = rng.standard_normal((h, h)) * np.sqrt(2.0 / h)
-        p[f"b1_{b}"] = np.zeros(h)
-        p[f"w2_{b}"] = rng.standard_normal((h, h)) * np.sqrt(2.0 / h)
-        p[f"b2_{b}"] = np.zeros(h)
-        p[f"cw_{b}"] = rng.standard_normal((h, d)) * np.sqrt(2.0 / d)
-        p[f"cb_{b}"] = np.zeros(h)
-        p[f"gn_g_{b}"] = np.ones(h)
-        p[f"gn_b_{b}"] = np.zeros(h)
-    p["out_w"] = np.zeros((cfg.n_classes, h))
-    p["out_b"] = np.zeros(cfg.n_classes)
+        shapes.update({f"w1_{b}": (h, h), f"b1_{b}": (h,), f"w2_{b}": (h, h), f"b2_{b}": (h,),
+                       f"cw_{b}": (h, d), f"cb_{b}": (h,), f"gn_g_{b}": (h,), f"gn_b_{b}": (h,)})
+    shapes.update({"out_w": (k, h), "out_b": (k,)})
+    return shapes
+
+
+def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
+    """He-style init of the weight matrices, small embeddings, unit GroupNorm gains.
+
+    Biases and the output head start at zero, so the initial scores are all ones.
+    """
+    rng = np.random.default_rng(seed)
+    p: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name == "embed":
+            p[name] = 0.1 * rng.standard_normal(shape)
+        elif len(shape) == 2 and name != "out_w":
+            p[name] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
+        else:
+            p[name] = np.ones(shape) if name.startswith("gn_g_") else np.zeros(shape)
     return p
 
 
 def _gn_forward(x, gamma, beta, groups, out=None):
-    """GroupNorm; normalizes x in place (x becomes xhat), writes the affine output to out."""
+    """GroupNorm; normalizes x in place (x becomes xhat), writes the affine output to out.
+
+    Float32 input (inference) takes the group mean and variance by an
+    (h, groups) block-averaging matmul, which halves the layer's time
+    against numpy's reductions over the short group axis; float64 input
+    (training) keeps those reductions, so its arithmetic does not change.
+    """
     n, h = x.shape
-    xg = x.reshape(n, groups, h // groups)
-    xg -= xg.mean(axis=2, keepdims=True)
-    var = np.square(xg).mean(axis=2, keepdims=True)
+    size = h // groups
+    xg = x.reshape(n, groups, size)
+    if x.dtype == np.float32:
+        average = np.repeat(np.eye(groups, dtype=np.float32) / size, size, axis=0)
+        xg -= (x @ average)[:, :, None]
+        var = (np.square(x) @ average)[:, :, None]
+    else:
+        xg -= xg.mean(axis=2, keepdims=True)
+        var = np.square(xg).mean(axis=2, keepdims=True)
     xg /= np.sqrt(var + GN_EPS)
     out = np.multiply(x, gamma, out=out)
     out += beta
@@ -129,38 +157,89 @@ def _gn_backward(dout, gamma, cache, groups):
     return dx.reshape(n, h), dgamma, dbeta
 
 
-def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray,
-                   index: np.ndarray | None = None, keep_cache: bool = True):
-    """Trunk forward; returns (logits, cache for backprop or None).
+@dataclass(frozen=True)
+class PreparedFeatures:
+    """Inputs already run through the prefix of the float32 inference trunk.
 
-    cond holds one (d,) conditioning row per input or, when index is given,
-    the distinct rows, input i using cond[index[i]]; the conditioning
-    projections then run once per distinct row (backward_logits needs the
-    per-row form).  The trunk runs in the dtype of features and cond, the
-    head in the dtype of p["out_w"].  Without keep_cache, intermediates are
-    overwritten in place and no cache is kept.
+    params are the cast parameters the prefix ran with, which the tail must
+    use too; base holds h0 + r0, block 0's input plus its residual branch,
+    one row per input.  Nothing writes to base, so every step can reuse it.
     """
-    cache: dict | None = {"features": features, "cond": cond} if keep_cache else None
-    sc = silu(cond)
+
+    params: dict[str, np.ndarray]
+    base: np.ndarray
+
+    def __len__(self) -> int:
+        return self.base.shape[0]
+
+
+def _residual_branch(p: dict, b: int, h: np.ndarray, keep_cache: bool):
+    """Block b's branch silu(h @ w1.T + b1) @ w2.T + b2; returns (z1, r).
+
+    Without keep_cache, z1 is overwritten by its SiLU and is spent once r is formed.
+    """
+    z1 = h @ p[f"w1_{b}"].T
+    z1 += p[f"b1_{b}"]
+    r = silu(z1, out=None if keep_cache else z1) @ p[f"w2_{b}"].T
+    r += p[f"b2_{b}"]
+    return z1, r
+
+
+def trunk_prefix(p: dict, features: np.ndarray, keep_cache: bool = True):
+    """The trunk up to block 0's conditioning add: h0 + r0, and the cache or None.
+
+    The input layer and block 0's residual branch do not see the
+    conditioning, so one pass serves every (anchor, t) the rows are scored at.
+    """
     a_in = features @ p["in_w"].T
     a_in += p["in_b"]
     h = silu(a_in, out=None if keep_cache else a_in)
+    z1, r = _residual_branch(p, 0, h, keep_cache)
+    base = np.add(h, r, out=r)
+    cache = {"features": features, "a_in": a_in, "h_0": h, "z1_0": z1} if keep_cache else None
+    return base, cache
+
+
+def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray | PreparedFeatures,
+                   cond: np.ndarray, index: np.ndarray | None = None,
+                   keep_cache: bool = True):
+    """Trunk forward; returns (logits, cache for backprop or None).
+
+    features holds raw (n, f) rows, which run through trunk_prefix first, or
+    PreparedFeatures made with the same parameters (inference only, no
+    cache).  cond holds one (d,) conditioning row per input or, when index
+    is given, the distinct rows, input i using cond[index[i]]; the
+    conditioning projections then run once per distinct row
+    (backward_logits needs the per-row form).  The trunk runs in the dtype
+    of the rows and cond, the head in the dtype of p["out_w"].  Without
+    keep_cache, intermediates are overwritten in place and no cache is kept.
+    """
+    if isinstance(features, PreparedFeatures):
+        x, cache = features.base, None
+    else:
+        x, cache = trunk_prefix(p, features, keep_cache)
+    sc = silu(cond)
     for b in range(cfg.n_blocks):
-        z1 = h @ p[f"w1_{b}"].T
-        z1 += p[f"b1_{b}"]
-        r = silu(z1, out=None if keep_cache else z1) @ p[f"w2_{b}"].T
-        r += p[f"b2_{b}"]
+        if b:
+            z1, r = _residual_branch(p, b, h, keep_cache)
+            if cache is not None:
+                cache.update({f"h_{b}": h, f"z1_{b}": z1})
+            x = np.add(h, r, out=r)
+            # Without a cache these are spent; dropping them now keeps them out of
+            # the peak memory of GroupNorm and the head.
+            del h, z1, r
         cvec = sc @ p[f"cw_{b}"].T
         cvec += p[f"cb_{b}"]
-        pre = np.add(h, r, out=r)
-        pre += cvec if index is None else cvec[index]
+        rows = cvec if index is None else cvec[index]
+        pre = np.add(x, rows, out=rows)   # never into x: it may be the shared prepared base
+        del x
         gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups,
                                      out=None if keep_cache else pre)
         if cache is not None:
-            cache.update({f"h_{b}": h, f"z1_{b}": z1, f"gn_{b}": (gnout, gncache)})
+            cache[f"gn_{b}"] = (gnout, gncache)
         h = silu(gnout, out=None if keep_cache else gnout)
     if cache is not None:
-        cache.update({"sc": sc, "a_in": a_in, "h_top": h})
+        cache.update({"cond": cond, "sc": sc, "h_top": h})
     z = h.astype(p["out_w"].dtype, copy=False) @ p["out_w"].T + p["out_b"]
     return z, cache
 
@@ -229,26 +308,39 @@ class MlpScorer(Scorer):
         self._check_finite(z)
         return z, cache
 
-    def inference_logits(self, features: np.ndarray, anchors: np.ndarray,
+    def prepare(self, features: np.ndarray) -> PreparedFeatures:
+        """Run the conditioning-free prefix of the inference trunk once.
+
+        Casts the trunk parameters to float32 (the head stays float64) and
+        runs the input layer and block 0's residual branch on the rows;
+        score_batch takes the result in place of the features at any
+        anchors and times, until the parameters change.
+        """
+        params = {name: v if name.startswith("out_") else v.astype(np.float32)
+                  for name, v in self.params.items()}
+        base, _ = trunk_prefix(params, np.asarray(features, dtype=np.float32), keep_cache=False)
+        return PreparedFeatures(params, base)
+
+    def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
         """Logits of the inference path: float32 trunk, float64 head, no cache.
 
-        The float64 parameters are cast once per call.  The conditioning runs
-        once per distinct (anchor, t) pair, at most K rows when every row
-        shares t, and is gathered per row.
+        features are raw rows, prepared here, or the result of prepare.  The
+        conditioning runs once per distinct (anchor, t) pair, at most K rows
+        when every row shares t, and is gathered per row.
         """
         anchors = np.asarray(anchors)
         t = np.asarray(t, dtype=np.float64)
         if anchors.size and (anchors.min() < 0 or anchors.max() >= self.k):
             raise ValidationError(f"anchors must lie in [0, {self.k})")
+        if not isinstance(features, PreparedFeatures):
+            features = self.prepare(features)
         _, t_index = np.unique(t, return_inverse=True)
         _, first, index = np.unique(t_index * self.k + anchors,
                                     return_index=True, return_inverse=True)
         cond, _ = self.conditioning(anchors[first], t[first])
-        trunk = {name: v if name.startswith("out_") else v.astype(np.float32)
-                 for name, v in self.params.items()}
-        z, _ = forward_logits(trunk, self.cfg, np.asarray(features, dtype=np.float32),
-                              cond.astype(np.float32), index=index, keep_cache=False)
+        z, _ = forward_logits(features.params, self.cfg, features, cond.astype(np.float32),
+                              index=index, keep_cache=False)
         self._check_finite(z)
         return z
 
@@ -407,4 +499,10 @@ def load_params(path: str):
         params[name] = data.astype(np.float64)
     if pos != len(raw):
         raise ValidationError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
+    expected = param_shapes(cfg)
+    for name in sorted(expected.keys() | params.keys()):
+        got = params[name].shape if name in params else None
+        if got != expected.get(name):
+            raise ValidationError(
+                f"{path}: array {name!r} has shape {got}; the header implies {expected.get(name)}")
     return params, cfg, schedule

@@ -17,6 +17,10 @@ column renormalized, with the clamped probability mass recorded as
 telemetry.  Clamping keeps coarse-step sweeps runnable while making the
 step-size violation visible; callers can set an abort threshold instead.
 
+Each estimator passes its features through scorer.prepare once per call
+and hands the prepared rows to every step's scorer call, so work that does
+not depend on the anchor or t (the scorer's input layers) runs once.
+
 The label sampler (cl) draws each trajectory from its own random stream,
 split deterministically from the seed, so results do not depend on how
 trajectories are batched or scheduled.
@@ -174,6 +178,7 @@ def posterior_cp_batch(features: np.ndarray, scorer: Scorer, schedule: LogLinear
     """
     features = np.asarray(features, dtype=np.float64)
     n, k = features.shape[0], scorer.k
+    prepared = scorer.prepare(features)
     p = np.full((n, k), 1.0 / k)
     rng = np.random.default_rng(cfg.seed)
     clamp = np.zeros(n)
@@ -181,7 +186,7 @@ def posterior_cp_batch(features: np.ndarray, scorer: Scorer, schedule: LogLinear
     snapshots = [p.copy()] if cfg.record_trajectory else None
     for t, dt in step_times(schedule, cfg):
         anchors = _select_labels_batch(p, cfg.strategy, rng)
-        scores = scorer.score_batch(features, anchors, np.full(n, t))
+        scores = scorer.score_batch(prepared, anchors, np.full(n, t))
         q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
         sigma_t = schedule.sigma(t)
         p, step_clamp = _cp_step_batch(q_hat, p, sigma_t, dt)
@@ -269,7 +274,7 @@ def posterior_cl(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
         np.random.default_rng([cfg.seed, i]).random(cfg.n_steps + 1) for i in range(n)
     ])
     states = np.minimum((uniforms[:, 0] * k).astype(np.int64), k - 1)
-    features = np.broadcast_to(y, (n, y.shape[0]))
+    features = scorer.prepare(np.broadcast_to(y, (n, y.shape[0])))
     clamp_total = 0.0
     n_clamped = 0
     snapshots = [np.bincount(states, minlength=k) / n] if cfg.record_trajectory else None
@@ -313,7 +318,7 @@ def posterior_full(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
     clamp_total = 0.0
     n_clamped = 0
     all_anchors = np.arange(k)
-    features = np.broadcast_to(y, (k, y.shape[0]))
+    features = scorer.prepare(np.broadcast_to(y, (k, y.shape[0])))
     snapshots = [p.copy()] if cfg.record_trajectory else None
     for t, dt in step_times(schedule, cfg):
         columns = scorer.score_batch(features, all_anchors, np.full(k, t))

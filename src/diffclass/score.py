@@ -80,13 +80,21 @@ class Scorer:
     """Produces a score column for (features, anchor label, time).
 
     Subclasses implement score_batch; scoring is read-only on any internal
-    state, so concurrent calls across inputs are safe.
+    state, so concurrent calls across inputs are safe.  A caller that scores
+    the same rows many times (a sampler, once per step) passes them through
+    prepare once and gives the result to score_batch in place of the
+    features; prepare may do work that does not depend on the anchor or t.
     """
 
     k: int
 
+    def prepare(self, features: np.ndarray):
+        """Rows for repeated score_batch calls; the base class keeps the features as they are."""
+        return features
+
     def score_batch(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Score columns for a batch: (n, dim) features, (n,) anchors, (n,) times -> (n, K)."""
+        """Score columns for a batch: (n, dim) features or their prepare result,
+        (n,) anchors, (n,) times -> (n, K)."""
         raise NotImplementedError
 
     def score(self, y: np.ndarray, j: int, t: float) -> ScoreColumn:

@@ -156,6 +156,7 @@ def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray
     return stats, grads
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a diverging step raises NumericalError
 def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
                labels: np.ndarray, schedule: LogLinearSchedule,
                rng: np.random.Generator, lr: float, betas=(0.9, 0.999),
@@ -181,6 +182,22 @@ def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
     return scorer, opt_state, stats
 
 
+class TrainingDiverged(NumericalError):
+    """An epoch of fit failed numerically; carries what the epochs before it made.
+
+    scorer holds the parameters after the last finished epoch (the initial
+    parameters when none finished) and metrics the finished epochs' metrics.
+    """
+
+    def __init__(self, epoch: int, scorer: MlpScorer, metrics: list, cause: NumericalError):
+        kept = f"epoch {epoch - 1}" if metrics else "initialization"
+        super().__init__(f"training diverged in epoch {epoch} ({cause}); "
+                         f"kept the parameters from {kept}")
+        self.epoch = epoch
+        self.scorer = scorer
+        self.metrics = metrics
+
+
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -197,8 +214,10 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
 
     Data is generated from the task unless (features, labels) pairs are
     passed explicitly.  Validation runs the class-probability sampler at
-    config.eval_steps on a held-out subset each epoch; a non-finite loss
-    aborts with the last finished epoch's parameters.
+    config.eval_steps on a held-out subset each epoch.  A numerical failure
+    in an epoch's steps or validation raises TrainingDiverged, which names
+    the epoch and carries the scorer with the last finished epoch's
+    parameters and the finished epochs' metrics.
     """
     from .sampler import SamplerConfig, posterior_cp_batch  # deferred: avoids cycle
 
@@ -243,11 +262,11 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
                 )
                 epoch_loss += stats.total
                 n_batches += 1
-        except NumericalError:
-            scorer.params = best  # divergence: report the last good checkpoint
-            break
+            p0, _, _ = posterior_cp_batch(eval_y_sub, scorer, schedule, cp_cfg)
+        except NumericalError as exc:
+            scorer.params = best
+            raise TrainingDiverged(epoch, scorer, metrics, exc) from exc
         best = {k: p.copy() for k, p in scorer.params.items()}
-        p0, _, _ = posterior_cp_batch(eval_y_sub, scorer, schedule, cp_cfg)
         tv = float(0.5 * np.abs(p0 - eval_q).sum(axis=1).mean())
         top1 = float((np.argmax(p0, axis=1) == eval_c_sub).mean())
         wall_ms = (time.perf_counter() - t0) * 1e3

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, config files, exit codes, determinism."""
 
+import os
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
-from diffclass import cli
+from diffclass import cli, train
 from diffclass.data import load_dataset
 from diffclass.errors import NumericalError
+from diffclass.mlp import MlpScorer
 
 TINY_TRAIN = ["--epochs", "2", "--batch-size", "64", "--hidden-dim", "32", "--blocks", "2"]
 SMALL_RUN = {"eval": ["--steps", "2"], "sweep": ["--n-eval", "8"],
@@ -191,3 +196,74 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "sweep", boom)
         rc = cli.main(["sweep", "--data", "x", "--checkpoint", "y"])
         assert rc == 3
+
+    # Header fields after the 8-byte magic, as "<9I": version, K, F, d, H, B, dt, groups, mode.
+    @pytest.mark.parametrize("field, offset, value", [
+        ("n_blocks", 28, 3), ("n_blocks", 28, 1), ("hidden_dim", 24, 64),
+        ("embed_dim", 20, 32), ("n_classes", 12, 5)])
+    def test_header_disagreeing_with_arrays_is_2(self, tmp_path, field, offset, value, capsys):
+        train_stem = _gen(tmp_path, "train", 128, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
+                         "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
+        blob = bytearray(open(ckpt, "rb").read())
+        assert struct.unpack_from("<I", blob, offset)[0] != value
+        struct.pack_into("<I", blob, offset, value)
+        with open(ckpt, "wb") as fh:
+            fh.write(blob)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--data", train_stem, "--checkpoint", ckpt, "--steps", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2 and ckpt in err and "the header implies" in err, field
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_diverged_train_exits_3_and_keeps_the_initial_checkpoint(self, tmp_path, with_out,
+                                                                     capsys):
+        stem = _gen(tmp_path, "train", 256, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        out = str(tmp_path / "metrics.csv")
+        argv = ["train", "--data", stem, "--seed", "0", "--lr", "1e6", "--grad-clip", "1e9",
+                "--checkpoint", ckpt] + TINY_TRAIN + (["--out", out] if with_out else [])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow warning may leak
+            rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+        assert "epoch 0" in err
+        assert not os.path.exists(out)          # no epoch finished: no rows
+        assert MlpScorer.load(ckpt).params.keys()
+
+    def test_finished_epochs_keep_their_rows_and_parameters(self, tmp_path, monkeypatch, capsys):
+        stem = _gen(tmp_path, "train", 256, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        out = str(tmp_path / "metrics.csv")
+        steps_per_epoch = 256 // 64
+        calls = []
+        finished = {}                           # parameters after the last good step
+        real_step = train.train_step
+
+        def failing_step(scorer, *args, **kwargs):
+            calls.append(1)
+            if len(calls) > steps_per_epoch:
+                raise NumericalError("synthetic divergence")
+            result = real_step(scorer, *args, **kwargs)
+            finished.clear()
+            finished.update({k: v.copy() for k, v in scorer.params.items()})
+            return result
+
+        monkeypatch.setattr(train, "train_step", failing_step)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", stem, "--seed", "0", "--checkpoint", ckpt,
+                       "--out", out] + TINY_TRAIN)
+        err = capsys.readouterr().err
+        assert rc == 3 and "epoch 1" in err and "kept the parameters from epoch 0" in err
+        lines = open(out).read().splitlines()
+        assert lines[0] == "epoch,loss,tv,top1,wall_ms" and len(lines) == 2
+        assert lines[1].startswith("0,")
+        saved = MlpScorer.load(ckpt).params
+        for name, value in finished.items():
+            assert np.array_equal(saved[name], value.astype(np.float32)), name

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffclass.data import MixtureTask
 from diffclass.errors import NumericalError, ValidationError
-from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, _gn_forward,
-                           forward_logits, load_params, silu)
+from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, PreparedFeatures,
+                           _gn_forward, forward_logits, load_params, silu)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import AdamState, TrainConfig, fit, train_step
 
@@ -203,6 +205,60 @@ class TestInferencePath:
             scorer.score_batch(np.ones((2, 3)), np.array([0, 5]), np.full(2, 0.5))
 
 
+class TestPreparedPath:
+    def test_prepared_rows_score_like_raw_features_bit_for_bit(self, trained_scorer):
+        y, anchors, t = _shared_time_batch(700, 16)
+        t[::2] = 0.25
+        prepared = trained_scorer.prepare(y)
+        assert isinstance(prepared, PreparedFeatures) and len(prepared) == 700
+        assert prepared.base.dtype == np.float32
+        expected = trained_scorer.score_batch(y, anchors, t)
+        assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
+        # the prepared rows are not written to: a second call gives the same bits
+        assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
+
+    @pytest.mark.parametrize("offset", [0.0, 4.0])
+    def test_float32_groupnorm_statistics_match_float64_reductions(self, offset):
+        rng = np.random.default_rng(17)
+        x = (offset + 3.0 * rng.standard_normal((500, 128))).astype(np.float32)
+        gamma = rng.standard_normal(128).astype(np.float32)
+        beta = rng.standard_normal(128).astype(np.float32)
+        out32, (xhat32, var32) = _gn_forward(x.copy(), gamma, beta, 8)
+        out64, (xhat64, var64) = _gn_forward(x.astype(np.float64), gamma.astype(np.float64),
+                                             beta.astype(np.float64), 8)
+        assert out32.dtype == np.float32 and var32.shape == var64.shape
+        for got, want in ((out32, out64), (xhat32, xhat64), (var32, var64)):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
+           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_prepared_path_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
+        """Scores keep their contract and the float32 logits stay near float64's.
+
+        Groups hold at least 4 units: a 2-unit group's variance can be near
+        zero, where GroupNorm magnifies float32 rounding up to 1/sqrt(GN_EPS)
+        times, and the float32 trunk then differs from float64 by up to 5e-4.
+        """
+        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
+                        hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
+                        groups=groups)
+        scorer = MlpScorer(cfg, SCHED, seed=seed)
+        rng = np.random.default_rng(seed)
+        scorer.params["out_w"] = 0.5 * rng.standard_normal((k, cfg.hidden_dim))
+        n = 40
+        y = 2.0 * rng.standard_normal((n, dim))
+        anchors = rng.integers(0, k, n)
+        t = rng.choice([1.0, 0.5, 0.125], n)
+        prepared = scorer.prepare(y)
+        values = scorer.score_batch(prepared, anchors, t)
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+        assert np.all(values[np.arange(n), anchors] == 1.0)
+        z64, _ = scorer.logits(y, anchors, t)
+        assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
+
+
 class TestGradients:
     def test_param_grads_match_finite_differences(self):
         """Backprop through head, blocks, group norm, and embeddings vs central FD."""
@@ -317,6 +373,10 @@ class TestConfigValidation:
     def test_hidden_must_divide_groups(self):
         with pytest.raises(ValidationError):
             MlpConfig(n_classes=3, feature_dim=2, hidden_dim=30, groups=8)
+
+    def test_at_least_one_block(self):
+        with pytest.raises(ValidationError):
+            MlpConfig(n_classes=3, feature_dim=2, n_blocks=0)
 
     def test_time_input_mode_checked(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import pytest
 
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
+from diffclass.mlp import MlpConfig, MlpScorer
 from diffclass.sampler import (SamplerConfig, cl_step_distribution, posterior_cl,
                                posterior_cp, posterior_cp_batch, posterior_full,
                                reverse_step_full, select_label, step_times)
@@ -283,3 +284,31 @@ class TestTimeGrid:
             SamplerConfig(strategy="greedy")
         with pytest.raises(ValidationError):
             SamplerConfig(n_samples=0)
+
+
+class TestPreparedFeatures:
+    @pytest.mark.parametrize("method", ["cp", "cl", "full"])
+    def test_each_estimator_prepares_once_per_call(self, method, monkeypatch):
+        cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
+                        n_blocks=2, time_embed_dim=8, groups=4)
+        schedule = LogLinearSchedule(0.6, 0.7)
+        scorer = MlpScorer(cfg, schedule, seed=0)
+        scorer.params["out_w"] = 0.3 * np.random.default_rng(1).standard_normal((4, 16))
+        prepared, scored = [], []
+        prepare, score_batch = scorer.prepare, scorer.score_batch
+        monkeypatch.setattr(scorer, "prepare", lambda f: prepared.append(len(f)) or prepare(f))
+        monkeypatch.setattr(scorer, "score_batch",
+                            lambda f, a, t: scored.append(len(a)) or score_batch(f, a, t))
+        sampler_cfg = SamplerConfig(n_steps=5, n_samples=6, seed=2)
+        y = np.random.default_rng(3).standard_normal((7, 2))
+        if method == "cp":
+            probs, _, _ = posterior_cp_batch(y, scorer, schedule, sampler_cfg)
+            rows, nfe = 7, 5
+        else:
+            runner = posterior_cl if method == "cl" else posterior_full
+            est = runner(y[0], scorer, schedule, sampler_cfg)
+            probs, rows, nfe = est.probs, (6 if method == "cl" else 4), est.nfe
+            assert nfe == (30 if method == "cl" else 20)
+        assert prepared == [rows]
+        assert scored == [rows] * 5 and sum(scored) == (nfe * 7 if method == "cp" else nfe)
+        np.testing.assert_allclose(np.sum(probs, axis=-1), 1.0, atol=1e-12)
