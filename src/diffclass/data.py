@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .transition import ensure_distribution, sample_categorical_rows
 
 CORRUPTION_KINDS = ("none", "additive-noise", "mask-coordinates", "quantize")
@@ -43,8 +43,8 @@ class CorruptionSpec:
     def __post_init__(self) -> None:
         if self.kind not in CORRUPTION_KINDS:
             raise ValidationError(f"unknown corruption kind {self.kind!r}")
-        if self.level < 0.0:
-            raise ValidationError("corruption level must be nonnegative")
+        if not 0.0 <= self.level < math.inf:
+            raise ValidationError("corruption level must be nonnegative and finite")
         if self.kind == "quantize" and self.level <= 0.0:
             raise ValidationError("quantize needs a positive cell size")
 
@@ -63,10 +63,14 @@ class MixtureTask:
         object.__setattr__(self, "means", means)
         if means.ndim != 2 or means.shape[0] < 2:
             raise ValidationError("means must be (K, dim) with K >= 2")
-        if self.variance <= 0.0:
-            raise ValidationError("variance must be positive")
+        if not np.all(np.isfinite(means)):
+            raise ValidationError("means must be finite")
+        if not 0.0 < self.variance < math.inf:
+            raise ValidationError("variance must be positive and finite")
         if self.priors is None:
             object.__setattr__(self, "priors", np.full(means.shape[0], 1.0 / means.shape[0]))
+        elif np.shape(self.priors) != (means.shape[0],):
+            raise ValidationError(f"priors must have one entry per class, K={means.shape[0]}")
         else:
             object.__setattr__(self, "priors", ensure_distribution(self.priors, "priors"))
 
@@ -247,22 +251,27 @@ def save_dataset(stem: str, y: np.ndarray, labels: np.ndarray, task: MixtureTask
 def load_dataset(stem: str):
     """Read a dataset back; returns (features, labels, task, corruption, seed).
 
-    Raises ValidationError naming the file when the header is incomplete,
-    the record count disagrees with the file length, a label falls outside
+    Raises ValidationError naming the file when the header is not UTF-8
+    text, is incomplete, or describes no valid task or corruption, when the
+    record count disagrees with the file length, a label falls outside
     [0, k), or a feature is not finite.
     """
     meta: dict[str, str] = {}
-    with open(stem + ".meta", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            meta[key] = value
+    try:
+        with open(stem + ".meta", encoding="utf-8") as fh:
+            for line in fh:
+                key, _, value = line.strip().partition("=")
+                meta[key] = value
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{stem}.meta: not UTF-8 text") from exc
     try:
         k, dim, n = int(meta["k"]), int(meta["dim"]), int(meta["n"])
         means = np.array([float(v) for v in meta["means"].split(",")]).reshape(k, dim)
         priors = np.array([float(v) for v in meta["priors"].split(",")])
         variance, level, seed = float(meta["variance"]), float(meta["level"]), int(meta["seed"])
-        kind = meta["corruption"]
-    except (KeyError, ValueError) as exc:
+        task = MixtureTask(means=means, variance=variance, priors=priors, seed=seed)
+        corruption = CorruptionSpec(meta["corruption"], level)
+    except (KeyError, ValueError, NumericalError) as exc:   # ValidationError is a ValueError
         raise ValidationError(f"{stem}.meta: missing or malformed entry ({exc})") from exc
     dtype = _record_dtype(dim)
     with open(stem + ".bin", "rb") as fh:
@@ -276,5 +285,4 @@ def load_dataset(stem: str):
         raise ValidationError(f"{stem}.bin: label outside [0, {k})")
     if not np.all(np.isfinite(y)):
         raise ValidationError(f"{stem}.bin: non-finite feature")
-    task = MixtureTask(means=means, variance=variance, priors=priors, seed=seed)
-    return y, labels, task, CorruptionSpec(kind, level), seed
+    return y, labels, task, corruption, seed

@@ -26,7 +26,8 @@ from .sampler import (STRATEGIES, SamplerConfig, posterior_cl, posterior_cp,
                       posterior_cp_batch, posterior_full, step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
-from .train import (AdamState, TrainConfig, adam_update, clip_global_norm, fit)
+from .train import (AdamState, TrainConfig, adam_update, clip_global_norm, fit,
+                    learning_rate)
 
 PROB_FLOOR_NLL = 1e-12
 METHODS = ("cp", "cl", "full")
@@ -177,12 +178,8 @@ def train_ce_baseline(config: TrainConfig, task: MixtureTask,
             idx = order[lo:lo + config.batch_size]
             _, grads = model.loss_and_grads(features[idx], labels[idx])
             clip_global_norm(grads, config.grad_clip)
-            if config.lr_schedule == "cosine":
-                frac = opt.step / max(total_steps, 1)
-                lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
-            else:
-                lr = config.learning_rate
-            adam_update(model.params, grads, opt, lr, config.betas)
+            adam_update(model.params, grads, opt, learning_rate(config, opt.step, total_steps),
+                        config.betas)
     return model
 
 

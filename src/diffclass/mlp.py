@@ -10,8 +10,12 @@ the softmax of z.
 
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.
-Training runs in float64: the manual forward/backward keeps the whole
-gradient path explicit and finite-difference checkable.
+The training forward and backward run the trunk in the dtype of the
+features and the head in float64.  On float32 features (what fit trains
+on) the trunk runs on a per-step float32 cast of the float64 master
+parameters, and the gradients come back as float64 for clipping and the
+optimizer; on float64 features (the finite-difference gradient tests) the
+whole gradient path stays float64.
 
 Inference runs the trunk in float32 and the head in float64, with no
 backprop cache, split in two halves.  The prefix (trunk_prefix, through
@@ -22,8 +26,8 @@ every step.  The tail (forward_logits on the prepared rows) adds block
 0's conditioning, normalizes, and runs the remaining blocks and the head;
 the conditioning runs once per distinct (anchor, t) pair.  Training
 passes raw features through the same two halves.  In float32 GroupNorm
-takes its group means by a block-averaging matmul; float64 keeps numpy's
-reductions, so the training arithmetic is unchanged.
+takes its group means, forward and backward, by a block-averaging matmul;
+float64 keeps numpy's reductions.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class MlpConfig:
             raise ValidationError("feature_dim must be positive")
         if self.n_blocks < 1:
             raise ValidationError("n_blocks must be positive: the conditioning enters in the blocks")
+        if self.groups < 1:
+            raise ValidationError("groups must be positive")
         if self.hidden_dim % self.groups != 0:
             raise ValidationError("hidden_dim must be divisible by groups")
         if self.time_embed_dim % 2 != 0:
@@ -121,19 +127,25 @@ def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
     return p
 
 
+def _group_average(h: int, groups: int, dtype) -> np.ndarray:
+    """(h, groups) matrix whose product with (n, h) rows gives the per-group means."""
+    size = h // groups
+    return np.repeat(np.eye(groups, dtype=dtype) / size, size, axis=0)
+
+
 def _gn_forward(x, gamma, beta, groups, out=None):
     """GroupNorm; normalizes x in place (x becomes xhat), writes the affine output to out.
 
-    Float32 input (inference) takes the group mean and variance by an
-    (h, groups) block-averaging matmul, which halves the layer's time
-    against numpy's reductions over the short group axis; float64 input
-    (training) keeps those reductions, so its arithmetic does not change.
+    Float32 input takes the group mean and variance by an (h, groups)
+    block-averaging matmul, which halves the layer's time against numpy's
+    reductions over the short group axis; float64 input keeps those
+    reductions, so its arithmetic does not change.
     """
     n, h = x.shape
     size = h // groups
     xg = x.reshape(n, groups, size)
     if x.dtype == np.float32:
-        average = np.repeat(np.eye(groups, dtype=np.float32) / size, size, axis=0)
+        average = _group_average(h, groups, np.float32)
         xg -= (x @ average)[:, :, None]
         var = (np.square(x) @ average)[:, :, None]
     else:
@@ -146,11 +158,27 @@ def _gn_forward(x, gamma, beta, groups, out=None):
 
 
 def _gn_backward(dout, gamma, cache, groups):
+    """GroupNorm backward; returns (dx, dgamma, dbeta).
+
+    Like _gn_forward, float32 takes the two group means by the
+    block-averaging matmul and float64 keeps numpy's reductions.
+    """
     xhat, var = cache
     n, h = dout.shape
-    dgamma = (dout * xhat).sum(axis=0)
+    dout_xhat = dout * xhat
+    dgamma = dout_xhat.sum(axis=0)
     dbeta = dout.sum(axis=0)
-    dxh = (dout * gamma).reshape(n, groups, h // groups)
+    dxh = dout * gamma
+    if dout.dtype == np.float32:
+        average = _group_average(h, groups, np.float32)
+        mean_dxh_xh = (dout_xhat * gamma) @ average
+        mean_dxh = dxh @ average
+        dx = dxh.reshape(n, groups, h // groups)
+        dx -= mean_dxh[:, :, None]
+        dx -= xhat.reshape(dx.shape) * mean_dxh_xh[:, :, None]
+        dx /= np.sqrt(var + GN_EPS)
+        return dx.reshape(n, h), dgamma, dbeta
+    dxh = dxh.reshape(n, groups, h // groups)
     xh = xhat.reshape(n, groups, h // groups)
     inv = 1.0 / np.sqrt(var + GN_EPS)
     dx = inv * (dxh - dxh.mean(axis=2, keepdims=True) - xh * (dxh * xh).mean(axis=2, keepdims=True))
@@ -245,11 +273,15 @@ def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray | PreparedFeatu
 
 
 def backward_logits(p: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
-    """Gradients of a scalar objective with upstream dL/dz; mirrors forward_logits."""
-    g = {k: np.zeros_like(v) for k, v in p.items()}
-    g["out_w"] = dz.T @ cache["h_top"]
-    g["out_b"] = dz.sum(axis=0)
-    dh = dz @ p["out_w"]
+    """Gradients of a scalar objective with upstream dL/dz; mirrors forward_logits.
+
+    p are the parameters the forward ran with.  Returns the gradient of
+    every parameter forward_logits reads, the head's in its dtype and the
+    trunk's in the trunk dtype, plus "_dcond", dL/dcond per row.
+    """
+    h_top = cache["h_top"]
+    g = {"out_w": dz.T @ h_top, "out_b": dz.sum(axis=0)}
+    dh = (dz @ p["out_w"]).astype(h_top.dtype, copy=False)
     dsc = np.zeros_like(cache["sc"])
     for b in reversed(range(cfg.n_blocks)):
         gnout, gncache = cache[f"gn_{b}"]
@@ -297,27 +329,43 @@ class MlpScorer(Scorer):
         cond = self.params["embed"][anchors] + tf @ self.params["time_w"].T + self.params["time_b"]
         return cond, tf
 
+    def trunk_params(self, dtype) -> dict[str, np.ndarray]:
+        """The parameters for a trunk in dtype: all but the head's cast to it.
+
+        For float64 these are the master parameters themselves.
+        """
+        if dtype == np.float64:
+            return self.params
+        return {name: v if name.startswith("out_") else v.astype(dtype)
+                for name, v in self.params.items()}
+
     def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray):
-        """Float64 logits with the backprop cache; the training forward."""
-        features = np.asarray(features, dtype=np.float64)
+        """Float64 logits with the backprop cache; the training forward.
+
+        The trunk runs in float32 on float32 features, on a cast of the
+        parameters that the cache keeps for param_grads, and in float64 on
+        any other features; the conditioning and the head run in float64.
+        """
+        features = np.asarray(features)
+        if features.dtype != np.float32:
+            features = features.astype(np.float64, copy=False)
         anchors = np.asarray(anchors)
+        params = self.trunk_params(features.dtype)
         cond, tf = self.conditioning(anchors, t)
-        z, cache = forward_logits(self.params, self.cfg, features, cond)
-        cache["tf"] = tf
-        cache["anchors"] = anchors
+        z, cache = forward_logits(params, self.cfg, features,
+                                  cond.astype(features.dtype, copy=False))
+        cache.update({"params": params, "tf": tf, "anchors": anchors})
         self._check_finite(z)
         return z, cache
 
     def prepare(self, features: np.ndarray) -> PreparedFeatures:
         """Run the conditioning-free prefix of the inference trunk once.
 
-        Casts the trunk parameters to float32 (the head stays float64) and
-        runs the input layer and block 0's residual branch on the rows;
-        score_batch takes the result in place of the features at any
-        anchors and times, until the parameters change.
+        Runs the input layer and block 0's residual branch on the rows with
+        the float32 trunk parameters; score_batch takes the result in place
+        of the features at any anchors and times, until the parameters change.
         """
-        params = {name: v if name.startswith("out_") else v.astype(np.float32)
-                  for name, v in self.params.items()}
+        params = self.trunk_params(np.float32)
         base, _ = trunk_prefix(params, np.asarray(features, dtype=np.float32), keep_cache=False)
         return PreparedFeatures(params, base)
 
@@ -359,13 +407,14 @@ class MlpScorer(Scorer):
             )
 
     def param_grads(self, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
-        """Parameter gradients given dL/dz from the loss; includes embeddings."""
-        g = backward_logits(self.params, self.cfg, dz, cache)
-        dcond = g.pop("_dcond")
+        """Float64 gradients of every parameter, in the order of self.params, given dL/dz."""
+        g = backward_logits(cache["params"], self.cfg, dz, cache)
+        dcond = g.pop("_dcond").astype(np.float64, copy=False)
+        g["embed"] = np.zeros_like(self.params["embed"])
         np.add.at(g["embed"], cache["anchors"], dcond)
         g["time_w"] = dcond.T @ cache["tf"]
         g["time_b"] = dcond.sum(axis=0)
-        return g
+        return {name: g[name].astype(np.float64, copy=False) for name in self.params}
 
     def save(self, path: str) -> None:
         save_params(path, self.params, self.cfg, self.schedule)
@@ -412,7 +461,8 @@ class CeClassifier:
         dz /= n
         g = backward_logits(self.params, self.cfg, dz, cache)
         g.pop("_dcond")  # conditioning input is constant zero
-        return loss, g
+        return loss, {name: g[name] if name in g else np.zeros_like(v)
+                      for name, v in self.params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +492,43 @@ def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
     with open(path + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"format_version={FORMAT_VERSION}\n")
-        fh.write(f"n_classes={cfg.n_classes}\n")
-        fh.write(f"feature_dim={cfg.feature_dim}\n")
-        fh.write(f"embed_dim={cfg.embed_dim}\n")
-        fh.write(f"hidden_dim={cfg.hidden_dim}\n")
-        fh.write(f"n_blocks={cfg.n_blocks}\n")
-        fh.write(f"time_embed_dim={cfg.time_embed_dim}\n")
-        fh.write(f"groups={cfg.groups}\n")
-        fh.write(f"time_input={cfg.time_input}\n")
-        fh.write(f"sigma_bar_max={schedule.sigma_bar_max!r}\n")
-        fh.write(f"schedule_decay={schedule.decay!r}\n")
-        fh.write(f"n_arrays={len(params)}\n")
+        for key, value in _sidecar_entries(cfg, schedule, len(params)).items():
+            fh.write(f"{key}={value}\n")
+
+
+def _sidecar_entries(cfg: MlpConfig, schedule: LogLinearSchedule, n_arrays: int) -> dict[str, str]:
+    """The .meta sidecar's key=value entries, as save_params writes them."""
+    return {
+        "format_version": str(FORMAT_VERSION), "n_classes": str(cfg.n_classes),
+        "feature_dim": str(cfg.feature_dim), "embed_dim": str(cfg.embed_dim),
+        "hidden_dim": str(cfg.hidden_dim), "n_blocks": str(cfg.n_blocks),
+        "time_embed_dim": str(cfg.time_embed_dim), "groups": str(cfg.groups),
+        "time_input": cfg.time_input, "sigma_bar_max": repr(float(schedule.sigma_bar_max)),
+        "schedule_decay": repr(float(schedule.decay)), "n_arrays": str(n_arrays),
+    }
+
+
+def _read_sidecar(path: str) -> dict[str, str]:
+    try:
+        with open(path + ".meta", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{path}: the .meta sidecar is missing") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: the .meta sidecar is not UTF-8 text") from exc
+    entries = {}
+    for line in lines:
+        key, _, value = line.partition("=")
+        entries[key] = value
+    return entries
 
 
 def load_params(path: str):
-    """Read a checkpoint; raises ValidationError naming the path on a bad or short file."""
+    """Read a checkpoint; raises ValidationError naming the path on a bad or short file.
+
+    Every array must have the shape the binary header implies, and every
+    header field must equal its entry in the .meta sidecar.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     pos = 0
@@ -480,10 +551,13 @@ def load_params(path: str):
     if mode >= len(TIME_INPUT_MODES):
         raise ValidationError(f"{path}: unknown time-input mode {mode}")
     sbar_max, decay = unpack("<2d")
-    cfg = MlpConfig(k, f, embed_dim=d, hidden_dim=h, n_blocks=blocks,
-                    time_embed_dim=dt, groups=groups,
-                    time_input=TIME_INPUT_MODES[mode])
-    schedule = LogLinearSchedule(sbar_max, decay)
+    try:
+        cfg = MlpConfig(k, f, embed_dim=d, hidden_dim=h, n_blocks=blocks,
+                        time_embed_dim=dt, groups=groups,
+                        time_input=TIME_INPUT_MODES[mode])
+        schedule = LogLinearSchedule(sbar_max, decay)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     (n_arrays,) = unpack("<I")
     params: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
@@ -494,15 +568,30 @@ def load_params(path: str):
             raise ValidationError(f"{path}: corrupt array name") from exc
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
-        count = math.prod(shape)
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        values = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{path}: array {name!r} holds non-finite values")
+        try:
+            data = values.reshape(shape)
+        except ValueError as exc:   # an empty array whose other dimensions overflow
+            raise ValidationError(f"{path}: array {name!r} has impossible shape {shape}") from exc
         params[name] = data.astype(np.float64)
     if pos != len(raw):
         raise ValidationError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
+    if cfg.n_blocks > len(params):
+        # Every block has arrays of its own; do not build the shape table of a
+        # corrupt header's block count, which can run to billions.
+        raise ValidationError(f"{path}: the file holds {len(params)} arrays; "
+                              f"the header implies {cfg.n_blocks} blocks")
     expected = param_shapes(cfg)
     for name in sorted(expected.keys() | params.keys()):
         got = params[name].shape if name in params else None
         if got != expected.get(name):
             raise ValidationError(
                 f"{path}: array {name!r} has shape {got}; the header implies {expected.get(name)}")
+    sidecar = _read_sidecar(path)
+    for key, value in _sidecar_entries(cfg, schedule, len(params)).items():
+        if sidecar.get(key) != value:
+            raise ValidationError(f"{path}: header {key}={value} disagrees with the .meta "
+                                  f"sidecar ({key}={sidecar.get(key)})")
     return params, cfg, schedule

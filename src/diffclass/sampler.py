@@ -116,6 +116,12 @@ def _select_labels_batch(p: np.ndarray, strategy: str, rng: np.random.Generator)
     return np.minimum((cum < r).sum(axis=1), p.shape[1] - 1)
 
 
+def _clamp_abort(mass: float, limit: float) -> NumericalError:
+    """The error a step raises when its clamped probability mass exceeds limit."""
+    return NumericalError(f"clamped probability mass {mass:.3e} exceeds {limit:.1e} "
+                          f"in one step; use a smaller dt (more steps)")
+
+
 def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: float,
                       max_clamp_mass: float | None = DEFAULT_STEP_CLAMP_LIMIT):
     """One Euler step of the reverse process with an explicit K x K score matrix.
@@ -141,10 +147,7 @@ def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: f
     d_raw = 1.0 - offdiag
     clamp_mass = float(np.sum(p * np.maximum(-d_raw, 0.0)))
     if max_clamp_mass is not None and clamp_mass > max_clamp_mass:
-        raise NumericalError(
-            f"clamped probability mass {clamp_mass:.3e} exceeds {max_clamp_mass:.1e} "
-            f"in one step; use a smaller dt (more steps)"
-        )
+        raise _clamp_abort(clamp_mass, max_clamp_mass)
     d_plus = np.maximum(d_raw, 0.0)
     z = np.where(d_raw < 0.0, 1.0 - d_raw, 1.0)
     pz = p / z
@@ -191,10 +194,7 @@ def posterior_cp_batch(features: np.ndarray, scorer: Scorer, schedule: LogLinear
         sigma_t = schedule.sigma(t)
         p, step_clamp = _cp_step_batch(q_hat, p, sigma_t, dt)
         if cfg.max_step_clamp_mass is not None and step_clamp.max() > cfg.max_step_clamp_mass:
-            raise NumericalError(
-                f"clamped probability mass {step_clamp.max():.3e} exceeds "
-                f"{cfg.max_step_clamp_mass:.1e} in one step; use a smaller dt (more steps)"
-            )
+            raise _clamp_abort(step_clamp.max(), cfg.max_step_clamp_mass)
         clamp += step_clamp
         n_clamped += int(np.count_nonzero(step_clamp > 0.0))
         if snapshots is not None:
@@ -283,10 +283,7 @@ def posterior_cl(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
         sigma_t = schedule.sigma(t)
         probs, overshoot = _cl_step_batch(scores, states, sigma_t, dt)
         if cfg.max_step_clamp_mass is not None and overshoot.max() > cfg.max_step_clamp_mass:
-            raise NumericalError(
-                f"clamped probability mass {overshoot.max():.3e} exceeds "
-                f"{cfg.max_step_clamp_mass:.1e} in one step; use a smaller dt (more steps)"
-            )
+            raise _clamp_abort(overshoot.max(), cfg.max_step_clamp_mass)
         clamp_total += float(overshoot.sum())
         n_clamped += int(np.count_nonzero(overshoot))
         cum = np.cumsum(probs, axis=1)

@@ -6,6 +6,13 @@ closed-form forward marginal, sample a noisy label from it, form the true
 ratio column against that anchor, score with the network, and descend the
 score-entropy objective with an adaptive-moment update.
 
+fit trains in mixed precision: it casts the features to float32 once, so
+the scorer's forward and backward run the trunk in float32 on a per-step
+cast of the parameters (the head stays float64), while the master
+parameters, the gradients handed to clipping, the Adam moments and the
+checkpoints stay float64.  train_step itself runs in the dtype of the
+features it is given; on float64 features the whole step is float64.
+
 All randomness flows from the config seed, so a fixed seed reproduces the
 run bit-for-bit in single-threaded mode.
 """
@@ -69,6 +76,19 @@ class TrainConfig:
         )
 
 
+# The dtype fit casts the training features to, and so the dtype of the trunk's
+# forward and backward; the master parameters stay float64 whatever it is.
+TRAIN_FEATURE_DTYPE = np.float32
+
+
+def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
+    """The step's learning rate: cosine decay from config.learning_rate, or constant."""
+    if config.lr_schedule == "constant":
+        return config.learning_rate
+    frac = step / max(total_steps, 1)
+    return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators mirroring the parameter shapes."""
@@ -112,11 +132,21 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     b1, b2 = betas
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
+    # In place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+    # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so the result is the same to the bit.
     for key, p in params.items():
-        g = grads[key]
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g ** 2
-        p -= lr * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + eps)
+        g, m, v = grads[key], state.m[key], state.v[key]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        step = np.divide(m, bc1)
+        step *= lr
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
 
 
 def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray,
@@ -213,8 +243,11 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
     """Train a scorer on a mixture task; returns (scorer, per-epoch metrics).
 
     Data is generated from the task unless (features, labels) pairs are
-    passed explicitly.  Validation runs the class-probability sampler at
-    config.eval_steps on a held-out subset each epoch.  A numerical failure
+    passed explicitly; the training features are cast to
+    TRAIN_FEATURE_DTYPE once, which is exact for features read from a
+    dataset file (stored as float32).  Validation runs the
+    class-probability sampler at config.eval_steps on a held-out subset
+    each epoch.  A numerical failure
     in an epoch's steps or validation raises TrainingDiverged, which names
     the epoch and carries the scorer with the last finished epoch's
     parameters and the finished epochs' metrics.
@@ -227,6 +260,7 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
     if eval_data is None:
         eval_data = generate(task, n_eval, corruption, rng)
     features, labels = train_data
+    features = np.asarray(features, dtype=TRAIN_FEATURE_DTYPE)
     eval_y, eval_c = eval_data
     n_sub = min(config.eval_subset, eval_y.shape[0])
     eval_y_sub, eval_c_sub = eval_y[:n_sub], eval_c[:n_sub]
@@ -250,15 +284,10 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
         try:
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                if config.lr_schedule == "cosine":
-                    frac = opt.step / max(total_steps, 1)
-                    lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
-                else:
-                    lr = config.learning_rate
                 _, _, stats = train_step(
                     scorer, opt, features[idx], labels[idx], schedule, rng,
-                    lr=lr, betas=config.betas, grad_clip=config.grad_clip,
-                    stratified_t=config.stratified_t,
+                    lr=learning_rate(config, opt.step, total_steps), betas=config.betas,
+                    grad_clip=config.grad_clip, stratified_t=config.stratified_t,
                 )
                 epoch_loss += stats.total
                 n_batches += 1

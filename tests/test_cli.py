@@ -217,6 +217,39 @@ class TestExitCodes:
         assert rc == 2 and ckpt in err and "the header implies" in err, field
 
 
+    # Header fields no array shape depends on: groups and the time-input mode
+    # ("<I" at 36 and 40) and the schedule's decay ("<d" at 52, after sigma_bar_max).
+    @pytest.mark.parametrize("field, fmt, offset, value, message", [
+        ("groups", "<I", 36, 4, "header groups=4 disagrees with the .meta sidecar (groups=8)"),
+        ("groups", "<I", 36, 5, "hidden_dim must be divisible by groups"),
+        ("time_input", "<I", 40, 1, "header time_input=raw disagrees with the .meta sidecar"),
+        ("schedule_decay", "<d", 52, 0.5,
+         "header schedule_decay=0.5 disagrees with the .meta sidecar (schedule_decay=0.7)")])
+    def test_header_disagreeing_with_sidecar_is_2(self, tmp_path, field, fmt, offset, value,
+                                                  message, capsys):
+        train_stem = _gen(tmp_path, "train", 128, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
+                         "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
+        blob = bytearray(open(ckpt, "rb").read())
+        assert struct.unpack_from(fmt, blob, offset)[0] != value
+        struct.pack_into(fmt, blob, offset, value)
+        with open(ckpt, "wb") as fh:
+            fh.write(blob)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--data", train_stem, "--checkpoint", ckpt, "--steps", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: {ckpt}: ") and message in err, field
+
+    def test_missing_sidecar_is_2(self, tmp_path, checkpoint, capsys):
+        train, ckpt = checkpoint
+        os.remove(ckpt + ".meta")
+        capsys.readouterr()
+        rc = cli.main(["eval", "--data", train, "--checkpoint", ckpt, "--steps", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2 and ckpt in err and ".meta sidecar is missing" in err
+
+
 class TestDivergence:
     @pytest.mark.parametrize("with_out", [False, True])
     def test_diverged_train_exits_3_and_keeps_the_initial_checkpoint(self, tmp_path, with_out,

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffclass.data import (CorruptionSpec, MixtureTask, bayes_accuracy, generate,
                             load_dataset, posterior_quadrature, save_dataset,
@@ -132,6 +134,28 @@ class TestBayesAccuracy:
         assert acc == pytest.approx(0.866563, abs=4 * se)
 
 
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    """(what load_dataset returns, record bytes, header bytes, stem for altered copies)."""
+    task = MixtureTask.ring(3, 2)
+    spec = CorruptionSpec("additive-noise", 0.5)
+    y, labels = generate(task, 12, spec, np.random.default_rng(15))
+    stem = str(tmp_path_factory.mktemp("dataset") / "d")
+    save_dataset(stem, y, labels, task, spec, seed=15)
+    with open(stem + ".bin", "rb") as fh, open(stem + ".meta", "rb") as meta:
+        return load_dataset(stem), fh.read(), meta.read(), stem
+
+
+def _altered(blob: bytes, cut: int | None, edits: list[tuple[int, int]]) -> bytes:
+    """blob cut to its first cut bytes, or with byte i set to v for each (i, v) in edits."""
+    if cut is not None:
+        return blob[:cut % len(blob)]
+    out = bytearray(blob)
+    for i, v in edits:
+        out[i % len(out)] = v
+    return bytes(out)
+
+
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
         task = MixtureTask.ring(5, 3, separation=2.5, variance=0.9)
@@ -180,6 +204,34 @@ class TestDatasetFiles:
             fh.writelines(lines)
         with pytest.raises(ValidationError, match="bad.meta"):
             load_dataset(stem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(in_meta=st.booleans(), cut=st.none() | st.integers(0, 2**16),
+           edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    def test_altered_dataset_loads_or_raises_validation_error(self, saved_dataset, in_meta,
+                                                               cut, edits):
+        original, blob, meta, stem = saved_dataset
+        new_blob = blob if in_meta else _altered(blob, cut, edits)
+        new_meta = _altered(meta, cut, edits) if in_meta else meta
+        with open(stem + ".bin", "wb") as fh, open(stem + ".meta", "wb") as fh_meta:
+            fh.write(new_blob)
+            fh_meta.write(new_meta)
+        try:
+            y, labels, task, corruption, seed = load_dataset(stem)
+        except ValidationError:
+            assert (new_blob, new_meta) != (blob, meta)
+            return
+        assert cut is None or in_meta               # a cut record file never loads
+        assert y.shape == (labels.size, task.dim) and task.priors.shape == (task.k,)
+        assert np.all(np.isfinite(y)) and np.all((0 <= labels) & (labels < task.k))
+        assert np.all(np.isfinite(task.means)) and np.isfinite(task.variance)
+        assert np.isfinite(corruption.level)
+        if (new_blob, new_meta) == (blob, meta):
+            y0, labels0, task0, corruption0, seed0 = original
+            assert np.array_equal(y, y0) and np.array_equal(labels, labels0)
+            assert np.array_equal(task.means, task0.means) and task.variance == task0.variance
+            assert (corruption, seed) == (corruption0, seed0)
 
     def test_truncated_file_rejected(self, tmp_path):
         task = MixtureTask.ring(3, 2)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from diffclass.data import MixtureTask
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, PreparedFeatures,
-                           _gn_forward, forward_logits, load_params, silu)
+                           _gn_backward, _gn_forward, forward_logits, load_params,
+                           param_shapes, silu)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.train import AdamState, TrainConfig, fit, train_step
+from diffclass.train import AdamState, TrainConfig, batch_loss_and_grads, fit, train_step
 
 SMALL = MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32,
                   n_blocks=2, time_embed_dim=16, groups=4)
@@ -259,6 +260,79 @@ class TestPreparedPath:
         assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
 
 
+def _grads_at(scorer, features, labels, seed):
+    """Parameter gradients of one training batch, the noise drawn from seed."""
+    q0 = np.eye(scorer.k)[labels]
+    _, grads = batch_loss_and_grads(scorer, features, q0, scorer.schedule,
+                                    np.random.default_rng(seed))
+    return grads
+
+
+def _relative_gap(got, want):
+    """Global-norm gap between two gradient dicts, relative to want's norm."""
+    gap = np.sqrt(sum(np.sum((got[k] - want[k]) ** 2) for k in want))
+    return gap / np.sqrt(sum(np.sum(v ** 2) for v in want.values()))
+
+
+class TestMixedPrecisionTraining:
+    """Float32 features run the training trunk in float32; the gradients stay float64."""
+
+    def test_float32_gradients_match_float64_on_the_reference_config(self, trained_scorer):
+        rng = np.random.default_rng(20)
+        y = (3.0 * rng.standard_normal((128, 2))).astype(np.float32)
+        labels = rng.integers(0, 8, 128)
+        g32 = _grads_at(trained_scorer, y, labels, seed=21)
+        g64 = _grads_at(trained_scorer, y.astype(np.float64), labels, seed=21)
+        assert list(g32) == list(trained_scorer.params)
+        assert all(v.dtype == np.float64 for v in g32.values())
+        assert _relative_gap(g32, g64) <= 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
+           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_float32_gradients_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
+        """Groups of at least 4 units, for the reason test_prepared_path_on_random_configs gives."""
+        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
+                        hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
+                        groups=groups)
+        scorer = MlpScorer(cfg, SCHED, seed=seed)
+        rng = np.random.default_rng(seed)
+        scorer.params["out_w"] = 0.5 * rng.standard_normal((k, cfg.hidden_dim))
+        y = (2.0 * rng.standard_normal((48, dim))).astype(np.float32)
+        labels = rng.integers(0, k, 48)
+        g32 = _grads_at(scorer, y, labels, seed)
+        g64 = _grads_at(scorer, y.astype(np.float64), labels, seed)
+        assert all(v.dtype == np.float64 for v in g32.values())
+        assert _relative_gap(g32, g64) <= 1e-4
+
+    @pytest.mark.parametrize("offset", [0.0, 4.0])
+    def test_float32_groupnorm_backward_matches_float64_reductions(self, offset):
+        rng = np.random.default_rng(22)
+        x = (offset + 3.0 * rng.standard_normal((300, 128))).astype(np.float32)
+        gamma = rng.standard_normal(128).astype(np.float32)
+        dout = rng.standard_normal((300, 128)).astype(np.float32)
+        _, cache32 = _gn_forward(x.copy(), gamma, np.zeros_like(gamma), 8)
+        _, cache64 = _gn_forward(x.astype(np.float64), gamma.astype(np.float64),
+                                 np.zeros(128), 8)
+        got = _gn_backward(dout, gamma, cache32, 8)
+        want = _gn_backward(dout.astype(np.float64), gamma.astype(np.float64), cache64, 8)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32 and g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max()
+
+    def test_float64_features_keep_the_trunk_float64(self):
+        scorer = _small_scorer(head_scale=0.3)
+        rng = np.random.default_rng(23)
+        y = rng.standard_normal((6, 3))
+        anchors = rng.integers(0, 5, 6)
+        _, cache = scorer.logits(y, anchors, rng.random(6))
+        assert cache["params"] is scorer.params and cache["h_top"].dtype == np.float64
+        _, cache = scorer.logits(y.astype(np.float32), anchors, rng.random(6))
+        assert cache["h_top"].dtype == np.float32
+        assert all(cache["params"][k].dtype == np.float64 for k in ("out_w", "out_b"))
+
+
 class TestGradients:
     def test_param_grads_match_finite_differences(self):
         """Backprop through head, blocks, group norm, and embeddings vs central FD."""
@@ -367,6 +441,59 @@ class TestSerialization:
         path.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
         with pytest.raises(ValidationError):
             load_params(str(path))
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(scorer, checkpoint bytes, sidecar bytes, path for altered copies)."""
+    scorer = _small_scorer(head_scale=0.5)
+    path = str(tmp_path_factory.mktemp("checkpoint") / "m.ckpt")
+    scorer.save(path)
+    with open(path, "rb") as fh, open(path + ".meta", "rb") as meta:
+        return scorer, fh.read(), meta.read(), path
+
+
+def _altered(blob: bytes, cut: int | None, edits: list[tuple[int, int]]) -> bytes:
+    """blob cut to its first cut bytes, or with byte i set to v for each (i, v) in edits."""
+    if cut is not None:
+        return blob[:cut % len(blob)]
+    out = bytearray(blob)
+    for i, v in edits:
+        out[i % len(out)] = v
+    return bytes(out)
+
+
+# Half the edits land in the first 128 bytes: the header and the first array's name and shape.
+ALTERATIONS = dict(
+    in_sidecar=st.booleans(),
+    cut=st.none() | st.integers(0, 2**16),
+    edits=st.lists(st.tuples(st.integers(0, 127) | st.integers(0, 2**16), st.integers(0, 255)),
+                   min_size=1, max_size=3),
+)
+
+
+class TestLoaderProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(**ALTERATIONS)
+    def test_altered_checkpoint_loads_or_raises_validation_error(
+            self, saved_checkpoint, in_sidecar, cut, edits):
+        scorer, blob, meta, path = saved_checkpoint
+        new_blob = blob if in_sidecar else _altered(blob, cut, edits)
+        new_meta = _altered(meta, cut, edits) if in_sidecar else meta
+        with open(path, "wb") as fh, open(path + ".meta", "wb") as fh_meta:
+            fh.write(new_blob)
+            fh_meta.write(new_meta)
+        try:
+            params, cfg, schedule = load_params(path)
+        except ValidationError:
+            assert (new_blob, new_meta) != (blob, meta)
+            return
+        assert cut is None or in_sidecar            # a cut checkpoint never loads
+        assert {k: v.shape for k, v in params.items()} == param_shapes(cfg)
+        if new_blob == blob:                        # the sidecar only confirms the header
+            assert (cfg, schedule) == (scorer.cfg, scorer.schedule)
+            for name, value in scorer.params.items():
+                assert np.array_equal(params[name], value.astype(np.float32)), name
 
 
 class TestConfigValidation:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffclass import train
 from diffclass.data import CorruptionSpec, MixtureTask, bayes_accuracy, generate
 from diffclass.errors import ValidationError
 from diffclass.loss import score_entropy_terms
@@ -98,6 +99,36 @@ class TestDeterminism:
             assert np.array_equal(scorer.params[key], fresh.params[key]), key
         assert len({m.top1 for m in metrics}) == 1
         assert len({m.tv for m in metrics}) == 1
+
+
+class TestMixedPrecision:
+    def test_one_epoch_on_float32_features_ends_near_the_float64_run(self, monkeypatch):
+        """fit trains on float32 features; the same epoch in float64 ends within 1e-6.
+
+        The features are float32 values, as read from a dataset file, so only
+        the trunk's arithmetic differs between the two runs.
+        """
+        task = MixtureTask.ring(8, 2)
+        rng = np.random.default_rng(30)
+        y, labels = generate(task, 2048, CorruptionSpec(), rng)
+        train_data = (y.astype(np.float32).astype(np.float64), labels)
+        eval_data = generate(task, 512, CorruptionSpec(), rng)
+        config = TrainConfig(epochs=1, seed=0)        # the reference model: hidden 128, 3 blocks
+        dtypes = set()
+        real_step = train.train_step
+
+        def recording_step(scorer, opt, features, *args, **kwargs):
+            dtypes.add(features.dtype)
+            return real_step(scorer, opt, features, *args, **kwargs)
+
+        monkeypatch.setattr(train, "train_step", recording_step)
+        _, (m32,) = fit(config, task, train_data=train_data, eval_data=eval_data)
+        assert dtypes == {np.dtype(np.float32)}
+        monkeypatch.setattr(train, "TRAIN_FEATURE_DTYPE", np.float64)
+        _, (m64,) = fit(config, task, train_data=train_data, eval_data=eval_data)
+        assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert abs(m32.loss - m64.loss) <= 1e-6 * abs(m64.loss)
+        assert abs(m32.tv - m64.tv) <= 1e-6 * m64.tv
 
 
 class TestPipelineGradient:
