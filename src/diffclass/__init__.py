@@ -6,29 +6,22 @@ score-entropy objective; the posterior is recovered by Euler-stepping the
 reverse process over class probabilities or sampled class labels.
 """
 
-from .data import CorruptionSpec, MixtureTask, bayes_accuracy, generate, true_posterior
+from .data import CorruptionSpec, MixtureTask, bayes_accuracy, generate, true_posterior_batch
 from .errors import DiffclassError, NumericalError, ValidationError
-from .loss import LossBreakdown, score_entropy_grad, score_entropy_loss
 from .mlp import CeClassifier, MlpConfig, MlpScorer
 from .sampler import (PosteriorEstimate, SamplerConfig, posterior_cl, posterior_cp,
-                      posterior_full, reverse_step_full, select_label)
+                      posterior_full, reverse_step_full)
 from .schedule import LogLinearSchedule
-from .score import (ExactScorer, ScoreColumn, Scorer, UniformScorer,
-                    exact_score_column, normalize_scores, score_matrix_rank_one)
+from .score import ExactScorer, Scorer
 from .train import AdamState, TrainConfig, fit, train_step
-from .transition import (apply_rate, forward_marginal, matrix_exponential_oracle,
-                         sample_noisy_label)
+from .transition import forward_marginal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "CeClassifier", "CorruptionSpec", "DiffclassError", "ExactScorer",
-    "LogLinearSchedule", "LossBreakdown", "MixtureTask", "MlpConfig", "MlpScorer",
-    "NumericalError", "PosteriorEstimate", "SamplerConfig", "ScoreColumn", "Scorer",
-    "UniformScorer", "ValidationError", "apply_rate", "bayes_accuracy",
-    "exact_score_column", "fit", "forward_marginal", "generate",
-    "matrix_exponential_oracle", "normalize_scores", "posterior_cl", "posterior_cp",
-    "posterior_full", "reverse_step_full", "sample_noisy_label", "score_entropy_grad",
-    "score_entropy_loss", "score_matrix_rank_one", "select_label", "train_step",
-    "true_posterior",
+    "LogLinearSchedule", "MixtureTask", "MlpConfig", "MlpScorer", "NumericalError",
+    "PosteriorEstimate", "SamplerConfig", "Scorer", "ValidationError", "bayes_accuracy",
+    "fit", "forward_marginal", "generate", "posterior_cl", "posterior_cp", "posterior_full",
+    "reverse_step_full", "train_step", "true_posterior_batch",
 ]

@@ -125,6 +125,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             skip = False
             continue
         if a == "--config":
+            if i + 1 == len(argv):
+                raise ValidationError("--config needs a file path")
             path = argv[i + 1]
             skip = True
         elif a.startswith("--config="):
@@ -132,13 +134,17 @@ def _apply_config(argv: list[str]) -> list[str]:
         else:
             expanded.append(a)
     flags: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: config file is not UTF-8 text") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     # subcommand first, then config defaults, then explicit flags (last wins)
     return expanded[:1] + flags + expanded[1:]
 
@@ -245,6 +251,8 @@ def _run_ablate(args) -> int:
 
 
 def _run_trace(args) -> int:
+    if args.topk < 1:
+        raise ValidationError("--topk must be >= 1")
     y, _, task, _, _ = load_dataset(args.data)
     if not (0 <= args.input_id < y.shape[0]):
         raise ValidationError(f"input-id {args.input_id} out of range")
@@ -260,8 +268,11 @@ def _run_trace(args) -> int:
 
 def _run_compare(args) -> int:
     task = MixtureTask.ring(args.k, args.dim, args.separation, args.variance, args.seed)
-    levels = [float(v) for v in args.levels.split(",")]
-    ratios = [float(v) for v in args.ratios.split(",")]
+    try:
+        levels = [float(v) for v in args.levels.split(",")]
+        ratios = [float(v) for v in args.ratios.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--levels/--ratios take comma-separated numbers: {exc}") from None
     config = TrainConfig(epochs=args.epochs, seed=args.seed)
     rows = harness.compare_grid(task, levels, ratios, config, args.n_train,
                                 args.n_eval, args.steps, args.seed,
@@ -291,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
+        if args.seed < 0:
+            raise ValidationError("--seed must be >= 0")
         return _RUNNERS[args.command](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

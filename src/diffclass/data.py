@@ -61,8 +61,8 @@ class MixtureTask:
     def __post_init__(self) -> None:
         means = np.asarray(self.means, dtype=np.float64)
         object.__setattr__(self, "means", means)
-        if means.ndim != 2 or means.shape[0] < 2:
-            raise ValidationError("means must be (K, dim) with K >= 2")
+        if means.ndim != 2 or means.shape[0] < 2 or means.shape[1] < 1:
+            raise ValidationError("means must be (K, dim) with K >= 2 and dim >= 1")
         if not np.all(np.isfinite(means)):
             raise ValidationError("means must be finite")
         if not 0.0 < self.variance < math.inf:
@@ -86,8 +86,8 @@ class MixtureTask:
     def ring(cls, k: int, dim: int = 2, separation: float = 3.0,
              variance: float = 1.0, seed: int = 0) -> "MixtureTask":
         """Means equally spaced on a circle with the given nearest-neighbor distance."""
-        if dim < 2:
-            raise ValidationError("ring layout needs dim >= 2")
+        if k < 2 or dim < 2:
+            raise ValidationError("ring layout needs k >= 2 and dim >= 2")
         radius = (separation / 2.0) / math.sin(math.pi / k)
         ang = 2.0 * math.pi * np.arange(k) / k
         means = np.zeros((k, dim))
@@ -98,6 +98,8 @@ class MixtureTask:
     @classmethod
     def random(cls, k: int, dim: int, spread: float = 3.0,
                variance: float = 1.0, seed: int = 0) -> "MixtureTask":
+        if k < 2 or dim < 1:
+            raise ValidationError("random layout needs k >= 2 and dim >= 1")
         rng = np.random.default_rng(seed)
         return cls(means=spread * rng.standard_normal((k, dim)), variance=variance, seed=seed)
 
@@ -107,7 +109,7 @@ def generate(task: MixtureTask, n: int, corruption: CorruptionSpec,
     """Draw n labeled observations (features after corruption, zero-based labels)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    labels = sample_categorical_rows(rng, np.tile(task.priors, (n, 1)))
+    labels = sample_categorical_rows(np.tile(task.priors, (n, 1)), rng.random(n))
     x = task.means[labels] + math.sqrt(task.variance) * rng.standard_normal((n, task.dim))
     if corruption.kind == "none":
         y = x
@@ -164,55 +166,6 @@ def true_posterior_batch(task: MixtureTask, y: np.ndarray,
     return ensure_distribution(p / p.sum(axis=1, keepdims=True), "posterior")
 
 
-def true_posterior(task: MixtureTask, y: np.ndarray,
-                   corruption: CorruptionSpec = CorruptionSpec()) -> np.ndarray:
-    """Exact posterior for a single observation, shape (K,)."""
-    return true_posterior_batch(task, y, corruption)[0]
-
-
-def posterior_quadrature(task: MixtureTask, y: np.ndarray,
-                         corruption: CorruptionSpec = CorruptionSpec(),
-                         n_nodes: int = 96) -> np.ndarray:
-    """Posterior by numerical marginalization over the latent clean features.
-
-    Independent oracle for the closed forms above; agrees within 1e-6 total
-    variation at the default node count.  Gauss-Hermite handles the additive
-    convolution, Gauss-Legendre the per-cell quantization mass.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    std = math.sqrt(task.variance)
-    if corruption.kind in ("none", "mask-coordinates"):
-        # Marginalizing unobserved coordinates integrates to one; closed path is exact.
-        return true_posterior(task, y, corruption)
-    loglik = np.zeros(task.k)
-    if corruption.kind == "additive-noise":
-        nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-        tau = max(corruption.level, 1e-12)
-        for ki in range(task.k):
-            total = 0.0
-            for d in range(task.dim):
-                x = task.means[ki, d] + std * math.sqrt(2.0) * nodes
-                dens = np.exp(-0.5 * ((y[d] - x) / tau) ** 2) / (tau * math.sqrt(2.0 * math.pi))
-                val = float(weights @ dens) / math.sqrt(math.pi)
-                total += math.log(max(val, 1e-300))
-            loglik[ki] = total
-    else:  # quantize
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        half = corruption.level / 2.0
-        for ki in range(task.k):
-            total = 0.0
-            for d in range(task.dim):
-                x = y[d] + half * nodes
-                dens = np.exp(-0.5 * ((x - task.means[ki, d]) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
-                val = half * float(weights @ dens)
-                total += math.log(max(val, 1e-300))
-            loglik[ki] = total
-    logp = loglik + np.log(task.priors)
-    logp -= logp.max()
-    p = np.exp(logp)
-    return ensure_distribution(p / p.sum(), "quadrature posterior")
-
-
 def bayes_accuracy(task: MixtureTask, corruption: CorruptionSpec, n: int,
                    rng: np.random.Generator) -> tuple[float, float]:
     """Monte-Carlo accuracy of the exact-posterior argmax, with binomial s.e."""
@@ -253,8 +206,8 @@ def load_dataset(stem: str):
 
     Raises ValidationError naming the file when the header is not UTF-8
     text, is incomplete, or describes no valid task or corruption, when the
-    record count disagrees with the file length, a label falls outside
-    [0, k), or a feature is not finite.
+    record count is below one or disagrees with the file length, a label
+    falls outside [0, k), or a feature is not finite.
     """
     meta: dict[str, str] = {}
     try:
@@ -273,6 +226,8 @@ def load_dataset(stem: str):
         corruption = CorruptionSpec(meta["corruption"], level)
     except (KeyError, ValueError, NumericalError) as exc:   # ValidationError is a ValueError
         raise ValidationError(f"{stem}.meta: missing or malformed entry ({exc})") from exc
+    if n < 1:
+        raise ValidationError(f"{stem}.meta: n={n}, a dataset holds at least one record")
     dtype = _record_dtype(dim)
     with open(stem + ".bin", "rb") as fh:
         raw = fh.read()
@@ -281,7 +236,7 @@ def load_dataset(stem: str):
     records = np.frombuffer(raw, dtype=dtype)
     y = records["y"].astype(np.float64)
     labels = records["c"].astype(np.int64)
-    if n and (labels.min() < 0 or labels.max() >= k):
+    if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"{stem}.bin: label outside [0, {k})")
     if not np.all(np.isfinite(y)):
         raise ValidationError(f"{stem}.bin: non-finite feature")

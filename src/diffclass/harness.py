@@ -1,9 +1,9 @@
 """Evaluation metrics, sweeps, and the comparison grid.
 
 Everything here reduces to: draw evaluation inputs from the task, run a
-configured posterior estimator per input, and score the estimates against
-the exact posterior.  Results are emitted as long-format CSV rows so the
-downstream plotting story stays language-neutral.
+configured posterior estimator over all of them at once, and score the
+estimates against the exact posterior.  Results are emitted as long-format
+CSV rows so the downstream plotting story stays language-neutral.
 
 With a fixed seed every function here is deterministic in single-threaded
 mode; wall-clock fields are left empty unless timing is requested so CSV
@@ -22,15 +22,14 @@ import numpy as np
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import ValidationError
 from .mlp import CeClassifier, MlpScorer
-from .sampler import (STRATEGIES, SamplerConfig, posterior_cl, posterior_cp,
-                      posterior_cp_batch, posterior_full, step_times)
+from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, posterior_cl,
+                      posterior_cp, posterior_cp_batch, posterior_full, step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
 from .train import (AdamState, TrainConfig, adam_update, clip_global_norm, fit,
                     learning_rate)
 
 PROB_FLOOR_NLL = 1e-12
-METHODS = ("cp", "cl", "full")
 
 
 @dataclass(frozen=True)
@@ -51,18 +50,13 @@ def topk_hits(probs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def _run_method(method: str, features: np.ndarray, scorer: Scorer,
                 schedule: LogLinearSchedule, cfg: SamplerConfig):
-    """Posterior estimates for a batch of inputs; returns (probs, nfe per input)."""
-    if method == "cp":
-        probs, _, _ = posterior_cp_batch(features, scorer, schedule, cfg)
-        return probs, cfg.n_steps
-    runner = posterior_cl if method == "cl" else posterior_full
-    rows = []
-    nfe = 0
-    for i, y in enumerate(features):
-        est = runner(y, scorer, schedule, replace(cfg, seed=cfg.seed + i))
-        rows.append(est.probs)
-        nfe = est.nfe
-    return np.stack(rows), nfe
+    """Posterior estimates for rows of inputs; returns (probs, nfe per input)."""
+    # The estimator is looked up by its name here at call time, not through
+    # METHOD_SAMPLERS, so a wrapper installed on these module bindings (the
+    # benchmark's tracer) sees the call.
+    estimator = {"cp": posterior_cp, "cl": posterior_cl, "full": posterior_full}[method]
+    est = estimator(features, scorer, schedule, cfg)
+    return est.probs, est.nfe
 
 
 def evaluate_on(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
@@ -70,8 +64,8 @@ def evaluate_on(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
                 schedule: LogLinearSchedule, method: str = "cp",
                 timing: bool = False) -> EvalReport:
     """Score a posterior estimator against the exact posterior on given data."""
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}")
+    if method not in METHOD_SAMPLERS:
+        raise ValidationError(f"method must be one of {tuple(METHOD_SAMPLERS)}")
     n_eval = features.shape[0]
     q_true = true_posterior_batch(task, features, corruption)
     t0 = time.perf_counter()
@@ -190,8 +184,12 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
 
     Each cell subsamples the training set to the given ratio, trains both
     models from the same data, and reports top-1 plus the exact-posterior
-    ceiling; the gain column carries no sign requirement.
+    ceiling; the gain column carries no sign requirement.  A cell trains on
+    at least one batch of rows, and never on more than n_train; n_train
+    reports the rows it used.
     """
+    if not all(0.0 < ratio <= 1.0 for ratio in ratios):
+        raise ValidationError(f"training ratios must be in (0, 1], got {ratios}")
     rows = []
     for level in corruption_levels:
         corruption = (CorruptionSpec("none", 0.0) if level == 0.0
@@ -202,7 +200,7 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
         bayes_pred = np.argmax(true_posterior_batch(task, eval_y, corruption), axis=1)
         bayes_top1 = float((bayes_pred == eval_c).mean())
         for ratio in ratios:
-            n_sub = max(config.batch_size, int(round(n_train * ratio)))
+            n_sub = min(n_train, max(config.batch_size, int(round(n_train * ratio))))
             sub = (full_train[0][:n_sub], full_train[1][:n_sub])
             cell_cfg = replace(config, seed=seed)
             scorer, _ = fit(cell_cfg, task, corruption=corruption,

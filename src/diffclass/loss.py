@@ -8,32 +8,9 @@ s_hat = s.  The batch weight is sigma_t / K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ValidationError
-from .score import PROB_FLOOR, ScoreColumn
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Value of the objective for one (true, predicted) column pair."""
-
-    total: float
-    per_class: np.ndarray
-    sigma_t: float
-    anchor: int
-    n_floored: int = 0  # log arguments lifted to the floor; diagnostic only
-
-
-def _check_pair(s_true: ScoreColumn, s_pred: ScoreColumn) -> None:
-    if s_true.anchor != s_pred.anchor:
-        raise ValidationError(
-            f"anchor mismatch: true={s_true.anchor}, pred={s_pred.anchor}"
-        )
-    if s_true.k != s_pred.k:
-        raise ValidationError("score columns differ in length")
+from .score import PROB_FLOOR
 
 
 def score_entropy_terms(s_true: np.ndarray, s_pred: np.ndarray) -> tuple[np.ndarray, int]:
@@ -44,26 +21,6 @@ def score_entropy_terms(s_true: np.ndarray, s_pred: np.ndarray) -> tuple[np.ndar
     per = sp - st * np.log(sp) + st * (np.log(st) - 1.0)
     # Mathematically >= 0; clamp the roundoff dust near the optimum.
     return np.maximum(per, 0.0), n_floored
-
-
-def score_entropy_loss(s_true: ScoreColumn, s_pred: ScoreColumn, sigma_t: float) -> LossBreakdown:
-    """Weighted loss (sigma_t / K) * sum_i f(s_hat_i); zero iff the columns match."""
-    _check_pair(s_true, s_pred)
-    per, n_floored = score_entropy_terms(s_true.values, s_pred.values)
-    total = float(sigma_t / s_true.k * per.sum())
-    return LossBreakdown(total, per, float(sigma_t), s_true.anchor, n_floored)
-
-
-def score_entropy_grad(s_true: ScoreColumn, s_pred: ScoreColumn, sigma_t: float) -> np.ndarray:
-    """Analytic gradient of the loss with respect to the predicted column.
-
-    d/ds_hat_i = (sigma_t / K) * (1 - s_i / s_hat_i); vanishes exactly at
-    s_hat = s and matches central finite differences of score_entropy_loss.
-    """
-    _check_pair(s_true, s_pred)
-    sp = np.maximum(s_pred.values, PROB_FLOOR)
-    st = np.maximum(s_true.values, PROB_FLOOR)
-    return sigma_t / s_true.k * (1.0 - st / sp)
 
 
 def loss_grad_wrt_logits(s_true: np.ndarray, s_pred: np.ndarray, anchors: np.ndarray,

@@ -67,8 +67,8 @@ class MlpConfig:
             raise ValidationError("feature_dim must be positive")
         if self.n_blocks < 1:
             raise ValidationError("n_blocks must be positive: the conditioning enters in the blocks")
-        if self.groups < 1:
-            raise ValidationError("groups must be positive")
+        if min(self.embed_dim, self.hidden_dim, self.time_embed_dim, self.groups) < 1:
+            raise ValidationError("embed_dim, hidden_dim, time_embed_dim and groups must be positive")
         if self.hidden_dim % self.groups != 0:
             raise ValidationError("hidden_dim must be divisible by groups")
         if self.time_embed_dim % 2 != 0:

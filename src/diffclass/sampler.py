@@ -1,14 +1,20 @@
 """Reverse-process posterior estimators.
 
-Three estimators take the same Euler step, each through its own kernel,
-differing in what they carry and how many scorer calls they spend per input:
+One engine, _reverse, runs all three estimators over rows of inputs.  They
+take the same Euler step from a uniform start at t=1 down to t=0, and
+differ in what they carry, in the scorer rows r each input spends per step,
+and in their row kernel:
 
-  cp    full probability vector, one scorer call per step        (nfe = steps)
-        kernel: _cp_step_batch, the rank-one form, O(K) per row
-  cl    sampled label trajectories, averaged as one-hots         (nfe = N * steps)
-        kernel: _cl_step_batch (cl_step_distribution for one trajectory)
-  full  score matrix rebuilt column-by-column each step          (nfe = K * steps)
-        kernel: reverse_step_full, on the explicit K x K matrix
+  cp    probability vector; r = 1; _cp_step_batch, rank-one, O(K) per row
+  cl    n_samples label trajectories, averaged as one-hots at the end;
+        r = n_samples; _cl_step_batch, then sample_categorical_rows
+  full  probability vector, with the K x K score matrix rebuilt from one
+        scorer row per anchor; r = K; reverse_step_full
+
+nfe = r * n_steps per input.  The engine takes inputs in blocks of
+max(1, SCORER_ROWS // r), so memory stays bounded; per block it runs
+scorer.prepare once on the repeated features (work that does not depend on
+the anchor or t) and then one score_batch call per step.
 
 The Euler kernel column for anchor j has off-diagonal entries
 S(i,j) * sigma_t * dt and diagonal 1 minus their sum.  Large sigma_t * dt
@@ -17,13 +23,11 @@ column renormalized, with the clamped probability mass recorded as
 telemetry.  Clamping keeps coarse-step sweeps runnable while making the
 step-size violation visible; callers can set an abort threshold instead.
 
-Each estimator passes its features through scorer.prepare once per call
-and hands the prepared rows to every step's scorer call, so work that does
-not depend on the anchor or t (the scorer's input layers) runs once.
-
-The label sampler (cl) draws each trajectory from its own random stream,
-split deterministically from the seed, so results do not depend on how
-trajectories are batched or scheduled.
+Random streams: cp draws its anchors (strategy "sampling") from one
+default_rng(cfg.seed) per call, block after block.  cl draws trajectory j
+of input i (its row in the call) from default_rng([cfg.seed + i, j]): one
+uniform for the start label and one per step, so its results do not depend
+on the blocking, and input i run alone with seed cfg.seed + i matches.
 """
 
 from __future__ import annotations
@@ -35,15 +39,16 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .schedule import LogLinearSchedule
-from .score import ScoreColumn, Scorer, floor_probs, normalize_scores
-from .transition import ensure_distribution, sample_categorical
+from .score import Scorer, floor_probs
+from .transition import ensure_distribution, sample_categorical_rows
 
 STRATEGIES = ("argmax", "sampling", "argmin")
 TIME_GRIDS = ("uniform-t", "uniform-noise")
 
-# Spec'd abort thresholds for the standalone step operations.
-DEFAULT_STEP_CLAMP_LIMIT = 1e-3
-DEFAULT_OFFDIAG_LIMIT = 1.0 + 1e-3
+# Scorer rows per engine block (inputs x rows per input).  8,000 cp inputs run
+# as one block.  16,384 would also hold a 200-input cl cell at 64 samples, but
+# an 8,000-input, 16-sample cl eval then peaks near 100 MiB RSS, against 70.
+SCORER_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,16 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class PosteriorEstimate:
+    """Result for one input (dim,) or rows of inputs (n, dim), shaped to match.
+
+    probs is (K,) or (n, K); trajectory is (n_steps + 1, [n,] K) from the
+    uniform start.  nfe counts scorer rows per input.  clamp_mass is
+    probability mass: what the clamp removed from an input over all steps
+    (cl: averaged over its trajectories), averaged over the inputs.
+    n_clamped counts the (row, step) pairs whose clamped mass is above 0; a
+    row is an input for cp and full, a trajectory for cl.
+    """
+
     probs: np.ndarray
     nfe: int
     trajectory: np.ndarray | None = None
@@ -95,64 +110,45 @@ def step_times(schedule: LogLinearSchedule, cfg: SamplerConfig) -> list[tuple[fl
     return [(ts[k], ts[k] - ts[k + 1]) for k in range(n)]
 
 
-def select_label(p: np.ndarray, strategy: str, rng: np.random.Generator) -> int:
-    """Anchor choice for the next scorer call; ties broken by lowest index."""
-    if strategy == "argmax":
-        return int(np.argmax(p))
-    if strategy == "argmin":
-        return int(np.argmin(p))
-    if strategy == "sampling":
-        return sample_categorical(rng, p)
-    raise ValidationError(f"strategy must be one of {STRATEGIES}")
-
-
 def _select_labels_batch(p: np.ndarray, strategy: str, rng: np.random.Generator) -> np.ndarray:
+    """Anchor per row for the next scorer call; ties broken by lowest index."""
     if strategy == "argmax":
         return np.argmax(p, axis=1)
     if strategy == "argmin":
         return np.argmin(p, axis=1)
-    cum = np.cumsum(p, axis=1)
-    r = rng.random((p.shape[0], 1)) * cum[:, -1:]
-    return np.minimum((cum < r).sum(axis=1), p.shape[1] - 1)
+    return sample_categorical_rows(p, rng.random(p.shape[0]))
 
 
-def _clamp_abort(mass: float, limit: float) -> NumericalError:
-    """The error a step raises when its clamped probability mass exceeds limit."""
-    return NumericalError(f"clamped probability mass {mass:.3e} exceeds {limit:.1e} "
-                          f"in one step; use a smaller dt (more steps)")
-
-
-def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: float,
-                      max_clamp_mass: float | None = DEFAULT_STEP_CLAMP_LIMIT):
+def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: float):
     """One Euler step of the reverse process with an explicit K x K score matrix.
 
-    Builds the transition kernel I + reverse-rate * dt whose columns sum to
-    one, clamps negative self-transition entries column-wise, and returns
-    (next p, clamped probability mass).  Aborts when the clamped mass
-    exceeds max_clamp_mass (pass None to clamp silently).
+    p is one vector (K,) with its matrix (K, K), or rows (n, K) with one
+    matrix each (n, K, K).  Builds the transition kernel I + reverse-rate * dt
+    whose columns sum to one, clamps negative self-transition entries
+    column-wise, and returns (next p, clamped probability mass per vector).
     """
     s_matrix = np.asarray(s_matrix, dtype=np.float64)
     p = ensure_distribution(p, "reverse step input")
-    k = p.shape[0]
-    if s_matrix.shape != (k, k):
-        raise ValidationError(f"score matrix shape {s_matrix.shape} does not match K={k}")
+    k = p.shape[-1]
+    if s_matrix.shape != p.shape + (k,):
+        raise ValidationError(f"score matrix shape {s_matrix.shape} does not match "
+                              f"probabilities of shape {p.shape}")
     if np.any(s_matrix <= 0.0) or not np.all(np.isfinite(s_matrix)):
         raise ValidationError("score matrix entries must be positive and finite")
-    if np.abs(np.diag(s_matrix) - 1.0).max() > 1e-9:
+    if np.abs(np.diagonal(s_matrix, axis1=-2, axis2=-1) - 1.0).max() > 1e-9:
         raise ValidationError("score matrix diagonal must be one")
     if dt < 0.0:
         raise ValidationError("dt must be nonnegative")
 
-    offdiag = sigma_t * dt * (s_matrix.sum(axis=0) - 1.0)  # per-column, diagonal excluded
+    offdiag = sigma_t * dt * (s_matrix.sum(axis=-2) - 1.0)  # per column, diagonal excluded
     d_raw = 1.0 - offdiag
-    clamp_mass = float(np.sum(p * np.maximum(-d_raw, 0.0)))
-    if max_clamp_mass is not None and clamp_mass > max_clamp_mass:
-        raise _clamp_abort(clamp_mass, max_clamp_mass)
+    clamp_mass = np.sum(p * np.maximum(-d_raw, 0.0), axis=-1)
     d_plus = np.maximum(d_raw, 0.0)
     z = np.where(d_raw < 0.0, 1.0 - d_raw, 1.0)
     pz = p / z
-    p_next = sigma_t * dt * (s_matrix @ pz) - sigma_t * dt * pz + p * d_plus / z
-    return ensure_distribution(p_next, "reverse step output"), clamp_mass
+    p_next = sigma_t * dt * (s_matrix @ pz[..., None])[..., 0] - sigma_t * dt * pz + p * d_plus / z
+    p_next = ensure_distribution(p_next, "reverse step output")
+    return p_next, (float(clamp_mass) if p.ndim == 1 else clamp_mass)
 
 
 def _cp_step_batch(q_hat: np.ndarray, p: np.ndarray, sigma_t: float, dt: float):
@@ -171,82 +167,10 @@ def _cp_step_batch(q_hat: np.ndarray, p: np.ndarray, sigma_t: float, dt: float):
     return p_next, clamp_rows
 
 
-def posterior_cp_batch(features: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
-                       cfg: SamplerConfig):
-    """Class-probability reversal for a batch of inputs, one scorer call per step.
-
-    Returns (posteriors (n, K), clamp mass per row, trajectory or None).
-    The trajectory stacks the per-step probability snapshots including the
-    uniform start, shape (n_steps + 1, n, K).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    n, k = features.shape[0], scorer.k
-    prepared = scorer.prepare(features)
-    p = np.full((n, k), 1.0 / k)
-    rng = np.random.default_rng(cfg.seed)
-    clamp = np.zeros(n)
-    n_clamped = 0
-    snapshots = [p.copy()] if cfg.record_trajectory else None
-    for t, dt in step_times(schedule, cfg):
-        anchors = _select_labels_batch(p, cfg.strategy, rng)
-        scores = scorer.score_batch(prepared, anchors, np.full(n, t))
-        q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
-        sigma_t = schedule.sigma(t)
-        p, step_clamp = _cp_step_batch(q_hat, p, sigma_t, dt)
-        if cfg.max_step_clamp_mass is not None and step_clamp.max() > cfg.max_step_clamp_mass:
-            raise _clamp_abort(step_clamp.max(), cfg.max_step_clamp_mass)
-        clamp += step_clamp
-        n_clamped += int(np.count_nonzero(step_clamp > 0.0))
-        if snapshots is not None:
-            snapshots.append(p.copy())
-    p = ensure_distribution(p, "cp posterior")
-    trajectory = np.stack(snapshots) if snapshots is not None else None
-    return p, clamp, trajectory
-
-
-def posterior_cp(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
-                 cfg: SamplerConfig) -> PosteriorEstimate:
-    """Posterior for one input by reverse diffusion of the class probabilities."""
-    probs, clamp, trajectory = posterior_cp_batch(
-        np.asarray(y, dtype=np.float64)[None, :], scorer, schedule, cfg)
-    return PosteriorEstimate(
-        probs=probs[0],
-        nfe=cfg.n_steps,
-        trajectory=trajectory[:, 0, :] if trajectory is not None else None,
-        clamp_mass=float(clamp[0]),
-        n_clamped=int(clamp[0] > 0.0),
-    )
-
-
-def cl_step_distribution(s: ScoreColumn, sigma_t: float, dt: float,
-                         max_offdiag_mass: float | None = DEFAULT_OFFDIAG_LIMIT):
-    """Distribution of the next label given the current one and its score column.
-
-    Off-anchor probabilities are s_i * sigma_t * dt; the anchor keeps the
-    remainder.  A negative remainder is clamped to zero and the vector
-    renormalized (returned as overshoot); off-anchor mass beyond
-    max_offdiag_mass aborts instead (pass None to clamp silently).
-    """
-    if dt < 0.0:
-        raise ValidationError("dt must be nonnegative")
-    off = sigma_t * dt * s.values
-    mass = float(off.sum() - off[s.anchor])
-    if max_offdiag_mass is not None and mass > max_offdiag_mass:
-        raise NumericalError(
-            f"off-anchor transition mass {mass:.3e} exceeds {max_offdiag_mass:.4f}; "
-            f"use a smaller dt (more steps)"
-        )
-    probs = off
-    probs[s.anchor] = 1.0 - mass
-    overshoot = max(0.0, -(1.0 - mass))
-    if probs[s.anchor] < 0.0:
-        probs[s.anchor] = 0.0
-        probs = probs / probs.sum()
-    return ensure_distribution(probs, "cl step distribution"), overshoot
-
-
 def _cl_step_batch(scores: np.ndarray, states: np.ndarray, sigma_t: float, dt: float):
-    """Next-label distributions for a batch of trajectories; same clamp rule."""
+    """Next-label distributions for trajectories at labels states: off-label
+    s_i * sigma_t * dt, the remainder (clamped at zero) on the label; also
+    returns the clamped mass per trajectory."""
     n, k = scores.shape
     rows = np.arange(n)
     probs = sigma_t * dt * scores
@@ -258,82 +182,110 @@ def _cl_step_batch(scores: np.ndarray, states: np.ndarray, sigma_t: float, dt: f
     return probs, overshoot
 
 
-def posterior_cl(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
-                 cfg: SamplerConfig) -> PosteriorEstimate:
-    """Posterior for one input as the average of one-hot label trajectories.
+def _distribution(state: np.ndarray, n_inputs: int, k: int) -> np.ndarray:
+    """Class distribution per input: probability rows as they are, or the
+    labels of each input's trajectories averaged as one-hots."""
+    return state if state.ndim == 2 else np.eye(k)[state].reshape(n_inputs, -1, k).mean(axis=1)
 
-    Runs cfg.n_samples independent reverse trajectories from uniform start
-    labels and returns the mean of the terminal one-hots; nfe counts one
-    scorer evaluation per trajectory per step.
+
+def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
+             cfg: SamplerConfig) -> tuple[PosteriorEstimate, np.ndarray]:
+    """Run the cp, cl or full estimator on one input (dim,) or rows (n, dim).
+
+    Returns the PosteriorEstimate and the clamped mass per input.
     """
     y = np.asarray(y, dtype=np.float64)
-    n, k = cfg.n_samples, scorer.k
-    # One stream per trajectory, split deterministically from the seed:
-    # n_steps + 1 uniforms each (initial state plus one per step).
-    uniforms = np.stack([
-        np.random.default_rng([cfg.seed, i]).random(cfg.n_steps + 1) for i in range(n)
-    ])
-    states = np.minimum((uniforms[:, 0] * k).astype(np.int64), k - 1)
-    features = scorer.prepare(np.broadcast_to(y, (n, y.shape[0])))
-    clamp_total = 0.0
+    features = np.atleast_2d(y)
+    n, k = features.shape[0], scorer.k
+    r = {"cp": 1, "cl": cfg.n_samples, "full": k}[method]
+    block = max(1, SCORER_ROWS // r)
+    steps = step_times(schedule, cfg)
+    limit = cfg.max_step_clamp_mass
+    rng = np.random.default_rng(cfg.seed)
+    probs, clamp, trajectories = [], [], []
     n_clamped = 0
-    snapshots = [np.bincount(states, minlength=k) / n] if cfg.record_trajectory else None
-    for step_idx, (t, dt) in enumerate(step_times(schedule, cfg)):
-        scores = scorer.score_batch(features, states, np.full(n, t))
-        sigma_t = schedule.sigma(t)
-        probs, overshoot = _cl_step_batch(scores, states, sigma_t, dt)
-        if cfg.max_step_clamp_mass is not None and overshoot.max() > cfg.max_step_clamp_mass:
-            raise _clamp_abort(overshoot.max(), cfg.max_step_clamp_mass)
-        clamp_total += float(overshoot.sum())
-        n_clamped += int(np.count_nonzero(overshoot))
-        cum = np.cumsum(probs, axis=1)
-        r = uniforms[:, step_idx + 1] * cum[:, -1]
-        states = np.minimum((cum < r[:, None]).sum(axis=1), k - 1)
+    for lo in range(0, n, block):
+        nb = min(block, n - lo)
+        prepared = scorer.prepare(np.repeat(features[lo:lo + nb], r, axis=0))
+        if method == "cl":
+            # state: the current label of each trajectory, input-major
+            uniforms = np.stack([np.random.default_rng([cfg.seed + i, j]).random(cfg.n_steps + 1)
+                                 for i in range(lo, lo + nb) for j in range(r)])
+            state = np.minimum((uniforms[:, 0] * k).astype(np.int64), k - 1)
+        else:
+            # state: the probability vector of each input
+            state = np.full((nb, k), 1.0 / k)
+        anchors = np.tile(np.arange(k), nb)  # full: the K anchors of each input
+        clamp_rows = np.zeros(state.shape[0])
+        snapshots = [_distribution(state, nb, k)] if cfg.record_trajectory else None
+        for step, (t, dt) in enumerate(steps):
+            if method == "cp":
+                anchors = _select_labels_batch(state, cfg.strategy, rng)
+            elif method == "cl":
+                anchors = state
+            scores = scorer.score_batch(prepared, anchors, np.full(nb * r, t))
+            sigma_t = schedule.sigma(t)
+            if method == "cp":
+                q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
+                state, step_clamp = _cp_step_batch(q_hat, state, sigma_t, dt)
+            elif method == "cl":
+                next_labels, step_clamp = _cl_step_batch(scores, state, sigma_t, dt)
+                state = sample_categorical_rows(next_labels, uniforms[:, step + 1])
+            else:
+                s_matrix = scores.reshape(nb, k, k).transpose(0, 2, 1).copy()
+                s_matrix[:, np.arange(k), np.arange(k)] = 1.0  # column j: scores anchored at j
+                state, step_clamp = reverse_step_full(s_matrix, state, sigma_t, dt)
+            if limit is not None and step_clamp.max() > limit:
+                raise NumericalError(f"clamped probability mass {step_clamp.max():.3e} exceeds "
+                                     f"{limit:.1e} in one step; use a smaller dt (more steps)")
+            clamp_rows += step_clamp
+            n_clamped += int(np.count_nonzero(step_clamp > 0.0))
+            if snapshots is not None:
+                snapshots.append(_distribution(state, nb, k))
+        probs.append(ensure_distribution(_distribution(state, nb, k), f"{method} posterior"))
+        clamp.append(clamp_rows.reshape(nb, -1).mean(axis=1))
         if snapshots is not None:
-            snapshots.append(np.bincount(states, minlength=k) / n)
-    probs = np.bincount(states, minlength=k) / n
-    return PosteriorEstimate(
-        probs=ensure_distribution(probs, "cl posterior"),
-        nfe=cfg.n_samples * cfg.n_steps,
-        trajectory=np.stack(snapshots) if snapshots is not None else None,
-        clamp_mass=clamp_total / n,
-        n_clamped=n_clamped,
-    )
+            trajectories.append(np.stack(snapshots))
+    probs, clamp = np.concatenate(probs), np.concatenate(clamp)
+    trajectory = np.concatenate(trajectories, axis=1) if cfg.record_trajectory else None
+    if y.ndim == 1:
+        probs, trajectory = probs[0], (trajectory[:, 0] if trajectory is not None else None)
+    return PosteriorEstimate(probs=probs, nfe=r * cfg.n_steps, trajectory=trajectory,
+                             clamp_mass=float(clamp.mean()), n_clamped=n_clamped), clamp
+
+
+def posterior_cp_batch(features: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
+                       cfg: SamplerConfig):
+    """Class-probability reversal for rows of inputs, one scorer call per step and block.
+
+    Returns (posteriors (n, K), clamp mass per row, trajectory or None).
+    The trajectory stacks the per-step probability snapshots including the
+    uniform start, shape (n_steps + 1, n, K).
+    """
+    est, clamp = _reverse("cp", features, scorer, schedule, cfg)
+    return est.probs, clamp, est.trajectory
+
+
+def posterior_cp(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
+                 cfg: SamplerConfig) -> PosteriorEstimate:
+    """Posterior of one input (dim,) or rows (n, dim) by reverse diffusion of
+    the class probabilities."""
+    return _reverse("cp", y, scorer, schedule, cfg)[0]
+
+
+def posterior_cl(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
+                 cfg: SamplerConfig) -> PosteriorEstimate:
+    """Posterior of one input (dim,) or rows (n, dim) as the mean terminal
+    one-hot of cfg.n_samples label trajectories per input."""
+    return _reverse("cl", y, scorer, schedule, cfg)[0]
 
 
 def posterior_full(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
                    cfg: SamplerConfig) -> PosteriorEstimate:
-    """Naive reversal that rebuilds the K x K score matrix every step.
-
-    Spends K scorer calls per step; with an exact scorer it matches the
-    class-probability path to roundoff (rank-one consistency).  Intended
-    for small K.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    k = scorer.k
-    p = np.full(k, 1.0 / k)
-    clamp_total = 0.0
-    n_clamped = 0
-    all_anchors = np.arange(k)
-    features = scorer.prepare(np.broadcast_to(y, (k, y.shape[0])))
-    snapshots = [p.copy()] if cfg.record_trajectory else None
-    for t, dt in step_times(schedule, cfg):
-        columns = scorer.score_batch(features, all_anchors, np.full(k, t))
-        s_matrix = columns.T.copy()  # column j holds the scores anchored at j
-        s_matrix[all_anchors, all_anchors] = 1.0
-        p, clamp = reverse_step_full(s_matrix, p, schedule.sigma(t), dt,
-                                     max_clamp_mass=cfg.max_step_clamp_mass)
-        clamp_total += clamp
-        n_clamped += int(clamp > 0.0)
-        if snapshots is not None:
-            snapshots.append(p.copy())
-    return PosteriorEstimate(
-        probs=p,
-        nfe=k * cfg.n_steps,
-        trajectory=np.stack(snapshots) if snapshots is not None else None,
-        clamp_mass=clamp_total,
-        n_clamped=n_clamped,
-    )
+    """Posterior of one input (dim,) or rows (n, dim) with the K x K score
+    matrix rebuilt every step; with an exact scorer it matches cp to roundoff
+    (rank-one consistency).  Intended for small K."""
+    return _reverse("full", y, scorer, schedule, cfg)[0]
 
 
 METHOD_SAMPLERS = {"cp": posterior_cp, "cl": posterior_cl, "full": posterior_full}

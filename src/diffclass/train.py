@@ -163,7 +163,7 @@ def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray
     else:
         t = rng.random(n)
     q_t = forward_marginal(q0, np.asarray(schedule.sigma_bar(t)))
-    anchors = sample_categorical_rows(rng, q_t)
+    anchors = sample_categorical_rows(q_t, rng.random(n))
     q_t = floor_probs(q_t)
     s_true = q_t / q_t[np.arange(n), anchors][:, None]
     s_true[np.arange(n), anchors] = 1.0

@@ -5,10 +5,6 @@ paths).  Its spectrum is {0, -K}, which gives the forward marginal in
 closed form:
 
     exp(sbar * R) q0 = exp(-K*sbar) * q0 + (1 - exp(-K*sbar))/K * ones
-
-A truncated-series matrix exponential is provided as an independent test
-oracle for that identity; it is capped at small K to guard against
-accidental production use.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ from .errors import NumericalError, ValidationError
 # Simplex hygiene: renormalize silently below DRIFT_RENORM, fail above DRIFT_FAIL.
 DRIFT_RENORM = 1e-12
 DRIFT_FAIL = 1e-8
-
-ORACLE_MAX_K = 64
 
 
 def ensure_distribution(q: np.ndarray, where: str = "distribution") -> np.ndarray:
@@ -44,20 +38,6 @@ def ensure_distribution(q: np.ndarray, where: str = "distribution") -> np.ndarra
     return q
 
 
-def apply_rate(sigma: float, q: np.ndarray) -> np.ndarray:
-    """Time derivative sigma * R @ q, computed in O(K) via the rank-one structure.
-
-    Works on a vector or on rows of a matrix; output entries sum to zero.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if sigma < 0.0:
-        raise ValidationError(f"sigma must be nonnegative, got {sigma}")
-    k = q.shape[-1]
-    if k < 2:
-        raise ValidationError("need at least 2 classes")
-    return sigma * (q.sum(axis=-1, keepdims=True) - k * q)
-
-
 def forward_marginal(q0: np.ndarray, sigma_bar) -> np.ndarray:
     """Marginal after total noise sigma_bar: a convex pull toward uniform.
 
@@ -76,49 +56,13 @@ def forward_marginal(q0: np.ndarray, sigma_bar) -> np.ndarray:
     return ensure_distribution(out, "forward_marginal output")
 
 
-def matrix_exponential_oracle(k: int, sigma_bar: float) -> np.ndarray:
-    """exp(sigma_bar * R) by scaling-and-squaring of the truncated series.
+def sample_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one index per row of probs, from one uniform in [0, 1) per row.
 
-    Test oracle only: k is capped at ORACLE_MAX_K.  Columns sum to one and
-    all entries are nonnegative.
+    Row i draws the first index whose cumulative mass exceeds u[i] times the
+    row's total, so an index of zero probability is never drawn.
     """
-    if k < 2 or k > ORACLE_MAX_K:
-        raise ValidationError(f"oracle supports 2 <= K <= {ORACLE_MAX_K}, got {k}")
-    if sigma_bar < 0.0:
-        raise ValidationError("sigma_bar must be nonnegative")
-    a = sigma_bar * (np.ones((k, k)) - k * np.eye(k))
-    norm = np.abs(a).sum(axis=0).max()
-    n_squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300)))) + 1) if norm > 0.5 else 0
-    t = a / (2.0**n_squarings)
-    term = np.eye(k)
-    result = np.eye(k)
-    for i in range(1, 200):
-        term = term @ t / i
-        result = result + term
-        if np.abs(term).max() < 1e-16 * max(np.abs(result).max(), 1.0):
-            break
-    for _ in range(n_squarings):
-        result = result @ result
-    return result
-
-
-def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw one index from a probability vector using inverse-CDF sampling."""
-    probs = np.asarray(probs, dtype=np.float64)
-    cum = np.cumsum(probs)
-    r = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, r, side="right"), len(probs) - 1))
-
-
-def sample_categorical_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Vectorized row-wise categorical draw; one index per row of probs."""
     probs = np.asarray(probs, dtype=np.float64)
     cum = np.cumsum(probs, axis=1)
-    r = rng.random((probs.shape[0], 1)) * cum[:, -1:]
-    return np.minimum((cum < r).sum(axis=1), probs.shape[1] - 1)
-
-
-def sample_noisy_label(q: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample a label index from a class distribution (deterministic per rng state)."""
-    q = ensure_distribution(q, "sample_noisy_label input")
-    return sample_categorical(rng, q)
+    r = np.asarray(u, dtype=np.float64)[:, None] * cum[:, -1:]
+    return np.minimum((cum <= r).sum(axis=1), probs.shape[1] - 1)

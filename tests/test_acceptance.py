@@ -12,14 +12,15 @@ import pytest
 
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.harness import compare_grid, topk_hits, write_csv
-from diffclass.loss import (loss_grad_wrt_logits, score_entropy_grad, score_entropy_loss,
-                            score_entropy_terms)
+from diffclass.loss import loss_grad_wrt_logits, score_entropy_terms
 from diffclass.sampler import (SamplerConfig, posterior_cl, posterior_cp,
                                posterior_cp_batch, posterior_full, reverse_step_full)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import ExactScorer, ScoreColumn
+from diffclass.score import ExactScorer
 from diffclass.train import TrainConfig, fit
-from diffclass.transition import apply_rate, forward_marginal, matrix_exponential_oracle
+from diffclass.transition import forward_marginal
+from oracles import (ScoreColumn, apply_rate, matrix_exponential_oracle, score_entropy_grad,
+                     score_entropy_loss)
 
 NONE = CorruptionSpec()
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffclass import cli, train
 from diffclass.data import load_dataset
@@ -300,3 +302,123 @@ class TestDivergence:
         saved = MlpScorer.load(ckpt).params
         for name, value in finished.items():
             assert np.array_equal(saved[name], value.astype(np.float32)), name
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--levels", "0,x"],
+        ["compare", "--ratios", "0.5,abc"],
+        ["compare", "--levels", ""],
+        ["compare", "--ratios", "2"],
+        ["compare", "--ratios", "0"],
+        ["compare", "--ratios", "-1"],
+        ["gen-data", "--stem", "d", "--seed", "-1"],
+        ["gen-data", "--stem", "d", "--config"],
+    ])
+    def test_bad_values_exit_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("hidden", ["0", "-8"])
+    def test_model_width_below_one_exits_2(self, tmp_path, capsys, hidden):
+        stem = _gen(tmp_path, "d", 16, seed=0)
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", stem, "--hidden-dim", hidden, "--blocks", "1",
+                       "--checkpoint", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k=5\n\xff\xfe=1\n")
+        capsys.readouterr()
+        rc = cli.main(["gen-data", "--config", str(cfg), "--stem", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == f"error: {cfg}: config file is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("topk", ["-2", "0"])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_trace_topk_below_one_exits_2(self, tmp_path, capsys, topk, with_out):
+        stem = _gen(tmp_path, "d", 16, seed=0)
+        out = ["--out", str(tmp_path / "t.csv")] if with_out else []
+        capsys.readouterr()
+        rc = cli.main(["trace", "--data", stem, "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--topk", topk] + out)
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: --topk must be >= 1\n"
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    def test_compare_reports_the_rows_it_trained_on(self, tmp_path):
+        out = str(tmp_path / "grid.csv")
+        assert cli.main(["compare", "--k", "3", "--levels", "0", "--ratios", "1,0.5",
+                         "--n-train", "100", "--n-eval", "50", "--epochs", "1", "--steps", "2",
+                         "--out", out]) == 0
+        # 100 rows: ratio 1 uses all of them, and 0.5 rounds up to one 128-row batch, capped at 100
+        n_train = [line.split(",")[2] for line in open(out).read().splitlines()[1:]]
+        assert n_train == ["100", "100"]
+
+
+# Values a mutated flag takes: small, since a flag may size a dataset or a model.
+FLAG_VALUES = ["-2", "-1", "0", "1", "2", "3", "0.5", "1e-300", "nan", "inf", "-inf", "x", "",
+               "0,1", "1,0.5", "0,x"]
+
+
+def _options(command):
+    """Each optional flag of a subcommand: (flag, whether it takes a value)."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[command]
+    return [(a.option_strings[-1], a.nargs != 0) for a in sub._actions
+            if a.option_strings and a.dest != "help"]
+
+
+class TestCliProperties:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """A valid, small invocation of every subcommand."""
+        root = tmp_path_factory.mktemp("cli_props")
+        stem = _gen(root, "d", 64, seed=0, k=3)
+        ckpt = str(root / "m.ckpt")
+        assert cli.main(["train", "--data", stem, "--epochs", "1", "--batch-size", "32",
+                         "--hidden-dim", "16", "--blocks", "1", "--checkpoint", ckpt]) == 0
+        model = {"--data": stem, "--checkpoint": ckpt}
+        return root, {
+            "gen-data": {"--k": "3", "--n": "16", "--stem": "g"},
+            "train": {"--data": stem, "--epochs": "1", "--batch-size": "32",
+                      "--hidden-dim": "16", "--blocks": "1", "--checkpoint": "t.ckpt"},
+            "eval": {**model, "--steps": "2", "--n-samples": "2"},
+            "sweep": {**model, "--n-eval": "4"},
+            "ablate": {**model, "--steps": "2", "--n-eval": "4"},
+            "trace": {**model, "--steps": "2"},
+            "compare": {"--k": "3", "--levels": "0", "--ratios": "1", "--n-train": "48",
+                        "--n-eval": "16", "--epochs": "1", "--steps": "2"},
+        }
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_flags_exit_0_2_or_3(self, base, data):
+        """Every subcommand, with its flags set to odd values, dropped or
+        duplicated, exits 0, 2 or 3 and never raises."""
+        root, invocations = base
+        command = data.draw(st.sampled_from(sorted(invocations)))
+        flags = dict(invocations[command])
+        options = _options(command)
+        for _ in range(data.draw(st.integers(1, 3))):
+            flag, takes_value = data.draw(st.sampled_from(options))
+            if data.draw(st.booleans()) and flag in flags:
+                del flags[flag]
+            else:
+                flags[flag] = data.draw(st.sampled_from(FLAG_VALUES)) if takes_value else None
+        argv = [command] + [f if v is None else f"{f}={v}" for f, v in flags.items()]
+        cwd = os.getcwd()
+        os.chdir(root)              # relative output paths land in the scratch directory
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = cli.main(argv)
+        except SystemExit as exc:   # argparse rejects a flag
+            rc = exc.code
+        finally:
+            os.chdir(cwd)
+        assert rc in (0, 2, 3), argv

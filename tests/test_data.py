@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffclass.data import (CorruptionSpec, MixtureTask, bayes_accuracy, generate,
-                            load_dataset, posterior_quadrature, save_dataset,
-                            true_posterior, true_posterior_batch)
+                            load_dataset, save_dataset, true_posterior_batch)
 from diffclass.errors import ValidationError
+from oracles import posterior_quadrature
 
 NONE = CorruptionSpec()
 
@@ -54,12 +54,12 @@ class TestGenerate:
 class TestTruePosterior:
     def test_equidistant_point_splits_evenly(self):
         task = MixtureTask(means=np.array([[-1.0, 0.0], [1.0, 0.0]]))
-        post = true_posterior(task, np.array([0.0, 5.0]))
+        post = true_posterior_batch(task, np.array([0.0, 5.0]))[0]
         np.testing.assert_allclose(post, [0.5, 0.5], atol=1e-12)
 
     def test_well_separated_mean_is_nearly_one_hot(self):
         task = MixtureTask.ring(4, 2, separation=10.0)
-        post = true_posterior(task, task.means[1])
+        post = true_posterior_batch(task, task.means[1])[0]
         assert post[1] > 1.0 - 1e-6
         assert np.delete(post, 1).max() < 1e-6
 
@@ -76,7 +76,8 @@ class TestTruePosterior:
     def test_fully_masked_returns_priors(self):
         priors = np.array([0.6, 0.4])
         task = MixtureTask(means=np.array([[1.0], [-1.0]]), priors=priors)
-        post = true_posterior(task, np.array([0.0]), CorruptionSpec("mask-coordinates", 1))
+        masked = CorruptionSpec("mask-coordinates", 1)
+        post = true_posterior_batch(task, np.array([0.0]), masked)[0]
         np.testing.assert_allclose(post, priors, atol=1e-12)
 
     def test_quadrature_oracle_agrees_with_closed_forms(self):
@@ -92,14 +93,14 @@ class TestTruePosterior:
                     y = np.round(y / spec.level) * spec.level
                 if spec.kind == "mask-coordinates":
                     y[:1] = 0.0
-                closed = true_posterior(task, y, spec)
+                closed = true_posterior_batch(task, y, spec)[0]
                 quad = posterior_quadrature(task, y, spec)
                 assert 0.5 * np.abs(closed - quad).sum() < 1e-6
 
     def test_nonfinite_features_rejected(self):
         task = MixtureTask.ring(3, 2)
         with pytest.raises(ValidationError):
-            true_posterior(task, np.array([np.nan, 0.0]))
+            true_posterior_batch(task, np.array([np.nan, 0.0]))
 
 
 class TestBayesAccuracy:
@@ -203,6 +204,20 @@ class TestDatasetFiles:
         with open(stem + ".meta", "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         with pytest.raises(ValidationError, match="bad.meta"):
+            load_dataset(stem)
+
+    def test_empty_dataset_rejected(self, tmp_path):
+        """A header claiming no records (with an empty .bin) would train nothing."""
+        task = MixtureTask.ring(3, 2)
+        y, labels = generate(task, 1, NONE, np.random.default_rng(15))
+        stem = str(tmp_path / "empty")
+        save_dataset(stem, y, labels, task, NONE, seed=0)
+        with open(stem + ".meta", encoding="utf-8") as fh:
+            meta = fh.read().replace("\nn=1\n", "\nn=0\n")
+        with open(stem + ".meta", "w", encoding="utf-8") as fh:
+            fh.write(meta)
+        open(stem + ".bin", "wb").close()
+        with pytest.raises(ValidationError, match="empty.meta: n=0"):
             load_dataset(stem)
 
     @settings(max_examples=300, deadline=None)

@@ -9,8 +9,9 @@ from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_abla
                                topk_hits, trace_topk, train_ce_baseline, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import ExactScorer, UniformScorer
+from diffclass.score import ExactScorer
 from diffclass.train import TrainConfig
+from oracles import UniformScorer
 
 NONE = CorruptionSpec()
 TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from diffclass.errors import ValidationError
-from diffclass.loss import (loss_grad_wrt_logits, score_entropy_grad, score_entropy_loss,
-                            score_entropy_terms)
-from diffclass.score import ScoreColumn
+from diffclass.loss import loss_grad_wrt_logits, score_entropy_terms
+from oracles import ScoreColumn, score_entropy_grad, score_entropy_loss
 
 
 def _random_column(rng, k, j, scale=1.0):

@@ -1,17 +1,24 @@
 """Reverse-process estimators: kernel goldens, convergence, consistency, accounting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffclass import sampler
 
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import MlpConfig, MlpScorer
-from diffclass.sampler import (SamplerConfig, cl_step_distribution, posterior_cl,
-                               posterior_cp, posterior_cp_batch, posterior_full,
-                               reverse_step_full, select_label, step_times)
+from diffclass.sampler import (STRATEGIES, TIME_GRIDS, SamplerConfig, _cl_step_batch,
+                               _select_labels_batch, posterior_cl, posterior_cp,
+                               posterior_cp_batch, posterior_full, reverse_step_full, step_times)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import ExactScorer, ScoreColumn, UniformScorer
+from diffclass.score import ExactScorer
 from diffclass.transition import forward_marginal
+from oracles import UniformScorer
 
 
 def _exact_setup(k=10, separation=2.0, sched=(1.0, 0.9), seed=0, n=8):
@@ -54,20 +61,22 @@ class TestReverseStepFull:
             q = rng.dirichlet(np.ones(6) * 5)
             s = np.outer(q, 1.0 / q)
             p = rng.dirichlet(np.ones(6))
-            out, clamp = reverse_step_full(s, p, sigma_t=0.3, dt=0.05, max_clamp_mass=None)
+            out, clamp = reverse_step_full(s, p, sigma_t=0.3, dt=0.05)
             assert abs(out.sum() - 1.0) < 1e-12
             assert out.min() >= 0.0
 
     def test_clamp_abort_threshold(self):
-        """A peaked column with large sigma*dt drives the self-transition negative."""
+        """A peaked column with large sigma*dt drives the self-transition negative:
+        the kernel clamps it and reports the mass, here above the 1e-3 a limit
+        would abort at (TestClampAccounting checks the engine's abort)."""
         q = np.array([0.9, 0.05, 0.05])
         s = np.outer(q, 1.0 / q)
         p = np.full(3, 1 / 3)
-        with pytest.raises(NumericalError, match="smaller dt"):
-            reverse_step_full(s, p, sigma_t=3.0, dt=0.5)
-        out, clamp = reverse_step_full(s, p, sigma_t=3.0, dt=0.5, max_clamp_mass=None)
+        out, clamp = reverse_step_full(s, p, sigma_t=3.0, dt=0.5)
         assert clamp > 1e-3
         assert abs(out.sum() - 1.0) < 1e-12 and out.min() >= 0.0
+        rows, clamp_rows = reverse_step_full(np.stack([s, s]), np.stack([p, p]), 3.0, 0.5)
+        assert np.array_equal(rows, np.stack([out, out])) and clamp_rows.tolist() == [clamp] * 2
 
     def test_rejects_bad_score_matrix(self):
         p = np.full(3, 1 / 3)
@@ -82,18 +91,19 @@ class TestReverseStepFull:
 class TestSelectLabel:
     def test_argmin_ties_take_lowest_index(self):
         rng = np.random.default_rng(1)
-        assert select_label(np.array([0.8, 0.1, 0.1]), "argmin", rng) == 1
-        assert select_label(np.array([0.8, 0.1, 0.1]), "argmax", rng) == 0
+        p = np.array([[0.8, 0.1, 0.1]])
+        assert _select_labels_batch(p, "argmin", rng).tolist() == [1]
+        assert _select_labels_batch(p, "argmax", rng).tolist() == [0]
 
     def test_sampling_one_hot(self):
         rng = np.random.default_rng(2)
-        p = np.zeros(5)
-        p[3] = 1.0
-        assert all(select_label(p, "sampling", rng) == 3 for _ in range(20))
+        p = np.zeros((1, 5))
+        p[0, 3] = 1.0
+        assert all(_select_labels_batch(p, "sampling", rng)[0] == 3 for _ in range(20))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
-            select_label(np.ones(2) / 2, "best", np.random.default_rng(0))
+            SamplerConfig(strategy="best")
 
 
 class TestPosteriorCp:
@@ -167,13 +177,13 @@ class TestPosteriorCp:
 class TestClStep:
     def test_uniform_scores_column(self):
         """All-ones scores, K=3, sigma*dt = 0.02: off-anchor 0.02 each, anchor 0.96."""
-        probs, overshoot = cl_step_distribution(ScoreColumn(np.ones(3), 1), 0.2, 0.1)
-        np.testing.assert_allclose(probs, [0.02, 0.96, 0.02], atol=1e-15)
-        assert overshoot == 0.0
+        probs, overshoot = _cl_step_batch(np.ones((1, 3)), np.array([1]), 0.2, 0.1)
+        np.testing.assert_allclose(probs, [[0.02, 0.96, 0.02]], atol=1e-15)
+        assert overshoot.tolist() == [0.0]
 
     def test_zero_dt_is_one_hot(self):
-        probs, _ = cl_step_distribution(ScoreColumn(np.ones(4), 2), 5.0, 0.0)
-        np.testing.assert_allclose(probs, [0, 0, 1, 0], atol=1e-15)
+        probs, _ = _cl_step_batch(np.ones((1, 4)), np.array([2]), 5.0, 0.0)
+        np.testing.assert_allclose(probs, [[0, 0, 1, 0]], atol=1e-15)
 
     def test_sums_to_one_random_inputs(self):
         rng = np.random.default_rng(3)
@@ -182,21 +192,22 @@ class TestClStep:
             j = int(rng.integers(k))
             values = np.exp(0.3 * rng.standard_normal(k))
             values[j] = 1.0
-            probs, _ = cl_step_distribution(ScoreColumn(values, j), rng.random(), 0.05)
+            probs, _ = _cl_step_batch(values[None, :], np.array([j]), rng.random(), 0.05)
             assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
 
     def test_negative_self_probability_clamped_and_counted(self):
-        values = np.array([4.0, 1.0, 4.0])
-        probs, overshoot = cl_step_distribution(ScoreColumn(values, 1), 1.0, 0.15,
-                                                max_offdiag_mass=None)
-        assert overshoot > 0.0
-        assert probs[1] == 0.0
+        values = np.array([[4.0, 1.0, 4.0]])
+        probs, overshoot = _cl_step_batch(values, np.array([1]), 1.0, 0.15)
+        assert overshoot[0] > 0.0
+        assert probs[0, 1] == 0.0
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
     def test_excess_offdiagonal_mass_aborts(self):
-        values = np.array([30.0, 1.0, 30.0])
+        """A coarse step on a peaked task clamps; a set limit turns that into an abort."""
+        _, schedule, scorer, y, _ = _exact_setup(k=3, separation=4.0, n=1)
+        cfg = SamplerConfig(n_steps=2, n_samples=8, max_step_clamp_mass=1e-3)
         with pytest.raises(NumericalError, match="smaller dt"):
-            cl_step_distribution(ScoreColumn(values, 1), 1.0, 0.1)
+            posterior_cl(y[0], scorer, schedule, cfg)
 
 
 class TestPosteriorCl:
@@ -312,3 +323,129 @@ class TestPreparedFeatures:
         assert prepared == [rows]
         assert scored == [rows] * 5 and sum(scored) == (nfe * 7 if method == "cp" else nfe)
         np.testing.assert_allclose(np.sum(probs, axis=-1), 1.0, atol=1e-12)
+
+    def test_blocks_prepare_once_and_score_once_per_step(self, monkeypatch):
+        """Inputs go in blocks of SCORER_ROWS // r: one prepare per block and one
+        score_batch per step per block.  (TestSamplerProperties checks that the
+        blocking leaves the outputs unchanged.)"""
+        cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
+                        n_blocks=2, time_embed_dim=8, groups=4)
+        schedule = LogLinearSchedule(0.6, 0.7)
+        scorer = MlpScorer(cfg, schedule, seed=0)
+        y = np.random.default_rng(3).standard_normal((7, 2))
+        sampler_cfg = SamplerConfig(n_steps=5, n_samples=3, seed=2)
+        prepared, scored = [], []
+        prepare, score_batch = scorer.prepare, scorer.score_batch
+        monkeypatch.setattr(scorer, "prepare", lambda f: prepared.append(len(f)) or prepare(f))
+        monkeypatch.setattr(scorer, "score_batch",
+                            lambda f, a, t: scored.append(len(a)) or score_batch(f, a, t))
+        monkeypatch.setattr(sampler, "SCORER_ROWS", 10)
+        # r = 1, 3 and 4 rows per input: blocks of 10, 3 and 2 inputs
+        for method, blocks in (("cp", [7]), ("cl", [3, 3, 1]), ("full", [2, 2, 2, 1])):
+            prepared.clear()
+            scored.clear()
+            est = sampler.METHOD_SAMPLERS[method](y, scorer, schedule, sampler_cfg)
+            r = {"cp": 1, "cl": 3, "full": 4}[method]
+            assert prepared == [b * r for b in blocks], method
+            assert scored == [b * r for b in blocks for _ in range(5)], method
+            assert est.probs.shape == (7, 4) and est.nfe == 5 * r
+
+
+class TestClampAccounting:
+    def _forced_clamp(self):
+        """Separation 4.0 at 2 steps drives the Euler diagonal negative."""
+        _, schedule, scorer, y, _ = _exact_setup(separation=4.0, n=4)
+        return schedule, scorer, y
+
+    def test_every_estimator_counts_clamped_row_steps(self):
+        schedule, scorer, y = self._forced_clamp()
+        cfg = SamplerConfig(n_steps=2, n_samples=8, seed=3, max_step_clamp_mass=None)
+        est = {m: sampler.METHOD_SAMPLERS[m](y, scorer, schedule, cfg)
+               for m in ("cp", "cl", "full")}
+        for method, rows in (("cp", 4), ("cl", 4 * 8), ("full", 4)):
+            assert 0 < est[method].n_clamped <= rows * 2, method
+            assert est[method].clamp_mass > 0.0, method
+        # cp and full take the same step, so they clamp the same (row, step) pairs
+        assert est["cp"].n_clamped == est["full"].n_clamped
+        assert est["cp"].clamp_mass == pytest.approx(est["full"].clamp_mass, rel=1e-10)
+        # clamp_mass is the per-input sum over steps, averaged over the inputs
+        _, clamp_rows, _ = posterior_cp_batch(y, scorer, schedule, cfg)
+        assert est["cp"].clamp_mass == pytest.approx(clamp_rows.mean(), rel=1e-14)
+        # and n_clamped adds up over inputs run one at a time
+        for method in ("cp", "full"):
+            singles = [sampler.METHOD_SAMPLERS[method](y[i], scorer, schedule, cfg)
+                       for i in range(4)]
+            assert sum(e.n_clamped for e in singles) == est[method].n_clamped, method
+            assert np.mean([e.clamp_mass for e in singles]) == pytest.approx(
+                est[method].clamp_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["cp", "cl", "full"])
+    def test_set_limit_aborts(self, method):
+        schedule, scorer, y = self._forced_clamp()
+        cfg = SamplerConfig(n_steps=2, n_samples=8, max_step_clamp_mass=1e-3)
+        with pytest.raises(NumericalError, match="smaller dt"):
+            sampler.METHOD_SAMPLERS[method](y, scorer, schedule, cfg)
+
+
+@st.composite
+def _sampler_case(draw):
+    k = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    schedule = LogLinearSchedule(draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 0.95)))
+    limit = draw(st.one_of(st.none(), st.floats(1e-6, 1.0)))
+    cfg = SamplerConfig(n_steps=draw(st.integers(1, 6)), strategy=draw(st.sampled_from(STRATEGIES)),
+                        n_samples=draw(st.integers(1, 8)), seed=seed,
+                        time_grid=draw(st.sampled_from(TIME_GRIDS)), max_step_clamp_mass=limit)
+    task = MixtureTask.random(k, dim, spread=draw(st.floats(0.0, 4.0)), seed=seed)
+    if draw(st.booleans()):
+        scorer = ExactScorer(lambda f: true_posterior_batch(task, f), k, schedule)
+    else:
+        scorer = MlpScorer(MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8, hidden_dim=16,
+                                     n_blocks=1, time_embed_dim=8, groups=4), schedule, seed=seed)
+        scorer.params["out_w"] = np.random.default_rng(seed).standard_normal((k, 16))
+    y = np.random.default_rng(seed + 1).standard_normal((draw(st.integers(1, 4)), dim))
+    return scorer, schedule, cfg, y
+
+
+def _run(method, y, scorer, schedule, cfg):
+    try:
+        return sampler.METHOD_SAMPLERS[method](y, scorer, schedule, cfg)
+    except NumericalError:
+        return None
+
+
+class TestSamplerProperties:
+    @given(case=_sampler_case(), method=st.sampled_from(["cp", "cl", "full"]),
+           block_rows=st.sampled_from([1, 5, sampler.SCORER_ROWS]))
+    @settings(max_examples=150, deadline=None)
+    def test_on_simplex_with_documented_nfe_and_row_independent(self, case, method, block_rows):
+        """Each estimator stays on the simplex with its documented nfe or raises
+        NumericalError, in any blocking; with the exact scorer, rows run at once
+        equal rows run one at a time (input i with seed + i).  cp's "sampling"
+        strategy draws its anchors from one stream per call, so those anchors,
+        and the roundoff they bring, differ between the two."""
+        scorer, schedule, cfg, y = case
+        n, k = y.shape[0], scorer.k
+        with mock.patch.object(sampler, "SCORER_ROWS", block_rows):
+            est = _run(method, y, scorer, schedule, cfg)
+            singles = [_run(method, y[i], scorer, schedule,
+                            SamplerConfig(**{**cfg.__dict__, "seed": cfg.seed + i}))
+                       for i in range(n)]
+        if est is None:
+            if isinstance(scorer, ExactScorer):
+                assert any(s is None for s in singles)
+            return
+        r = {"cp": 1, "cl": cfg.n_samples, "full": k}[method]
+        assert est.nfe == r * cfg.n_steps and est.probs.shape == (n, k)
+        assert est.probs.min() >= 0.0
+        np.testing.assert_allclose(est.probs.sum(axis=1), 1.0, atol=1e-12)
+        assert 0 <= est.n_clamped <= n * (cfg.n_samples if method == "cl" else 1) * cfg.n_steps
+        if not isinstance(scorer, ExactScorer):
+            return
+        assert all(s is not None for s in singles)
+        one_at_a_time = np.stack([s.probs for s in singles])
+        if method == "full" or (method == "cp" and cfg.strategy == "sampling"):
+            np.testing.assert_allclose(est.probs, one_at_a_time, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(est.probs, one_at_a_time)

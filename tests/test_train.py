@@ -40,7 +40,7 @@ class TestOptimumBehavior:
         q0[np.arange(n), labels] = 1.0
         t = rng.random(n)
         qt = floor_probs(forward_marginal(q0, np.asarray(schedule.sigma_bar(t))))
-        anchors = sample_categorical_rows(rng, qt)
+        anchors = sample_categorical_rows(qt, rng.random(n))
         s_true = qt / qt[np.arange(n), anchors][:, None]
         s_pred = scorer.score_batch(y, anchors, t)
         per, _ = score_entropy_terms(s_true, s_pred)
@@ -72,7 +72,7 @@ class TestOptimumBehavior:
         q0[np.arange(n), labels] = 1.0
         t = rng.random(n)
         qt = floor_probs(forward_marginal(q0, np.asarray(schedule.sigma_bar(t))))
-        anchors = sample_categorical_rows(rng, qt)
+        anchors = sample_categorical_rows(qt, rng.random(n))
         s_true = qt / qt[np.arange(n), anchors][:, None]
         per, _ = score_entropy_terms(s_true, s_true)
         losses = np.asarray(schedule.sigma(t)) / 6 * per.sum(axis=1)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from diffclass.errors import NumericalError, ValidationError
-from diffclass.transition import (apply_rate, ensure_distribution, forward_marginal,
-                                  matrix_exponential_oracle, sample_categorical_rows,
-                                  sample_noisy_label)
+from diffclass.transition import ensure_distribution, forward_marginal, sample_categorical_rows
+from oracles import apply_rate, matrix_exponential_oracle
 
 
 class TestApplyRate:
@@ -105,25 +104,28 @@ class TestSampling:
         rng = np.random.default_rng(3)
         q = np.zeros(6)
         q[4] = 1.0
-        assert all(sample_noisy_label(q, rng) == 4 for _ in range(50))
+        assert all(sample_categorical_rows(q[None, :], rng.random(1))[0] == 4 for _ in range(50))
+        assert sample_categorical_rows(q[None, :], np.array([0.0]))[0] == 4
+        assert sample_categorical_rows(q[None, :], np.array([1.0 - 2**-53]))[0] == 4
 
     def test_uniform_frequencies_within_binomial_bound(self):
         k, n = 5, 1_000_000
         rng = np.random.default_rng(4)
-        draws = sample_categorical_rows(rng, np.full((n, k), 1.0 / k))
+        draws = sample_categorical_rows(np.full((n, k), 1.0 / k), rng.random(n))
         freqs = np.bincount(draws, minlength=k) / n
         bound = 5.0 * np.sqrt((1 / k) * (1 - 1 / k) / n)
         assert np.abs(freqs - 1 / k).max() < bound
 
     def test_fixed_seed_reproduces_sequence(self):
         q = np.array([0.2, 0.5, 0.3])
-        seq1 = [sample_noisy_label(q, np.random.default_rng(7)) for _ in range(1)]
-        seq2 = [sample_noisy_label(q, np.random.default_rng(7)) for _ in range(1)]
         run1 = np.random.default_rng(7)
         run2 = np.random.default_rng(7)
-        assert [sample_noisy_label(q, run1) for _ in range(100)] == \
-               [sample_noisy_label(q, run2) for _ in range(100)]
-        assert seq1 == seq2
+        assert [sample_categorical_rows(q[None, :], run1.random(1))[0] for _ in range(100)] == \
+               [sample_categorical_rows(q[None, :], run2.random(1))[0] for _ in range(100)]
+        # one uniform per row: the index whose cumulative mass first exceeds it
+        u = np.array([0.0, 0.19, 0.21, 0.69, 0.71, 0.999])
+        draws = sample_categorical_rows(np.tile(q, (6, 1)), u)
+        assert draws.tolist() == [0, 0, 1, 1, 2, 2]
 
 
 class TestDistributionHygiene:
