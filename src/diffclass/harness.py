@@ -170,10 +170,9 @@ def train_ce_baseline(config: TrainConfig, task: MixtureTask,
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            _, grads = model.loss_and_grads(features[idx], labels[idx])
-            clip_global_norm(grads, config.grad_clip)
-            adam_update(model.params, grads, opt, learning_rate(config, opt.step, total_steps),
-                        config.betas)
+            model.loss_and_grads(features[idx], labels[idx], out=opt.grads)
+            clip_global_norm(opt.grad, config.grad_clip)
+            adam_update(opt, learning_rate(config, opt.step, total_steps), config.betas)
     return model
 
 

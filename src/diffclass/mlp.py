@@ -10,15 +10,22 @@ the softmax of z.
 
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.
-The training forward and backward run the trunk in the dtype of the
-features and the head in float64.  On float32 features (what fit trains
-on) the trunk runs on a per-step float32 cast of the float64 master
-parameters, and the gradients come back as float64 for clipping and the
-optimizer; on float64 features (the finite-difference gradient tests) the
-whole gradient path stays float64.
+The trunk runs in float32 unless the config's GroupNorm groups hold fewer
+than MIN_FLOAT32_GROUP units (MlpConfig.trunk_dtype): there a near-zero
+group variance magnifies float32 rounding, so that config runs its trunk
+in float64, in training and inference alike.
 
-Inference runs the trunk in float32 and the head in float64, with no
-backprop cache, split in two halves.  The prefix (trunk_prefix, through
+The training forward and backward run the trunk in the dtype of the
+features and the head in float64.  The forward's cache keeps every SiLU's
+denominator 1 + exp(-x) and silu(z1), so the backward takes the slopes
+without another exp.  Under an optimizer the trunk reads the optimizer's
+float32 shadow of the float64 master parameters, and param_grads writes
+float64 gradients into the optimizer's gradient buffer (see train.py); on
+float64 features (the finite-difference gradient tests) the whole
+gradient path stays float64.
+
+Inference runs the trunk in cfg.trunk_dtype and the head in float64, with
+no backprop cache, split in two halves.  The prefix (trunk_prefix, through
 MlpScorer.prepare) casts the parameters and runs the input layer and
 block 0's residual branch, none of which sees the conditioning, once per
 set of inputs; a sampler prepares its inputs once and reuses them on
@@ -32,6 +39,7 @@ float64 keeps numpy's reductions.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -45,6 +53,12 @@ from .score import Scorer
 MAGIC = b"SCORENET"
 FORMAT_VERSION = 1
 GN_EPS = 1e-5
+# The fewest units per GroupNorm group the trunk runs in float32 at.  A smaller
+# group's variance can be near zero, where GroupNorm magnifies rounding by up to
+# 1/sqrt(GN_EPS) times: over 100 random 8-group scorers of 1-3 blocks, float32
+# logits were off float64's by up to 1.1e-4 at 2-unit groups and 2.4e-5 at 3,
+# against 1.5e-5 at 4 and 5.9e-6 at 8.
+MIN_FLOAT32_GROUP = 4
 
 TIME_INPUT_MODES = ("total-noise", "raw")
 
@@ -76,25 +90,47 @@ class MlpConfig:
         if self.time_input not in TIME_INPUT_MODES:
             raise ValidationError(f"time_input must be one of {TIME_INPUT_MODES}")
 
+    @property
+    def trunk_dtype(self) -> type:
+        """float32, or float64 for GroupNorm groups under MIN_FLOAT32_GROUP units."""
+        return np.float32 if self.hidden_dim // self.groups >= MIN_FLOAT32_GROUP else np.float64
 
-def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x / (1 + exp(-x)); pass out=x to overwrite the input."""
-    d = np.negative(x)
+
+def silu(x: np.ndarray, out: np.ndarray | None = None,
+         denom: np.ndarray | None = None) -> np.ndarray:
+    """x / (1 + exp(-x)); pass out=x to overwrite the input, denom to keep 1 + exp(-x)."""
+    d = np.negative(x, out=denom)
     np.exp(d, out=d)
     d += 1.0
     return np.divide(x, d, out=out)
 
 
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def _silu_kept(x: np.ndarray, cache: dict, key: str) -> np.ndarray:
+    """silu(x) in a new array, keeping its denominator in cache[key] for the backward."""
+    cache[key] = np.empty_like(x)
+    return silu(x, denom=cache[key])
+
+
+def _silu_slope(x: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """silu'(x) = s * (1 + x * (1 - s)), s = 1 / denom, from the denominator silu kept."""
+    s = np.divide(1.0, denom)
+    slope = np.subtract(1.0, s)
+    slope *= x
+    slope += 1.0
+    slope *= s
+    return slope
+
+
+@functools.lru_cache(maxsize=None)
+def _time_frequencies(half: int) -> np.ndarray:
+    freqs = np.exp(np.linspace(np.log(1.0), np.log(1000.0), half))
+    freqs.flags.writeable = False
+    return freqs
 
 
 def time_features(u: np.ndarray, n_dims: int) -> np.ndarray:
     """Sinusoidal features of a scalar in [0, 1], geometric frequency ladder."""
-    half = n_dims // 2
-    freqs = np.exp(np.linspace(np.log(1.0), np.log(1000.0), half))
-    ang = np.asarray(u, dtype=np.float64)[:, None] * freqs[None, :]
+    ang = np.asarray(u, dtype=np.float64)[:, None] * _time_frequencies(n_dims // 2)[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
@@ -127,10 +163,13 @@ def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
     return p
 
 
+@functools.lru_cache(maxsize=None)
 def _group_average(h: int, groups: int, dtype) -> np.ndarray:
     """(h, groups) matrix whose product with (n, h) rows gives the per-group means."""
     size = h // groups
-    return np.repeat(np.eye(groups, dtype=dtype) / size, size, axis=0)
+    average = np.repeat(np.eye(groups, dtype=dtype) / size, size, axis=0)
+    average.flags.writeable = False
+    return average
 
 
 def _gn_forward(x, gamma, beta, groups, out=None):
@@ -201,16 +240,22 @@ class PreparedFeatures:
         return self.base.shape[0]
 
 
-def _residual_branch(p: dict, b: int, h: np.ndarray, keep_cache: bool):
-    """Block b's branch silu(h @ w1.T + b1) @ w2.T + b2; returns (z1, r).
+def _residual_branch(p: dict, b: int, h: np.ndarray, cache: dict | None) -> np.ndarray:
+    """Block b's branch silu(h @ w1.T + b1) @ w2.T + b2.
 
-    Without keep_cache, z1 is overwritten by its SiLU and is spent once r is formed.
+    With a cache, keeps h, z1, silu(z1) and its denominator there; without
+    one, z1 is overwritten by its SiLU and is spent once the branch is formed.
     """
     z1 = h @ p[f"w1_{b}"].T
     z1 += p[f"b1_{b}"]
-    r = silu(z1, out=None if keep_cache else z1) @ p[f"w2_{b}"].T
+    if cache is None:
+        s1 = silu(z1, out=z1)
+    else:
+        s1 = _silu_kept(z1, cache, f"d1_{b}")
+        cache.update({f"h_{b}": h, f"z1_{b}": z1, f"s1_{b}": s1})
+    r = s1 @ p[f"w2_{b}"].T
     r += p[f"b2_{b}"]
-    return z1, r
+    return r
 
 
 def trunk_prefix(p: dict, features: np.ndarray, keep_cache: bool = True):
@@ -219,13 +264,16 @@ def trunk_prefix(p: dict, features: np.ndarray, keep_cache: bool = True):
     The input layer and block 0's residual branch do not see the
     conditioning, so one pass serves every (anchor, t) the rows are scored at.
     """
+    cache = {"features": features} if keep_cache else None
     a_in = features @ p["in_w"].T
     a_in += p["in_b"]
-    h = silu(a_in, out=None if keep_cache else a_in)
-    z1, r = _residual_branch(p, 0, h, keep_cache)
-    base = np.add(h, r, out=r)
-    cache = {"features": features, "a_in": a_in, "h_0": h, "z1_0": z1} if keep_cache else None
-    return base, cache
+    if cache is None:
+        h = silu(a_in, out=a_in)
+    else:
+        h = _silu_kept(a_in, cache, "d_in")
+        cache["a_in"] = a_in
+    r = _residual_branch(p, 0, h, cache)
+    return np.add(h, r, out=r), cache
 
 
 def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray | PreparedFeatures,
@@ -240,32 +288,34 @@ def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray | PreparedFeatu
     conditioning projections then run once per distinct row
     (backward_logits needs the per-row form).  The trunk runs in the dtype
     of the rows and cond, the head in the dtype of p["out_w"].  Without
-    keep_cache, intermediates are overwritten in place and no cache is kept.
+    keep_cache, intermediates are overwritten in place and no cache is kept;
+    with it, the cache also keeps every SiLU's denominator 1 + exp(-x), so
+    the backward takes the slopes without another exp.
     """
     if isinstance(features, PreparedFeatures):
         x, cache = features.base, None
     else:
         x, cache = trunk_prefix(p, features, keep_cache)
-    sc = silu(cond)
+    sc = silu(cond) if cache is None else _silu_kept(cond, cache, "d_cond")
     for b in range(cfg.n_blocks):
         if b:
-            z1, r = _residual_branch(p, b, h, keep_cache)
-            if cache is not None:
-                cache.update({f"h_{b}": h, f"z1_{b}": z1})
+            r = _residual_branch(p, b, h, cache)
             x = np.add(h, r, out=r)
             # Without a cache these are spent; dropping them now keeps them out of
             # the peak memory of GroupNorm and the head.
-            del h, z1, r
+            del h, r
         cvec = sc @ p[f"cw_{b}"].T
         cvec += p[f"cb_{b}"]
         rows = cvec if index is None else cvec[index]
         pre = np.add(x, rows, out=rows)   # never into x: it may be the shared prepared base
         del x
         gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups,
-                                     out=None if keep_cache else pre)
-        if cache is not None:
+                                     out=pre if cache is None else None)
+        if cache is None:
+            h = silu(gnout, out=gnout)
+        else:
             cache[f"gn_{b}"] = (gnout, gncache)
-        h = silu(gnout, out=None if keep_cache else gnout)
+            h = _silu_kept(gnout, cache, f"dgn_{b}")
     if cache is not None:
         cache.update({"cond": cond, "sc": sc, "h_top": h})
     z = h.astype(p["out_w"].dtype, copy=False) @ p["out_w"].T + p["out_b"]
@@ -277,7 +327,8 @@ def backward_logits(p: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dic
 
     p are the parameters the forward ran with.  Returns the gradient of
     every parameter forward_logits reads, the head's in its dtype and the
-    trunk's in the trunk dtype, plus "_dcond", dL/dcond per row.
+    trunk's in the trunk dtype, plus "_dcond", dL/dcond per row.  The SiLU
+    slopes come from the denominators and silu(z1) the forward cached.
     """
     h_top = cache["h_top"]
     g = {"out_w": dz.T @ h_top, "out_b": dz.sum(axis=0)}
@@ -285,24 +336,26 @@ def backward_logits(p: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dic
     dsc = np.zeros_like(cache["sc"])
     for b in reversed(range(cfg.n_blocks)):
         gnout, gncache = cache[f"gn_{b}"]
-        dgn = dh * silu_grad(gnout)
+        dgn = _silu_slope(gnout, cache[f"dgn_{b}"])
+        dgn *= dh
         dpre, dgamma, dbeta = _gn_backward(dgn, p[f"gn_g_{b}"], gncache, cfg.groups)
-        g[f"gn_g_{b}"] = dgamma
-        g[f"gn_b_{b}"] = dbeta
-        g[f"cw_{b}"] = dpre.T @ cache["sc"]
-        g[f"cb_{b}"] = dpre.sum(axis=0)
+        dbias = dpre.sum(axis=0)      # cb and b2 both take dpre's column sums
+        g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta, f"cw_{b}": dpre.T @ cache["sc"],
+                  f"cb_{b}": dbias, f"w2_{b}": dpre.T @ cache[f"s1_{b}"], f"b2_{b}": dbias.copy()})
         dsc += dpre @ p[f"cw_{b}"]
-        s1 = silu(cache[f"z1_{b}"])
-        g[f"w2_{b}"] = dpre.T @ s1
-        g[f"b2_{b}"] = dpre.sum(axis=0)
-        dz1 = (dpre @ p[f"w2_{b}"]) * silu_grad(cache[f"z1_{b}"])
+        dz1 = dpre @ p[f"w2_{b}"]
+        dz1 *= _silu_slope(cache[f"z1_{b}"], cache[f"d1_{b}"])
         g[f"w1_{b}"] = dz1.T @ cache[f"h_{b}"]
         g[f"b1_{b}"] = dz1.sum(axis=0)
-        dh = dpre + dz1 @ p[f"w1_{b}"]
-    din = dh * silu_grad(cache["a_in"])
+        dh = dz1 @ p[f"w1_{b}"]
+        dh += dpre
+    din = _silu_slope(cache["a_in"], cache["d_in"])
+    din *= dh
     g["in_w"] = din.T @ cache["features"]
     g["in_b"] = din.sum(axis=0)
-    g["_dcond"] = dsc * silu_grad(cache["cond"])
+    dcond = _silu_slope(cache["cond"], cache["d_cond"])
+    dcond *= dsc
+    g["_dcond"] = dcond
     return g
 
 
@@ -339,18 +392,22 @@ class MlpScorer(Scorer):
         return {name: v if name.startswith("out_") else v.astype(dtype)
                 for name, v in self.params.items()}
 
-    def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray):
+    def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray,
+               workspace=None):
         """Float64 logits with the backprop cache; the training forward.
 
-        The trunk runs in float32 on float32 features, on a cast of the
-        parameters that the cache keeps for param_grads, and in float64 on
-        any other features; the conditioning and the head run in float64.
+        The trunk runs in float32 on float32 features when cfg.trunk_dtype
+        is float32, and in float64 otherwise; the conditioning and the head
+        run in float64.  The trunk parameters come from
+        workspace.trunk_params(dtype) when an optimizer workspace is given
+        (its float32 shadow), else from self.trunk_params(dtype); the cache
+        keeps them for param_grads.
         """
         features = np.asarray(features)
-        if features.dtype != np.float32:
+        if features.dtype != np.float32 or self.cfg.trunk_dtype != np.float32:
             features = features.astype(np.float64, copy=False)
         anchors = np.asarray(anchors)
-        params = self.trunk_params(features.dtype)
+        params = (self if workspace is None else workspace).trunk_params(features.dtype)
         cond, tf = self.conditioning(anchors, t)
         z, cache = forward_logits(params, self.cfg, features,
                                   cond.astype(features.dtype, copy=False))
@@ -362,16 +419,18 @@ class MlpScorer(Scorer):
         """Run the conditioning-free prefix of the inference trunk once.
 
         Runs the input layer and block 0's residual branch on the rows with
-        the float32 trunk parameters; score_batch takes the result in place
-        of the features at any anchors and times, until the parameters change.
+        the trunk parameters in cfg.trunk_dtype; score_batch takes the result
+        in place of the features at any anchors and times, until the
+        parameters change.
         """
-        params = self.trunk_params(np.float32)
-        base, _ = trunk_prefix(params, np.asarray(features, dtype=np.float32), keep_cache=False)
+        dtype = self.cfg.trunk_dtype
+        params = self.trunk_params(dtype)
+        base, _ = trunk_prefix(params, np.asarray(features, dtype=dtype), keep_cache=False)
         return PreparedFeatures(params, base)
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
-        """Logits of the inference path: float32 trunk, float64 head, no cache.
+        """Logits of the inference path: cfg.trunk_dtype trunk, float64 head, no cache.
 
         features are raw rows, prepared here, or the result of prepare.  The
         conditioning runs once per distinct (anchor, t) pair, at most K rows
@@ -387,7 +446,8 @@ class MlpScorer(Scorer):
         _, first, index = np.unique(t_index * self.k + anchors,
                                     return_index=True, return_inverse=True)
         cond, _ = self.conditioning(anchors[first], t[first])
-        z, _ = forward_logits(features.params, self.cfg, features, cond.astype(np.float32),
+        z, _ = forward_logits(features.params, self.cfg, features,
+                              cond.astype(features.base.dtype),
                               index=index, keep_cache=False)
         self._check_finite(z)
         return z
@@ -406,15 +466,26 @@ class MlpScorer(Scorer):
                 f"{max(np.abs(v).max() for v in self.params.values()):.3e})"
             )
 
-    def param_grads(self, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
-        """Float64 gradients of every parameter, in the order of self.params, given dL/dz."""
+    def param_grads(self, dz: np.ndarray, cache: dict,
+                    out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Float64 gradients of every parameter, in the order of self.params, given dL/dz.
+
+        They are written into out, float64 arrays named like self.params
+        (an optimizer workspace's gradient views), when it is given, and
+        into new arrays otherwise.  The embedding gradient, a scatter-add of
+        dL/dcond over the anchors, is taken as a one-hot matmul.
+        """
         g = backward_logits(cache["params"], self.cfg, dz, cache)
         dcond = g.pop("_dcond").astype(np.float64, copy=False)
-        g["embed"] = np.zeros_like(self.params["embed"])
-        np.add.at(g["embed"], cache["anchors"], dcond)
-        g["time_w"] = dcond.T @ cache["tf"]
-        g["time_b"] = dcond.sum(axis=0)
-        return {name: g[name].astype(np.float64, copy=False) for name in self.params}
+        if out is None:
+            out = {name: np.empty_like(v) for name, v in self.params.items()}
+        onehot = np.equal.outer(cache["anchors"], np.arange(self.k)).astype(np.float64)
+        np.matmul(onehot.T, dcond, out=out["embed"])
+        np.matmul(dcond.T, cache["tf"], out=out["time_w"])
+        np.sum(dcond, axis=0, out=out["time_b"])
+        for name, grad in g.items():
+            np.copyto(out[name], grad)
+        return out
 
     def save(self, path: str) -> None:
         save_params(path, self.params, self.cfg, self.schedule)
@@ -449,7 +520,10 @@ class CeClassifier:
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    def loss_and_grads(self, features: np.ndarray, labels: np.ndarray):
+    def loss_and_grads(self, features: np.ndarray, labels: np.ndarray,
+                       out: dict[str, np.ndarray] | None = None):
+        """Mean cross-entropy and its gradients, written into out when given (see
+        MlpScorer.param_grads); the conditioning parameters' gradients are zero."""
         z, cache = self.logits(features)
         n = z.shape[0]
         z = z - z.max(axis=1, keepdims=True)
@@ -461,8 +535,11 @@ class CeClassifier:
         dz /= n
         g = backward_logits(self.params, self.cfg, dz, cache)
         g.pop("_dcond")  # conditioning input is constant zero
-        return loss, {name: g[name] if name in g else np.zeros_like(v)
-                      for name, v in self.params.items()}
+        if out is None:
+            out = {name: np.empty_like(v) for name, v in self.params.items()}
+        for name, grad in out.items():
+            np.copyto(grad, g.get(name, 0.0))
+        return loss, out
 
 
 # ---------------------------------------------------------------------------

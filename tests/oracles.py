@@ -3,7 +3,9 @@
 Each one is written independently of the fast path it checks: a series
 matrix exponential for the closed-form forward marginal, the rate applied
 explicitly for Euler stepping, quadrature for the closed-form posteriors,
-and single-column score and loss helpers for the batched training loss.
+single-column score and loss helpers for the batched training loss, the
+SiLU slope from a fresh exp, and a per-array Adam in its textbook order for
+the optimizer's whole-buffer update.
 """
 
 from __future__ import annotations
@@ -213,3 +215,22 @@ def score_entropy_grad(s_true: ScoreColumn, s_pred: ScoreColumn, sigma_t: float)
     sp = np.maximum(s_pred.values, PROB_FLOOR)
     st = np.maximum(s_true.values, PROB_FLOOR)
     return sigma_t / s_true.k * (1.0 - st / sp)
+
+
+def silu_grad(x: np.ndarray) -> np.ndarray:
+    """d/dx of x * sigmoid(x), from a fresh exp."""
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 + x * (1.0 - s))
+
+
+def adam_reference(params: dict, grads: dict, m: dict, v: dict, step: int, lr: float,
+                   betas: tuple[float, float], eps: float = 1e-8) -> None:
+    """One Adam step (step counts from 1) per array, replacing the dicts' entries:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+    for name, g in grads.items():
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g ** 2
+        params[name] = params[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
