@@ -47,7 +47,10 @@ TIME_GRIDS = ("uniform-t", "uniform-noise")
 
 # Scorer rows per engine block (inputs x rows per input).  8,000 cp inputs run
 # as one block.  16,384 would also hold a 200-input cl cell at 64 samples, but
-# an 8,000-input, 16-sample cl eval then peaks near 100 MiB RSS, against 70.
+# an 8,000-input, 16-sample, 8-step cl eval then peaks at 76 MiB RSS, against
+# 58 MiB at 8,192, and runs no faster (4.0 s both, one BLAS thread).  The
+# scorer runs its trunk in row tiles, so its (rows, hidden) temporaries no
+# longer grow with the block; untiled, the same eval peaked at 100 and 72 MiB.
 SCORER_ROWS = 8192
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffclass import mlp
 from diffclass.data import MixtureTask
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, PreparedFeatures,
                            _gn_backward, _gn_forward, _silu_slope, backward_logits,
-                           forward_logits, load_params, param_shapes, silu)
+                           forward_logits, load_params, param_shapes, row_tiles, silu)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import AdamState, TrainConfig, batch_loss_and_grads, fit, train_step
 from oracles import score_column, silu_grad
@@ -202,22 +203,71 @@ class TestInferencePath:
             scorer.score_batch(np.ones((5, 3)), np.arange(5), np.full(5, 0.5))
 
     def test_out_of_range_anchor_rejected(self):
+        """Anchors out of range, of the wrong type, or not one anchor and one t per row."""
         scorer = _small_scorer()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"\[0, 5\)"):
             scorer.score_batch(np.ones((2, 3)), np.array([0, 5]), np.full(2, 0.5))
+        with pytest.raises(ValidationError, match="integer"):
+            scorer.score_batch(np.ones((2, 3)), np.array([0.0, 1.0]), np.full(2, 0.5))
+        y = np.ones((5, 3))
+        for anchors, t in ((np.arange(5), np.full(1, 0.5)),      # once broadcast
+                           (np.arange(4), np.full(5, 0.5)),
+                           (np.zeros(6, dtype=int), np.full(5, 0.5)),
+                           (np.arange(5), np.full(6, 0.5)),
+                           (np.zeros((5, 1), dtype=int), np.full(5, 0.5)),
+                           (np.int64(0), np.float64(0.5))):
+            for rows in (y, scorer.prepare(y)):
+                with pytest.raises(ValidationError, match="5 rows"):
+                    scorer.score_batch(rows, anchors, t)
+        for features in (np.ones((5, 4)), np.ones(3), np.ones((5, 3, 1))):
+            with pytest.raises(ValidationError, match="features"):
+                scorer.score_batch(features, np.arange(5), np.full(5, 0.5))
 
 
 class TestPreparedPath:
     def test_prepared_rows_score_like_raw_features_bit_for_bit(self, trained_scorer):
-        y, anchors, t = _shared_time_batch(700, 16)
+        y, anchors, t = _shared_time_batch(2500, 16)
         t[::2] = 0.25
         prepared = trained_scorer.prepare(y)
-        assert isinstance(prepared, PreparedFeatures) and len(prepared) == 700
+        assert isinstance(prepared, PreparedFeatures) and len(prepared) == 2500
         assert prepared.base.dtype == np.float32
         expected = trained_scorer.score_batch(y, anchors, t)
         assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
         # the prepared rows are not written to: a second call gives the same bits
         assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000))
+    def test_row_tiles_cover_the_rows_in_near_equal_tiles(self, n, tile_rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlp, "TILE_ROWS", tile_rows)
+            tiles = row_tiles(n)
+        assert len(tiles) == max(1, n // tile_rows)
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        sizes = [tile.stop - tile.start for tile in tiles]
+        assert min(sizes) >= min(n, tile_rows) and max(sizes) < 2 * tile_rows
+
+    @pytest.mark.parametrize("tile_rows", [1, 7, mlp.TILE_ROWS])
+    def test_tiled_logits_match_one_untiled_forward(self, trained_scorer, monkeypatch,
+                                                    tile_rows):
+        """Tiles of any size give the untiled logits to float32 rounding, and repeat exactly.
+
+        Tiles under 1,000 rows may round differently from one call over
+        every row (BLAS picks its kernel by row count), hence the tolerance.
+        """
+        y, anchors, t = _shared_time_batch(2500, 18)
+        t[::3] = 0.25
+        first, index = _distinct_pairs(anchors, t)
+        cond, _ = trained_scorer.conditioning(anchors[first], t[first])
+        p32 = trained_scorer.trunk_params(np.float32)
+        untiled, _ = forward_logits(p32, trained_scorer.cfg, y.astype(np.float32),
+                                    cond.astype(np.float32), index=index, keep_cache=False)
+        monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
+        tiled = trained_scorer.inference_logits(y, anchors, t)
+        np.testing.assert_allclose(tiled, untiled, rtol=0, atol=1e-5)
+        assert np.array_equal(tiled.argmax(axis=1), untiled.argmax(axis=1))
+        assert tiled.tobytes() == trained_scorer.inference_logits(y, anchors, t).tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 4.0])
     def test_float32_groupnorm_statistics_match_float64_reductions(self, offset):
