@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .mlp import CeClassifier, MlpScorer
 from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, posterior_cl,
                       posterior_cp, posterior_cp_batch, posterior_full, step_times)
@@ -157,9 +157,14 @@ def trace_topk(scorer: Scorer, y: np.ndarray, schedule: LogLinearSchedule,
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a diverging step raises NumericalError
 def train_ce_baseline(config: TrainConfig, task: MixtureTask,
                       train_data: tuple[np.ndarray, np.ndarray]) -> CeClassifier:
-    """Cross-entropy classifier of matched capacity on the same features."""
+    """Cross-entropy classifier of matched capacity on the same features.
+
+    Raises NumericalError on a non-finite loss or gradient norm, as
+    train_step does, so a diverged baseline never reaches the grid.
+    """
     features, labels = train_data
     model = CeClassifier(config.mlp_config(task.k, task.dim), seed=config.seed)
     opt = AdamState.init(model.params)
@@ -170,8 +175,11 @@ def train_ce_baseline(config: TrainConfig, task: MixtureTask,
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            model.loss_and_grads(features[idx], labels[idx], out=opt.grads)
-            clip_global_norm(opt.grad, config.grad_clip)
+            loss, _ = model.loss_and_grads(features[idx], labels[idx], out=opt.grads)
+            if not math.isfinite(loss):
+                raise NumericalError("non-finite cross-entropy baseline loss")
+            if not math.isfinite(clip_global_norm(opt.grad, config.grad_clip)):
+                raise NumericalError("non-finite cross-entropy baseline gradient")
             adam_update(opt, learning_rate(config, opt.step, total_steps), config.betas)
     return model
 

@@ -18,29 +18,38 @@ in float64, in training and inference alike.
 The training forward and backward run the trunk in the dtype of the
 features and the head in float64.  The forward's cache keeps every SiLU's
 denominator 1 + exp(-x) and silu(z1), so the backward takes the slopes
-without another exp.  Under an optimizer the trunk reads the optimizer's
-float32 shadow of the float64 master parameters, and param_grads writes
-float64 gradients into the optimizer's gradient buffer (see train.py); on
-float64 features (the finite-difference gradient tests) the whole
-gradient path stays float64.
+without another exp; that reuse is why training keeps the exp form of
+SiLU, where inference uses the cheaper tanh form below.  Under an
+optimizer the trunk reads the optimizer's float32 shadow of the float64
+master parameters, and param_grads writes float64 gradients into the
+optimizer's gradient buffer (see train.py); on float64 features (the
+finite-difference gradient tests) the whole gradient path stays float64.
 
 Inference runs the trunk in cfg.trunk_dtype and the head in float64, with
-no backprop cache, split in two halves.  The prefix (trunk_prefix, through
-MlpScorer.prepare) casts the parameters and runs the input layer and
-block 0's residual branch, none of which sees the conditioning, once per
-set of inputs; a sampler prepares its inputs once and reuses them on
-every step.  The tail (forward_logits on the prepared rows) adds block
-0's conditioning, normalizes, and runs the remaining blocks and the head;
-the conditioning runs once per call and distinct (anchor, t) pair.  Both
-halves run over contiguous row tiles (row_tiles) of fewer than
+no backprop cache, on its own form of the parameters (inference_params),
+built once per MlpScorer.prepare call.  Every affine map that only feeds a
+SiLU is halved, so each SiLU takes its half-scale input u = x / 2 as
+u * (1 + tanh u) (silu_from_half): three elementwise passes against four,
+with tanh in place of exp.  Each block's GroupNorm gain and shift are
+halved and the gain is spread into a (groups, hidden) matrix, so one
+matmul of the per-group reciprocal standard deviations gives the scale
+the rows take in one multiply (_inference_groupnorm); b2 joins the
+conditioning bias, which is added to the few distinct (anchor, t) rows of
+a call.  The trunk runs in two halves.  The prefix (MlpScorer.prepare)
+runs the input layer and block 0's residual branch, none of which sees
+the conditioning, once per set of inputs; a sampler prepares its inputs
+once and reuses them on every step.  The tail (inference_logits) adds
+block 0's conditioning, normalizes, and runs the remaining blocks and the
+head; the conditioning runs once per call and distinct (anchor, t) pair.
+Both halves run over contiguous row tiles (row_tiles) of fewer than
 2 * TILE_ROWS rows, and of at least TILE_ROWS unless the call has fewer,
-each writing its rows into one preallocated base or logits array: a
-tile's (rows, hidden) temporaries stay in the L2 cache across the tail's
-elementwise passes, where a whole 8,000-row batch does not.  With no
-tile under TILE_ROWS rows the result equals one untiled call bit for bit.
-Training passes raw features through the same two halves, untiled.  In
-float32 GroupNorm takes its group means, forward and backward, by a
-block-averaging matmul; float64 keeps numpy's reductions.
+in a few (rows, hidden) work arrays that every tile reuses, each tile
+writing its rows into one preallocated base or logits array: a tile's
+arrays stay in the L2 cache across the tail's elementwise passes, where a
+whole 8,000-row batch does not.  With no tile under TILE_ROWS rows the
+result equals one untiled call bit for bit.  GroupNorm takes its group
+means by a block-averaging matmul in float32 training (forward and
+backward) and in inference; float64 training keeps numpy's reductions.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ GN_EPS = 1e-5
 # logits were off float64's by up to 1.1e-4 at 2-unit groups and 2.4e-5 at 3,
 # against 1.5e-5 at 4 and 5.9e-6 at 8.
 MIN_FLOAT32_GROUP = 4
-# Rows per inference tile (see row_tiles).  The trunk's tail makes ~18
+# Rows per inference tile (see row_tiles).  The trunk's tail makes ~16
 # elementwise passes per block over (rows, hidden) arrays; at 8,000 rows and
 # hidden 128 those are 4 MiB in float32, twice a 2 MiB L2 cache, and on a
 # 1,000-row tile they stay in it.  8,000-row eval-cp in rows/s on a 2-vCPU
@@ -113,13 +122,12 @@ class MlpConfig:
         return np.float32 if self.hidden_dim // self.groups >= MIN_FLOAT32_GROUP else np.float64
 
 
-def silu(x: np.ndarray, out: np.ndarray | None = None,
-         denom: np.ndarray | None = None) -> np.ndarray:
-    """x / (1 + exp(-x)); pass out=x to overwrite the input, denom to keep 1 + exp(-x)."""
+def silu(x: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
+    """x / (1 + exp(-x)) in a new array; pass denom to keep 1 + exp(-x) in it."""
     d = np.negative(x, out=denom)
     np.exp(d, out=d)
     d += 1.0
-    return np.divide(x, d, out=out)
+    return np.divide(x, d)
 
 
 def _silu_kept(x: np.ndarray, cache: dict, key: str) -> np.ndarray:
@@ -136,6 +144,19 @@ def _silu_slope(x: np.ndarray, denom: np.ndarray) -> np.ndarray:
     slope += 1.0
     slope *= s
     return slope
+
+
+def silu_from_half(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """silu(2u) = u * (1 + tanh u), written over u; scratch is an array of u's shape.
+
+    silu(x) = x * sigmoid(x) and sigmoid(x) = (1 + tanh(x / 2)) / 2, so from
+    the half-scale input u = x / 2 SiLU takes three passes (tanh, +1, *)
+    where silu takes four, and tanh is cheaper than exp.
+    """
+    np.tanh(u, out=scratch)
+    scratch += 1.0
+    u *= scratch
+    return u
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,8 +210,16 @@ def _group_average(h: int, groups: int, dtype) -> np.ndarray:
     return average
 
 
-def _gn_forward(x, gamma, beta, groups, out=None):
-    """GroupNorm; normalizes x in place (x becomes xhat), writes the affine output to out.
+@functools.lru_cache(maxsize=None)
+def _group_expand(h: int, groups: int, dtype) -> np.ndarray:
+    """(groups, h) 0/1 matrix E whose product with (n, groups) rows repeats each over its group."""
+    expand = np.repeat(np.eye(groups, dtype=dtype), h // groups, axis=1)
+    expand.flags.writeable = False
+    return expand
+
+
+def _gn_forward(x, gamma, beta, groups):
+    """GroupNorm; normalizes x in place (x becomes xhat) and returns the affine output.
 
     Float32 input takes the group mean and variance by an (h, groups)
     block-averaging matmul, which halves the layer's time against numpy's
@@ -208,7 +237,7 @@ def _gn_forward(x, gamma, beta, groups, out=None):
         xg -= xg.mean(axis=2, keepdims=True)
         var = np.square(xg).mean(axis=2, keepdims=True)
     xg /= np.sqrt(var + GN_EPS)
-    out = np.multiply(x, gamma, out=out)
+    out = np.multiply(x, gamma)
     out += beta
     return out, (x, var)
 
@@ -241,6 +270,33 @@ def _gn_backward(dout, gamma, cache, groups):
     return dx.reshape(n, h), dgamma, dbeta
 
 
+def _inference_groupnorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+                         groups: int, scratch: np.ndarray) -> np.ndarray:
+    """GroupNorm of x in inference form, written over x; scratch is an array of x's shape.
+
+    scale is the (groups, h) matrix E * gamma / 2 and shift is beta / 2
+    (inference_params), so x becomes the half-scale input of the SiLU after
+    it.  The group means and variances come from the block-averaging
+    matmul; one matmul of the reciprocal standard deviations by scale
+    spreads them over the units with the gain applied, so x takes one
+    multiply and one add where _gn_forward makes a broadcast divide, a
+    gain multiply and a shift add.
+    """
+    n, h = x.shape
+    average = _group_average(h, groups, x.dtype)
+    np.matmul(x @ average, _group_expand(h, groups, x.dtype), out=scratch)
+    x -= scratch
+    np.square(x, out=scratch)
+    inv_std = scratch @ average
+    inv_std += GN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    np.matmul(inv_std, scale, out=scratch)
+    x *= scratch
+    x += shift
+    return x
+
+
 def row_tiles(n: int) -> list[slice]:
     """max(1, n // TILE_ROWS) contiguous, near-equal tiles that cover range(n) in order.
 
@@ -252,13 +308,58 @@ def row_tiles(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
+                     dtype) -> dict[str, np.ndarray]:
+    """The inference form of the master parameters: the trunk's in dtype, the head's float64.
+
+    Every affine map whose output only feeds a SiLU (in_w, in_b and each
+    block's w1, b1) is halved, so silu_from_half takes its output as it is;
+    halving is exact in binary floating point.  Each block's GroupNorm gain
+    becomes gn_scale, the (groups, hidden) matrix E * gamma / 2 (E the 0/1
+    group expansion), and its shift gn_shift = beta / 2, so the GroupNorm
+    output is the half-scale input of the SiLU after it.  cb becomes
+    cb + b2: the conditioning bias is added to the few distinct
+    (anchor, t) rows of a call, where b2 was added to every row.
+    """
+    expand = _group_expand(cfg.hidden_dim, cfg.groups, np.float64)
+    q = {"in_w": 0.5 * params["in_w"], "in_b": 0.5 * params["in_b"]}
+    for b in range(cfg.n_blocks):
+        q.update({f"w1_{b}": 0.5 * params[f"w1_{b}"], f"b1_{b}": 0.5 * params[f"b1_{b}"],
+                  f"w2_{b}": params[f"w2_{b}"], f"cw_{b}": params[f"cw_{b}"],
+                  f"cb_{b}": params[f"cb_{b}"] + params[f"b2_{b}"],
+                  f"gn_scale_{b}": expand * (0.5 * params[f"gn_g_{b}"]),
+                  f"gn_shift_{b}": 0.5 * params[f"gn_b_{b}"]})
+    q = {name: v.astype(dtype) for name, v in q.items()}
+    q.update(out_w=params["out_w"], out_b=params["out_b"])
+    return q
+
+
+def _inference_branch(q: dict, b: int, h: np.ndarray, out: np.ndarray,
+                      scratch: np.ndarray) -> np.ndarray:
+    """out = h + silu(2 (h @ w1.T + b1)) @ w2.T on the halved w1, b1 of the inference
+    form: block b's input plus its residual branch, less b2, which the
+    conditioning bias holds."""
+    np.matmul(h, q[f"w1_{b}"].T, out=scratch)
+    scratch += q[f"b1_{b}"]
+    silu_from_half(scratch, out)
+    np.matmul(scratch, q[f"w2_{b}"].T, out=out)
+    out += h
+    return out
+
+
+def _largest(tiles: list[slice]) -> int:
+    """Rows of the largest tile; work arrays of that many rows serve every tile."""
+    return max(tile.stop - tile.start for tile in tiles)
+
+
 @dataclass(frozen=True)
 class PreparedFeatures:
-    """Inputs already run through the prefix of the float32 inference trunk.
+    """Inputs already run through the prefix of the inference trunk.
 
-    params are the cast parameters the prefix ran with, which the tail must
-    use too; base holds h0 + r0, block 0's input plus its residual branch,
-    one row per input.  Nothing writes to base, so every step can reuse it.
+    params are the inference form of the parameters (inference_params) the
+    prefix ran with, which the tail must use too; base holds block 0's input
+    plus its residual branch less b2, one row per input.  Nothing writes to
+    base, so every step can reuse it.
     """
 
     params: dict[str, np.ndarray]
@@ -268,84 +369,42 @@ class PreparedFeatures:
         return self.base.shape[0]
 
 
-def _residual_branch(p: dict, b: int, h: np.ndarray, cache: dict | None) -> np.ndarray:
-    """Block b's branch silu(h @ w1.T + b1) @ w2.T + b2.
-
-    With a cache, keeps h, z1, silu(z1) and its denominator there; without
-    one, z1 is overwritten by its SiLU and is spent once the branch is formed.
-    """
+def _residual_branch(p: dict, b: int, h: np.ndarray, cache: dict) -> np.ndarray:
+    """Block b's branch silu(h @ w1.T + b1) @ w2.T + b2; keeps h, z1, silu(z1) and
+    its denominator in cache."""
     z1 = h @ p[f"w1_{b}"].T
     z1 += p[f"b1_{b}"]
-    if cache is None:
-        s1 = silu(z1, out=z1)
-    else:
-        s1 = _silu_kept(z1, cache, f"d1_{b}")
-        cache.update({f"h_{b}": h, f"z1_{b}": z1, f"s1_{b}": s1})
+    s1 = _silu_kept(z1, cache, f"d1_{b}")
+    cache.update({f"h_{b}": h, f"z1_{b}": z1, f"s1_{b}": s1})
     r = s1 @ p[f"w2_{b}"].T
     r += p[f"b2_{b}"]
     return r
 
 
-def trunk_prefix(p: dict, features: np.ndarray, keep_cache: bool = True):
-    """The trunk up to block 0's conditioning add: h0 + r0, and the cache or None.
+def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray):
+    """Training forward of (n, f) rows at (n, d) conditioning rows; returns (logits, cache).
 
-    The input layer and block 0's residual branch do not see the
-    conditioning, so one pass serves every (anchor, t) the rows are scored at.
+    The trunk runs in the dtype of features and cond, the head in the dtype
+    of p["out_w"].  The cache keeps what backward_logits reads, every SiLU's
+    denominator 1 + exp(-x) among it, so the backward takes the slopes
+    without another exp.
     """
-    cache = {"features": features} if keep_cache else None
+    cache = {"features": features}
     a_in = features @ p["in_w"].T
     a_in += p["in_b"]
-    if cache is None:
-        h = silu(a_in, out=a_in)
-    else:
-        h = _silu_kept(a_in, cache, "d_in")
-        cache["a_in"] = a_in
-    r = _residual_branch(p, 0, h, cache)
-    return np.add(h, r, out=r), cache
-
-
-def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray | PreparedFeatures,
-                   cond: np.ndarray, index: np.ndarray | None = None,
-                   keep_cache: bool = True):
-    """Trunk forward; returns (logits, cache for backprop or None).
-
-    features holds raw (n, f) rows, which run through trunk_prefix first, or
-    PreparedFeatures made with the same parameters (inference only, no
-    cache).  cond holds one (d,) conditioning row per input or, when index
-    is given, the distinct rows, input i using cond[index[i]]; the
-    conditioning projections then run once per distinct row
-    (backward_logits needs the per-row form).  The trunk runs in the dtype
-    of the rows and cond, the head in the dtype of p["out_w"].  Without
-    keep_cache, intermediates are overwritten in place and no cache is kept;
-    with it, the cache also keeps every SiLU's denominator 1 + exp(-x), so
-    the backward takes the slopes without another exp.
-    """
-    if isinstance(features, PreparedFeatures):
-        x, cache = features.base, None
-    else:
-        x, cache = trunk_prefix(p, features, keep_cache)
-    sc = silu(cond) if cache is None else _silu_kept(cond, cache, "d_cond")
+    h = _silu_kept(a_in, cache, "d_in")
+    cache["a_in"] = a_in
+    sc = _silu_kept(cond, cache, "d_cond")
     for b in range(cfg.n_blocks):
-        if b:
-            r = _residual_branch(p, b, h, cache)
-            x = np.add(h, r, out=r)
-            # Without a cache these are spent; dropping them now keeps them out of
-            # the peak memory of GroupNorm and the head.
-            del h, r
+        r = _residual_branch(p, b, h, cache)
+        x = np.add(h, r, out=r)
         cvec = sc @ p[f"cw_{b}"].T
         cvec += p[f"cb_{b}"]
-        rows = cvec if index is None else cvec[index]
-        pre = np.add(x, rows, out=rows)   # never into x: it may be the shared prepared base
-        del x
-        gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups,
-                                     out=pre if cache is None else None)
-        if cache is None:
-            h = silu(gnout, out=gnout)
-        else:
-            cache[f"gn_{b}"] = (gnout, gncache)
-            h = _silu_kept(gnout, cache, f"dgn_{b}")
-    if cache is not None:
-        cache.update({"cond": cond, "sc": sc, "h_top": h})
+        pre = np.add(x, cvec, out=cvec)
+        gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups)
+        cache[f"gn_{b}"] = (gnout, gncache)
+        h = _silu_kept(gnout, cache, f"dgn_{b}")
+    cache.update({"cond": cond, "sc": sc, "h_top": h})
     z = h.astype(p["out_w"].dtype, copy=False) @ p["out_w"].T + p["out_b"]
     return z, cache
 
@@ -446,22 +505,27 @@ class MlpScorer(Scorer):
     def prepare(self, features: np.ndarray) -> PreparedFeatures:
         """Run the conditioning-free prefix of the inference trunk once.
 
-        Runs the input layer and block 0's residual branch on the rows with
-        the trunk parameters in cfg.trunk_dtype; score_batch takes the result
-        in place of the features at any anchors and times, until the
-        parameters change.
+        Builds the inference form of the parameters in cfg.trunk_dtype and
+        runs the input layer and block 0's residual branch on the rows;
+        score_batch takes the result in place of the features at any anchors
+        and times, until the parameters change.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
             raise ValidationError(f"features must be (rows, {self.cfg.feature_dim}); "
                                   f"got shape {features.shape}")
         dtype = self.cfg.trunk_dtype
-        params = self.trunk_params(dtype)
+        q = inference_params(self.params, self.cfg, dtype)
         base = np.empty((features.shape[0], self.cfg.hidden_dim), dtype)
-        for tile in row_tiles(len(base)):
-            base[tile], _ = trunk_prefix(params, features[tile].astype(dtype, copy=False),
-                                         keep_cache=False)
-        return PreparedFeatures(params, base)
+        tiles = row_tiles(len(base))
+        work = [np.empty((_largest(tiles), self.cfg.hidden_dim), dtype) for _ in range(2)]
+        for tile in tiles:
+            h, scratch = (w[:tile.stop - tile.start] for w in work)
+            np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
+            h += q["in_b"]
+            silu_from_half(h, scratch)
+            _inference_branch(q, 0, h, base[tile], scratch)
+        return PreparedFeatures(q, base)
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
@@ -469,34 +533,51 @@ class MlpScorer(Scorer):
 
         features are raw rows, prepared here, or the result of prepare;
         anchors and t hold one integer label and one time per row.  The
-        conditioning runs once per call and distinct (anchor, t) pair, at
-        most K rows when every row shares t, and is gathered per row.  The
-        tail runs tile by tile over row_tiles, so its (rows, hidden)
-        temporaries stay cache-sized; the logits do not depend on the tiling
-        while every tile holds at least TILE_ROWS rows.
+        conditioning and its per-block projections run once per call and
+        distinct (anchor, t) pair, at most K rows when every row shares t,
+        and are gathered per row.  The tail runs tile by tile over
+        row_tiles in (rows, hidden) work arrays that every tile reuses, so
+        its temporaries stay cache-sized; the logits do not depend on the
+        tiling while every tile holds at least TILE_ROWS rows.
         """
-        anchors = np.asarray(anchors)
-        t = np.asarray(t, dtype=np.float64)
         if not isinstance(features, PreparedFeatures):
             features = self.prepare(features)
-        n = len(features)
-        if anchors.shape != (n,) or t.shape != (n,):
-            raise ValidationError(f"need one anchor and one time per row: {n} rows, "
-                                  f"anchors of shape {anchors.shape}, t of shape {t.shape}")
-        if anchors.size and not np.issubdtype(anchors.dtype, np.integer):
-            raise ValidationError(f"anchors must be integer labels, not {anchors.dtype}")
-        if anchors.size and (anchors.min() < 0 or anchors.max() >= self.k):
-            raise ValidationError(f"anchors must lie in [0, {self.k})")
+        anchors, t = self._check_rows(len(features), anchors, t)
         _, t_index = np.unique(t, return_inverse=True)
         _, first, index = np.unique(t_index * self.k + anchors,
                                     return_index=True, return_inverse=True)
+        q, base = features.params, features.base
         cond, _ = self.conditioning(anchors[first], t[first])
-        cond = cond.astype(features.base.dtype)
-        z = np.empty((n, self.k), dtype=features.params["out_w"].dtype)
-        for tile in row_tiles(n):
-            rows = PreparedFeatures(features.params, features.base[tile])
-            z[tile], _ = forward_logits(features.params, self.cfg, rows, cond,
-                                        index=index[tile], keep_cache=False)
+        sc = silu(cond.astype(base.dtype))
+        cvecs = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"] for b in range(self.cfg.n_blocks)]
+        z = np.empty((len(base), self.k), dtype=q["out_w"].dtype)
+        tiles = row_tiles(len(base))
+        hidden, largest = self.cfg.hidden_dim, _largest(tiles)
+        h_work = np.empty((largest, hidden), base.dtype)
+        # x and scratch are the two halves of one buffer, which also holds the
+        # float64 head's input once both are spent, so the head's cast takes
+        # no memory of its own.
+        pair = np.empty(2 * largest * hidden, base.dtype)
+        for tile in tiles:
+            m = tile.stop - tile.start
+            h = h_work[:m]
+            x, scratch = pair[:2 * m * hidden].reshape(2, m, hidden)
+            for b in range(self.cfg.n_blocks):
+                x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
+                # The indices are in range, so "clip" gathers what "raise" would,
+                # without the buffered copy numpy makes for out= under "raise".
+                np.take(cvecs[b], index[tile], axis=0, out=h, mode="clip")
+                h += x_b
+                _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_shift_{b}"],
+                                     self.cfg.groups, scratch)
+                silu_from_half(h, scratch)
+            zt = z[tile]
+            if h.dtype != zt.dtype:
+                head_in = pair.view(zt.dtype)[:m * hidden].reshape(m, hidden)
+                head_in[...] = h
+                h = head_in
+            np.matmul(h, q["out_w"].T, out=zt)
+            zt += q["out_b"]
         self._check_finite(z)
         return z
 

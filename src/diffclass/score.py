@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .schedule import LogLinearSchedule
 from .transition import forward_marginal
 
@@ -45,6 +46,20 @@ class Scorer:
         (n,) anchors, (n,) times -> (n, K)."""
         raise NotImplementedError
 
+    def _check_rows(self, n: int, anchors, t) -> tuple[np.ndarray, np.ndarray]:
+        """anchors and t as arrays, checked to hold one integer label in [0, K) and one
+        time per row of n; raises ValidationError otherwise."""
+        anchors = np.asarray(anchors)
+        t = np.asarray(t, dtype=np.float64)
+        if anchors.shape != (n,) or t.shape != (n,):
+            raise ValidationError(f"need one anchor and one time per row: {n} rows, "
+                                  f"anchors of shape {anchors.shape}, t of shape {t.shape}")
+        if anchors.size and not np.issubdtype(anchors.dtype, np.integer):
+            raise ValidationError(f"anchors must be integer labels, not {anchors.dtype}")
+        if anchors.size and (anchors.min() < 0 or anchors.max() >= self.k):
+            raise ValidationError(f"anchors must lie in [0, {self.k})")
+        return anchors, t
+
 
 class ExactScorer(Scorer):
     """Oracle scorer built from a known clean-label posterior.
@@ -61,10 +76,10 @@ class ExactScorer(Scorer):
 
     def score_batch(self, features, anchors, t):
         features = np.asarray(features, dtype=np.float64)
-        anchors = np.asarray(anchors)
+        anchors, t = self._check_rows(len(features), anchors, t)
         q0 = self.posterior_fn(features)
-        sbar = np.asarray(self.schedule.sigma_bar(np.asarray(t, dtype=np.float64)))
-        qt = floor_probs(forward_marginal(q0, sbar))
-        values = qt / qt[np.arange(len(anchors)), anchors][:, None]
-        values[np.arange(len(anchors)), anchors] = 1.0
+        qt = floor_probs(forward_marginal(q0, np.asarray(self.schedule.sigma_bar(t))))
+        rows = np.arange(len(anchors))
+        values = qt / qt[rows, anchors][:, None]
+        values[rows, anchors] = 1.0
         return values

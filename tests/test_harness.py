@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from diffclass.data import CorruptionSpec, MixtureTask, bayes_accuracy, true_posterior_batch
-from diffclass.errors import ValidationError
+from diffclass.data import (CorruptionSpec, MixtureTask, bayes_accuracy, generate,
+                            true_posterior_batch)
+from diffclass.errors import NumericalError, ValidationError
 from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_ablation,
                                topk_hits, trace_topk, train_ce_baseline, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
@@ -158,12 +159,19 @@ class TestCompareGrid:
         task = MixtureTask(means=np.array([[-2.0, 0.0], [2.0, 0.0]]))
         config = TrainConfig(epochs=3, batch_size=64, seed=1, **TINY)
         rng = np.random.default_rng(2)
-        from diffclass.data import generate
         train = generate(task, 1000, NONE, rng)
         test_y, test_c = generate(task, 1000, NONE, rng)
         model = train_ce_baseline(config, task, train)
         acc = (model.predict_proba(test_y).argmax(axis=1) == test_c).mean()
         assert acc > 0.9
+
+    def test_diverged_ce_baseline_raises(self):
+        """A non-finite loss or gradient stops the baseline, as it stops train_step."""
+        task = MixtureTask.ring(4, 2)
+        config = TrainConfig(epochs=2, batch_size=64, seed=0, learning_rate=1e308, **TINY)
+        train = generate(task, 256, NONE, np.random.default_rng(3))
+        with pytest.raises(NumericalError):
+            train_ce_baseline(config, task, train)
 
 
 class TestCsv:

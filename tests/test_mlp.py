@@ -9,8 +9,9 @@ from diffclass import mlp
 from diffclass.data import MixtureTask
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, PreparedFeatures,
-                           _gn_backward, _gn_forward, _silu_slope, backward_logits,
-                           forward_logits, load_params, param_shapes, row_tiles, silu)
+                           _gn_backward, _gn_forward, _group_expand, _inference_groupnorm,
+                           _silu_slope, backward_logits, load_params, param_shapes, row_tiles,
+                           silu, silu_from_half)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import AdamState, TrainConfig, batch_loss_and_grads, fit, train_step
 from oracles import score_column, silu_grad
@@ -149,33 +150,17 @@ class TestInferencePath:
         cond_u, _ = trained_scorer.conditioning(anchors[first], t[first])
         cond_rows, _ = trained_scorer.conditioning(anchors, t)
         np.testing.assert_allclose(cond_u[index], cond_rows, rtol=0, atol=1e-13)
-        p32 = {k: v.astype(np.float32) for k, v in trained_scorer.params.items()}
-        y32 = y.astype(np.float32)
-        z_gather, _ = forward_logits(p32, trained_scorer.cfg, y32, cond_u.astype(np.float32),
-                                     index=index, keep_cache=False)
-        z_rows, _ = forward_logits(p32, trained_scorer.cfg, y32,
-                                   cond_rows.astype(np.float32), keep_cache=False)
-        assert z_gather.dtype == np.float32
+        z_gather = trained_scorer.inference_logits(y, anchors, t)
+        z_rows, _ = trained_scorer.logits(y.astype(np.float32), anchors, t)
         np.testing.assert_allclose(z_gather, z_rows, rtol=0, atol=1e-5)
 
-    def test_no_cache_forward_returns_no_cache(self, trained_scorer):
-        y, anchors, t = _shared_time_batch(50, 13)
-        cond, _ = trained_scorer.conditioning(anchors, t)
-        z, cache = forward_logits(trained_scorer.params, trained_scorer.cfg, y, cond,
-                                  keep_cache=False)
-        z_cached, kept = forward_logits(trained_scorer.params, trained_scorer.cfg, y, cond)
-        assert cache is None and isinstance(kept, dict)
-        assert np.array_equal(z, z_cached)
-
     def test_in_place_forms_compute_the_training_arithmetic(self):
-        """silu(out=) and _gn_forward reproduce the float64 formulas bit for bit."""
+        """silu and the in-place _gn_forward reproduce the float64 formulas bit for bit."""
         rng = np.random.default_rng(14)
         x = 3.0 * rng.standard_normal((64, 32))
         gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
         expected_silu = x / (1.0 + np.exp(-x))
         assert np.array_equal(silu(x), expected_silu)
-        buf = x.copy()
-        assert silu(buf, out=buf) is buf and np.array_equal(buf, expected_silu)
         xg = x.reshape(64, 4, 8)
         var = xg.var(axis=2, keepdims=True)
         xhat = ((xg - xg.mean(axis=2, keepdims=True)) / np.sqrt(var + GN_EPS)).reshape(64, 32)
@@ -251,18 +236,16 @@ class TestPreparedPath:
     @pytest.mark.parametrize("tile_rows", [1, 7, mlp.TILE_ROWS])
     def test_tiled_logits_match_one_untiled_forward(self, trained_scorer, monkeypatch,
                                                     tile_rows):
-        """Tiles of any size give the untiled logits to float32 rounding, and repeat exactly.
+        """Tiles of any size give the untiled float32 forward's logits to float32
+        rounding, and repeat exactly.
 
-        Tiles under 1,000 rows may round differently from one call over
+        The inference form rounds differently from the training forward,
+        and tiles under 1,000 rows may round differently from one call over
         every row (BLAS picks its kernel by row count), hence the tolerance.
         """
         y, anchors, t = _shared_time_batch(2500, 18)
         t[::3] = 0.25
-        first, index = _distinct_pairs(anchors, t)
-        cond, _ = trained_scorer.conditioning(anchors[first], t[first])
-        p32 = trained_scorer.trunk_params(np.float32)
-        untiled, _ = forward_logits(p32, trained_scorer.cfg, y.astype(np.float32),
-                                    cond.astype(np.float32), index=index, keep_cache=False)
+        untiled, _ = trained_scorer.logits(y.astype(np.float32), anchors, t)
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
         tiled = trained_scorer.inference_logits(y, anchors, t)
         np.testing.assert_allclose(tiled, untiled, rtol=0, atol=1e-5)
@@ -281,6 +264,37 @@ class TestPreparedPath:
         assert out32.dtype == np.float32 and var32.shape == var64.shape
         for got, want in ((out32, out64), (xhat32, xhat64), (var32, var64)):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("offset", [0.0, 4.0])
+    def test_inference_groupnorm_matches_float64_groupnorm(self, offset):
+        """Twice the half-scale output equals float64 GroupNorm to float32 rounding."""
+        rng = np.random.default_rng(19)
+        x = (offset + 3.0 * rng.standard_normal((500, 128))).astype(np.float32)
+        gamma = rng.standard_normal(128).astype(np.float32)
+        beta = rng.standard_normal(128).astype(np.float32)
+        scale = _group_expand(128, 8, np.float32) * (0.5 * gamma)
+        got = _inference_groupnorm(x.copy(), scale, 0.5 * beta, 8, np.empty_like(x))
+        want, _ = _gn_forward(x.astype(np.float64), gamma.astype(np.float64),
+                              beta.astype(np.float64), 8)
+        assert got.dtype == np.float32
+        assert np.abs(2.0 * got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_silu_from_half_matches_float64_silu(self):
+        """u * (1 + tanh u) at u = x / 2 is float32 SiLU to a few units in the last place.
+
+        The bound is about two units in the last place of float32 x at
+        |x| = 32 (one is 3.8e-6).  silu's exp form is off by up to 1.3e-6 on
+        these inputs, the tanh form by up to 1.4e-6.
+        """
+        rng = np.random.default_rng(26)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                            np.clip(4.0 * rng.standard_normal(1_000_000), -40.0, 40.0)])
+        x = x.astype(np.float32)
+        want = x.astype(np.float64) / (1.0 + np.exp(-x.astype(np.float64)))
+        u = x / np.float32(2.0)
+        got = silu_from_half(u, np.empty_like(u))
+        assert got is u and got.dtype == np.float32
+        assert np.abs(got - want).max() <= 8e-6
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
