@@ -6,22 +6,21 @@ score-entropy objective; the posterior is recovered by Euler-stepping the
 reverse process over class probabilities or sampled class labels.
 """
 
-from .data import CorruptionSpec, MixtureTask, bayes_accuracy, generate, true_posterior_batch
+from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import DiffclassError, NumericalError, ValidationError
-from .mlp import CeClassifier, MlpConfig, MlpScorer
+from .mlp import MlpConfig, MlpScorer
 from .sampler import (PosteriorEstimate, SamplerConfig, posterior_cl, posterior_cp,
                       posterior_full, reverse_step_full)
 from .schedule import LogLinearSchedule
-from .score import ExactScorer, Scorer
+from .score import Scorer
 from .train import AdamState, TrainConfig, fit, train_step
 from .transition import forward_marginal
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "CeClassifier", "CorruptionSpec", "DiffclassError", "ExactScorer",
-    "LogLinearSchedule", "MixtureTask", "MlpConfig", "MlpScorer", "NumericalError",
-    "PosteriorEstimate", "SamplerConfig", "Scorer", "ValidationError", "bayes_accuracy",
-    "fit", "forward_marginal", "generate", "posterior_cl", "posterior_cp", "posterior_full",
-    "reverse_step_full", "train_step", "true_posterior_batch",
+    "AdamState", "CorruptionSpec", "DiffclassError", "LogLinearSchedule", "MixtureTask",
+    "MlpConfig", "MlpScorer", "NumericalError", "PosteriorEstimate", "SamplerConfig",
+    "Scorer", "ValidationError", "fit", "forward_marginal", "generate", "posterior_cl",
+    "posterior_cp", "posterior_full", "reverse_step_full", "train_step", "true_posterior_batch",
 ]

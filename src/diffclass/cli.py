@@ -165,7 +165,9 @@ def _run_train(args) -> int:
     y, labels, task, corruption, _ = load_dataset(args.data)
     eval_data = None
     if args.eval_data:
-        ey, ec, _, _, _ = load_dataset(args.eval_data)
+        ey, ec, eval_task, eval_corruption, _ = load_dataset(args.eval_data)
+        _check_same_task(args.data, task, corruption, args.eval_data, eval_task,
+                         eval_corruption)
         eval_data = (ey, ec)
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
@@ -186,6 +188,18 @@ def _run_train(args) -> int:
     print(f"trained {args.epochs} epochs: loss={final.loss:.5f} "
           f"tv={final.tv:.4f} top1={final.top1:.4f}")
     return 0
+
+
+def _check_same_task(stem: str, task: MixtureTask, corruption: CorruptionSpec, eval_stem: str,
+                     eval_task: MixtureTask, eval_corruption: CorruptionSpec) -> None:
+    """Raise ValidationError unless the held-out file, scored against the training
+    task's posterior, is of that task; only the seed, which records the draw, may differ."""
+    differ = [name for name in ("k", "dim", "means", "variance", "priors")
+              if not np.array_equal(getattr(task, name), getattr(eval_task, name))]
+    differ += ["corruption"] if corruption != eval_corruption else []
+    if differ:
+        raise ValidationError(f"{eval_stem}: the held-out data's {', '.join(differ)} "
+                              f"differ from the training data {stem}'s")
 
 
 def _save_training(args, scorer: MlpScorer, metrics: list) -> None:

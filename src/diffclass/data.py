@@ -166,15 +166,6 @@ def true_posterior_batch(task: MixtureTask, y: np.ndarray,
     return ensure_distribution(p / p.sum(axis=1, keepdims=True), "posterior")
 
 
-def bayes_accuracy(task: MixtureTask, corruption: CorruptionSpec, n: int,
-                   rng: np.random.Generator) -> tuple[float, float]:
-    """Monte-Carlo accuracy of the exact-posterior argmax, with binomial s.e."""
-    y, labels = generate(task, n, corruption, rng)
-    pred = np.argmax(true_posterior_batch(task, y, corruption), axis=1)
-    acc = float((pred == labels).mean())
-    return acc, math.sqrt(max(acc * (1.0 - acc), 1e-12) / n)
-
-
 def _record_dtype(dim: int) -> np.dtype:
     """One .bin record: dim little-endian float32 features, then an int32 label."""
     return np.dtype([("y", "<f4", (dim,)), ("c", "<i4")])

@@ -3,7 +3,9 @@
 Everything here reduces to: draw evaluation inputs from the task, run a
 configured posterior estimator over all of them at once, and score the
 estimates against the exact posterior.  Results are emitted as long-format
-CSV rows so the downstream plotting story stays language-neutral.
+CSV rows so the downstream plotting story stays language-neutral.  The
+comparison grid's cross-entropy baseline is the scorer's network at one
+fixed (anchor, t), trained by fit's loop (train.fit_ce_baseline).
 
 With a fixed seed every function here is deterministic in single-threaded
 mode; wall-clock fields are left empty unless timing is requested so CSV
@@ -13,21 +15,18 @@ outputs stay byte-identical across runs.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
-from .errors import NumericalError, ValidationError
-from .mlp import CeClassifier, MlpScorer
+from .errors import ValidationError
 from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, posterior_cl,
                       posterior_cp, posterior_cp_batch, posterior_full, step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
-from .train import (AdamState, TrainConfig, adam_update, clip_global_norm, fit,
-                    learning_rate)
+from .train import TrainConfig, ce_baseline_proba, fit, fit_ce_baseline
 
 PROB_FLOOR_NLL = 1e-12
 
@@ -157,33 +156,6 @@ def trace_topk(scorer: Scorer, y: np.ndarray, schedule: LogLinearSchedule,
     return rows
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a diverging step raises NumericalError
-def train_ce_baseline(config: TrainConfig, task: MixtureTask,
-                      train_data: tuple[np.ndarray, np.ndarray]) -> CeClassifier:
-    """Cross-entropy classifier of matched capacity on the same features.
-
-    Raises NumericalError on a non-finite loss or gradient norm, as
-    train_step does, so a diverged baseline never reaches the grid.
-    """
-    features, labels = train_data
-    model = CeClassifier(config.mlp_config(task.k, task.dim), seed=config.seed)
-    opt = AdamState.init(model.params)
-    rng = np.random.default_rng(config.seed)
-    n = features.shape[0]
-    total_steps = config.epochs * max(1, math.ceil(n / config.batch_size))
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            loss, _ = model.loss_and_grads(features[idx], labels[idx], out=opt.grads)
-            if not math.isfinite(loss):
-                raise NumericalError("non-finite cross-entropy baseline loss")
-            if not math.isfinite(clip_global_norm(opt.grad, config.grad_clip)):
-                raise NumericalError("non-finite cross-entropy baseline gradient")
-            adam_update(opt, learning_rate(config, opt.step, total_steps), config.betas)
-    return model
-
-
 def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list[float],
                  config: TrainConfig, n_train: int, n_eval: int, steps: int,
                  seed: int, corruption_kind: str = "additive-noise") -> list[dict]:
@@ -215,8 +187,8 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
             cp_cfg = SamplerConfig(n_steps=steps, seed=seed)
             probs, _, _ = posterior_cp_batch(eval_y, scorer, cell_cfg.schedule(), cp_cfg)
             diff_top1 = float(topk_hits(probs, eval_c, 1).mean())
-            baseline = train_ce_baseline(cell_cfg, task, sub)
-            base_top1 = float(topk_hits(baseline.predict_proba(eval_y), eval_c, 1).mean())
+            baseline = fit_ce_baseline(cell_cfg, task, sub)
+            base_top1 = float(topk_hits(ce_baseline_proba(baseline, eval_y), eval_c, 1).mean())
             rows.append({
                 "corruption_level": level, "train_ratio": ratio, "n_train": n_sub,
                 "diffusion_top1": diff_top1, "baseline_top1": base_top1,

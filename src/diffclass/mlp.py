@@ -1,4 +1,4 @@
-"""Trainable ratio-score network and a matched-capacity softmax baseline.
+"""Trainable ratio-score network.
 
 The scorer is a conditioned residual MLP: a label embedding and a
 sinusoidal time embedding are summed into one conditioning vector, each
@@ -7,6 +7,10 @@ conditioned skip-sum is group-normalized, and a zero-initialized linear
 head emits logits z.  Scores are exp(z_i - z_j), which pins the anchor
 entry to one, keeps all entries positive, and makes score normalization
 the softmax of z.
+
+Read at one fixed (anchor, t), where the conditioning is a constant each
+block's cb could hold, the same network is the comparison grid's softmax
+baseline of matched capacity (train.fit_ce_baseline).
 
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.
@@ -623,52 +627,6 @@ class MlpScorer(Scorer):
     def load(cls, path: str) -> "MlpScorer":
         params, cfg, schedule = load_params(path)
         return cls(cfg, schedule, params=params)
-
-
-class CeClassifier:
-    """Softmax cross-entropy baseline on the same trunk, minus conditioning.
-
-    Matched capacity for the comparison grid: identical encoder, residual
-    blocks, normalization, and head; the conditioning vector is a zero
-    constant so the conditioning projections are inert.
-    """
-
-    def __init__(self, cfg: MlpConfig, params: dict[str, np.ndarray] | None = None, seed: int = 0):
-        self.cfg = cfg
-        self.k = cfg.n_classes
-        self.params = params if params is not None else init_params(cfg, seed)
-
-    def logits(self, features: np.ndarray):
-        features = np.asarray(features, dtype=np.float64)
-        cond = np.zeros((features.shape[0], self.cfg.embed_dim))
-        return forward_logits(self.params, self.cfg, features, cond)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z, _ = self.logits(features)
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def loss_and_grads(self, features: np.ndarray, labels: np.ndarray,
-                       out: dict[str, np.ndarray] | None = None):
-        """Mean cross-entropy and its gradients, written into out when given (see
-        MlpScorer.param_grads); the conditioning parameters' gradients are zero."""
-        z, cache = self.logits(features)
-        n = z.shape[0]
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
-        dz = probs.copy()
-        dz[np.arange(n), labels] -= 1.0
-        dz /= n
-        g = backward_logits(self.params, self.cfg, dz, cache)
-        g.pop("_dcond")  # conditioning input is constant zero
-        if out is None:
-            out = {name: np.empty_like(v) for name, v in self.params.items()}
-        for name, grad in out.items():
-            np.copyto(grad, g.get(name, 0.0))
-        return loss, out
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .schedule import LogLinearSchedule
-from .transition import forward_marginal
 
 # Floor applied to probabilities before ratio/log operations; forward
 # marginals are analytically positive but can underflow at large noise.
@@ -59,27 +57,3 @@ class Scorer:
         if anchors.size and (anchors.min() < 0 or anchors.max() >= self.k):
             raise ValidationError(f"anchors must lie in [0, {self.k})")
         return anchors, t
-
-
-class ExactScorer(Scorer):
-    """Oracle scorer built from a known clean-label posterior.
-
-    posterior_fn maps a batch of features (n, dim) to exact clean posteriors
-    (n, K); the score at time t is the ratio column of the forward marginal
-    after sigma_bar(t) total noise.
-    """
-
-    def __init__(self, posterior_fn, k: int, schedule: LogLinearSchedule):
-        self.posterior_fn = posterior_fn
-        self.k = k
-        self.schedule = schedule
-
-    def score_batch(self, features, anchors, t):
-        features = np.asarray(features, dtype=np.float64)
-        anchors, t = self._check_rows(len(features), anchors, t)
-        q0 = self.posterior_fn(features)
-        qt = floor_probs(forward_marginal(q0, np.asarray(self.schedule.sigma_bar(t))))
-        rows = np.arange(len(anchors))
-        values = qt / qt[rows, anchors][:, None]
-        values[rows, anchors] = 1.0
-        return values

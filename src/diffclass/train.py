@@ -29,6 +29,12 @@ arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)).  The float32 trunk reads
 a float32 shadow of the parameter buffer, refreshed by one cast at the
 start of each step's forward.
 
+The comparison grid's cross-entropy baseline is the same network read at
+one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
+constant row that each block's cb could hold: the scorer's trunk,
+GroupNorm and head as a plain classifier.  fit_ce_baseline trains it by
+fit's loop (_train_epochs), and ce_baseline_proba reads it without a cache.
+
 All randomness flows from the config seed, so a fixed seed reproduces the
 run bit-for-bit in single-threaded mode.
 """
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +72,6 @@ class TrainConfig:
     time_embed_dim: int = 64
     groups: int = 8
     time_input: str = "total-noise"
-    lr_schedule: str = "cosine"     # or "constant"
     stratified_t: bool = False      # low-discrepancy time draws instead of iid
     eval_steps: int = 8             # reverse steps for per-epoch validation
     eval_subset: int = 512          # validation inputs scored per epoch
@@ -78,8 +83,6 @@ class TrainConfig:
             raise ValidationError("learning_rate must be >= 0 and grad_clip > 0")
         if not (0.0 < self.betas[0] < 1.0 and 0.0 < self.betas[1] < 1.0):
             raise ValidationError("moment decays must lie in (0, 1)")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValidationError("lr_schedule must be 'cosine' or 'constant'")
 
     def schedule(self) -> LogLinearSchedule:
         return LogLinearSchedule(self.sigma_bar_max, self.schedule_decay)
@@ -97,11 +100,13 @@ class TrainConfig:
 # (MlpConfig.trunk_dtype); the master parameters stay float64 whatever it is.
 TRAIN_FEATURE_DTYPE = np.float32
 
+# The (anchor, t) at which the cross-entropy baseline reads its scorer.
+BASELINE_ANCHOR = 0
+BASELINE_T = 0.0
+
 
 def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
-    """The step's learning rate: cosine decay from config.learning_rate, or constant."""
-    if config.lr_schedule == "constant":
-        return config.learning_rate
+    """The step's learning rate: cosine decay from config.learning_rate."""
     frac = step / max(total_steps, 1)
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
 
@@ -120,10 +125,10 @@ class AdamState:
     gradients (grad) and the two moments (m, v); plus one scratch buffer of
     ADAM_CHUNK elements for adam_update.  params and grads map each
     parameter name to its view into flat and grad.  Packing a parameter
-    dict (init, pack) copies its arrays into flat and makes its entries
-    those views, so the optimizer's whole-buffer updates are updates to the
-    dict.  A float32 shadow of flat, made on first use, feeds the float32
-    trunk (trunk_params).
+    dict (the constructor, pack) copies its arrays into flat and makes its
+    entries those views, so the optimizer's whole-buffer updates are updates
+    to the dict.  A float32 shadow of flat, made on first use, feeds the
+    float32 trunk (trunk_params).
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -135,10 +140,6 @@ class AdamState:
         self.grads = self._views(self.grad, params)
         self._shadow = self._shadow_params = None
         self.pack(params)
-
-    @classmethod
-    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(params)
 
     @staticmethod
     def _views(buffer: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -183,11 +184,9 @@ class AdamState:
 
 @dataclass(frozen=True)
 class TrainStepStats:
-    """Aggregate loss of one batch: mean total, mean per-class terms, mean weight."""
+    """One batch's mean loss, gradient norm before clipping, and floored log arguments."""
 
     total: float
-    per_class: np.ndarray
-    mean_sigma: float
     grad_norm: float
     n_floored: int
 
@@ -267,40 +266,69 @@ def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray
 
     dz = loss_grad_wrt_logits(s_true, s_pred, anchors, sigma_t, k) / n
     grads = scorer.param_grads(dz, cache, None if workspace is None else workspace.grads)
-    stats = TrainStepStats(total, per.mean(axis=0), float(sigma_t.mean()), 0.0, n_floored)
-    return stats, grads
+    return TrainStepStats(total, 0.0, n_floored), grads
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
+
+
+def cross_entropy_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels: np.ndarray,
+                                 workspace: AdamState | None = None):
+    """Mean cross-entropy of the scorer's logits at (BASELINE_ANCHOR, BASELINE_T) on a
+    labeled batch; returns (stats, grads).  A workspace serves as in batch_loss_and_grads."""
+    n = labels.size
+    z, cache = scorer.logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T),
+                             workspace)
+    log_p = _log_softmax(z)
+    rows = np.arange(n)
+    total = float(-log_p[rows, labels].mean())
+    if not math.isfinite(total):
+        raise NumericalError("non-finite cross-entropy loss; aborting step")
+    dz = np.exp(log_p)
+    dz[rows, labels] -= 1.0
+    dz /= n
+    grads = scorer.param_grads(dz, cache, None if workspace is None else workspace.grads)
+    return TrainStepStats(total, 0.0, 0), grads
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a diverging step raises NumericalError
 def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
                labels: np.ndarray, schedule: LogLinearSchedule,
                rng: np.random.Generator, lr: float, betas=(0.9, 0.999),
-               grad_clip: float = 1.0, stratified_t: bool = False):
+               grad_clip: float = 1.0, stratified_t: bool = False,
+               cross_entropy: bool = False):
     """One stochastic update on a labeled batch; mutates scorer params and opt state.
 
-    Returns (scorer, opt_state, stats) for callers that prefer the
-    functional shape.
+    The loss is the score-entropy objective (batch_loss_and_grads), or with
+    cross_entropy the baseline's (cross_entropy_loss_and_grads), which
+    ignores schedule, rng and stratified_t.  Returns (scorer, opt_state,
+    stats) for callers that prefer the functional shape.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValidationError("batch must be non-empty")
     if labels.min() < 0 or labels.max() >= scorer.k:
         raise ValidationError("labels out of range")
-    q0 = np.zeros((labels.size, scorer.k))
-    q0[np.arange(labels.size), labels] = 1.0
     opt_state.pack(scorer.params)
-    stats, _ = batch_loss_and_grads(scorer, features, q0, schedule, rng, stratified_t,
-                                    opt_state)
+    if cross_entropy:
+        stats, _ = cross_entropy_loss_and_grads(scorer, features, labels, opt_state)
+    else:
+        q0 = np.zeros((labels.size, scorer.k))
+        q0[np.arange(labels.size), labels] = 1.0
+        stats, _ = batch_loss_and_grads(scorer, features, q0, schedule, rng, stratified_t,
+                                        opt_state)
     norm = clip_global_norm(opt_state.grad, grad_clip)
     if not math.isfinite(norm):
         raise NumericalError("non-finite gradient; aborting step")
     adam_update(opt_state, lr, betas)
-    stats = TrainStepStats(stats.total, stats.per_class, stats.mean_sigma, norm, stats.n_floored)
-    return scorer, opt_state, stats
+    return scorer, opt_state, replace(stats, grad_norm=norm)
 
 
 class TrainingDiverged(NumericalError):
-    """An epoch of fit failed numerically; carries what the epochs before it made.
+    """An epoch of training failed numerically; carries what the epochs before it made.
 
     scorer holds the parameters after the last finished epoch (the initial
     parameters when none finished) and metrics the finished epochs' metrics.
@@ -324,21 +352,60 @@ class EpochMetrics:
     wall_ms: float
 
 
+def _train_epochs(config: TrainConfig, scorer: MlpScorer,
+                  train_data: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
+                  validate=None, cross_entropy: bool = False) -> list[EpochMetrics]:
+    """The training loop: config.epochs passes of train_step over batches shuffled by rng.
+
+    train_data is (features, labels); the features are cast once to
+    TRAIN_FEATURE_DTYPE (exact for dataset files, stored as float32), or to
+    float64 where the trunk needs it.  After each epoch validate(), if
+    given, returns its (tv, top1), else both are NaN.  A numerical failure
+    in an epoch raises TrainingDiverged, which carries the scorer with the
+    last finished epoch's parameters and metrics.
+    """
+    features, labels = train_data
+    features = np.asarray(features, dtype=np.promote_types(TRAIN_FEATURE_DTYPE,
+                                                           scorer.cfg.trunk_dtype))
+    opt = AdamState(scorer.params)
+    n = features.shape[0]
+    total_steps = config.epochs * max(1, math.ceil(n / config.batch_size))
+    metrics: list[EpochMetrics] = []
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        best = {k: p.copy() for k, p in scorer.params.items()}
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        n_batches = 0
+        try:
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo:lo + config.batch_size]
+                _, _, stats = train_step(
+                    scorer, opt, features[idx], labels[idx], scorer.schedule, rng,
+                    lr=learning_rate(config, opt.step, total_steps), betas=config.betas,
+                    grad_clip=config.grad_clip, stratified_t=config.stratified_t,
+                    cross_entropy=cross_entropy,
+                )
+                epoch_loss += stats.total
+                n_batches += 1
+            tv, top1 = (math.nan, math.nan) if validate is None else validate()
+        except NumericalError as exc:
+            scorer.params = best
+            raise TrainingDiverged(epoch, scorer, metrics, exc) from exc
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        metrics.append(EpochMetrics(epoch, epoch_loss / max(n_batches, 1), tv, top1, wall_ms))
+    return metrics
+
+
 def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: int = 2000,
         corruption: CorruptionSpec = CorruptionSpec(),
         train_data=None, eval_data=None):
     """Train a scorer on a mixture task; returns (scorer, per-epoch metrics).
 
     Data is generated from the task unless (features, labels) pairs are
-    passed explicitly; the training features are cast once to
-    TRAIN_FEATURE_DTYPE, which is exact for features read from a dataset
-    file (stored as float32), or to float64 when the config's GroupNorm
-    groups are too small for a float32 trunk.  Validation runs the
-    class-probability sampler at config.eval_steps on a held-out subset
-    each epoch.  A numerical failure
-    in an epoch's steps or validation raises TrainingDiverged, which names
-    the epoch and carries the scorer with the last finished epoch's
-    parameters and the finished epochs' metrics.
+    passed explicitly.  Validation runs the class-probability sampler at
+    config.eval_steps on a held-out subset each epoch.  A numerical failure
+    raises TrainingDiverged (see _train_epochs).
     """
     from .sampler import SamplerConfig, posterior_cp_batch  # deferred: avoids cycle
 
@@ -347,47 +414,35 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
         train_data = generate(task, n_train, corruption, rng)
     if eval_data is None:
         eval_data = generate(task, n_eval, corruption, rng)
-    features, labels = train_data
-    mlp_cfg = config.mlp_config(task.k, task.dim)
-    features = np.asarray(features, dtype=np.promote_types(TRAIN_FEATURE_DTYPE,
-                                                           mlp_cfg.trunk_dtype))
-    eval_y, eval_c = eval_data
-    n_sub = min(config.eval_subset, eval_y.shape[0])
-    eval_y_sub, eval_c_sub = eval_y[:n_sub], eval_c[:n_sub]
-    eval_q = true_posterior_batch(task, eval_y_sub, corruption)
-
-    schedule = config.schedule()
-    scorer = MlpScorer(mlp_cfg, schedule, seed=config.seed)
-    opt = AdamState.init(scorer.params)
-    n = features.shape[0]
-    steps_per_epoch = max(1, math.ceil(n / config.batch_size))
-    total_steps = config.epochs * steps_per_epoch
+    eval_y, eval_c = (a[:config.eval_subset] for a in eval_data)
+    eval_q = true_posterior_batch(task, eval_y, corruption)
+    scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
     cp_cfg = SamplerConfig(n_steps=config.eval_steps, seed=config.seed)
 
-    metrics: list[EpochMetrics] = []
-    best = {k: p.copy() for k, p in scorer.params.items()}
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        try:
-            for lo in range(0, n, config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                _, _, stats = train_step(
-                    scorer, opt, features[idx], labels[idx], schedule, rng,
-                    lr=learning_rate(config, opt.step, total_steps), betas=config.betas,
-                    grad_clip=config.grad_clip, stratified_t=config.stratified_t,
-                )
-                epoch_loss += stats.total
-                n_batches += 1
-            p0, _, _ = posterior_cp_batch(eval_y_sub, scorer, schedule, cp_cfg)
-        except NumericalError as exc:
-            scorer.params = best
-            raise TrainingDiverged(epoch, scorer, metrics, exc) from exc
-        best = {k: p.copy() for k, p in scorer.params.items()}
-        tv = float(0.5 * np.abs(p0 - eval_q).sum(axis=1).mean())
-        top1 = float((np.argmax(p0, axis=1) == eval_c_sub).mean())
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        metrics.append(EpochMetrics(epoch, epoch_loss / max(n_batches, 1), tv, top1, wall_ms))
-    return scorer, metrics
+    def validate() -> tuple[float, float]:
+        p0, _, _ = posterior_cp_batch(eval_y, scorer, scorer.schedule, cp_cfg)
+        return (float(0.5 * np.abs(p0 - eval_q).sum(axis=1).mean()),
+                float((np.argmax(p0, axis=1) == eval_c).mean()))
+
+    return scorer, _train_epochs(config, scorer, train_data, rng, validate)
+
+
+def fit_ce_baseline(config: TrainConfig, task: MixtureTask,
+                    train_data: tuple[np.ndarray, np.ndarray]) -> MlpScorer:
+    """A scorer of config's size trained by fit's loop on cross_entropy_loss_and_grads,
+    without validation.  A numerical failure raises TrainingDiverged, as in fit."""
+    scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
+    # Zero conditioning projections start the baseline as the plain classifier; random
+    # ones add an offset per block that cost 0.015 top-1 on criterion-8 cells of 500 rows.
+    for b in range(scorer.cfg.n_blocks):
+        scorer.params[f"cw_{b}"][...] = 0.0
+    _train_epochs(config, scorer, train_data, np.random.default_rng(config.seed),
+                  cross_entropy=True)
+    return scorer
+
+
+def ce_baseline_proba(scorer: MlpScorer, features: np.ndarray) -> np.ndarray:
+    """Class probabilities of a fit_ce_baseline scorer on the inference path (no cache)."""
+    n = len(features)
+    z = scorer.inference_logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T))
+    return np.exp(_log_softmax(z))

@@ -5,7 +5,10 @@ matrix exponential for the closed-form forward marginal, the rate applied
 explicitly for Euler stepping, quadrature for the closed-form posteriors,
 single-column score and loss helpers for the batched training loss, the
 SiLU slope from a fresh exp, and a per-array Adam in its textbook order for
-the optimizer's whole-buffer update.
+the optimizer's whole-buffer update.  ExactScorer scores from a known
+posterior through the closed-form forward marginal, and bayes_accuracy
+draws the exact-posterior argmax's accuracy, the ceiling a trained
+classifier is held to.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diffclass.data import CorruptionSpec, MixtureTask, true_posterior_batch
+from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import ValidationError
 from diffclass.loss import score_entropy_terms
+from diffclass.schedule import LogLinearSchedule
 from diffclass.score import PROB_FLOOR, Scorer, floor_probs
-from diffclass.transition import ensure_distribution
+from diffclass.transition import ensure_distribution, forward_marginal
 
 ORACLE_MAX_K = 64
 
@@ -165,6 +169,39 @@ def score_column(scorer: Scorer, y: np.ndarray, j: int, t: float) -> ScoreColumn
     )[0]
     values[j] = 1.0
     return ScoreColumn(values, int(j))
+
+
+class ExactScorer(Scorer):
+    """Oracle scorer built from a known clean-label posterior.
+
+    posterior_fn maps a batch of features (n, dim) to exact clean posteriors
+    (n, K); the score at time t is the ratio column of the forward marginal
+    after sigma_bar(t) total noise.
+    """
+
+    def __init__(self, posterior_fn, k: int, schedule: LogLinearSchedule):
+        self.posterior_fn = posterior_fn
+        self.k = k
+        self.schedule = schedule
+
+    def score_batch(self, features, anchors, t):
+        features = np.asarray(features, dtype=np.float64)
+        anchors, t = self._check_rows(len(features), anchors, t)
+        q0 = self.posterior_fn(features)
+        qt = floor_probs(forward_marginal(q0, np.asarray(self.schedule.sigma_bar(t))))
+        rows = np.arange(len(anchors))
+        values = qt / qt[rows, anchors][:, None]
+        values[rows, anchors] = 1.0
+        return values
+
+
+def bayes_accuracy(task: MixtureTask, corruption: CorruptionSpec, n: int,
+                   rng: np.random.Generator) -> tuple[float, float]:
+    """Monte-Carlo accuracy of the exact-posterior argmax, with binomial s.e."""
+    y, labels = generate(task, n, corruption, rng)
+    pred = np.argmax(true_posterior_batch(task, y, corruption), axis=1)
+    acc = float((pred == labels).mean())
+    return acc, math.sqrt(max(acc * (1.0 - acc), 1e-12) / n)
 
 
 class UniformScorer(Scorer):

@@ -3,6 +3,7 @@
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffclass import cli, mlp, train
-from diffclass.data import load_dataset
+from diffclass.data import CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset
 from diffclass.errors import NumericalError
 from diffclass.mlp import MlpScorer
 
@@ -37,7 +38,7 @@ class TestGenData:
     def test_same_seed_same_bytes(self, tmp_path):
         a = _gen(tmp_path, "a", 100, seed=5)
         b = _gen(tmp_path, "b", 100, seed=5)
-        assert open(a + ".bin", "rb").read() == open(b + ".bin", "rb").read()
+        assert Path(a + ".bin").read_bytes() == Path(b + ".bin").read_bytes()
 
 
 class TestTrainEval:
@@ -49,13 +50,13 @@ class TestTrainEval:
         rc = cli.main(["train", "--data", train, "--eval-data", test, "--seed", "0",
                        "--checkpoint", ckpt, "--out", metrics] + TINY_TRAIN)
         assert rc == 0
-        header = open(metrics).readline().strip()
+        header = Path(metrics).read_text().splitlines()[0]
         assert header == "epoch,loss,tv,top1,wall_ms"
         out = str(tmp_path / "eval.csv")
         rc = cli.main(["eval", "--data", test, "--checkpoint", ckpt, "--method", "cp",
                        "--steps", "4", "--seed", "0", "--out", out])
         assert rc == 0
-        assert open(out).readline().startswith("method,steps")
+        assert Path(out).read_text().startswith("method,steps")
 
     def test_fixed_seed_byte_identical_outputs(self, tmp_path, monkeypatch):
         """Same seed, two full train+eval runs: all CSV artifacts match bytewise.
@@ -75,8 +76,8 @@ class TestTrainEval:
                              "--checkpoint", ckpt, "--out", metrics] + TINY_TRAIN) == 0
             assert cli.main(["eval", "--data", test, "--checkpoint", ckpt, "--steps", "4",
                              "--seed", "7", "--out", evalcsv]) == 0
-            artifacts.append((open(metrics, "rb").read(), open(evalcsv, "rb").read(),
-                              open(ckpt, "rb").read()))
+            artifacts.append((Path(metrics).read_bytes(), Path(evalcsv).read_bytes(),
+                              Path(ckpt).read_bytes()))
         assert artifacts[0] == artifacts[1]
 
     def test_cl_and_full_methods_run(self, tmp_path):
@@ -105,7 +106,7 @@ class TestOtherCommands:
         out = str(tmp_path / "sweep.csv")
         assert cli.main(["sweep", "--data", train, "--checkpoint", ckpt,
                          "--n-eval", "50", "--seed", "0", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "method,steps,n_samples,nfe,top1,top5,tv"
         assert len(lines) > 5
 
@@ -114,7 +115,7 @@ class TestOtherCommands:
         out = str(tmp_path / "ablate.csv")
         assert cli.main(["ablate", "--data", train, "--checkpoint", ckpt, "--steps", "4",
                          "--n-eval", "50", "--seed", "0", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 4  # header + 3 strategies
 
     def test_trace(self, trained):
@@ -122,7 +123,7 @@ class TestOtherCommands:
         out = str(tmp_path / "trace.csv")
         assert cli.main(["trace", "--data", train, "--checkpoint", ckpt, "--steps", "8",
                          "--topk", "3", "--input-id", "2", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "input_id,step,t,class,prob"
         assert len(lines) == 1 + 9 * 3
 
@@ -132,7 +133,7 @@ class TestOtherCommands:
                        "--n-train", "300", "--n-eval", "200", "--epochs", "1",
                        "--steps", "2", "--seed", "0", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 3
 
 
@@ -180,7 +181,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("keep", [20, -9])
     def test_truncated_checkpoint_is_2(self, tmp_path, checkpoint, keep, capsys):
         train, ckpt = checkpoint
-        blob = open(ckpt, "rb").read()
+        blob = Path(ckpt).read_bytes()
         with open(ckpt, "wb") as fh:
             fh.write(blob[:keep])
         rc = cli.main(["eval", "--data", train, "--checkpoint", ckpt, "--steps", "2"])
@@ -213,7 +214,7 @@ class TestExitCodes:
         ckpt = str(tmp_path / "m.ckpt")
         assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
                          "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
-        blob = bytearray(open(ckpt, "rb").read())
+        blob = bytearray(Path(ckpt).read_bytes())
         assert struct.unpack_from("<I", blob, offset)[0] != value
         struct.pack_into("<I", blob, offset, value)
         with open(ckpt, "wb") as fh:
@@ -238,7 +239,7 @@ class TestExitCodes:
         ckpt = str(tmp_path / "m.ckpt")
         assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
                          "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
-        blob = bytearray(open(ckpt, "rb").read())
+        blob = bytearray(Path(ckpt).read_bytes())
         assert struct.unpack_from(fmt, blob, offset)[0] != value
         struct.pack_into(fmt, blob, offset, value)
         with open(ckpt, "wb") as fh:
@@ -301,7 +302,7 @@ class TestDivergence:
                        "--out", out] + TINY_TRAIN)
         err = capsys.readouterr().err
         assert rc == 3 and "epoch 1" in err and "kept the parameters from epoch 0" in err
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "epoch,loss,tv,top1,wall_ms" and len(lines) == 2
         assert lines[1].startswith("0,")
         saved = MlpScorer.load(ckpt).params
@@ -310,6 +311,49 @@ class TestDivergence:
 
 
 class TestErrorContract:
+    def _train_with_eval_data(self, tmp_path, capsys, train_flags, eval_stem):
+        """Run train on a k=4, dim=2 ring file with eval_stem held out; returns
+        (exit code, stderr, whether a checkpoint was written)."""
+        train = str(tmp_path / "train")
+        assert cli.main(["gen-data", "--k", "4", "--n", "128", "--seed", "0", "--stem", train]
+                        + train_flags) == 0
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", train, "--eval-data", eval_stem, "--seed", "0",
+                       "--checkpoint", str(ckpt)] + TINY_TRAIN)
+        return rc, capsys.readouterr().err, ckpt.exists()
+
+    @pytest.mark.parametrize("fields, train_flags, eval_flags", [
+        ("k, means, priors", [], ["--k", "3"]),
+        ("k, means, priors", [], ["--k", "6"]),
+        ("dim, means", [], ["--dim", "3"]),
+        ("means", [], ["--separation", "4"]),
+        ("variance", [], ["--variance", "2"]),
+        ("corruption", [], ["--corruption", "additive-noise", "--level", "0.5"]),
+        ("corruption", ["--corruption", "additive-noise", "--level", "0.5"],
+         ["--corruption", "additive-noise", "--level", "0.7"]),
+    ])
+    def test_eval_data_of_another_task_is_2(self, tmp_path, capsys, fields, train_flags,
+                                            eval_flags):
+        """The per-epoch metrics score held-out rows against the training task's
+        posterior, so a held-out file of another task stops train before training."""
+        held_out = str(tmp_path / "held_out")
+        assert cli.main(["gen-data", "--k", "4", "--n", "64", "--seed", "1",
+                         "--stem", held_out] + eval_flags) == 0
+        rc, err, wrote = self._train_with_eval_data(tmp_path, capsys, train_flags, held_out)
+        assert rc == 2 and not wrote
+        assert err == (f"error: {held_out}: the held-out data's {fields} differ from "
+                       f"the training data {tmp_path / 'train'}'s\n")
+
+    def test_eval_data_with_other_priors_is_2(self, tmp_path, capsys):
+        ring = MixtureTask.ring(4, 2)
+        task = MixtureTask(ring.means, priors=np.array([0.4, 0.3, 0.2, 0.1]))
+        held_out = str(tmp_path / "held_out")
+        y, labels = generate(task, 64, CorruptionSpec(), np.random.default_rng(1))
+        save_dataset(held_out, y, labels, task, CorruptionSpec(), 1)
+        rc, err, wrote = self._train_with_eval_data(tmp_path, capsys, [], held_out)
+        assert rc == 2 and not wrote and "held-out data's priors differ" in err
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--levels", "0,x"],
         ["compare", "--ratios", "0.5,abc"],
@@ -362,7 +406,7 @@ class TestErrorContract:
                          "--n-train", "100", "--n-eval", "50", "--epochs", "1", "--steps", "2",
                          "--out", out]) == 0
         # 100 rows: ratio 1 uses all of them, and 0.5 rounds up to one 128-row batch, capped at 100
-        n_train = [line.split(",")[2] for line in open(out).read().splitlines()[1:]]
+        n_train = [line.split(",")[2] for line in Path(out).read_text().splitlines()[1:]]
         assert n_train == ["100", "100"]
 
 

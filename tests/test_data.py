@@ -1,16 +1,17 @@
 """Synthetic tasks: generation, exact posteriors, quadrature agreement, file format."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffclass.data import (CorruptionSpec, MixtureTask, bayes_accuracy, generate,
-                            load_dataset, save_dataset, true_posterior_batch)
+from diffclass.data import (CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset,
+                            true_posterior_batch)
 from diffclass.errors import ValidationError
-from oracles import posterior_quadrature
+from oracles import bayes_accuracy, posterior_quadrature
 
 NONE = CorruptionSpec()
 
@@ -179,7 +180,7 @@ class TestDatasetFiles:
         save_dataset(stem, y, labels, task, NONE, seed=0)
         expected = b"".join(row.astype("<f4").tobytes() + struct.pack("<i", int(c))
                             for row, c in zip(y, labels))
-        assert open(stem + ".bin", "rb").read() == expected
+        assert Path(stem + ".bin").read_bytes() == expected
 
     @pytest.mark.parametrize("mutate", ["label_high", "label_negative", "nan", "inf"])
     def test_corrupt_records_rejected(self, tmp_path, mutate):

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from diffclass.data import (CorruptionSpec, MixtureTask, bayes_accuracy, generate,
-                            true_posterior_batch)
+from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_ablation,
-                               topk_hits, trace_topk, train_ce_baseline, write_csv)
+                               topk_hits, trace_topk, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import ExactScorer
-from diffclass.train import TrainConfig
-from oracles import UniformScorer
+from diffclass.train import TrainConfig, ce_baseline_proba, fit_ce_baseline
+from oracles import ExactScorer, UniformScorer, bayes_accuracy
 
 NONE = CorruptionSpec()
 TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)
@@ -161,8 +159,8 @@ class TestCompareGrid:
         rng = np.random.default_rng(2)
         train = generate(task, 1000, NONE, rng)
         test_y, test_c = generate(task, 1000, NONE, rng)
-        model = train_ce_baseline(config, task, train)
-        acc = (model.predict_proba(test_y).argmax(axis=1) == test_c).mean()
+        model = fit_ce_baseline(config, task, train)
+        acc = (ce_baseline_proba(model, test_y).argmax(axis=1) == test_c).mean()
         assert acc > 0.9
 
     def test_diverged_ce_baseline_raises(self):
@@ -171,7 +169,7 @@ class TestCompareGrid:
         config = TrainConfig(epochs=2, batch_size=64, seed=0, learning_rate=1e308, **TINY)
         train = generate(task, 256, NONE, np.random.default_rng(3))
         with pytest.raises(NumericalError):
-            train_ce_baseline(config, task, train)
+            fit_ce_baseline(config, task, train)
 
 
 class TestCsv:

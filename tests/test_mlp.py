@@ -1,5 +1,8 @@
 """Scorer network: output contract, gradients vs finite differences, serialization."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,13 @@ from hypothesis import strategies as st
 from diffclass import mlp
 from diffclass.data import MixtureTask
 from diffclass.errors import NumericalError, ValidationError
-from diffclass.mlp import (GN_EPS, CeClassifier, MlpConfig, MlpScorer, PreparedFeatures,
+from diffclass.mlp import (GN_EPS, MlpConfig, MlpScorer, PreparedFeatures,
                            _gn_backward, _gn_forward, _group_expand, _inference_groupnorm,
                            _silu_slope, backward_logits, load_params, param_shapes, row_tiles,
                            silu, silu_from_half)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.train import AdamState, TrainConfig, batch_loss_and_grads, fit, train_step
+from diffclass.train import (AdamState, TrainConfig, batch_loss_and_grads, ce_baseline_proba,
+                             cross_entropy_loss_and_grads, fit, fit_ce_baseline, train_step)
 from oracles import score_column, silu_grad
 
 SMALL = MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32,
@@ -175,7 +179,7 @@ class TestInferencePath:
         scorer, _ = fit(config, task, n_train=128, n_eval=64)
         assert all(v.dtype == np.float64 for v in scorer.params.values())
         rng = np.random.default_rng(15)
-        train_step(scorer, AdamState.init(scorer.params), rng.standard_normal((16, 2)),
+        train_step(scorer, AdamState(scorer.params), rng.standard_normal((16, 2)),
                    rng.integers(0, 4, 16), config.schedule(), rng, lr=1e-3)
         scorer.score_batch(rng.standard_normal((16, 2)), rng.integers(0, 4, 16), np.full(16, 0.5))
         assert all(v.dtype == np.float64 for v in scorer.params.values())
@@ -464,30 +468,64 @@ class TestBackwardReuse:
 
 
 class TestCeBaseline:
+    """The cross-entropy baseline: the scorer read at (BASELINE_ANCHOR, BASELINE_T)."""
+
     def test_gradients_match_finite_differences(self):
-        model = CeClassifier(SMALL, seed=1)
+        """Float64 features keep the whole path float64, so central differences of
+        the loss check every parameter group, the conditioning's among them."""
+        scorer = _small_scorer(seed=1, head_scale=0.5)
         rng = np.random.default_rng(6)
         y = rng.standard_normal((8, 3))
         labels = rng.integers(0, 5, 8)
-        _, grads = model.loss_and_grads(y, labels)
+        _, grads = cross_entropy_loss_and_grads(scorer, y, labels)
+        assert not grads["embed"][1:].any()     # only the baseline's anchor row is read
         h = 1e-6
-        for name in ("in_w", "w1_0", "gn_g_1", "out_w"):
-            arr = model.params[name]
+        for name in ("embed", "time_w", "time_b", "cw_0", "cb_1", "b2_0", "cw_1",
+                     "in_w", "w1_0", "gn_g_1", "gn_b_0", "out_w", "out_b"):
+            arr = scorer.params[name]
             idx = tuple(int(rng.integers(s)) for s in arr.shape)
+            if name == "embed":
+                idx = (0, idx[1])
             arr[idx] += h
-            up, _ = model.loss_and_grads(y, labels)
+            up = cross_entropy_loss_and_grads(scorer, y, labels)[0].total
             arr[idx] -= 2 * h
-            down, _ = model.loss_and_grads(y, labels)
+            down = cross_entropy_loss_and_grads(scorer, y, labels)[0].total
             arr[idx] += h
             fd = (up - down) / (2 * h)
             denom = max(abs(fd), abs(grads[name][idx]), 1e-7)
             assert abs(fd - grads[name][idx]) / denom < 1e-5, name
 
     def test_probabilities_on_simplex(self):
-        model = CeClassifier(SMALL, seed=2)
-        probs = model.predict_proba(np.random.default_rng(7).standard_normal((10, 3)))
+        scorer = _small_scorer(seed=2, head_scale=0.5)
+        probs = ce_baseline_proba(scorer, np.random.default_rng(7).standard_normal((10, 3)))
+        assert probs.shape == (10, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() > 0.0
+
+    def test_training_starts_from_zero_conditioning_projections(self):
+        """At a zero learning rate the trained baseline is its initial network,
+        whose blocks add no conditioning offset."""
+        config = TrainConfig(epochs=1, batch_size=64, learning_rate=0.0, seed=4, embed_dim=16,
+                             hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)
+        rng = np.random.default_rng(9)
+        data = (rng.standard_normal((100, 3)), rng.integers(0, 5, 100))
+        scorer = fit_ce_baseline(config, MixtureTask(np.eye(5, 3)), data)
+        assert not scorer.params["cw_0"].any() and not scorer.params["cw_1"].any()
+        assert scorer.params["w1_0"].any()
+
+    def test_prediction_keeps_no_backprop_cache(self):
+        """Predicting 2,000 rows of a reference-size baseline runs the inference
+        path; the training forward's float64 backprop cache would take ~52 MiB."""
+        scorer = MlpScorer(MlpConfig(8, 2), SCHED, seed=3)
+        y = np.random.default_rng(8).standard_normal((2000, 2))
+        ce_baseline_proba(scorer, y[:10])       # warm the lru caches outside the trace
+        tracemalloc.start()
+        try:
+            ce_baseline_proba(scorer, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 class TestSerialization:
@@ -498,7 +536,7 @@ class TestSerialization:
         scorer.save(path1)
         reloaded = MlpScorer.load(path1)
         reloaded.save(path2)
-        assert open(path1, "rb").read() == open(path2, "rb").read()
+        assert Path(path1).read_bytes() == Path(path2).read_bytes()
         assert reloaded.cfg == scorer.cfg
         assert reloaded.schedule == scorer.schedule
 
@@ -517,7 +555,7 @@ class TestSerialization:
         scorer = _small_scorer()
         path = str(tmp_path / "m.ckpt")
         scorer.save(path)
-        meta = open(path + ".meta", encoding="utf-8").read()
+        meta = Path(path + ".meta").read_text(encoding="utf-8")
         assert "n_classes=5" in meta and "hidden_dim=32" in meta
         assert "sigma_bar_max=1.0" in meta
 

@@ -16,9 +16,8 @@ from diffclass.sampler import (STRATEGIES, TIME_GRIDS, SamplerConfig, _cl_step_b
                                _select_labels_batch, posterior_cl, posterior_cp,
                                posterior_cp_batch, posterior_full, reverse_step_full, step_times)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import ExactScorer
 from diffclass.transition import forward_marginal
-from oracles import UniformScorer
+from oracles import ExactScorer, UniformScorer
 
 
 def _exact_setup(k=10, separation=2.0, sched=(1.0, 0.9), seed=0, n=8):

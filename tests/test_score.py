@@ -6,10 +6,9 @@ import pytest
 from diffclass.data import MixtureTask, true_posterior_batch
 from diffclass.errors import ValidationError
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import ExactScorer
 from diffclass.transition import forward_marginal
-from oracles import (ScoreColumn, UniformScorer, exact_score_column, normalize_scores,
-                     score_column, score_matrix_rank_one)
+from oracles import (ExactScorer, ScoreColumn, UniformScorer, exact_score_column,
+                     normalize_scores, score_column, score_matrix_rank_one)
 
 
 class TestExactScoreColumn:
