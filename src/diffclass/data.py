@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .transition import ensure_distribution, sample_categorical_rows
+from .transition import ensure_distribution
 
 CORRUPTION_KINDS = ("none", "additive-noise", "mask-coordinates", "quantize")
 
@@ -109,7 +109,10 @@ def generate(task: MixtureTask, n: int, corruption: CorruptionSpec,
     """Draw n labeled observations (features after corruption, zero-based labels)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    labels = sample_categorical_rows(np.tile(task.priors, (n, 1)), rng.random(n))
+    # The inverse-CDF draw of transition.sample_categorical_rows on one shared
+    # prior row: the first label whose cumulative prior exceeds u times the total.
+    cum = np.cumsum(task.priors)
+    labels = np.minimum(np.searchsorted(cum, rng.random(n) * cum[-1], side="right"), task.k - 1)
     x = task.means[labels] + math.sqrt(task.variance) * rng.standard_normal((n, task.dim))
     if corruption.kind == "none":
         y = x

@@ -7,9 +7,10 @@ CSV rows so the downstream plotting story stays language-neutral.  The
 comparison grid's cross-entropy baseline is the scorer's network at one
 fixed (anchor, t), trained by fit's loop (train.fit_ce_baseline).
 
-With a fixed seed every function here is deterministic in single-threaded
-mode; wall-clock fields are left empty unless timing is requested so CSV
-outputs stay byte-identical across runs.
+With a fixed seed every function here is deterministic with one BLAS
+thread, whatever the scorer's worker count (mlp.WORKERS); wall-clock
+fields are left empty unless timing is requested so CSV outputs stay
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ def evaluate_on(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
     if method not in METHOD_SAMPLERS:
         raise ValidationError(f"method must be one of {tuple(METHOD_SAMPLERS)}")
     n_eval = features.shape[0]
-    q_true = true_posterior_batch(task, features, corruption)
     t0 = time.perf_counter()
     probs, nfe = _run_method(method, features, scorer, schedule, sampler_cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3 if timing else float("nan")
     top1 = float(topk_hits(probs, labels, 1).mean())
     top5 = float(topk_hits(probs, labels, 5).mean()) if task.k > 5 else float("nan")
+    # The exact posteriors are taken after the estimator, so they do not add to its peak memory.
+    q_true = true_posterior_batch(task, features, corruption)
     mean_tv = float(0.5 * np.abs(probs - q_true).sum(axis=1).mean())
     nll = float(-np.log(np.maximum(probs[np.arange(n_eval), labels], PROB_FLOOR_NLL)).mean())
     return EvalReport(top1, top5, mean_tv, nll, nfe, wall_ms)

@@ -54,13 +54,29 @@ whole 8,000-row batch does not.  With no tile under TILE_ROWS rows the
 result equals one untiled call bit for bit.  GroupNorm takes its group
 means by a block-averaging matmul in float32 training (forward and
 backward) and in inference; float64 training keeps numpy's reductions.
+
+A call of at least 2 * TILE_ROWS rows shares its tiles over WORKERS
+workers (worker_tiles, _run_workers): the calling thread and a pool
+thread, started on the first such call, each take a contiguous,
+near-equal share of the rows, tile it with row_tiles, and run it in work
+arrays of their own that the caller allocates, writing disjoint rows of
+the base or logits array.  numpy releases the interpreter lock in its
+matmuls and ufuncs, so the workers run at once.  Every tile still holds
+at least TILE_ROWS rows, so the logits do not depend on the worker count.
+Smaller calls, among them every training batch and the 512-row
+validation, run inline and start no thread.  Only the tiles run on the
+pool; the conditioning, the finiteness check and everything outside
+inference_logits and prepare stay on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +103,25 @@ MIN_FLOAT32_GROUP = 4
 # these, tiles of 1,000 rows and up gave logits equal to the untiled ones bit
 # for bit (BLAS picks its kernel by row count), so the split must never leave
 # a smaller remainder tile: with 1,024-row tiles the last 832 of 8,000 rows
-# were off by up to 1.5e-7.
+# were off by up to 1.5e-7.  For the same reason a call is shared over workers
+# (worker_tiles) only in shares of at least TILE_ROWS rows.
 TILE_ROWS = 1000
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Workers that share one scorer call's row tiles (worker_tiles): the calling
+# thread plus WORKERS - 1 pool threads.  8,000-row eval-cp on a 2-vCPU Xeon,
+# one BLAS thread, medians of 10 benchmark runs: 22,375 rows/s with every tile
+# inline, 33,012 on two workers (with sampler.SCORER_ROWS halved to pay for
+# the second worker's memory).  Each worker costs its work arrays (~1.5 MiB at
+# 1,000-row tiles and hidden 128); more than two were not measured.
+WORKERS = min(2, _usable_cpus())
 
 TIME_INPUT_MODES = ("total-noise", "raw")
 
@@ -301,15 +334,83 @@ def _inference_groupnorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     return x
 
 
-def row_tiles(n: int) -> list[slice]:
-    """max(1, n // TILE_ROWS) contiguous, near-equal tiles that cover range(n) in order.
+def _near_equal(start: int, stop: int, count: int) -> list[slice]:
+    """count contiguous slices of near-equal length that cover range(start, stop) in order."""
+    bounds = [start + i * (stop - start) // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def row_tiles(n: int, start: int = 0) -> list[slice]:
+    """max(1, n // TILE_ROWS) contiguous, near-equal tiles that cover range(start, start + n).
 
     Every tile holds at least min(n, TILE_ROWS) rows and fewer than
     2 * TILE_ROWS, so no tile is a small remainder.
     """
-    count = max(1, n // TILE_ROWS)
-    bounds = [i * n // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return _near_equal(start, start + n, max(1, n // TILE_ROWS))
+
+
+def worker_tiles(n: int) -> list[list[slice]]:
+    """The row tiles of range(n) per worker, the calling thread's first.
+
+    The rows split into min(WORKERS, max(1, n // TILE_ROWS)) contiguous,
+    near-equal shares, and each share into its row_tiles.  A share holds at
+    least TILE_ROWS rows unless it is the only one, so every tile still
+    holds at least min(n, TILE_ROWS) rows and the logits do not depend on
+    the worker count; a call under 2 * TILE_ROWS rows runs on one worker.
+    """
+    shares = _near_equal(0, n, min(WORKERS, max(1, n // TILE_ROWS)))
+    return [row_tiles(share.stop - share.start, share.start) for share in shares]
+
+
+_pool = None                 # the executor of _run_workers, started on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, whose copy has no threads; the next call starts one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    """The pool of WORKERS - 1 threads, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here, not at module level: a process that never runs a
+            # call over 2 * TILE_ROWS rows (training) does not pay its memory.
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="diffclass-tiles")
+        return _pool
+
+
+def _run_workers(n: int, alloc, run) -> None:
+    """run(tiles, *work) for every worker's tiles of range(n) (worker_tiles), at once.
+
+    alloc(rows) returns one worker's work arrays for tiles of up to rows
+    rows; the calling thread allocates every worker's before any starts.
+    The first worker is the calling thread and the rest run on the pool,
+    each in a copy of the caller's context, so it keeps the caller's
+    np.errstate.  Returns when every worker has finished, and raises the
+    calling thread's error, else the first pool worker's.
+    """
+    jobs = [(tiles, *alloc(max(tile.stop - tile.start for tile in tiles)))
+            for tiles in worker_tiles(n)]
+    if len(jobs) == 1:
+        run(*jobs[0])
+        return
+    futures = [_executor().submit(contextvars.copy_context().run, run, *job) for job in jobs[1:]]
+    try:
+        run(*jobs[0])
+    finally:
+        for future in futures:
+            future.exception()       # waits; the loop below raises
+    for future in futures:
+        future.result()
 
 
 def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
@@ -349,11 +450,6 @@ def _inference_branch(q: dict, b: int, h: np.ndarray, out: np.ndarray,
     np.matmul(scratch, q[f"w2_{b}"].T, out=out)
     out += h
     return out
-
-
-def _largest(tiles: list[slice]) -> int:
-    """Rows of the largest tile; work arrays of that many rows serve every tile."""
-    return max(tile.stop - tile.start for tile in tiles)
 
 
 @dataclass(frozen=True)
@@ -510,9 +606,10 @@ class MlpScorer(Scorer):
         """Run the conditioning-free prefix of the inference trunk once.
 
         Builds the inference form of the parameters in cfg.trunk_dtype and
-        runs the input layer and block 0's residual branch on the rows;
-        score_batch takes the result in place of the features at any anchors
-        and times, until the parameters change.
+        runs the input layer and block 0's residual branch on the rows, over
+        the workers' row tiles (worker_tiles); score_batch takes the result
+        in place of the features at any anchors and times, until the
+        parameters change.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
@@ -521,14 +618,17 @@ class MlpScorer(Scorer):
         dtype = self.cfg.trunk_dtype
         q = inference_params(self.params, self.cfg, dtype)
         base = np.empty((features.shape[0], self.cfg.hidden_dim), dtype)
-        tiles = row_tiles(len(base))
-        work = [np.empty((_largest(tiles), self.cfg.hidden_dim), dtype) for _ in range(2)]
-        for tile in tiles:
-            h, scratch = (w[:tile.stop - tile.start] for w in work)
-            np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
-            h += q["in_b"]
-            silu_from_half(h, scratch)
-            _inference_branch(q, 0, h, base[tile], scratch)
+
+        def run(tiles: list[slice], h_work: np.ndarray, scratch_work: np.ndarray) -> None:
+            for tile in tiles:
+                h, scratch = (w[:tile.stop - tile.start] for w in (h_work, scratch_work))
+                np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
+                h += q["in_b"]
+                silu_from_half(h, scratch)
+                _inference_branch(q, 0, h, base[tile], scratch)
+
+        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), dtype)
+                                              for _ in range(2)], run)
         return PreparedFeatures(q, base)
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
@@ -539,51 +639,69 @@ class MlpScorer(Scorer):
         anchors and t hold one integer label and one time per row.  The
         conditioning and its per-block projections run once per call and
         distinct (anchor, t) pair, at most K rows when every row shares t,
-        and are gathered per row.  The tail runs tile by tile over
-        row_tiles in (rows, hidden) work arrays that every tile reuses, so
-        its temporaries stay cache-sized; the logits do not depend on the
-        tiling while every tile holds at least TILE_ROWS rows.
+        and are gathered per row.  The tail runs tile by tile, each worker
+        over its tiles (worker_tiles) in (rows, hidden) work arrays that its
+        tiles reuse, so its temporaries stay cache-sized; the logits do not
+        depend on the tiling or the worker count while every tile holds at
+        least TILE_ROWS rows.
         """
         if not isinstance(features, PreparedFeatures):
             features = self.prepare(features)
         anchors, t = self._check_rows(len(features), anchors, t)
-        _, t_index = np.unique(t, return_inverse=True)
-        _, first, index = np.unique(t_index * self.k + anchors,
-                                    return_index=True, return_inverse=True)
+        pair_anchors, pair_t, index = self._distinct_pairs(anchors, t)
         q, base = features.params, features.base
-        cond, _ = self.conditioning(anchors[first], t[first])
+        cond, _ = self.conditioning(pair_anchors, pair_t)
         sc = silu(cond.astype(base.dtype))
         cvecs = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"] for b in range(self.cfg.n_blocks)]
         z = np.empty((len(base), self.k), dtype=q["out_w"].dtype)
-        tiles = row_tiles(len(base))
-        hidden, largest = self.cfg.hidden_dim, _largest(tiles)
-        h_work = np.empty((largest, hidden), base.dtype)
-        # x and scratch are the two halves of one buffer, which also holds the
-        # float64 head's input once both are spent, so the head's cast takes
-        # no memory of its own.
-        pair = np.empty(2 * largest * hidden, base.dtype)
-        for tile in tiles:
-            m = tile.stop - tile.start
-            h = h_work[:m]
-            x, scratch = pair[:2 * m * hidden].reshape(2, m, hidden)
-            for b in range(self.cfg.n_blocks):
-                x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
-                # The indices are in range, so "clip" gathers what "raise" would,
-                # without the buffered copy numpy makes for out= under "raise".
-                np.take(cvecs[b], index[tile], axis=0, out=h, mode="clip")
-                h += x_b
-                _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_shift_{b}"],
-                                     self.cfg.groups, scratch)
-                silu_from_half(h, scratch)
-            zt = z[tile]
-            if h.dtype != zt.dtype:
-                head_in = pair.view(zt.dtype)[:m * hidden].reshape(m, hidden)
-                head_in[...] = h
-                h = head_in
-            np.matmul(h, q["out_w"].T, out=zt)
-            zt += q["out_b"]
+        hidden = self.cfg.hidden_dim
+
+        def run(tiles: list[slice], h_work: np.ndarray, pair: np.ndarray) -> None:
+            for tile in tiles:
+                m = tile.stop - tile.start
+                h = h_work[:m]
+                # x and scratch are the two halves of one buffer, which also holds
+                # the float64 head's input once both are spent, so the head's cast
+                # takes no memory of its own.
+                x, scratch = pair[:2 * m * hidden].reshape(2, m, hidden)
+                for b in range(self.cfg.n_blocks):
+                    x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
+                    # The indices are in range, so "clip" gathers what "raise" would,
+                    # without the buffered copy numpy makes for out= under "raise".
+                    np.take(cvecs[b], index[tile], axis=0, out=h, mode="clip")
+                    h += x_b
+                    _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_shift_{b}"],
+                                         self.cfg.groups, scratch)
+                    silu_from_half(h, scratch)
+                zt = z[tile]
+                if h.dtype != zt.dtype:
+                    head_in = pair.view(zt.dtype)[:m * hidden].reshape(m, hidden)
+                    head_in[...] = h
+                    h = head_in
+                np.matmul(h, q["out_w"].T, out=zt)
+                zt += q["out_b"]
+
+        _run_workers(len(base), lambda rows: (np.empty((rows, hidden), base.dtype),
+                                              np.empty(2 * rows * hidden, base.dtype)), run)
         self._check_finite(z)
         return z
+
+    def _distinct_pairs(self, anchors: np.ndarray, t: np.ndarray):
+        """(anchors, t) of the distinct (anchor, t) pairs, ordered by t then anchor, and
+        each row's pair index.
+
+        When every row shares one t, as in every sampler call, a K-entry
+        presence mask finds the distinct anchors in place of two sorts.
+        """
+        if len(t) and np.all(t == t[0]):
+            present = np.zeros(self.k, dtype=bool)
+            present[anchors] = True
+            labels = np.flatnonzero(present)
+            return labels, np.full(len(labels), t[0]), (np.cumsum(present) - 1)[anchors]
+        _, t_index = np.unique(t, return_inverse=True)
+        _, first, index = np.unique(t_index * self.k + anchors,
+                                    return_index=True, return_inverse=True)
+        return anchors[first], t[first], index
 
     def score_batch(self, features, anchors, t):
         z = self.inference_logits(features, anchors, t)

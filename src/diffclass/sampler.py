@@ -11,10 +11,12 @@ and in their row kernel:
   full  probability vector, with the K x K score matrix rebuilt from one
         scorer row per anchor; r = K; reverse_step_full
 
-nfe = r * n_steps per input.  The engine takes inputs in blocks of
-max(1, SCORER_ROWS // r), so memory stays bounded; per block it runs
-scorer.prepare once on the repeated features (work that does not depend on
-the anchor or t) and then one score_batch call per step.
+nfe = r * n_steps per input.  The engine takes inputs in the fewest
+contiguous, near-equal blocks of at most max(1, SCORER_ROWS // r) inputs,
+so memory stays bounded; per block it runs scorer.prepare once on the
+repeated features (work that does not depend on the anchor or t) and then
+one score_batch call per step, whose scores go straight into the step's
+kernel and are dropped before the next call.
 
 The Euler kernel column for anchor j has off-diagonal entries
 S(i,j) * sigma_t * dt and diagonal 1 minus their sum.  Large sigma_t * dt
@@ -24,10 +26,12 @@ telemetry.  Clamping keeps coarse-step sweeps runnable while making the
 step-size violation visible; callers can set an abort threshold instead.
 
 Random streams: cp draws its anchors (strategy "sampling") from one
-default_rng(cfg.seed) per call, block after block.  cl draws trajectory j
-of input i (its row in the call) from default_rng([cfg.seed + i, j]): one
-uniform for the start label and one per step, so its results do not depend
-on the blocking, and input i run alone with seed cfg.seed + i matches.
+default_rng(cfg.seed) per call, block after block, so its draws depend on
+the blocking: a cp call over more than SCORER_ROWS inputs draws other
+anchors than one block would.  cl draws trajectory j of input i (its row
+in the call) from default_rng([cfg.seed + i, j]): one uniform for the
+start label and one per step, so its results do not depend on the
+blocking, and input i run alone with seed cfg.seed + i matches.
 """
 
 from __future__ import annotations
@@ -46,12 +50,17 @@ STRATEGIES = ("argmax", "sampling", "argmin")
 TIME_GRIDS = ("uniform-t", "uniform-noise")
 
 # Scorer rows per engine block (inputs x rows per input).  8,000 cp inputs run
-# as one block.  16,384 would also hold a 200-input cl cell at 64 samples, but
-# an 8,000-input, 16-sample, 8-step cl eval then peaks at 76 MiB RSS, against
-# 58 MiB at 8,192, and runs no faster (4.0 s both, one BLAS thread).  The
-# scorer runs its trunk in row tiles, so its (rows, hidden) temporaries no
-# longer grow with the block; untiled, the same eval peaked at 100 and 72 MiB.
-SCORER_ROWS = 8192
+# as two blocks of 4,000, each of which the scorer shares over its two
+# workers as two 1,000-row tiles apiece.  Halving the block from 8,192 pays
+# for the second worker's work arrays: 8,000-input evals (8 steps, one BLAS
+# thread) peaked at 48.2 MiB RSS for cp, 58.3 for cl at 16 samples and 51.4
+# for full at 8,192 rows on one worker, and at 44.8, 47.0 and 44.7 at 4,096
+# on two, each block's prepared rows dropped before the next block's.  Larger
+# blocks cost memory and gained no speed: at 16,384 rows the same cl eval
+# peaked at 76 MiB and ran no faster than at 8,192.  cp's
+# "sampling" draws depend on the blocking (see Random streams above), so they
+# now change above 4,096 inputs, where they changed above 8,192 before.
+SCORER_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,22 @@ def _cl_step_batch(scores: np.ndarray, states: np.ndarray, sigma_t: float, dt: f
     return probs, overshoot
 
 
+def _euler_step(method: str, scores: np.ndarray, state: np.ndarray, sigma_t: float,
+                dt: float, u: np.ndarray | None):
+    """One Euler step of a block's rows from their scores: the next state and the
+    clamped mass per row.  u holds cl's one uniform per trajectory for the step."""
+    if method == "cp":
+        q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
+        return _cp_step_batch(q_hat, state, sigma_t, dt)
+    if method == "cl":
+        next_labels, step_clamp = _cl_step_batch(scores, state, sigma_t, dt)
+        return sample_categorical_rows(next_labels, u), step_clamp
+    nb, k = state.shape
+    s_matrix = scores.reshape(nb, k, k).transpose(0, 2, 1).copy()
+    s_matrix[:, np.arange(k), np.arange(k)] = 1.0  # column j: scores anchored at j
+    return reverse_step_full(s_matrix, state, sigma_t, dt)
+
+
 def _distribution(state: np.ndarray, n_inputs: int, k: int) -> np.ndarray:
     """Class distribution per input: probability rows as they are, or the
     labels of each input's trajectories averaged as one-hots."""
@@ -201,14 +226,16 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     features = np.atleast_2d(y)
     n, k = features.shape[0], scorer.k
     r = {"cp": 1, "cl": cfg.n_samples, "full": k}[method]
-    block = max(1, SCORER_ROWS // r)
+    per_block = max(1, SCORER_ROWS // r)
+    n_blocks = -(-n // per_block)
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     steps = step_times(schedule, cfg)
     limit = cfg.max_step_clamp_mass
     rng = np.random.default_rng(cfg.seed)
     probs, clamp, trajectories = [], [], []
     n_clamped = 0
-    for lo in range(0, n, block):
-        nb = min(block, n - lo)
+    for lo, hi in zip(bounds, bounds[1:]):
+        nb = hi - lo
         prepared = scorer.prepare(np.repeat(features[lo:lo + nb], r, axis=0))
         if method == "cl":
             # state: the current label of each trajectory, input-major
@@ -226,18 +253,11 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
                 anchors = _select_labels_batch(state, cfg.strategy, rng)
             elif method == "cl":
                 anchors = state
-            scores = scorer.score_batch(prepared, anchors, np.full(nb * r, t))
-            sigma_t = schedule.sigma(t)
-            if method == "cp":
-                q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
-                state, step_clamp = _cp_step_batch(q_hat, state, sigma_t, dt)
-            elif method == "cl":
-                next_labels, step_clamp = _cl_step_batch(scores, state, sigma_t, dt)
-                state = sample_categorical_rows(next_labels, uniforms[:, step + 1])
-            else:
-                s_matrix = scores.reshape(nb, k, k).transpose(0, 2, 1).copy()
-                s_matrix[:, np.arange(k), np.arange(k)] = 1.0  # column j: scores anchored at j
-                state, step_clamp = reverse_step_full(s_matrix, state, sigma_t, dt)
+            # The scores go straight into the step, so neither they nor the
+            # step's temporaries outlive it into the next scorer call.
+            state, step_clamp = _euler_step(
+                method, scorer.score_batch(prepared, anchors, np.full(nb * r, t)), state,
+                schedule.sigma(t), dt, uniforms[:, step + 1] if method == "cl" else None)
             if limit is not None and step_clamp.max() > limit:
                 raise NumericalError(f"clamped probability mass {step_clamp.max():.3e} exceeds "
                                      f"{limit:.1e} in one step; use a smaller dt (more steps)")
@@ -245,6 +265,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
             n_clamped += int(np.count_nonzero(step_clamp > 0.0))
             if snapshots is not None:
                 snapshots.append(_distribution(state, nb, k))
+        del prepared    # before the next block's prepare, which would otherwise hold both
         probs.append(ensure_distribution(_distribution(state, nb, k), f"{method} posterior"))
         clamp.append(clamp_rows.reshape(nb, -1).mean(axis=1))
         if snapshots is not None:

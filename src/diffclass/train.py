@@ -36,7 +36,7 @@ GroupNorm and head as a plain classifier.  fit_ce_baseline trains it by
 fit's loop (_train_epochs), and ce_baseline_proba reads it without a cache.
 
 All randomness flows from the config seed, so a fixed seed reproduces the
-run bit-for-bit in single-threaded mode.
+run bit-for-bit with one BLAS thread.
 """
 
 from __future__ import annotations

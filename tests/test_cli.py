@@ -59,16 +59,19 @@ class TestTrainEval:
         assert Path(out).read_text().startswith("method,steps")
 
     def test_fixed_seed_byte_identical_outputs(self, tmp_path, monkeypatch):
-        """Same seed, two full train+eval runs: all CSV artifacts match bytewise.
+        """Same seed, full train+eval runs on 1, 2 and 3 scorer workers: all CSV
+        artifacts and checkpoints match bytewise.
 
         Scorer tiles of 7 rows make every validation and eval call span many
-        tiles (tests/test_acceptance.py's criterion 10 runs the default tiling).
+        tiles, and so share them over the workers (tests/test_acceptance.py's
+        criterion 10 runs the default tiling).
         """
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         train = _gen(tmp_path, "train", 512, seed=0)
         test = _gen(tmp_path, "test", 256, seed=1)
         artifacts = []
-        for run in range(2):
+        for run, workers in enumerate((1, 2, 3)):
+            monkeypatch.setattr(mlp, "WORKERS", workers)
             ckpt = str(tmp_path / f"m{run}.ckpt")
             metrics = str(tmp_path / f"metrics{run}.csv")
             evalcsv = str(tmp_path / f"eval{run}.csv")
@@ -78,7 +81,7 @@ class TestTrainEval:
                              "--seed", "7", "--out", evalcsv]) == 0
             artifacts.append((Path(metrics).read_bytes(), Path(evalcsv).read_bytes(),
                               Path(ckpt).read_bytes()))
-        assert artifacts[0] == artifacts[1]
+        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
 
     def test_cl_and_full_methods_run(self, tmp_path):
         train = _gen(tmp_path, "train", 256, seed=0, k=3)

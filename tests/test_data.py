@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from diffclass.data import (CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset,
                             true_posterior_batch)
 from diffclass.errors import ValidationError
+from diffclass.transition import sample_categorical_rows
 from oracles import bayes_accuracy, posterior_quadrature
 
 NONE = CorruptionSpec()
@@ -36,6 +37,20 @@ class TestGenerate:
         freqs = np.bincount(labels, minlength=3) / 100_000
         bounds = 5.0 * np.sqrt(priors * (1 - priors) / 100_000)
         assert np.all(np.abs(freqs - priors) < bounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.lists(st.sampled_from([0.0, 0.001, 0.3, 1.0, 7.0]), min_size=2,
+                            max_size=50).filter(any),
+           n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+    def test_labels_are_the_per_row_inverse_cdf_draw(self, weights, n, seed):
+        """One cumulative prior row draws the labels sample_categorical_rows draws
+        from the priors repeated on every row, bit for bit."""
+        priors = np.array(weights) / sum(weights)
+        task = MixtureTask(means=np.zeros((len(priors), 1)), priors=priors)
+        _, labels = generate(task, n, NONE, np.random.default_rng(seed))
+        expected = sample_categorical_rows(np.tile(task.priors, (n, 1)),
+                                           np.random.default_rng(seed).random(n))
+        assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
     def test_mask_zeroes_leading_coordinates(self):
         task = MixtureTask.ring(3, dim=4)

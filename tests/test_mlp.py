@@ -1,6 +1,12 @@
 """Scorer network: output contract, gradients vs finite differences, serialization."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +146,17 @@ class TestInferencePath:
         trained_scorer.score_batch(*_shared_time_batch(1000, 11))
         assert rows_seen == [8]
 
+    @pytest.mark.parametrize("labels", [[3], [0, 7], [1, 2, 5, 6], list(range(8))])
+    def test_shared_time_pairs_match_the_sorted_pairs(self, trained_scorer, labels):
+        """At one shared t the presence mask finds the pairs, in the order and
+        with the row indices that sorting gives."""
+        anchors = np.random.default_rng(len(labels)).choice(labels, 300)
+        t = np.full(300, 0.625)
+        first, index = _distinct_pairs(anchors, t)
+        pair_anchors, pair_t, got_index = trained_scorer._distinct_pairs(anchors, t)
+        assert np.array_equal(pair_anchors, anchors[first]) and np.array_equal(pair_t, t[first])
+        assert np.array_equal(got_index, index)
+
     def test_gathered_conditioning_matches_per_row(self, trained_scorer):
         """Distinct rows gathered per row equal the per-row computation.
 
@@ -226,16 +243,23 @@ class TestPreparedPath:
         assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000))
-    def test_row_tiles_cover_the_rows_in_near_equal_tiles(self, n, tile_rows):
+    @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000), workers=st.integers(1, 4))
+    def test_row_tiles_cover_the_rows_in_near_equal_tiles(self, n, tile_rows, workers):
+        """row_tiles, and the tiles of every worker's share (worker_tiles), cover
+        range(n) in order with at least min(n, TILE_ROWS) rows and fewer than
+        2 * TILE_ROWS each; a call under 2 * TILE_ROWS rows stays on one worker."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mlp, "TILE_ROWS", tile_rows)
+            patch.setattr(mlp, "WORKERS", workers)
             tiles = row_tiles(n)
+            shares = mlp.worker_tiles(n)
         assert len(tiles) == max(1, n // tile_rows)
-        assert tiles[0].start == 0 and tiles[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
-        sizes = [tile.stop - tile.start for tile in tiles]
-        assert min(sizes) >= min(n, tile_rows) and max(sizes) < 2 * tile_rows
+        assert len(shares) == min(workers, max(1, n // tile_rows))
+        for tiling in (tiles, [tile for share in shares for tile in share]):
+            assert tiling[0].start == 0 and tiling[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(tiling, tiling[1:]))
+            sizes = [tile.stop - tile.start for tile in tiling]
+            assert min(sizes) >= min(n, tile_rows) and max(sizes) < 2 * tile_rows
 
     @pytest.mark.parametrize("tile_rows", [1, 7, mlp.TILE_ROWS])
     def test_tiled_logits_match_one_untiled_forward(self, trained_scorer, monkeypatch,
@@ -328,6 +352,139 @@ class TestPreparedPath:
         assert np.all(values[np.arange(n), anchors] == 1.0)
         z64, _ = scorer.logits(y, anchors, t)
         assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
+
+
+def _on_pool_thread() -> bool:
+    return threading.current_thread().name.startswith("diffclass-tiles")
+
+
+class TestWorkers:
+    """Row tiles shared over the calling thread and the pool (worker_tiles, _run_workers)."""
+
+    @pytest.mark.parametrize("tile_rows", [7, mlp.TILE_ROWS])
+    def test_logits_do_not_depend_on_the_worker_count(self, trained_scorer, monkeypatch,
+                                                      tile_rows):
+        y, anchors, t = _shared_time_batch(3500, 19)
+        t[::3] = 0.25
+        monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mlp, "WORKERS", workers)
+            assert len(mlp.worker_tiles(len(y))) == workers
+            prepared = trained_scorer.prepare(y)
+            runs.append((prepared.base.tobytes(),
+                         trained_scorer.inference_logits(prepared, anchors, t).tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        """A multi-worker call on non-finite parameters raises NumericalError: the
+        pool's tiles run under the caller's np.errstate, so no RuntimeWarning
+        escapes (warnings are errors in this suite)."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(mlp, "WORKERS", 2)
+        scorer = _small_scorer(head_scale=0.3)
+        scorer.params["in_w"][:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            scorer.score_batch(np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5))
+
+    @pytest.mark.parametrize("error", [ValidationError, NumericalError])
+    def test_an_error_in_a_pool_tile_reaches_the_caller(self, monkeypatch, error):
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(mlp, "WORKERS", 2)
+        scorer = _small_scorer(head_scale=0.3)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        expected = scorer.score_batch(y, anchors, t)
+        prepared = scorer.prepare(y)
+        silu_half = mlp.silu_from_half
+
+        def failing(u, scratch):
+            if _on_pool_thread():
+                raise error("a pool tile failed")
+            return silu_half(u, scratch)
+
+        monkeypatch.setattr(mlp, "silu_from_half", failing)
+        with pytest.raises(error, match="a pool tile failed"):
+            scorer.prepare(y)
+        with pytest.raises(error, match="a pool tile failed"):
+            scorer.score_batch(prepared, anchors, t)
+        monkeypatch.setattr(mlp, "silu_from_half", silu_half)
+        assert np.array_equal(scorer.score_batch(y, anchors, t), expected)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_usable_cpu_starts_no_thread(self):
+        """In a process pinned to one CPU a multi-tile call runs inline."""
+        code = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from diffclass import mlp
+mlp.TILE_ROWS = 7
+cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
+                    time_embed_dim=16, groups=4)
+scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
+scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, np.full(100, 0.5))
+assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
+"""
+        src = str(Path(mlp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork")
+    def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
+        """The child's copy of the pool has no threads; the child drops it and
+        starts a pool of its own on its first multi-worker call."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(mlp, "WORKERS", 2)
+        scorer = _small_scorer(head_scale=0.3)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        expected = scorer.score_batch(y, anchors, t).tobytes()
+        assert mlp._pool is not None
+
+        def child():
+            fresh = mlp._pool is None
+            same = scorer.score_batch(y, anchors, t).tobytes() == expected
+            os._exit(0 if fresh and same else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about fork() in a process with threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=10)
+        assert process.exitcode == 0
+
+    def test_concurrent_callers_get_their_own_logits(self, trained_scorer, monkeypatch):
+        """Callers on more threads than CPUs, each sharing its tiles over three
+        workers, under a short switch interval: every result equals the
+        serial one, and every caller finishes."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 50)
+        monkeypatch.setattr(mlp, "WORKERS", 3)
+        batches = [_shared_time_batch(400, seed) for seed in range(6)]
+        expected = [trained_scorer.inference_logits(*batch) for batch in batches]
+        results = [None] * len(batches)
+
+        def call(i):
+            for _ in range(3):
+                results[i] = trained_scorer.inference_logits(*batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(np.array_equal(got, want) for got, want in zip(results, expected))
 
 
 def _grads_at(scorer, features, labels, seed):

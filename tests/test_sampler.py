@@ -324,9 +324,10 @@ class TestPreparedFeatures:
         np.testing.assert_allclose(np.sum(probs, axis=-1), 1.0, atol=1e-12)
 
     def test_blocks_prepare_once_and_score_once_per_step(self, monkeypatch):
-        """Inputs go in blocks of SCORER_ROWS // r: one prepare per block and one
-        score_batch per step per block.  (TestSamplerProperties checks that the
-        blocking leaves the outputs unchanged.)"""
+        """Inputs go in the fewest near-equal blocks of at most SCORER_ROWS // r: one
+        prepare per block and one score_batch per step per block.
+        (TestSamplerProperties checks that the blocking leaves the outputs
+        unchanged.)"""
         cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
                         n_blocks=2, time_embed_dim=8, groups=4)
         schedule = LogLinearSchedule(0.6, 0.7)
@@ -339,8 +340,8 @@ class TestPreparedFeatures:
         monkeypatch.setattr(scorer, "score_batch",
                             lambda f, a, t: scored.append(len(a)) or score_batch(f, a, t))
         monkeypatch.setattr(sampler, "SCORER_ROWS", 10)
-        # r = 1, 3 and 4 rows per input: blocks of 10, 3 and 2 inputs
-        for method, blocks in (("cp", [7]), ("cl", [3, 3, 1]), ("full", [2, 2, 2, 1])):
+        # r = 1, 3 and 4 rows per input: blocks of at most 10, 3 and 2 inputs
+        for method, blocks in (("cp", [7]), ("cl", [2, 2, 3]), ("full", [1, 2, 2, 2])):
             prepared.clear()
             scored.clear()
             est = sampler.METHOD_SAMPLERS[method](y, scorer, schedule, sampler_cfg)
