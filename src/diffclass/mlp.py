@@ -19,41 +19,40 @@ than MIN_FLOAT32_GROUP units (MlpConfig.trunk_dtype): there a near-zero
 group variance magnifies float32 rounding, so that config runs its trunk
 in float64, in training and inference alike.
 
-The training forward and backward run the trunk in the dtype of the
-features and the head in float64.  The forward's cache keeps every SiLU's
-denominator 1 + exp(-x) and silu(z1), so the backward takes the slopes
-without another exp; that reuse is why training keeps the exp form of
-SiLU, where inference uses the cheaper tanh form below.  Under an
-optimizer the trunk reads the optimizer's float32 shadow of the float64
-master parameters, and param_grads writes float64 gradients into the
-optimizer's gradient buffer (see train.py); on float64 features (the
-finite-difference gradient tests) the whole gradient path stays float64.
+Both forwards run on one form of the parameters (inference_params): every
+affine map that only feeds a SiLU is halved, so each SiLU takes its
+half-scale input u = x / 2 as u * (1 + tanh u) (silu_from_half); each
+block's GroupNorm gain and shift are halved, and b2 joins the
+conditioning bias cb.
 
-Inference runs the trunk in cfg.trunk_dtype and the head in float64, with
-no backprop cache, on its own form of the parameters (inference_params),
-built once per MlpScorer.prepare call.  Every affine map that only feeds a
-SiLU is halved, so each SiLU takes its half-scale input u = x / 2 as
-u * (1 + tanh u) (silu_from_half): three elementwise passes against four,
-with tanh in place of exp.  Each block's GroupNorm gain and shift are
-halved and the gain is spread into a (groups, hidden) matrix, so one
-matmul of the per-group reciprocal standard deviations gives the scale
-the rows take in one multiply (_inference_groupnorm); b2 joins the
-conditioning bias, which is added to the few distinct (anchor, t) rows of
-a call.  The trunk runs in two halves.  The prefix (MlpScorer.prepare)
-runs the input layer and block 0's residual branch, none of which sees
-the conditioning, once per set of inputs; a sampler prepares its inputs
-once and reuses them on every step.  The tail (inference_logits) adds
-block 0's conditioning, normalizes, and runs the remaining blocks and the
-head; the conditioning runs once per call and distinct (anchor, t) pair.
-Both halves run over contiguous row tiles (row_tiles) of fewer than
-2 * TILE_ROWS rows, and of at least TILE_ROWS unless the call has fewer,
-in a few (rows, hidden) work arrays that every tile reuses, each tile
-writing its rows into one preallocated base or logits array: a tile's
-arrays stay in the L2 cache across the tail's elementwise passes, where a
-whole 8,000-row batch does not.  With no tile under TILE_ROWS rows the
-result equals one untiled call bit for bit.  GroupNorm takes its group
-means by a block-averaging matmul in float32 training (forward and
-backward) and in inference; float64 training keeps numpy's reductions.
+Training (MlpScorer.logits, forward_logits) builds the form from the
+float64 master parameters at every forward: the trunk in the dtype of the
+features, the head in float64.  The cache keeps each block's input, every
+SiLU's output s and t = 1 + tanh u, and each GroupNorm's xhat and
+variance; the backward takes each SiLU's slope in u as t + s * (2 - t)
+(_silu_slope), and param_grads maps the form's gradients back to the
+master parameters exactly.  On float64 features (the finite-difference
+gradient tests) the whole path stays float64.
+
+Inference (MlpScorer.prepare, inference_logits) builds the form once per
+prepare call, in cfg.trunk_dtype, and keeps no cache.  Its GroupNorm
+(_inference_groupnorm) spreads the halved gain into a (groups, hidden)
+matrix, so one matmul of the per-group reciprocal standard deviations
+gives the scale the rows take in one multiply; it never forms xhat, which
+the gain's gradient needs, so training keeps _gn_forward.  The block loops
+stay two as well: the benchmark's tracer hooks forward_logits, _gn_forward
+and silu by name, on the calling thread only, and inference's loop runs on
+the pool thread below.  The prefix (prepare) runs the input layer and
+block 0's residual branch, none of which sees the conditioning, once per
+set of inputs, which a sampler reuses on every step; the tail
+(inference_logits) runs the rest, with the conditioning once per call and
+distinct (anchor, t) pair.  Both run over contiguous row tiles (row_tiles)
+of fewer than 2 * TILE_ROWS rows, and of at least TILE_ROWS unless the
+call has fewer, in (rows, hidden) work arrays that every tile reuses, so
+the tail's elementwise passes stay in the L2 cache; with no tile under
+TILE_ROWS rows the result equals one untiled call bit for bit.  GroupNorm
+takes its group means by a block-averaging matmul in float32 training
+and in inference; float64 training keeps numpy's reductions.
 
 A call of at least 2 * TILE_ROWS rows shares its tiles over WORKERS
 workers (worker_tiles, _run_workers): the calling thread and a pool
@@ -61,11 +60,11 @@ thread, started on the first such call, each take a contiguous,
 near-equal share of the rows, tile it with row_tiles, and run it in work
 arrays of their own that the caller allocates, writing disjoint rows of
 the base or logits array.  numpy releases the interpreter lock in its
-matmuls and ufuncs, so the workers run at once.  Every tile still holds
-at least TILE_ROWS rows, so the logits do not depend on the worker count.
-Smaller calls, among them every training batch and the 512-row
-validation, run inline and start no thread.  Only the tiles run on the
-pool; the conditioning, the finiteness check and everything outside
+matmuls and ufuncs, so the workers run at once, and since every tile
+still holds at least TILE_ROWS rows the logits do not depend on the
+worker count.  Smaller calls, among them every training batch and the
+512-row validation, run inline.  Only the tiles run on the pool; the
+conditioning, the finiteness check and everything outside
 inference_logits and prepare stay on the calling thread.
 """
 
@@ -159,41 +158,28 @@ class MlpConfig:
         return np.float32 if self.hidden_dim // self.groups >= MIN_FLOAT32_GROUP else np.float64
 
 
-def silu(x: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
-    """x / (1 + exp(-x)) in a new array; pass denom to keep 1 + exp(-x) in it."""
-    d = np.negative(x, out=denom)
-    np.exp(d, out=d)
-    d += 1.0
-    return np.divide(x, d)
-
-
-def _silu_kept(x: np.ndarray, cache: dict, key: str) -> np.ndarray:
-    """silu(x) in a new array, keeping its denominator in cache[key] for the backward."""
-    cache[key] = np.empty_like(x)
-    return silu(x, denom=cache[key])
-
-
-def _silu_slope(x: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """silu'(x) = s * (1 + x * (1 - s)), s = 1 / denom, from the denominator silu kept."""
-    s = np.divide(1.0, denom)
-    slope = np.subtract(1.0, s)
-    slope *= x
-    slope += 1.0
-    slope *= s
-    return slope
-
-
 def silu_from_half(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """silu(2u) = u * (1 + tanh u), written over u; scratch is an array of u's shape.
-
-    silu(x) = x * sigmoid(x) and sigmoid(x) = (1 + tanh(x / 2)) / 2, so from
-    the half-scale input u = x / 2 SiLU takes three passes (tanh, +1, *)
-    where silu takes four, and tanh is cheaper than exp.
-    """
+    """silu(2u) = u * (1 + tanh u), written over u, since sigmoid(x) = (1 + tanh(x / 2)) / 2;
+    scratch, an array of u's shape, is left holding 1 + tanh u."""
     np.tanh(u, out=scratch)
     scratch += 1.0
     u *= scratch
     return u
+
+
+def silu(x: np.ndarray, tanh: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x) in a new array, as silu_from_half(x / 2); pass tanh, an array of
+    x's shape, to keep 1 + tanh(x / 2) in it for _silu_slope."""
+    return silu_from_half(np.multiply(x, 0.5), np.empty_like(x) if tanh is None else tanh)
+
+
+def _silu_slope(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d silu(2u) / du from silu_from_half's output s and its t = 1 + tanh u: with
+    tau = tanh u it is (1 + tau) + u (1 - tau)(1 + tau) = t + s * (2 - t)."""
+    slope = np.subtract(2.0, t)
+    slope *= s
+    slope += t
+    return slope
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,40 +399,46 @@ def _run_workers(n: int, alloc, run) -> None:
         future.result()
 
 
+# The master entries that inference_params halves, by name prefix; param_grads gives
+# each half its form entry's gradient.
+HALVED = ("in_w", "in_b", "w1_", "b1_", "gn_g_", "gn_b_")
+
+
 def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
                      dtype) -> dict[str, np.ndarray]:
-    """The inference form of the master parameters: the trunk's in dtype, the head's float64.
+    """The form both forwards run on: the trunk's entries in dtype, the head's float64.
 
-    Every affine map whose output only feeds a SiLU (in_w, in_b and each
-    block's w1, b1) is halved, so silu_from_half takes its output as it is;
-    halving is exact in binary floating point.  Each block's GroupNorm gain
-    becomes gn_scale, the (groups, hidden) matrix E * gamma / 2 (E the 0/1
-    group expansion), and its shift gn_shift = beta / 2, so the GroupNorm
-    output is the half-scale input of the SiLU after it.  cb becomes
-    cb + b2: the conditioning bias is added to the few distinct
-    (anchor, t) rows of a call, where b2 was added to every row.
+    The HALVED entries (in_w, in_b and each block's w1, b1, gn_g, gn_b) are
+    halved, exactly, so every SiLU's input arrives at half scale for
+    silu_from_half; gn_scale spreads the halved gain into the
+    (groups, hidden) matrix E * gamma / 2 (E the 0/1 group expansion) for
+    _inference_groupnorm; cb becomes cb + b2, which inference adds to the
+    few distinct (anchor, t) rows of a call.  Entries already in dtype
+    (w2 and cw in float64) are the master arrays themselves.
     """
     expand = _group_expand(cfg.hidden_dim, cfg.groups, np.float64)
     q = {"in_w": 0.5 * params["in_w"], "in_b": 0.5 * params["in_b"]}
     for b in range(cfg.n_blocks):
+        gamma = 0.5 * params[f"gn_g_{b}"]
         q.update({f"w1_{b}": 0.5 * params[f"w1_{b}"], f"b1_{b}": 0.5 * params[f"b1_{b}"],
                   f"w2_{b}": params[f"w2_{b}"], f"cw_{b}": params[f"cw_{b}"],
                   f"cb_{b}": params[f"cb_{b}"] + params[f"b2_{b}"],
-                  f"gn_scale_{b}": expand * (0.5 * params[f"gn_g_{b}"]),
-                  f"gn_shift_{b}": 0.5 * params[f"gn_b_{b}"]})
-    q = {name: v.astype(dtype) for name, v in q.items()}
+                  f"gn_g_{b}": gamma, f"gn_b_{b}": 0.5 * params[f"gn_b_{b}"],
+                  f"gn_scale_{b}": expand * gamma})
+    q = {name: v.astype(dtype, copy=False) for name, v in q.items()}
     q.update(out_w=params["out_w"], out_b=params["out_b"])
     return q
 
 
 def _inference_branch(q: dict, b: int, h: np.ndarray, out: np.ndarray,
-                      scratch: np.ndarray) -> np.ndarray:
+                      scratch: np.ndarray, tanh: np.ndarray | None = None) -> np.ndarray:
     """out = h + silu(2 (h @ w1.T + b1)) @ w2.T on the halved w1, b1 of the inference
     form: block b's input plus its residual branch, less b2, which the
-    conditioning bias holds."""
+    conditioning bias holds.  scratch is left holding the SiLU's output;
+    pass tanh, an array of h's shape, to keep the SiLU's 1 + tanh u in it."""
     np.matmul(h, q[f"w1_{b}"].T, out=scratch)
     scratch += q[f"b1_{b}"]
-    silu_from_half(scratch, out)
+    silu_from_half(scratch, out if tanh is None else tanh)
     np.matmul(scratch, q[f"w2_{b}"].T, out=out)
     out += h
     return out
@@ -469,79 +461,68 @@ class PreparedFeatures:
         return self.base.shape[0]
 
 
-def _residual_branch(p: dict, b: int, h: np.ndarray, cache: dict) -> np.ndarray:
-    """Block b's branch silu(h @ w1.T + b1) @ w2.T + b2; keeps h, z1, silu(z1) and
-    its denominator in cache."""
-    z1 = h @ p[f"w1_{b}"].T
-    z1 += p[f"b1_{b}"]
-    s1 = _silu_kept(z1, cache, f"d1_{b}")
-    cache.update({f"h_{b}": h, f"z1_{b}": z1, f"s1_{b}": s1})
-    r = s1 @ p[f"w2_{b}"].T
-    r += p[f"b2_{b}"]
-    return r
+def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray):
+    """Training forward of (n, f) rows at (n, d) conditioning rows on the form q
+    (inference_params); returns (logits, cache).
 
-
-def forward_logits(p: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray):
-    """Training forward of (n, f) rows at (n, d) conditioning rows; returns (logits, cache).
-
-    The trunk runs in the dtype of features and cond, the head in the dtype
-    of p["out_w"].  The cache keeps what backward_logits reads, every SiLU's
-    denominator 1 + exp(-x) among it, so the backward takes the slopes
-    without another exp.
+    The trunk runs in the dtype of features, cond and q's trunk entries, the
+    head in the dtype of q["out_w"].  The cache keeps what backward_logits
+    reads (see the module docstring).
     """
-    cache = {"features": features}
-    a_in = features @ p["in_w"].T
-    a_in += p["in_b"]
-    h = _silu_kept(a_in, cache, "d_in")
-    cache["a_in"] = a_in
-    sc = _silu_kept(cond, cache, "d_cond")
+    u = features @ q["in_w"].T
+    u += q["in_b"]
+    cache = {"features": features, "t_in": np.empty_like(u), "t_cond": np.empty_like(cond)}
+    h = silu_from_half(u, cache["t_in"])
+    sc = silu(cond, cache["t_cond"])
     for b in range(cfg.n_blocks):
-        r = _residual_branch(p, b, h, cache)
-        x = np.add(h, r, out=r)
-        cvec = sc @ p[f"cw_{b}"].T
-        cvec += p[f"cb_{b}"]
-        pre = np.add(x, cvec, out=cvec)
-        gnout, gncache = _gn_forward(pre, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups)
-        cache[f"gn_{b}"] = (gnout, gncache)
-        h = _silu_kept(gnout, cache, f"dgn_{b}")
-    cache.update({"cond": cond, "sc": sc, "h_top": h})
-    z = h.astype(p["out_w"].dtype, copy=False) @ p["out_w"].T + p["out_b"]
+        s1, t1 = np.empty_like(h), np.empty_like(h)
+        x = _inference_branch(q, b, h, np.empty_like(h), s1, t1)
+        cache.update({f"h_{b}": h, f"s1_{b}": s1, f"t1_{b}": t1})
+        cvec = sc @ q[f"cw_{b}"].T
+        cvec += q[f"cb_{b}"]
+        x += cvec
+        u, cache[f"gn_{b}"] = _gn_forward(x, q[f"gn_g_{b}"], q[f"gn_b_{b}"], cfg.groups)
+        cache[f"tgn_{b}"] = np.empty_like(u)
+        h = silu_from_half(u, cache[f"tgn_{b}"])
+    cache.update({"sc": sc, "h_top": h})
+    z = h.astype(q["out_w"].dtype, copy=False) @ q["out_w"].T + q["out_b"]
     return z, cache
 
 
-def backward_logits(p: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
     """Gradients of a scalar objective with upstream dL/dz; mirrors forward_logits.
 
-    p are the parameters the forward ran with.  Returns the gradient of
-    every parameter forward_logits reads, the head's in its dtype and the
-    trunk's in the trunk dtype, plus "_dcond", dL/dcond per row.  The SiLU
-    slopes come from the denominators and silu(z1) the forward cached.
+    Returns the gradient of every entry of q that forward_logits reads, the
+    head's in its dtype and the trunk's in the trunk dtype, plus "_dcond",
+    dL/dcond per row.
     """
-    h_top = cache["h_top"]
-    g = {"out_w": dz.T @ h_top, "out_b": dz.sum(axis=0)}
-    dh = (dz @ p["out_w"]).astype(h_top.dtype, copy=False)
-    dsc = np.zeros_like(cache["sc"])
+    s = cache["h_top"]
+    g = {"out_w": dz.T @ s, "out_b": dz.sum(axis=0)}
+    dh = (dz @ q["out_w"]).astype(s.dtype, copy=False)
+    sc = cache["sc"]
+    dsc = np.zeros_like(sc)
     for b in reversed(range(cfg.n_blocks)):
-        gnout, gncache = cache[f"gn_{b}"]
-        dgn = _silu_slope(gnout, cache[f"dgn_{b}"])
-        dgn *= dh
-        dpre, dgamma, dbeta = _gn_backward(dgn, p[f"gn_g_{b}"], gncache, cfg.groups)
-        dbias = dpre.sum(axis=0)      # cb and b2 both take dpre's column sums
-        g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta, f"cw_{b}": dpre.T @ cache["sc"],
-                  f"cb_{b}": dbias, f"w2_{b}": dpre.T @ cache[f"s1_{b}"], f"b2_{b}": dbias.copy()})
-        dsc += dpre @ p[f"cw_{b}"]
-        dz1 = dpre @ p[f"w2_{b}"]
-        dz1 *= _silu_slope(cache[f"z1_{b}"], cache[f"d1_{b}"])
-        g[f"w1_{b}"] = dz1.T @ cache[f"h_{b}"]
-        g[f"b1_{b}"] = dz1.sum(axis=0)
-        dh = dz1 @ p[f"w1_{b}"]
+        du = _silu_slope(s, cache[f"tgn_{b}"])
+        du *= dh
+        dpre, dgamma, dbeta = _gn_backward(du, q[f"gn_g_{b}"], cache[f"gn_{b}"], cfg.groups)
+        s1 = cache[f"s1_{b}"]
+        g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta, f"cw_{b}": dpre.T @ sc,
+                  f"cb_{b}": dpre.sum(axis=0), f"w2_{b}": dpre.T @ s1})
+        dsc += dpre @ q[f"cw_{b}"]
+        du1 = dpre @ q[f"w2_{b}"]
+        du1 *= _silu_slope(s1, cache[f"t1_{b}"])
+        s = cache[f"h_{b}"]
+        g[f"w1_{b}"] = du1.T @ s
+        g[f"b1_{b}"] = du1.sum(axis=0)
+        dh = du1 @ q[f"w1_{b}"]
         dh += dpre
-    din = _silu_slope(cache["a_in"], cache["d_in"])
-    din *= dh
-    g["in_w"] = din.T @ cache["features"]
-    g["in_b"] = din.sum(axis=0)
-    dcond = _silu_slope(cache["cond"], cache["d_cond"])
+    du = _silu_slope(s, cache["t_in"])
+    du *= dh
+    g["in_w"] = du.T @ cache["features"]
+    g["in_b"] = du.sum(axis=0)
+    dcond = _silu_slope(sc, cache["t_cond"])
     dcond *= dsc
+    dcond *= 0.5                      # silu(cond) took u = cond / 2
     g["_dcond"] = dcond
     return g
 
@@ -569,36 +550,23 @@ class MlpScorer(Scorer):
         cond = self.params["embed"][anchors] + tf @ self.params["time_w"].T + self.params["time_b"]
         return cond, tf
 
-    def trunk_params(self, dtype) -> dict[str, np.ndarray]:
-        """The parameters for a trunk in dtype: all but the head's cast to it.
-
-        For float64 these are the master parameters themselves.
-        """
-        if dtype == np.float64:
-            return self.params
-        return {name: v if name.startswith("out_") else v.astype(dtype)
-                for name, v in self.params.items()}
-
-    def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray,
-               workspace=None):
+    def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray):
         """Float64 logits with the backprop cache; the training forward.
 
         The trunk runs in float32 on float32 features when cfg.trunk_dtype
         is float32, and in float64 otherwise; the conditioning and the head
-        run in float64.  The trunk parameters come from
-        workspace.trunk_params(dtype) when an optimizer workspace is given
-        (its float32 shadow), else from self.trunk_params(dtype); the cache
-        keeps them for param_grads.
+        run in float64.  The trunk reads the inference form of the current
+        parameters in the trunk's dtype (inference_params), which the cache
+        keeps for param_grads.
         """
         features = np.asarray(features)
         if features.dtype != np.float32 or self.cfg.trunk_dtype != np.float32:
             features = features.astype(np.float64, copy=False)
         anchors = np.asarray(anchors)
-        params = (self if workspace is None else workspace).trunk_params(features.dtype)
+        q = inference_params(self.params, self.cfg, features.dtype)
         cond, tf = self.conditioning(anchors, t)
-        z, cache = forward_logits(params, self.cfg, features,
-                                  cond.astype(features.dtype, copy=False))
-        cache.update({"params": params, "tf": tf, "anchors": anchors})
+        z, cache = forward_logits(q, self.cfg, features, cond.astype(features.dtype, copy=False))
+        cache.update({"params": q, "tf": tf, "anchors": anchors})
         self._check_finite(z)
         return z, cache
 
@@ -670,7 +638,7 @@ class MlpScorer(Scorer):
                     # without the buffered copy numpy makes for out= under "raise".
                     np.take(cvecs[b], index[tile], axis=0, out=h, mode="clip")
                     h += x_b
-                    _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_shift_{b}"],
+                    _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"],
                                          self.cfg.groups, scratch)
                     silu_from_half(h, scratch)
                 zt = z[tile]
@@ -723,7 +691,10 @@ class MlpScorer(Scorer):
 
         They are written into out, float64 arrays named like self.params
         (an optimizer workspace's gradient views), when it is given, and
-        into new arrays otherwise.  The embedding gradient, a scatter-add of
+        into new arrays otherwise.  The gradients of the inference form map
+        back to the master parameters exactly: an entry the form halves
+        (HALVED) takes half its form gradient, and b2, which the form's cb
+        holds, takes cb's.  The embedding gradient, a scatter-add of
         dL/dcond over the anchors, is taken as a one-hot matmul.
         """
         g = backward_logits(cache["params"], self.cfg, dz, cache)
@@ -735,7 +706,9 @@ class MlpScorer(Scorer):
         np.matmul(dcond.T, cache["tf"], out=out["time_w"])
         np.sum(dcond, axis=0, out=out["time_b"])
         for name, grad in g.items():
-            np.copyto(out[name], grad)
+            np.multiply(grad, 0.5 if name.startswith(HALVED) else 1.0, out=out[name])
+        for b in range(self.cfg.n_blocks):
+            np.copyto(out[f"b2_{b}"], g[f"cb_{b}"])
         return out
 
     def save(self, path: str) -> None:

@@ -8,9 +8,11 @@ score-entropy objective with an adaptive-moment update.
 
 fit trains in mixed precision: it casts the features to float32 once, so
 the scorer's forward and backward run the trunk in float32 (the head stays
-float64), while the master parameters, the gradients, the Adam moments and
-the checkpoints stay float64.  A config whose GroupNorm groups hold fewer
-than 4 units trains in float64 throughout (MlpConfig.trunk_dtype).
+float64), on a float32 inference form of the parameters that each forward
+builds from the master ones (mlp.inference_params), while the master
+parameters, the gradients, the Adam moments and the checkpoints stay
+float64.  A config whose GroupNorm groups hold fewer than 4 units trains
+in float64 throughout (MlpConfig.trunk_dtype).
 train_step itself runs in the dtype of the features it is given; on
 float64 features the whole step is float64.
 
@@ -25,9 +27,8 @@ ufuncs over each cache-sized slice of the buffers:
     p -= (lr/bc1) * m / (sqrt(v) * (1/sqrt(bc2)) + eps),
 
 with the bias corrections bc = 1 - b**step folded into scalars (in exact
-arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)).  The float32 trunk reads
-a float32 shadow of the parameter buffer, refreshed by one cast at the
-start of each step's forward.
+arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)).  The workspace holds no
+float32 parameters; the forward's inference form is the only copy.
 
 The comparison grid's cross-entropy baseline is the same network read at
 one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
@@ -79,8 +80,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if min(self.epochs, self.batch_size) < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if self.learning_rate < 0.0 or self.grad_clip <= 0.0:
-            raise ValidationError("learning_rate must be >= 0 and grad_clip > 0")
+        # Written so that NaN fails too: a NaN grad_clip would never clip.
+        if not (0.0 <= self.learning_rate < math.inf and 0.0 < self.grad_clip < math.inf):
+            raise ValidationError("learning_rate must be finite and >= 0, "
+                                  "and grad_clip finite and > 0")
         if not (0.0 < self.betas[0] < 1.0 and 0.0 < self.betas[1] < 1.0):
             raise ValidationError("moment decays must lie in (0, 1)")
 
@@ -127,8 +130,8 @@ class AdamState:
     parameter name to its view into flat and grad.  Packing a parameter
     dict (the constructor, pack) copies its arrays into flat and makes its
     entries those views, so the optimizer's whole-buffer updates are updates
-    to the dict.  A float32 shadow of flat, made on first use, feeds the
-    float32 trunk (trunk_params).
+    to the dict.  There is no float32 copy of flat: each forward builds the
+    inference form it runs on from the master views (MlpScorer.logits).
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -138,7 +141,6 @@ class AdamState:
         self.scratch = np.empty(min(size, ADAM_CHUNK))
         self.params = self._views(self.flat, params)
         self.grads = self._views(self.grad, params)
-        self._shadow = self._shadow_params = None
         self.pack(params)
 
     @staticmethod
@@ -163,23 +165,6 @@ class AdamState:
                                           f"expected {view.shape}")
                 view[...] = value
                 params[name] = view
-
-    def trunk_params(self, dtype) -> dict[str, np.ndarray]:
-        """The parameters for a trunk in dtype, as MlpScorer.trunk_params gives them.
-
-        For float64 these are the master views; for float32, views into the
-        shadow, refreshed from flat by one cast per call, with the head's
-        entries left as master views.
-        """
-        if dtype == np.float64:
-            return self.params
-        if self._shadow is None:
-            self._shadow = np.empty(self.flat.shape, dtype=np.float32)
-            shadow = self._views(self._shadow, self.params)
-            self._shadow_params = {name: self.params[name] if name.startswith("out_") else view
-                                   for name, view in shadow.items()}
-        np.copyto(self._shadow, self.flat, casting="same_kind")
-        return self._shadow_params
 
 
 @dataclass(frozen=True)
@@ -238,8 +223,7 @@ def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray
 
     q0 rows may be one-hot labels or any distribution on the simplex (mixed
     targets are supported structurally).  With a workspace, packed with
-    scorer.params, the trunk reads its parameters from it and the gradients
-    are its gradient views.
+    scorer.params, the gradients are written into its gradient views.
     """
     n, k = q0.shape
     if stratified_t:
@@ -252,7 +236,7 @@ def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray
     s_true = q_t / q_t[np.arange(n), anchors][:, None]
     s_true[np.arange(n), anchors] = 1.0
 
-    z, cache = scorer.logits(features, anchors, t, workspace)
+    z, cache = scorer.logits(features, anchors, t)
     s_pred = np.exp(z - z[np.arange(n), anchors][:, None])
     s_pred[np.arange(n), anchors] = 1.0
 
@@ -280,8 +264,7 @@ def cross_entropy_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels
     """Mean cross-entropy of the scorer's logits at (BASELINE_ANCHOR, BASELINE_T) on a
     labeled batch; returns (stats, grads).  A workspace serves as in batch_loss_and_grads."""
     n = labels.size
-    z, cache = scorer.logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T),
-                             workspace)
+    z, cache = scorer.logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T))
     log_p = _log_softmax(z)
     rows = np.arange(n)
     total = float(-log_p[rows, labels].mean())

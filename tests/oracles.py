@@ -4,8 +4,9 @@ Each one is written independently of the fast path it checks: a series
 matrix exponential for the closed-form forward marginal, the rate applied
 explicitly for Euler stepping, quadrature for the closed-form posteriors,
 single-column score and loss helpers for the batched training loss, the
-SiLU slope from a fresh exp, and a per-array Adam in its textbook order for
-the optimizer's whole-buffer update.  ExactScorer scores from a known
+SiLU slope from a fresh exp, the scorer network's forward on its master
+parameters as the textbook writes it, and a per-array Adam in its textbook
+order for the optimizer's whole-buffer update.  ExactScorer scores from a known
 posterior through the closed-form forward marginal, and bayes_accuracy
 draws the exact-posterior argmax's accuracy, the ceiling a trained
 classifier is held to.
@@ -21,6 +22,7 @@ import numpy as np
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import ValidationError
 from diffclass.loss import score_entropy_terms
+from diffclass.mlp import GN_EPS, MlpConfig
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import PROB_FLOOR, Scorer, floor_probs
 from diffclass.transition import ensure_distribution, forward_marginal
@@ -258,6 +260,37 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
     """d/dx of x * sigmoid(x), from a fresh exp."""
     s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
+
+
+def reference_logits(params: dict, cfg: MlpConfig, features: np.ndarray, anchors: np.ndarray,
+                     t: np.ndarray, schedule: LogLinearSchedule) -> np.ndarray:
+    """The scorer network's logits in plain float64 on its master parameters.
+
+    Written from the network's definition, apart from the package's forward
+    and its inference form: SiLU as x / (1 + exp(-x)), b2 on the residual
+    branch, GroupNorm by numpy's mean and variance with the unhalved gain
+    and shift, and the conditioning added after the branch.
+    """
+    def silu(x):
+        return x / (1.0 + np.exp(-x))
+
+    p = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
+    t = np.asarray(t, dtype=np.float64)
+    scalar = t if cfg.time_input == "raw" else schedule.sigma_bar(t) / schedule.sigma_bar_max
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), cfg.time_embed_dim // 2))
+    angles = np.outer(scalar, freqs)
+    time_embedding = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+    cond = p["embed"][anchors] + time_embedding @ p["time_w"].T + p["time_b"]
+    h = silu(np.asarray(features, dtype=np.float64) @ p["in_w"].T + p["in_b"])
+    n = len(h)
+    for b in range(cfg.n_blocks):
+        branch = silu(h @ p[f"w1_{b}"].T + p[f"b1_{b}"]) @ p[f"w2_{b}"].T + p[f"b2_{b}"]
+        x = h + branch + silu(cond) @ p[f"cw_{b}"].T + p[f"cb_{b}"]
+        xg = x.reshape(n, cfg.groups, -1)
+        xhat = (xg - xg.mean(axis=2, keepdims=True)) / np.sqrt(xg.var(axis=2, keepdims=True)
+                                                                + GN_EPS)
+        h = silu(xhat.reshape(n, -1) * p[f"gn_g_{b}"] + p[f"gn_b_{b}"])
+    return h @ p["out_w"].T + p["out_b"]
 
 
 def adam_reference(params: dict, grads: dict, m: dict, v: dict, step: int, lr: float,

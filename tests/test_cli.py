@@ -383,6 +383,20 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                             ("--grad-clip", "nan"), ("--grad-clip", "inf")])
+    def test_non_finite_training_flag_exits_2(self, tmp_path, capsys, flag, value):
+        """A NaN grad_clip would never clip and a non-finite rate diverges: both are bad
+        flags, not numerical failures."""
+        stem = _gen(tmp_path, "d", 16, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", stem, flag, value, "--checkpoint", str(ckpt)]
+                      + TINY_TRAIN)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and not ckpt.exists()
+
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"k=5\n\xff\xfe=1\n")

@@ -155,7 +155,7 @@ class TestMixedPrecision:
 
 
 class TestWorkspace:
-    """The optimizer's flat workspace: views, the float32 shadow, whole-buffer updates."""
+    """The optimizer's flat workspace: views, the forward's form of them, whole-buffer updates."""
 
     def _scorer_and_batches(self, seed=0, n_batches=6):
         config = _tiny_config()
@@ -166,25 +166,29 @@ class TestWorkspace:
                    for i in range(0, 32 * n_batches, 32)]
         return config, scorer, batches
 
-    def test_float32_shadow_is_the_cast_of_the_master_at_every_forward(self, monkeypatch):
+    def test_every_forward_reads_the_inference_form_of_the_current_master(self, monkeypatch):
+        """Each step's forward runs on inference_params of the master parameters as they
+        stand, bit for bit; the workspace keeps no copy of its own."""
         config, scorer, batches = self._scorer_and_batches()
         opt = AdamState(scorer.params)
         real_forward = mlp.forward_logits
         forwards = []
 
-        def checking_forward(p, cfg, features, cond, *args, **kwargs):
-            for name, value in p.items():
-                master = scorer.params[name]
-                want = master if name.startswith("out_") else master.astype(np.float32)
-                assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), name
-            forwards.append(features.dtype)
-            return real_forward(p, cfg, features, cond, *args, **kwargs)
+        def checking_forward(q, cfg, features, cond, *args, **kwargs):
+            want = mlp.inference_params(scorer.params, cfg, np.float32)
+            assert q.keys() == want.keys()
+            for name, value in q.items():
+                assert value.dtype == want[name].dtype, name
+                assert value.tobytes() == want[name].tobytes(), name
+            forwards.append((features.dtype, b"".join(v.tobytes() for v in q.values())))
+            return real_forward(q, cfg, features, cond, *args, **kwargs)
 
         monkeypatch.setattr(mlp, "forward_logits", checking_forward)
         rng = np.random.default_rng(7)
         for features, labels in batches:
             train_step(scorer, opt, features, labels, config.schedule(), rng, lr=1e-2)
-        assert forwards == [np.dtype(np.float32)] * len(batches)
+        assert [dtype for dtype, _ in forwards] == [np.dtype(np.float32)] * len(batches)
+        assert len({form for _, form in forwards}) == len(batches)    # each step moved it
 
     def test_replaced_parameter_arrays_take_effect(self):
         """A new array assigned to an entry, or a whole new dict, is packed in before
@@ -404,3 +408,10 @@ class TestValidationErrors:
             TrainConfig(epochs=0)
         with pytest.raises(ValidationError):
             TrainConfig(betas=(1.5, 0.999))
+        for bad in (dict(learning_rate=-1e-3), dict(learning_rate=float("nan")),
+                    dict(learning_rate=float("inf")), dict(grad_clip=0.0),
+                    dict(grad_clip=-1.0), dict(grad_clip=float("nan")),
+                    dict(grad_clip=float("inf"))):
+            with pytest.raises(ValidationError):
+                TrainConfig(**bad)
+        TrainConfig(learning_rate=0.0, grad_clip=1e-300)
