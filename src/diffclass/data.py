@@ -228,10 +228,11 @@ def load_dataset(stem: str):
     if len(raw) != n * dtype.itemsize:
         raise ValidationError(f"{stem}.bin: expected {n * dtype.itemsize} bytes, found {len(raw)}")
     records = np.frombuffer(raw, dtype=dtype)
+    # Checked before the float64 cast, which warns on a signalling NaN.
+    if not np.all(np.isfinite(records["y"])):
+        raise ValidationError(f"{stem}.bin: non-finite feature")
     y = records["y"].astype(np.float64)
     labels = records["c"].astype(np.int64)
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"{stem}.bin: label outside [0, {k})")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError(f"{stem}.bin: non-finite feature")
     return y, labels, task, corruption, seed

@@ -55,16 +55,15 @@ takes its group means by a block-averaging matmul in float32 training
 and in inference; float64 training keeps numpy's reductions.
 
 A call of at least 2 * TILE_ROWS rows shares its tiles over WORKERS
-workers (worker_tiles, _run_workers): the calling thread and a pool
-thread, started on the first such call, each take a contiguous,
-near-equal share of the rows, tile it with row_tiles, and run it in work
-arrays of their own that the caller allocates, writing disjoint rows of
+workers through one queue (_run_workers): the calling thread and pool
+jobs, on threads started on the first such call, each take the next tile
+as they finish one, in work arrays of their own, writing disjoint rows of
 the base or logits array.  numpy releases the interpreter lock in its
-matmuls and ufuncs, so the workers run at once, and since every tile
-still holds at least TILE_ROWS rows the logits do not depend on the
-worker count.  Smaller calls, among them every training batch and the
-512-row validation, run inline.  Only the tiles run on the pool; the
-conditioning, the finiteness check and everything outside
+matmuls and ufuncs, so the workers run at once.  The tiles depend on the
+row count alone, so the logits do not depend on the worker count or on
+which worker ran a tile.  Smaller calls, among them every training batch
+and the 512-row validation, run inline.  Only the tiles run on the pool;
+the conditioning, the finiteness check and everything outside
 inference_logits and prepare stay on the calling thread.
 """
 
@@ -76,6 +75,7 @@ import math
 import os
 import struct
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +102,7 @@ MIN_FLOAT32_GROUP = 4
 # these, tiles of 1,000 rows and up gave logits equal to the untiled ones bit
 # for bit (BLAS picks its kernel by row count), so the split must never leave
 # a smaller remainder tile: with 1,024-row tiles the last 832 of 8,000 rows
-# were off by up to 1.5e-7.  For the same reason a call is shared over workers
-# (worker_tiles) only in shares of at least TILE_ROWS rows.
+# were off by up to 1.5e-7.
 TILE_ROWS = 1000
 
 
@@ -114,8 +113,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Workers that share one scorer call's row tiles (worker_tiles): the calling
-# thread plus WORKERS - 1 pool threads.  8,000-row eval-cp on a 2-vCPU Xeon,
+# Workers that share one scorer call's row tiles (_run_workers): the calling
+# thread plus up to WORKERS - 1 pool jobs.  8,000-row eval-cp on a 2-vCPU Xeon,
 # one BLAS thread, medians of 10 benchmark runs: 22,375 rows/s with every tile
 # inline, 33,012 on two workers (with sampler.SCORER_ROWS halved to pay for
 # the second worker's memory).  Each worker costs its work arrays (~1.5 MiB at
@@ -320,32 +319,15 @@ def _inference_groupnorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     return x
 
 
-def _near_equal(start: int, stop: int, count: int) -> list[slice]:
-    """count contiguous slices of near-equal length that cover range(start, stop) in order."""
-    bounds = [start + i * (stop - start) // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def row_tiles(n: int, start: int = 0) -> list[slice]:
-    """max(1, n // TILE_ROWS) contiguous, near-equal tiles that cover range(start, start + n).
+def row_tiles(n: int) -> list[slice]:
+    """max(1, n // TILE_ROWS) contiguous, near-equal tiles that cover range(n) in order.
 
     Every tile holds at least min(n, TILE_ROWS) rows and fewer than
     2 * TILE_ROWS, so no tile is a small remainder.
     """
-    return _near_equal(start, start + n, max(1, n // TILE_ROWS))
-
-
-def worker_tiles(n: int) -> list[list[slice]]:
-    """The row tiles of range(n) per worker, the calling thread's first.
-
-    The rows split into min(WORKERS, max(1, n // TILE_ROWS)) contiguous,
-    near-equal shares, and each share into its row_tiles.  A share holds at
-    least TILE_ROWS rows unless it is the only one, so every tile still
-    holds at least min(n, TILE_ROWS) rows and the logits do not depend on
-    the worker count; a call under 2 * TILE_ROWS rows runs on one worker.
-    """
-    shares = _near_equal(0, n, min(WORKERS, max(1, n // TILE_ROWS)))
-    return [row_tiles(share.stop - share.start, share.start) for share in shares]
+    count = max(1, n // TILE_ROWS)
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 _pool = None                 # the executor of _run_workers, started on first use
@@ -375,27 +357,39 @@ def _executor():
 
 
 def _run_workers(n: int, alloc, run) -> None:
-    """run(tiles, *work) for every worker's tiles of range(n) (worker_tiles), at once.
+    """run(tiles, *alloc(rows)) on up to WORKERS workers that share the row tiles of
+    range(n) (row_tiles) through one queue; rows is the largest tile's.
 
-    alloc(rows) returns one worker's work arrays for tiles of up to rows
-    rows; the calling thread allocates every worker's before any starts.
-    The first worker is the calling thread and the rest run on the pool,
-    each in a copy of the caller's context, so it keeps the caller's
-    np.errstate.  Returns when every worker has finished, and raises the
-    calling thread's error, else the first pool worker's.
+    The calling thread and up to WORKERS - 1 pool jobs, none for a call of
+    one tile, each run in work arrays of their own and take the queue's
+    next tile as they finish one; a pool job runs in a copy of the
+    caller's context, so it keeps the caller's np.errstate.  When the queue
+    runs dry the caller cancels every job that has not started, so a busy
+    pool never holds it up, and waits for the running ones.  Raises the
+    calling thread's error, else the first pool job's.
+
+    The calling thread allocates every job's work arrays: allocated on a
+    pool thread, they come from glibc's arena for that thread, which keeps
+    its freed pages apart from the main heap's: 8,000-row eval-cp on a
+    2-vCPU Xeon then peaked 1.8 MiB higher.
     """
-    jobs = [(tiles, *alloc(max(tile.stop - tile.start for tile in tiles)))
-            for tiles in worker_tiles(n)]
-    if len(jobs) == 1:
-        run(*jobs[0])
-        return
-    futures = [_executor().submit(contextvars.copy_context().run, run, *job) for job in jobs[1:]]
+    tiles = row_tiles(n)
+    rows = max(tile.stop - tile.start for tile in tiles)
+    lock, queue = threading.Lock(), iter(tiles)
+
+    def take() -> slice | None:
+        with lock:
+            return next(queue, None)
+
+    work = [(iter(take, None), *alloc(rows)) for _ in range(min(WORKERS, len(tiles)))]
+    futures = [_executor().submit(contextvars.copy_context().run, run, *job) for job in work[1:]]
     try:
-        run(*jobs[0])
+        run(*work[0])
     finally:
-        for future in futures:
+        started = [future for future in futures if not future.cancel()]
+        for future in started:
             future.exception()       # waits; the loop below raises
-    for future in futures:
+    for future in started:
         future.result()
 
 
@@ -574,8 +568,8 @@ class MlpScorer(Scorer):
         """Run the conditioning-free prefix of the inference trunk once.
 
         Builds the inference form of the parameters in cfg.trunk_dtype and
-        runs the input layer and block 0's residual branch on the rows, over
-        the workers' row tiles (worker_tiles); score_batch takes the result
+        runs the input layer and block 0's residual branch on the rows, tile
+        by tile on the workers (_run_workers); score_batch takes the result
         in place of the features at any anchors and times, until the
         parameters change.
         """
@@ -587,7 +581,7 @@ class MlpScorer(Scorer):
         q = inference_params(self.params, self.cfg, dtype)
         base = np.empty((features.shape[0], self.cfg.hidden_dim), dtype)
 
-        def run(tiles: list[slice], h_work: np.ndarray, scratch_work: np.ndarray) -> None:
+        def run(tiles: Iterable[slice], h_work: np.ndarray, scratch_work: np.ndarray) -> None:
             for tile in tiles:
                 h, scratch = (w[:tile.stop - tile.start] for w in (h_work, scratch_work))
                 np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
@@ -607,11 +601,11 @@ class MlpScorer(Scorer):
         anchors and t hold one integer label and one time per row.  The
         conditioning and its per-block projections run once per call and
         distinct (anchor, t) pair, at most K rows when every row shares t,
-        and are gathered per row.  The tail runs tile by tile, each worker
-        over its tiles (worker_tiles) in (rows, hidden) work arrays that its
-        tiles reuse, so its temporaries stay cache-sized; the logits do not
-        depend on the tiling or the worker count while every tile holds at
-        least TILE_ROWS rows.
+        and are gathered per row.  The tail runs tile by tile on the workers
+        (_run_workers), each in (rows, hidden) work arrays that its tiles
+        reuse, so its temporaries stay cache-sized; the logits do not depend
+        on the tiling while every tile holds at least TILE_ROWS rows, nor on
+        the worker count.
         """
         if not isinstance(features, PreparedFeatures):
             features = self.prepare(features)
@@ -624,7 +618,7 @@ class MlpScorer(Scorer):
         z = np.empty((len(base), self.k), dtype=q["out_w"].dtype)
         hidden = self.cfg.hidden_dim
 
-        def run(tiles: list[slice], h_work: np.ndarray, pair: np.ndarray) -> None:
+        def run(tiles: Iterable[slice], h_work: np.ndarray, pair: np.ndarray) -> None:
             for tile in tiles:
                 m = tile.stop - tile.start
                 h = h_work[:m]

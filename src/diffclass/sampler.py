@@ -50,14 +50,14 @@ STRATEGIES = ("argmax", "sampling", "argmin")
 TIME_GRIDS = ("uniform-t", "uniform-noise")
 
 # Scorer rows per engine block (inputs x rows per input).  8,000 cp inputs run
-# as two blocks of 4,000, each of which the scorer shares over its two
-# workers as two 1,000-row tiles apiece.  Halving the block from 8,192 pays
-# for the second worker's work arrays: 8,000-input evals (8 steps, one BLAS
-# thread) peaked at 48.2 MiB RSS for cp, 58.3 for cl at 16 samples and 51.4
-# for full at 8,192 rows on one worker, and at 44.8, 47.0 and 44.7 at 4,096
-# on two, each block's prepared rows dropped before the next block's.  Larger
-# blocks cost memory and gained no speed: at 16,384 rows the same cl eval
-# peaked at 76 MiB and ran no faster than at 8,192.  cp's
+# as two blocks of 4,000, each of which the scorer cuts into four 1,000-row
+# tiles that its two workers take from one queue.  Halving the block from 8,192
+# pays for the second worker's work arrays: 8,000-input evals (8 steps, one
+# BLAS thread) peaked at 48.2 MiB RSS for cp, 58.3 for cl at 16 samples and
+# 51.4 for full at 8,192 rows on one worker, and at 44.8, 47.0 and 44.7 at
+# 4,096 on two, each block's prepared rows dropped before the next
+# block's.  Larger blocks cost memory and gained no speed: at 16,384 rows the
+# same cl eval peaked at 76 MiB and ran no faster than at 8,192.  cp's
 # "sampling" draws depend on the blocking (see Random streams above), so they
 # now change above 4,096 inputs, where they changed above 8,192 before.
 SCORER_ROWS = 4096
@@ -225,6 +225,8 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     y = np.asarray(y, dtype=np.float64)
     features = np.atleast_2d(y)
     n, k = features.shape[0], scorer.k
+    if n == 0:
+        raise ValidationError(f"{method} posterior needs at least one input; got shape {y.shape}")
     r = {"cp": 1, "cl": cfg.n_samples, "full": k}[method]
     per_block = max(1, SCORER_ROWS // r)
     n_blocks = -(-n // per_block)

@@ -78,8 +78,9 @@ class TrainConfig:
     eval_subset: int = 512          # validation inputs scored per epoch
 
     def __post_init__(self) -> None:
-        if min(self.epochs, self.batch_size) < 1:
-            raise ValidationError("epochs and batch_size must be positive")
+        if min(self.epochs, self.batch_size, self.eval_steps, self.eval_subset) < 1:
+            raise ValidationError(
+                "epochs, batch_size, eval_steps and eval_subset must be positive")
         # Written so that NaN fails too: a NaN grad_clip would never clip.
         if not (0.0 <= self.learning_rate < math.inf and 0.0 < self.grad_clip < math.inf):
             raise ValidationError("learning_rate must be finite and >= 0, "

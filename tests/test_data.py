@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffclass.data import (CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset,
-                            true_posterior_batch)
+from diffclass.data import (CorruptionSpec, MixtureTask, _record_dtype, generate, load_dataset,
+                            save_dataset, true_posterior_batch)
 from diffclass.errors import ValidationError
 from diffclass.transition import sample_categorical_rows
 from oracles import bayes_accuracy, posterior_quadrature
@@ -197,8 +197,11 @@ class TestDatasetFiles:
                             for row, c in zip(y, labels))
         assert Path(stem + ".bin").read_bytes() == expected
 
-    @pytest.mark.parametrize("mutate", ["label_high", "label_negative", "nan", "inf"])
+    @pytest.mark.parametrize("mutate", ["label_high", "label_negative", "nan", "inf",
+                                        "signalling_nan"])
     def test_corrupt_records_rejected(self, tmp_path, mutate):
+        """A signalling NaN is rejected without the RuntimeWarning its float64 cast
+        gives (warnings are errors in this suite)."""
         task = MixtureTask.ring(3, 2)
         y, labels = generate(task, 10, NONE, np.random.default_rng(13))
         if mutate.startswith("label"):
@@ -207,6 +210,10 @@ class TestDatasetFiles:
             y[7, 1] = float(mutate)
         stem = str(tmp_path / "bad")
         save_dataset(stem, y, labels, task, NONE, seed=0)
+        if mutate == "signalling_nan":
+            raw = bytearray(Path(stem + ".bin").read_bytes())
+            np.frombuffer(raw, dtype=_record_dtype(2))["y"].view(np.uint32)[7, 1] = 0x7F800001
+            Path(stem + ".bin").write_bytes(raw)
         with pytest.raises(ValidationError, match="bad.bin"):
             load_dataset(stem)
 

@@ -247,23 +247,18 @@ class TestPreparedPath:
         assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000), workers=st.integers(1, 4))
-    def test_row_tiles_cover_the_rows_in_near_equal_tiles(self, n, tile_rows, workers):
-        """row_tiles, and the tiles of every worker's share (worker_tiles), cover
-        range(n) in order with at least min(n, TILE_ROWS) rows and fewer than
-        2 * TILE_ROWS each; a call under 2 * TILE_ROWS rows stays on one worker."""
+    @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000))
+    def test_row_tiles_cover_the_rows_in_near_equal_tiles(self, n, tile_rows):
+        """row_tiles covers range(n) in order with max(1, n // TILE_ROWS) tiles of at
+        least min(n, TILE_ROWS) rows and fewer than 2 * TILE_ROWS each."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mlp, "TILE_ROWS", tile_rows)
-            patch.setattr(mlp, "WORKERS", workers)
             tiles = row_tiles(n)
-            shares = mlp.worker_tiles(n)
         assert len(tiles) == max(1, n // tile_rows)
-        assert len(shares) == min(workers, max(1, n // tile_rows))
-        for tiling in (tiles, [tile for share in shares for tile in share]):
-            assert tiling[0].start == 0 and tiling[-1].stop == n
-            assert all(a.stop == b.start for a, b in zip(tiling, tiling[1:]))
-            sizes = [tile.stop - tile.start for tile in tiling]
-            assert min(sizes) >= min(n, tile_rows) and max(sizes) < 2 * tile_rows
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        sizes = [tile.stop - tile.start for tile in tiles]
+        assert min(sizes) >= min(n, tile_rows) and max(sizes) < 2 * tile_rows
 
     @pytest.mark.parametrize("tile_rows", [1, 7, mlp.TILE_ROWS])
     def test_tiled_logits_match_one_untiled_forward(self, trained_scorer, monkeypatch,
@@ -363,7 +358,7 @@ def _on_pool_thread() -> bool:
 
 
 class TestWorkers:
-    """Row tiles shared over the calling thread and the pool (worker_tiles, _run_workers)."""
+    """Row tiles shared through one queue by the calling thread and the pool (_run_workers)."""
 
     @pytest.mark.parametrize("tile_rows", [7, mlp.TILE_ROWS])
     def test_logits_do_not_depend_on_the_worker_count(self, trained_scorer, monkeypatch,
@@ -371,10 +366,10 @@ class TestWorkers:
         y, anchors, t = _shared_time_batch(3500, 19)
         t[::3] = 0.25
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
+        assert len(row_tiles(len(y))) >= 3
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(mlp, "WORKERS", workers)
-            assert len(mlp.worker_tiles(len(y))) == workers
             prepared = trained_scorer.prepare(y)
             runs.append((prepared.base.tobytes(),
                          trained_scorer.inference_logits(prepared, anchors, t).tobytes()))
@@ -393,26 +388,94 @@ class TestWorkers:
 
     @pytest.mark.parametrize("error", [ValidationError, NumericalError])
     def test_an_error_in_a_pool_tile_reaches_the_caller(self, monkeypatch, error):
+        """The caller's tiles wait, up to 20 s, until a pool tile has started and
+        failed, so the pool cannot be left without a tile."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         monkeypatch.setattr(mlp, "WORKERS", 2)
         scorer = _small_scorer(head_scale=0.3)
         y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
         expected = scorer.score_batch(y, anchors, t)
         prepared = scorer.prepare(y)
-        silu_half = mlp.silu_from_half
+        branch = mlp._inference_branch
+        pool_failed = threading.Event()
 
-        def failing(u, scratch):
+        def failing(*args):
             if _on_pool_thread():
+                pool_failed.set()
                 raise error("a pool tile failed")
-            return silu_half(u, scratch)
+            assert pool_failed.wait(timeout=20), "no tile started on the pool"
+            return branch(*args)
 
-        monkeypatch.setattr(mlp, "silu_from_half", failing)
+        monkeypatch.setattr(mlp, "_inference_branch", failing)
         with pytest.raises(error, match="a pool tile failed"):
             scorer.prepare(y)
+        pool_failed.clear()
         with pytest.raises(error, match="a pool tile failed"):
             scorer.score_batch(prepared, anchors, t)
-        monkeypatch.setattr(mlp, "silu_from_half", silu_half)
+        monkeypatch.setattr(mlp, "_inference_branch", branch)
         assert np.array_equal(scorer.score_batch(y, anchors, t), expected)
+
+    def test_a_busy_pool_does_not_hold_up_a_call(self, monkeypatch):
+        """A multi-tile call finishes while the pool's only thread is busy: the
+        caller takes every tile and cancels the job that never started."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(mlp, "WORKERS", 2)
+        monkeypatch.setattr(mlp, "_pool", None)      # a pool of WORKERS - 1 = 1 thread
+        scorer = _small_scorer(head_scale=0.3)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        expected = scorer.score_batch(y, anchors, t)
+        release = threading.Event()
+        busy = mlp._executor().submit(release.wait)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(scorer.score_batch(y, anchors, t)))
+        try:
+            caller.start()
+            caller.join(timeout=20)
+            finished = not caller.is_alive()
+        finally:
+            release.set()
+            busy.result(timeout=20)
+            caller.join(timeout=20)
+            mlp._pool.shutdown()
+        assert finished, "the call waited for the busy pool"
+        assert np.array_equal(results[0], expected)
+
+    def test_every_tile_runs_exactly_once(self, trained_scorer, monkeypatch):
+        """Three workers under a 1 us switch interval run each tile of row_tiles(n)
+        once, in prepare and in inference_logits, and give the one-worker logits."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        y, anchors, t = _shared_time_batch(400, 22)
+        monkeypatch.setattr(mlp, "WORKERS", 1)
+        expected = trained_scorer.inference_logits(y, anchors, t)
+        monkeypatch.setattr(mlp, "WORKERS", 3)
+        monkeypatch.setattr(mlp, "_pool", None)      # a pool of WORKERS - 1 = 2 threads
+        run_workers = mlp._run_workers
+        calls = []
+
+        def spy(n, alloc, run):
+            ran = []
+            calls.append((n, ran))
+
+            def recording(tiles, *work):
+                def record():
+                    for tile in tiles:
+                        ran.append((tile.start, tile.stop))
+                        yield tile
+                run(record(), *work)
+
+            run_workers(n, alloc, recording)
+
+        monkeypatch.setattr(mlp, "_run_workers", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = trained_scorer.inference_logits(y, anchors, t)
+        finally:
+            sys.setswitchinterval(interval)
+            mlp._pool.shutdown()
+        assert len(calls) == 2 and np.array_equal(got, expected)
+        for n, ran in calls:
+            assert sorted(ran) == [(tile.start, tile.stop) for tile in row_tiles(n)]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_usable_cpu_starts_no_thread(self):

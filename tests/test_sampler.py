@@ -296,6 +296,14 @@ class TestTimeGrid:
             SamplerConfig(n_samples=0)
 
 
+class TestZeroInputs:
+    @pytest.mark.parametrize("estimator", [posterior_cp, posterior_cl, posterior_full])
+    def test_zero_input_rows_raise_validation_error(self, estimator):
+        _, schedule, scorer, _, _ = _exact_setup(k=4)
+        with pytest.raises(ValidationError, match=r"\(0, 2\)"):
+            estimator(np.zeros((0, 2)), scorer, schedule, SamplerConfig(n_steps=2))
+
+
 class TestPreparedFeatures:
     @pytest.mark.parametrize("method", ["cp", "cl", "full"])
     def test_each_estimator_prepares_once_per_call(self, method, monkeypatch):

@@ -408,6 +408,10 @@ class TestValidationErrors:
             TrainConfig(epochs=0)
         with pytest.raises(ValidationError):
             TrainConfig(betas=(1.5, 0.999))
+        for field in ("eval_steps", "eval_subset"):
+            for bad in (0, -5):
+                with pytest.raises(ValidationError, match=field):
+                    TrainConfig(**{field: bad})
         for bad in (dict(learning_rate=-1e-3), dict(learning_rate=float("nan")),
                     dict(learning_rate=float("inf")), dict(grad_clip=0.0),
                     dict(grad_clip=-1.0), dict(grad_clip=float("nan")),
