@@ -2,8 +2,10 @@
 
 Labels are corrupted by a uniform-rate continuous-time Markov process with
 a closed-form marginal; a ratio-score network is trained with a
-score-entropy objective; the posterior is recovered by Euler-stepping the
-reverse process over class probabilities or sampled class labels.
+score-entropy objective; the posterior is recovered by stepping the reverse
+process over class probabilities or sampled class labels, each step denoising
+the score column exactly over its interval (or, optionally, a first-order
+Euler step).
 """
 
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch

@@ -440,6 +440,36 @@ class TestWorkers:
         assert finished, "the call waited for the busy pool"
         assert np.array_equal(results[0], expected)
 
+    def test_a_changed_worker_count_resizes_the_pool(self, monkeypatch):
+        """A multi-tile call at three workers, after one at two, runs its tiles on
+        three threads: each worker holds its first tile until three have one."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(mlp, "_pool", None)
+        scorer = _small_scorer(head_scale=0.3)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        monkeypatch.setattr(mlp, "WORKERS", 2)
+        expected = scorer.score_batch(y, anchors, t)
+        prepared = scorer.prepare(y)
+        monkeypatch.setattr(mlp, "WORKERS", 3)
+        branch = mlp._inference_branch
+        lock, threads = threading.Lock(), set()
+        meeting = threading.Barrier(3, timeout=10)
+
+        def first_tiles_meet(*args):
+            with lock:
+                first = threading.current_thread().name not in threads
+                threads.add(threading.current_thread().name)
+            if first:
+                meeting.wait()
+            return branch(*args)
+
+        monkeypatch.setattr(mlp, "_inference_branch", first_tiles_meet)
+        try:
+            got = scorer.score_batch(prepared, anchors, t)
+        finally:
+            mlp._pool.shutdown()
+        assert len(threads) == 3 and np.array_equal(got, expected)
+
     def test_every_tile_runs_exactly_once(self, trained_scorer, monkeypatch):
         """Three workers under a 1 us switch interval run each tile of row_tiles(n)
         once, in prepare and in inference_logits, and give the one-worker logits."""

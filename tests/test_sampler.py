@@ -12,8 +12,8 @@ from diffclass import sampler
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import MlpConfig, MlpScorer
-from diffclass.sampler import (STRATEGIES, TIME_GRIDS, SamplerConfig, _cl_step_batch,
-                               _select_labels_batch, posterior_cl, posterior_cp,
+from diffclass.sampler import (STEPS, STRATEGIES, TIME_GRIDS, SamplerConfig, _cl_step_batch,
+                               _cp_step_batch, _select_labels_batch, posterior_cl, posterior_cp,
                                posterior_cp_batch, posterior_full, reverse_step_full, step_times)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.transition import forward_marginal
@@ -118,7 +118,7 @@ class TestPosteriorCp:
         q0 = np.array([0.7, 0.2, 0.1])
         schedule = LogLinearSchedule(0.4, 0.5)
         scorer = ExactScorer(lambda y: np.tile(q0, (y.shape[0], 1)), k, schedule)
-        est = posterior_cp(np.zeros(1), scorer, schedule, SamplerConfig(n_steps=1))
+        est = posterior_cp(np.zeros(1), scorer, schedule, SamplerConfig(n_steps=1, step="euler"))
         # hand computation: q_hat at t=1, kernel column arithmetic at sigma(1)*dt
         alpha = np.exp(-k * 0.4)
         q_hat = alpha * q0 + (1 - alpha) / k
@@ -134,7 +134,8 @@ class TestPosteriorCp:
     def test_exact_scorer_recovers_posterior(self):
         task, schedule, scorer, y, _ = _exact_setup(n=40)
         q_true = true_posterior_batch(task, y)
-        probs, clamp, _ = posterior_cp_batch(y, scorer, schedule, SamplerConfig(n_steps=256))
+        probs, clamp, _ = posterior_cp_batch(y, scorer, schedule,
+                                             SamplerConfig(n_steps=256, step="euler"))
         tv = 0.5 * np.abs(probs - q_true).sum(axis=1)
         assert tv.mean() < 1e-2
         assert clamp.mean() < 1e-3
@@ -144,7 +145,8 @@ class TestPosteriorCp:
         q_true = true_posterior_batch(task, y)
         tvs = []
         for steps in (2, 4, 8, 16, 32, 64):
-            probs, _, _ = posterior_cp_batch(y, scorer, schedule, SamplerConfig(n_steps=steps))
+            probs, _, _ = posterior_cp_batch(y, scorer, schedule,
+                                             SamplerConfig(n_steps=steps, step="euler"))
             tvs.append(0.5 * np.abs(probs - q_true).sum(axis=1).mean())
         assert all(tvs[i + 1] <= tvs[i] + 1e-3 for i in range(len(tvs) - 1))
 
@@ -168,7 +170,7 @@ class TestPosteriorCp:
 
     def test_step_abort_threshold_respected(self):
         task, schedule, scorer, y, _ = _exact_setup(separation=4.0, n=4)
-        cfg = SamplerConfig(n_steps=2, max_step_clamp_mass=1e-3)
+        cfg = SamplerConfig(n_steps=2, max_step_clamp_mass=1e-3, step="euler")
         with pytest.raises(NumericalError):
             posterior_cp_batch(y, scorer, schedule, cfg)
 
@@ -204,7 +206,7 @@ class TestClStep:
     def test_excess_offdiagonal_mass_aborts(self):
         """A coarse step on a peaked task clamps; a set limit turns that into an abort."""
         _, schedule, scorer, y, _ = _exact_setup(k=3, separation=4.0, n=1)
-        cfg = SamplerConfig(n_steps=2, n_samples=8, max_step_clamp_mass=1e-3)
+        cfg = SamplerConfig(n_steps=2, n_samples=8, max_step_clamp_mass=1e-3, step="euler")
         with pytest.raises(NumericalError, match="smaller dt"):
             posterior_cl(y[0], scorer, schedule, cfg)
 
@@ -268,6 +270,77 @@ class TestPosteriorFull:
         assert cp.nfe == 8
 
 
+class TestExactStep:
+    @pytest.mark.parametrize("time_grid", TIME_GRIDS)
+    def test_cp_and_full_return_the_exact_posterior(self, time_grid):
+        """With an exact scorer the exact step needs no small steps: cp and full are
+        within 1e-8 of the true posterior at 1, 2, 4 and 8 steps, and within 1e-10
+        of each other."""
+        task, schedule, scorer, y, _ = _exact_setup(n=40)
+        q_true = true_posterior_batch(task, y)
+        for n_steps in (1, 2, 4, 8):
+            cfg = SamplerConfig(n_steps=n_steps, time_grid=time_grid)
+            cp = posterior_cp(y, scorer, schedule, cfg)
+            full = posterior_full(y, scorer, schedule, cfg)
+            assert np.abs(cp.probs - q_true).max() < 1e-8, n_steps
+            assert np.abs(full.probs - q_true).max() < 1e-8, n_steps
+            assert np.abs(full.probs - cp.probs).max() <= 1e-10, n_steps
+
+    def test_cl_converges_at_the_monte_carlo_rate(self):
+        """cl's terminal labels are draws from the exact posterior: TV within three
+        times the multinomial scale at 4,000 samples, with no discretization slack."""
+        task, schedule, scorer, y, _ = _exact_setup(n=3)
+        q_true = true_posterior_batch(task, y)
+        n_samples = 4000
+        est = posterior_cl(y, scorer, schedule,
+                           SamplerConfig(n_steps=4, n_samples=n_samples, seed=3))
+        tv = 0.5 * np.abs(est.probs - q_true).sum(axis=1)
+        scale = 0.5 * np.sqrt(q_true * (1 - q_true) / n_samples).sum(axis=1)
+        assert np.all(tv < 3 * scale)
+
+    def test_a_column_below_the_uniform_floor_is_clipped_and_counted(self):
+        """Over a step keeping e = 0.5, the floor is c = (1 - e) / K = 1/6: the entry
+        0.05 denoises to (0.05 - c) / e < 0, so the kernel clips it, counts
+        (c - 0.05) / e and puts no mass on that label."""
+        p_next, clip = _cp_step_batch(np.array([[0.05, 0.45, 0.5]]), np.full((1, 3), 1 / 3),
+                                      sigma_t=1.0, dt=0.5, e=0.5)
+        assert clip[0] == pytest.approx((1 / 6 - 0.05) / 0.5, rel=1e-12)
+        assert p_next[0, 0] == 0.0 and p_next.sum() == pytest.approx(1.0, abs=1e-15)
+        _, clip_cl = _cl_step_batch(np.array([[0.05, 0.45, 0.5]]) / 0.45, np.array([1]),
+                                    1.0, 0.5, e=0.5)
+        assert clip_cl[0] == pytest.approx(clip[0], rel=1e-12)
+
+    def test_every_estimator_counts_and_can_abort_on_clipped_mass(self):
+        """An exact scorer of a gentler schedule than the sampler's gives columns
+        below the sampler's uniform floor: every estimator counts the clipped
+        (row, step) pairs, cp and full the same ones (every anchor of this scorer
+        gives one distribution), and a set limit aborts."""
+        task, schedule, _, y, _ = _exact_setup(separation=4.0, n=4)
+        scorer = ExactScorer(lambda f: true_posterior_batch(task, f), task.k,
+                             LogLinearSchedule(0.1, 0.9))
+        cfg = SamplerConfig(n_steps=2, n_samples=8, seed=3)
+        est = {m: sampler.METHOD_SAMPLERS[m](y, scorer, schedule, cfg)
+               for m in ("cp", "cl", "full")}
+        for method, rows in (("cp", 4), ("cl", 4 * 8), ("full", 4)):
+            assert 0 < est[method].n_clamped <= rows * 2, method
+            assert est[method].clamp_mass > 0.0, method
+        assert est["cp"].n_clamped == est["full"].n_clamped
+        assert est["cp"].clamp_mass == pytest.approx(est["full"].clamp_mass, rel=1e-10)
+        limited = SamplerConfig(n_steps=2, n_samples=8, seed=3, max_step_clamp_mass=1e-3)
+        for method in ("cp", "cl", "full"):
+            with pytest.raises(NumericalError, match="smaller dt"):
+                sampler.METHOD_SAMPLERS[method](y, scorer, schedule, limited)
+
+    @pytest.mark.parametrize("sigma_bar_max", [23.0, 400.0])
+    def test_a_step_past_float_precision_raises(self, sigma_bar_max):
+        """One step over a noise of 23 keeps e = exp(-46) of the signal, which the
+        floor c = (1 - e) / 2 rounds away; over 400, e underflows to 0.  Either
+        way the step cannot denoise, and says so."""
+        schedule = LogLinearSchedule(sigma_bar_max, 0.5)
+        with pytest.raises(NumericalError, match="more steps"):
+            posterior_cp(np.zeros(1), UniformScorer(2), schedule, SamplerConfig(n_steps=1))
+
+
 class TestTimeGrid:
     def test_uniform_grid_hits_zero_exactly(self):
         schedule = LogLinearSchedule(1.0, 0.5)
@@ -294,6 +367,13 @@ class TestTimeGrid:
             SamplerConfig(strategy="greedy")
         with pytest.raises(ValidationError):
             SamplerConfig(n_samples=0)
+        with pytest.raises(ValidationError):
+            SamplerConfig(step="midpoint")
+        # NaN would never abort and a negative limit would abort an unclipped step
+        for limit in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValidationError, match="max_step_clamp_mass"):
+                SamplerConfig(max_step_clamp_mass=limit)
+        assert SamplerConfig(max_step_clamp_mass=0.0).max_step_clamp_mass == 0.0
 
 
 class TestZeroInputs:
@@ -367,7 +447,7 @@ class TestClampAccounting:
 
     def test_every_estimator_counts_clamped_row_steps(self):
         schedule, scorer, y = self._forced_clamp()
-        cfg = SamplerConfig(n_steps=2, n_samples=8, seed=3, max_step_clamp_mass=None)
+        cfg = SamplerConfig(n_steps=2, n_samples=8, seed=3, max_step_clamp_mass=None, step="euler")
         est = {m: sampler.METHOD_SAMPLERS[m](y, scorer, schedule, cfg)
                for m in ("cp", "cl", "full")}
         for method, rows in (("cp", 4), ("cl", 4 * 8), ("full", 4)):
@@ -390,7 +470,7 @@ class TestClampAccounting:
     @pytest.mark.parametrize("method", ["cp", "cl", "full"])
     def test_set_limit_aborts(self, method):
         schedule, scorer, y = self._forced_clamp()
-        cfg = SamplerConfig(n_steps=2, n_samples=8, max_step_clamp_mass=1e-3)
+        cfg = SamplerConfig(n_steps=2, n_samples=8, max_step_clamp_mass=1e-3, step="euler")
         with pytest.raises(NumericalError, match="smaller dt"):
             sampler.METHOD_SAMPLERS[method](y, scorer, schedule, cfg)
 
@@ -404,7 +484,8 @@ def _sampler_case(draw):
     limit = draw(st.one_of(st.none(), st.floats(1e-6, 1.0)))
     cfg = SamplerConfig(n_steps=draw(st.integers(1, 6)), strategy=draw(st.sampled_from(STRATEGIES)),
                         n_samples=draw(st.integers(1, 8)), seed=seed,
-                        time_grid=draw(st.sampled_from(TIME_GRIDS)), max_step_clamp_mass=limit)
+                        time_grid=draw(st.sampled_from(TIME_GRIDS)), max_step_clamp_mass=limit,
+                        step=draw(st.sampled_from(STEPS)))
     task = MixtureTask.random(k, dim, spread=draw(st.floats(0.0, 4.0)), seed=seed)
     if draw(st.booleans()):
         scorer = ExactScorer(lambda f: true_posterior_batch(task, f), k, schedule)
