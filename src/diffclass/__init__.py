@@ -4,8 +4,7 @@ Labels are corrupted by a uniform-rate continuous-time Markov process with
 a closed-form marginal; a ratio-score network is trained with a
 score-entropy objective; the posterior is recovered by stepping the reverse
 process over class probabilities or sampled class labels, each step denoising
-the score column exactly over its interval (or, optionally, a first-order
-Euler step).
+the score column exactly over its interval.
 """
 
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch

@@ -345,12 +345,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _executor():
-    """The pool of WORKERS - 1 threads, started on first use and again whenever
-    WORKERS has changed since.  A replaced pool is dropped, not shut down: its
-    jobs still run, and its threads exit once its last caller lets go of it."""
+    """The pool of WORKERS - 1 threads, started on first use."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool._max_workers != WORKERS - 1:
+        if _pool is None:
             # Imported here, not at module level: a process that never runs a
             # call over 2 * TILE_ROWS rows (training) does not pay its memory.
             from concurrent.futures import ThreadPoolExecutor

@@ -18,28 +18,27 @@ repeated features (work that does not depend on the anchor or t) and then
 one score_batch call per step, whose scores go straight into the step's
 kernel and are dropped before the next call.
 
-Two steps (SamplerConfig.step), one kernel each per estimator:
+The step is exact over its interval [s, t]: the forward process keeps a
+share e = exp(-K (sigma_bar(t) - sigma_bar(s))) of the label distribution
+and spreads the rest uniformly, q_t = e q_s + c with c = (1 - e) / K.
+_denoise inverts that for the normalized score column,
+q_s = max((q_t - c) / e, 0), renormalized and floored at PROB_FLOOR, and
+the kernel moves the state by the posterior of the label at s given the
+label at t, q_s(i) (e [i = j] + c) / q_t(j).  With an exact scorer this is
+the exact posterior at any step count (the uniform-rate case of the Tweedie
+tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).
+reverse_step_full also keeps the first-order Euler step, whose kernel
+column for anchor j has off-diagonal entries S(i,j) * sigma_t * dt and
+diagonal 1 minus their sum; the sampler does not take it.
 
-  exact  the default.  Over [s, t] the forward process keeps a share
-         e = exp(-K (sigma_bar(t) - sigma_bar(s))) of the label
-         distribution and spreads the rest uniformly, q_t = e q_s + c with
-         c = (1 - e) / K.  _denoise inverts that for the normalized score
-         column, q_s = max((q_t - c) / e, 0), and the kernel moves the state
-         by the posterior of the label at s given the label at t,
-         q_s(i) (e [i = j] + c) / q_t(j).  With an exact scorer this is the
-         exact posterior at any step count (the uniform-rate case of the
-         Tweedie tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).
-  euler  the first-order step.  The kernel column for anchor j has
-         off-diagonal entries S(i,j) * sigma_t * dt and diagonal 1 minus
-         their sum.
-
-Clip telemetry.  A learned score column can sit below the uniform floor c
-(exact) or make the Euler diagonal negative at a large sigma_t * dt; either
-is clipped to zero and the step renormalized, and the clipped probability
-mass is recorded: the mass max(c - q_t, 0) / e clipped from q_s (exact), or
-the mass on the negative diagonals (euler).  Clipping keeps coarse-step
-sweeps runnable while making the violation visible; callers can set an
-abort threshold (max_step_clamp_mass) instead.
+Clip telemetry.  A learned score column can sit below the uniform floor c,
+where the denoised column goes negative.  Those entries are clipped and the
+column renormalized; the share of the column's remaining mass that the clip
+took, a probability in [0, 1), is recorded.  Entries below zero by no more
+than roundoff (ROUNDOFF * c) are clipped but not counted, so an exact
+scorer records none.  Clipping keeps coarse-step sweeps runnable while
+making the violation visible; callers can set an abort threshold
+(max_step_clamp_mass) instead.
 
 Random streams: cp draws its anchors (strategy "sampling") from one
 default_rng(cfg.seed) per call, block after block, so its draws depend on
@@ -64,7 +63,9 @@ from .transition import ensure_distribution, sample_categorical_rows
 
 STRATEGIES = ("argmax", "sampling", "argmin")
 TIME_GRIDS = ("uniform-t", "uniform-noise")
-STEPS = ("exact", "euler")
+# A denoised score entry below zero by at most ROUNDOFF * c is roundoff, not a
+# scorer below the uniform floor c: clipped, but not counted as clipping.
+ROUNDOFF = 64 * np.finfo(np.float64).eps
 
 # Scorer rows per engine block (inputs x rows per input).  8,000 cp inputs run
 # as two blocks of 4,000, each of which the scorer cuts into four 1,000-row
@@ -88,7 +89,6 @@ class SamplerConfig:
     seed: int = 0
     record_trajectory: bool = False
     time_grid: str = "uniform-t"
-    step: str = "exact"
     # None = clip silently and record telemetry; a finite value >= 0 aborts any
     # single step whose clipped probability mass exceeds it.
     max_step_clamp_mass: float | None = None
@@ -102,8 +102,6 @@ class SamplerConfig:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
         if self.time_grid not in TIME_GRIDS:
             raise ValidationError(f"time_grid must be one of {TIME_GRIDS}")
-        if self.step not in STEPS:
-            raise ValidationError(f"step must be one of {STEPS}")
         limit = self.max_step_clamp_mass
         if limit is not None and not (math.isfinite(limit) and limit >= 0.0):
             raise ValidationError(f"max_step_clamp_mass must be None or a finite value >= 0, "
@@ -115,16 +113,15 @@ class PosteriorEstimate:
     """Result for one input (dim,) or rows of inputs (n, dim), shaped to match.
 
     probs is (K,) or (n, K); trajectory is (n_steps + 1, [n,] K) from the
-    uniform start.  nfe counts scorer rows per input.  clamp_mass is
-    probability mass clipped from an input over all steps (cl: averaged over
-    its trajectories), averaged over the inputs.  Under the exact step a
-    step's mass is what the clip at zero removed from the denoised score
-    column q_s: the one column of cp, the column at a cl trajectory's label,
-    and for full the K anchor columns weighted by the state's probabilities.
-    Under the Euler step it is the state's mass on the negative diagonal
-    entries of the kernel that the clamp zeroed.  n_clamped counts the (row,
-    step) pairs whose clipped mass is above 0; a row is an input for cp and
-    full, a trajectory for cl.
+    uniform start.  nfe counts scorer rows per input.  clamp_mass is the
+    probability mass clipped from an input, summed over its steps (cl:
+    averaged over its trajectories) and averaged over the inputs.  A step's
+    mass is the share of the denoised score column that the clip took
+    (_denoise): the one column of cp, the column at a cl trajectory's label,
+    and for full the K anchor columns weighted by the state's probabilities,
+    which for a scorer whose anchors agree (cp's rank-one view) is cp's one
+    column.  n_clamped counts the (row, step) pairs whose clipped mass is
+    above 0; a row is an input for cp and full, a trajectory for cl.
     """
 
     probs: np.ndarray
@@ -171,33 +168,38 @@ def _kept_share(schedule: LogLinearSchedule, t: float, dt: float, k: int) -> flo
 
 
 def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
-    """The exact step's score distribution at the step's start s, from the normalized
-    score distribution q_t at its end t, along axis; e is _kept_share.
+    """The score distribution q_s at the step's start s, from the normalized score
+    distribution q_t at its end t, along axis; e is _kept_share.
 
-    Returns e * q_s, with q_s = max((q_t - c) / e, 0) and c = (1 - e) / K (the
-    kernels normalize, so the common factor e is left on to keep a small e
-    from overflowing), and the mass the clip at zero removed from q_s.
+    q_s is max(q_t - c, 0) with c = (1 - e) / K, normalized (without a clip,
+    that is (q_t - c) / e) and floored at PROB_FLOOR, so no label is ruled
+    out.  Also returns the clipped share: the negative mass of q_t - c, past
+    roundoff, over the mass kept, in [0, 1).
     """
-    d = q_t - (1.0 - e) / q_t.shape[axis]
+    c = (1.0 - e) / q_t.shape[axis]
+    d = q_t - c
     kept = np.maximum(d, 0.0)
-    if not np.all(kept.sum(axis=axis) > 0.0):
+    total = kept.sum(axis=axis, keepdims=True)
+    if not np.all(total > 0.0):
         raise NumericalError(f"a denoised score column has no mass: the step keeps {e:.1e} of "
                              f"the label signal, below float precision; use more steps")
-    return kept, np.maximum(-d, 0.0).sum(axis=axis) / e
+    clipped = np.where(d < -ROUNDOFF * c, -d, 0.0).sum(axis=axis, keepdims=True) / total
+    return floor_probs(kept / total), clipped.squeeze(axis)
 
 
-def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: float,
-                      e: float | None = None):
+def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float | None = None,
+                      dt: float | None = None, e: float | None = None):
     """One step of the reverse process with an explicit K x K score matrix.
 
     p is one vector (K,) with its matrix (K, K), or rows (n, K) with one
     matrix each (n, K, K); column j of a matrix holds the scores anchored at j.
     Returns (next p, clipped probability mass per vector).
 
-    With e None this is the Euler step: it builds the transition kernel
-    I + reverse-rate * dt whose columns sum to one and clamps negative
-    self-transition entries column-wise.  With e (_kept_share of the step)
-    it is the exact step: column j of the kernel is
+    With sigma_t and dt this is the Euler step: it builds the transition
+    kernel I + reverse-rate * dt whose columns sum to one and clamps
+    negative self-transition entries column-wise, the clamped mass being
+    the state's mass on them.  With e (_kept_share of the step) it is the
+    sampler's exact step: column j of the kernel is
     q_s(j) * (e [i = j] + c) / q_t(j)(j), where q(j) is the score column
     anchored at j, normalized and denoised by _denoise.
     """
@@ -211,7 +213,9 @@ def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: f
         raise ValidationError("score matrix entries must be positive and finite")
     if np.abs(np.diagonal(s_matrix, axis1=-2, axis2=-1) - 1.0).max() > 1e-9:
         raise ValidationError("score matrix diagonal must be one")
-    if dt < 0.0:
+    if e is None and (sigma_t is None or dt is None):
+        raise ValidationError("give e for the exact step, or sigma_t and dt for the Euler step")
+    if dt is not None and dt < 0.0:
         raise ValidationError("dt must be nonnegative")
 
     if e is not None:
@@ -236,68 +240,45 @@ def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float, dt: f
     return p_next, (float(clamp_mass) if p.ndim == 1 else clamp_mass)
 
 
-def _cp_step_batch(q_hat: np.ndarray, p: np.ndarray, sigma_t: float, dt: float,
-                   e: float | None = None):
-    """Rank-one fast path of reverse_step_full for rows of (q_hat, p).
+def _cp_step_batch(q_hat: np.ndarray, p: np.ndarray, e: float):
+    """Rank-one fast path of reverse_step_full's exact step for rows of (q_hat, p).
 
     Identical step and clip semantics; O(K) per row instead of O(K^2).
     Returns (next p rows, clipped mass per row).
     """
-    if e is not None:
-        q_s, clip_rows = _denoise(q_hat, e)
-        u = p / q_hat
-        p_next = q_s * (e * u + (1.0 - e) / p.shape[1] * u.sum(axis=1, keepdims=True))
-        return p_next / p_next.sum(axis=1, keepdims=True), clip_rows
-    d_raw = 1.0 - sigma_t * dt * (1.0 / q_hat - 1.0)
-    clamp_rows = np.sum(p * np.maximum(-d_raw, 0.0), axis=1)
-    d_plus = np.maximum(d_raw, 0.0)
-    z = np.where(d_raw < 0.0, 1.0 - d_raw, 1.0)
-    u = p / (q_hat * z)
-    p_next = sigma_t * dt * q_hat * (u.sum(axis=1, keepdims=True) - u) + p * d_plus / z
-    p_next = p_next / p_next.sum(axis=1, keepdims=True)
-    return p_next, clamp_rows
+    q_s, clip_rows = _denoise(q_hat, e)
+    u = p / q_hat
+    p_next = q_s * (e * u + (1.0 - e) / p.shape[1] * u.sum(axis=1, keepdims=True))
+    return p_next / p_next.sum(axis=1, keepdims=True), clip_rows
 
 
-def _cl_step_batch(scores: np.ndarray, states: np.ndarray, sigma_t: float, dt: float,
-                   e: float | None = None):
+def _cl_step_batch(scores: np.ndarray, states: np.ndarray, e: float):
     """Next-label distributions for trajectories at labels states, from the scores
-    anchored at those labels, and the clipped mass per trajectory.
-
-    Euler (e None): off-label s_i * sigma_t * dt, the remainder (clamped at
-    zero) on the label.  Exact: label i in proportion to q_s(i) (e [i = j] + c)
-    from label j, q_s the denoised score distribution.
-    """
+    anchored at those labels, and the clipped mass per trajectory: label i in
+    proportion to q_s(i) (e [i = j] + c) from label j, q_s the denoised score
+    distribution."""
     n, k = scores.shape
     rows = np.arange(n)
-    if e is not None:
-        q_s, clip = _denoise(floor_probs(scores / scores.sum(axis=1, keepdims=True)), e)
-        probs = (1.0 - e) / k * q_s
-        probs[rows, states] += e * q_s[rows, states]
-        return probs / probs.sum(axis=1, keepdims=True), clip
-    probs = sigma_t * dt * scores
-    mass = probs.sum(axis=1) - probs[rows, states]
-    self_raw = 1.0 - mass
-    overshoot = np.maximum(-self_raw, 0.0)
-    probs[rows, states] = np.maximum(self_raw, 0.0)
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    return probs, overshoot
+    q_s, clip = _denoise(floor_probs(scores / scores.sum(axis=1, keepdims=True)), e)
+    probs = (1.0 - e) / k * q_s
+    probs[rows, states] += e * q_s[rows, states]
+    return probs / probs.sum(axis=1, keepdims=True), clip
 
 
-def _step(method: str, scores: np.ndarray, state: np.ndarray, sigma_t: float, dt: float,
-          e: float | None, u: np.ndarray | None):
+def _step(method: str, scores: np.ndarray, state: np.ndarray, e: float, u: np.ndarray | None):
     """One reverse step of a block's rows from their scores: the next state and the
-    clipped mass per row.  e is the exact step's _kept_share, None for the Euler
-    step; u holds cl's one uniform per trajectory for the step."""
+    clipped mass per row.  e is the step's _kept_share; u holds cl's one
+    uniform per trajectory for the step."""
     if method == "cp":
         q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
-        return _cp_step_batch(q_hat, state, sigma_t, dt, e)
+        return _cp_step_batch(q_hat, state, e)
     if method == "cl":
-        next_labels, step_clamp = _cl_step_batch(scores, state, sigma_t, dt, e)
+        next_labels, step_clamp = _cl_step_batch(scores, state, e)
         return sample_categorical_rows(next_labels, u), step_clamp
     nb, k = state.shape
     s_matrix = scores.reshape(nb, k, k).transpose(0, 2, 1).copy()
     s_matrix[:, np.arange(k), np.arange(k)] = 1.0  # column j: scores anchored at j
-    return reverse_step_full(s_matrix, state, sigma_t, dt, e)
+    return reverse_step_full(s_matrix, state, e=e)
 
 
 def _distribution(state: np.ndarray, n_inputs: int, k: int) -> np.ndarray:
@@ -321,9 +302,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     per_block = max(1, SCORER_ROWS // r)
     n_blocks = -(-n // per_block)
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
-    exact = cfg.step == "exact"
-    steps = [(t, dt, schedule.sigma(t), _kept_share(schedule, t, dt, k) if exact else None)
-             for t, dt in step_times(schedule, cfg)]
+    steps = [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(schedule, cfg)]
     limit = cfg.max_step_clamp_mass
     rng = np.random.default_rng(cfg.seed)
     probs, clamp, trajectories = [], [], []
@@ -342,7 +321,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
         anchors = np.tile(np.arange(k), nb)  # full: the K anchors of each input
         clamp_rows = np.zeros(state.shape[0])
         snapshots = [_distribution(state, nb, k)] if cfg.record_trajectory else None
-        for step, (t, dt, sigma_t, e) in enumerate(steps):
+        for step, (t, e) in enumerate(steps):
             if method == "cp":
                 anchors = _select_labels_batch(state, cfg.strategy, rng)
             elif method == "cl":
@@ -351,7 +330,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
             # step's temporaries outlive it into the next scorer call.
             state, step_clamp = _step(
                 method, scorer.score_batch(prepared, anchors, np.full(nb * r, t)), state,
-                sigma_t, dt, e, uniforms[:, step + 1] if method == "cl" else None)
+                e, uniforms[:, step + 1] if method == "cl" else None)
             if limit is not None and step_clamp.max() > limit:
                 raise NumericalError(f"clamped probability mass {step_clamp.max():.3e} exceeds "
                                      f"{limit:.1e} in one step; use a smaller dt (more steps)")

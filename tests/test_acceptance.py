@@ -196,7 +196,7 @@ def test_criterion_5_posterior_recovery():
     clamp_at_256 = None
     for steps in (2, 4, 8, 16, 32, 64, 128, 256):
         probs, clamp, _ = posterior_cp_batch(y, scorer, TV_SCHEDULE,
-                                             SamplerConfig(n_steps=steps, step="euler"))
+                                             SamplerConfig(n_steps=steps))
         tvs[steps] = float(0.5 * np.abs(probs - q_true).sum(axis=1).mean())
         if steps == 256:
             clamp_at_256 = float(clamp.mean())

@@ -357,19 +357,37 @@ def _on_pool_thread() -> bool:
     return threading.current_thread().name.startswith("diffclass-tiles")
 
 
+@pytest.fixture
+def set_workers(monkeypatch):
+    """set_workers(n) sets mlp.WORKERS to n and drops the pool, so the next
+    multi-tile call starts a pool of n - 1 threads (the pool keeps the size it
+    started with); a dropped pool, and the last one after the test, is shut down."""
+    monkeypatch.setattr(mlp, "_pool", None)
+
+    def set_to(n):
+        if mlp._pool is not None:
+            mlp._pool.shutdown()
+        monkeypatch.setattr(mlp, "WORKERS", n)
+        mlp._pool = None
+
+    yield set_to
+    if mlp._pool is not None:
+        mlp._pool.shutdown()
+
+
 class TestWorkers:
     """Row tiles shared through one queue by the calling thread and the pool (_run_workers)."""
 
     @pytest.mark.parametrize("tile_rows", [7, mlp.TILE_ROWS])
     def test_logits_do_not_depend_on_the_worker_count(self, trained_scorer, monkeypatch,
-                                                      tile_rows):
+                                                      set_workers, tile_rows):
         y, anchors, t = _shared_time_batch(3500, 19)
         t[::3] = 0.25
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
         assert len(row_tiles(len(y))) >= 3
         runs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(mlp, "WORKERS", workers)
+            set_workers(workers)
             prepared = trained_scorer.prepare(y)
             runs.append((prepared.base.tobytes(),
                          trained_scorer.inference_logits(prepared, anchors, t).tobytes()))
@@ -440,17 +458,17 @@ class TestWorkers:
         assert finished, "the call waited for the busy pool"
         assert np.array_equal(results[0], expected)
 
-    def test_a_changed_worker_count_resizes_the_pool(self, monkeypatch):
+    def test_three_workers_run_on_three_threads(self, monkeypatch, set_workers):
         """A multi-tile call at three workers, after one at two, runs its tiles on
-        three threads: each worker holds its first tile until three have one."""
+        three threads under set_workers, which the other three-worker tests use:
+        each worker holds its first tile until three have one."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        monkeypatch.setattr(mlp, "_pool", None)
         scorer = _small_scorer(head_scale=0.3)
         y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
-        monkeypatch.setattr(mlp, "WORKERS", 2)
+        set_workers(2)
         expected = scorer.score_batch(y, anchors, t)
         prepared = scorer.prepare(y)
-        monkeypatch.setattr(mlp, "WORKERS", 3)
+        set_workers(3)
         branch = mlp._inference_branch
         lock, threads = threading.Lock(), set()
         meeting = threading.Barrier(3, timeout=10)
@@ -464,10 +482,7 @@ class TestWorkers:
             return branch(*args)
 
         monkeypatch.setattr(mlp, "_inference_branch", first_tiles_meet)
-        try:
-            got = scorer.score_batch(prepared, anchors, t)
-        finally:
-            mlp._pool.shutdown()
+        got = scorer.score_batch(prepared, anchors, t)
         assert len(threads) == 3 and np.array_equal(got, expected)
 
     def test_every_tile_runs_exactly_once(self, trained_scorer, monkeypatch):
@@ -556,12 +571,13 @@ assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
             process.join(timeout=10)
         assert process.exitcode == 0
 
-    def test_concurrent_callers_get_their_own_logits(self, trained_scorer, monkeypatch):
+    def test_concurrent_callers_get_their_own_logits(self, trained_scorer, monkeypatch,
+                                                     set_workers):
         """Callers on more threads than CPUs, each sharing its tiles over three
         workers, under a short switch interval: every result equals the
         serial one, and every caller finishes."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 50)
-        monkeypatch.setattr(mlp, "WORKERS", 3)
+        set_workers(3)
         batches = [_shared_time_batch(400, seed) for seed in range(6)]
         expected = [trained_scorer.inference_logits(*batch) for batch in batches]
         results = [None] * len(batches)
