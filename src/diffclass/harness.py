@@ -148,7 +148,7 @@ def trace_topk(scorer: Scorer, y: np.ndarray, schedule: LogLinearSchedule,
     est = posterior_cp(y, scorer, schedule, cfg)
     assert est.trajectory is not None
     # Snapshot 0 is the start at t=1; snapshot s is the state after step s.
-    times = [t for t, _ in step_times(schedule, cfg)] + [0.0]
+    times = [t for t, _ in step_times(cfg.n_steps)] + [0.0]
     rows = []
     for step, (p, t) in enumerate(zip(est.trajectory, times)):
         order = np.argsort(-p, kind="stable")[:k]

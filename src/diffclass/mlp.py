@@ -39,20 +39,21 @@ prepare call, in cfg.trunk_dtype, and keeps no cache.  Its GroupNorm
 (_inference_groupnorm) spreads the halved gain into a (groups, hidden)
 matrix, so one matmul of the per-group reciprocal standard deviations
 gives the scale the rows take in one multiply; it never forms xhat, which
-the gain's gradient needs, so training keeps _gn_forward.  The block loops
-stay two as well: the benchmark's tracer hooks forward_logits, _gn_forward
-and silu by name, on the calling thread only, and inference's loop runs on
-the pool thread below.  The prefix (prepare) runs the input layer and
-block 0's residual branch, none of which sees the conditioning, once per
-set of inputs, which a sampler reuses on every step; the tail
-(inference_logits) runs the rest, with the conditioning once per call and
-distinct (anchor, t) pair.  Both run over contiguous row tiles (row_tiles)
-of fewer than 2 * TILE_ROWS rows, and of at least TILE_ROWS unless the
-call has fewer, in (rows, hidden) work arrays that every tile reuses, so
-the tail's elementwise passes stay in the L2 cache; with no tile under
-TILE_ROWS rows the result equals one untiled call bit for bit.  GroupNorm
-takes its group means by a block-averaging matmul in float32 training
-and in inference; float64 training keeps numpy's reductions.
+the gain's gradient needs, so training keeps _gn_forward.  The two
+GroupNorms, and _gn_backward, take their group means by one
+block-averaging matmul (_group_means, through _center for the
+statistics), in either dtype.  The block loops stay two as well: they
+differ in the cache, the GroupNorm form, where the conditioning rows come
+from and block 0's prefix, and inference's loop runs on the pool thread
+below.  The prefix (prepare) runs the input layer and block 0's residual
+branch, none of which sees the conditioning, once per set of inputs,
+which a sampler reuses on every step; the tail (inference_logits) runs
+the rest, with the conditioning once per call and distinct (anchor, t)
+pair.  Both run over contiguous row tiles (row_tiles) of fewer than
+2 * TILE_ROWS rows, and of at least TILE_ROWS unless the call has fewer,
+in (rows, hidden) work arrays that every tile reuses, so the tail's
+elementwise passes stay in the L2 cache; with no tile under TILE_ROWS
+rows the result equals one untiled call bit for bit.
 
 A call of at least 2 * TILE_ROWS rows shares its tiles over WORKERS
 workers through one queue (_run_workers): the calling thread and pool
@@ -240,55 +241,50 @@ def _group_expand(h: int, groups: int, dtype) -> np.ndarray:
     return expand
 
 
-def _gn_forward(x, gamma, beta, groups):
-    """GroupNorm; normalizes x in place (x becomes xhat) and returns the affine output.
+def _group_means(x: np.ndarray, groups: int) -> np.ndarray:
+    """(n, groups) means of x's rows over each group of units, by the block-averaging
+    matmul: half the time of numpy's reductions over the short group axis."""
+    return x @ _group_average(x.shape[1], groups, x.dtype)
 
-    Float32 input takes the group mean and variance by an (h, groups)
-    block-averaging matmul, which halves the layer's time against numpy's
-    reductions over the short group axis; float64 input keeps those
-    reductions, so its arithmetic does not change.
-    """
+
+def _center(x: np.ndarray, groups: int, scratch: np.ndarray) -> np.ndarray:
+    """GroupNorm's statistics: subtracts each row's group means from x in place and
+    returns the (n, groups) variances, the centered x's mean squares.  The means
+    reach their units by the 0/1 expansion matmul, exactly; scratch is overwritten."""
+    np.matmul(_group_means(x, groups), _group_expand(x.shape[1], groups, x.dtype), out=scratch)
+    x -= scratch
+    np.square(x, out=scratch)
+    return _group_means(scratch, groups)
+
+
+def _gn_forward(x, gamma, beta, groups):
+    """GroupNorm; normalizes x in place (x becomes xhat) and returns the affine output
+    and the cache (xhat, variances of shape (n, groups, 1))."""
     n, h = x.shape
-    size = h // groups
-    xg = x.reshape(n, groups, size)
-    if x.dtype == np.float32:
-        average = _group_average(h, groups, np.float32)
-        xg -= (x @ average)[:, :, None]
-        var = (np.square(x) @ average)[:, :, None]
-    else:
-        xg -= xg.mean(axis=2, keepdims=True)
-        var = np.square(xg).mean(axis=2, keepdims=True)
+    out = np.empty_like(x)
+    var = _center(x, groups, out)[:, :, None]
+    xg = x.reshape(n, groups, h // groups)
     xg /= np.sqrt(var + GN_EPS)
-    out = np.multiply(x, gamma)
+    np.multiply(x, gamma, out=out)
     out += beta
     return out, (x, var)
 
 
 def _gn_backward(dout, gamma, cache, groups):
-    """GroupNorm backward; returns (dx, dgamma, dbeta).
-
-    Like _gn_forward, float32 takes the two group means by the
-    block-averaging matmul and float64 keeps numpy's reductions.
-    """
+    """GroupNorm backward; returns (dx, dgamma, dbeta), dx = (g - mean(g) - xhat *
+    mean(g * xhat)) / std per group with g = dout * gamma, the means by _group_means."""
     xhat, var = cache
     n, h = dout.shape
     dout_xhat = dout * xhat
     dgamma = dout_xhat.sum(axis=0)
     dbeta = dout.sum(axis=0)
     dxh = dout * gamma
-    if dout.dtype == np.float32:
-        average = _group_average(h, groups, np.float32)
-        mean_dxh_xh = (dout_xhat * gamma) @ average
-        mean_dxh = dxh @ average
-        dx = dxh.reshape(n, groups, h // groups)
-        dx -= mean_dxh[:, :, None]
-        dx -= xhat.reshape(dx.shape) * mean_dxh_xh[:, :, None]
-        dx /= np.sqrt(var + GN_EPS)
-        return dx.reshape(n, h), dgamma, dbeta
-    dxh = dxh.reshape(n, groups, h // groups)
-    xh = xhat.reshape(n, groups, h // groups)
-    inv = 1.0 / np.sqrt(var + GN_EPS)
-    dx = inv * (dxh - dxh.mean(axis=2, keepdims=True) - xh * (dxh * xh).mean(axis=2, keepdims=True))
+    mean_dxh_xh = _group_means(dout_xhat * gamma, groups)
+    mean_dxh = _group_means(dxh, groups)
+    dx = dxh.reshape(n, groups, h // groups)
+    dx -= mean_dxh[:, :, None]
+    dx -= xhat.reshape(dx.shape) * mean_dxh_xh[:, :, None]
+    dx /= np.sqrt(var + GN_EPS)
     return dx.reshape(n, h), dgamma, dbeta
 
 
@@ -298,18 +294,12 @@ def _inference_groupnorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
 
     scale is the (groups, h) matrix E * gamma / 2 and shift is beta / 2
     (inference_params), so x becomes the half-scale input of the SiLU after
-    it.  The group means and variances come from the block-averaging
-    matmul; one matmul of the reciprocal standard deviations by scale
-    spreads them over the units with the gain applied, so x takes one
-    multiply and one add where _gn_forward makes a broadcast divide, a
-    gain multiply and a shift add.
+    it.  The statistics come from _center; one matmul of the reciprocal
+    standard deviations by scale spreads them over the units with the gain
+    applied, so x takes one multiply and one add where _gn_forward makes a
+    broadcast divide, a gain multiply and a shift add.
     """
-    n, h = x.shape
-    average = _group_average(h, groups, x.dtype)
-    np.matmul(x @ average, _group_expand(h, groups, x.dtype), out=scratch)
-    x -= scratch
-    np.square(x, out=scratch)
-    inv_std = scratch @ average
+    inv_std = _center(x, groups, scratch)
     inv_std += GN_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)

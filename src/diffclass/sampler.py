@@ -1,9 +1,10 @@
 """Reverse-process posterior estimators.
 
 One engine, _reverse, runs all three estimators over rows of inputs.  They
-walk from a uniform start at t=1 down to t=0 on the same time grid, take the
-same step, and differ in what they carry, in the scorer rows r each input
-spends per step, and in their row kernel:
+walk from a uniform start at t=1 down to t=0 on the same time grid, n_steps
+equal steps in t (step_times), take the same step, and differ in what they
+carry, in the scorer rows r each input spends per step, and in their row
+kernel:
 
   cp    probability vector; r = 1; _cp_step_batch, rank-one, O(K) per row
   cl    n_samples label trajectories, averaged as one-hots at the end;
@@ -26,10 +27,13 @@ q_s = max((q_t - c) / e, 0), renormalized and floored at PROB_FLOOR, and
 the kernel moves the state by the posterior of the label at s given the
 label at t, q_s(i) (e [i = j] + c) / q_t(j).  With an exact scorer this is
 the exact posterior at any step count (the uniform-rate case of the Tweedie
-tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).
-reverse_step_full also keeps the first-order Euler step, whose kernel
-column for anchor j has off-diagonal entries S(i,j) * sigma_t * dt and
-diagonal 1 minus their sum; the sampler does not take it.
+tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).  The
+denoised column's roundoff grows as float eps / e, so a step that keeps
+less than MIN_KEPT_SHARE of the signal raises NumericalError before the
+first scorer call.  reverse_step_full also keeps the first-order Euler
+step, whose kernel column for anchor j has off-diagonal entries
+S(i,j) * sigma_t * dt and diagonal 1 minus their sum; the sampler does not
+take it.
 
 Clip telemetry.  A learned score column can sit below the uniform floor c,
 where the denoised column goes negative.  Those entries are clipped and the
@@ -62,10 +66,14 @@ from .score import Scorer, floor_probs
 from .transition import ensure_distribution, sample_categorical_rows
 
 STRATEGIES = ("argmax", "sampling", "argmin")
-TIME_GRIDS = ("uniform-t", "uniform-noise")
 # A denoised score entry below zero by at most ROUNDOFF * c is roundoff, not a
 # scorer below the uniform floor c: clipped, but not counted as clipping.
 ROUNDOFF = 64 * np.finfo(np.float64).eps
+# The least share e of the label signal a step may keep: _denoise divides the
+# scores' roundoff by e, unseen.  On a 10-class ring (tests/oracles.ExactScorer,
+# 200 inputs) one cp step read 6.1e-4 mean TV from the exact posterior at
+# e = 9.4e-14, with nothing clipped, and 3.2e-8 at e = 2.1e-9.
+MIN_KEPT_SHARE = 1e-8
 
 # Scorer rows per engine block (inputs x rows per input).  8,000 cp inputs run
 # as two blocks of 4,000, each of which the scorer cuts into four 1,000-row
@@ -88,7 +96,6 @@ class SamplerConfig:
     n_samples: int = 16
     seed: int = 0
     record_trajectory: bool = False
-    time_grid: str = "uniform-t"
     # None = clip silently and record telemetry; a finite value >= 0 aborts any
     # single step whose clipped probability mass exceeds it.
     max_step_clamp_mass: float | None = None
@@ -100,8 +107,6 @@ class SamplerConfig:
             raise ValidationError("n_samples must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
-        if self.time_grid not in TIME_GRIDS:
-            raise ValidationError(f"time_grid must be one of {TIME_GRIDS}")
         limit = self.max_step_clamp_mass
         if limit is not None and not (math.isfinite(limit) and limit >= 0.0):
             raise ValidationError(f"max_step_clamp_mass must be None or a finite value >= 0, "
@@ -131,21 +136,11 @@ class PosteriorEstimate:
     n_clamped: int = 0
 
 
-def step_times(schedule: LogLinearSchedule, cfg: SamplerConfig) -> list[tuple[float, float]]:
-    """(t_k, dt_k) pairs walked by the reverse process, from t=1 down to t=0.
-
-    The default grid is uniform in t (t_k = 1 - k/n_steps); the alternative
-    spaces the steps uniformly in accumulated noise instead.
-    """
-    n = cfg.n_steps
-    if cfg.time_grid == "uniform-t":
-        dt = 1.0 / n
-        return [(1.0 - k * dt, dt) for k in range(n)]
-    sm, c = schedule.sigma_bar_max, schedule.decay
-    levels = [sm * (n - k) / n for k in range(n + 1)]
-    ts = [math.log1p(s * (c - 1.0) / sm) / math.log(c) for s in levels]
-    ts[0], ts[-1] = 1.0, 0.0
-    return [(ts[k], ts[k] - ts[k + 1]) for k in range(n)]
+def step_times(n_steps: int) -> list[tuple[float, float]]:
+    """(t_k, dt) pairs walked by the reverse process, from t=1 down to t=0 in
+    n_steps equal steps: t_k = 1 - k / n_steps."""
+    dt = 1.0 / n_steps
+    return [(1.0 - k * dt, dt) for k in range(n_steps)]
 
 
 def _select_labels_batch(p: np.ndarray, strategy: str, rng: np.random.Generator) -> np.ndarray:
@@ -159,11 +154,12 @@ def _select_labels_batch(p: np.ndarray, strategy: str, rng: np.random.Generator)
 
 def _kept_share(schedule: LogLinearSchedule, t: float, dt: float, k: int) -> float:
     """e = exp(-K (sigma_bar(t) - sigma_bar(s))) over the step [s, t] = [t - dt, t]:
-    the share of the label distribution at s that the forward process keeps at t."""
+    the share of the label distribution at s that the forward process keeps at t.
+    Raises NumericalError below MIN_KEPT_SHARE."""
     e = math.exp(-k * (schedule.sigma_bar(t) - schedule.sigma_bar(max(t - dt, 0.0))))
-    if e == 0.0:
-        raise NumericalError(f"the step from t={t:.3g} keeps none of the label signal "
-                             f"(exp(-K * noise) underflows); use more steps")
+    if e < MIN_KEPT_SHARE:
+        raise NumericalError(f"the step from t={t:.3g} keeps e={e:.1e} of the label signal, "
+                             f"below {MIN_KEPT_SHARE:.0e}, too little to denoise; use more steps")
     return e
 
 
@@ -198,10 +194,11 @@ def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float | None
     With sigma_t and dt this is the Euler step: it builds the transition
     kernel I + reverse-rate * dt whose columns sum to one and clamps
     negative self-transition entries column-wise, the clamped mass being
-    the state's mass on them.  With e (_kept_share of the step) it is the
-    sampler's exact step: column j of the kernel is
-    q_s(j) * (e [i = j] + c) / q_t(j)(j), where q(j) is the score column
-    anchored at j, normalized and denoised by _denoise.
+    the state's mass on them.  With e (_kept_share of the step), finite in
+    [MIN_KEPT_SHARE, 1] and given alone, it is the sampler's exact step:
+    column j of the kernel is q_s(j) * (e [i = j] + c) / q_t(j)(j), where
+    q(j) is the score column anchored at j, normalized and denoised by
+    _denoise.
     """
     s_matrix = np.asarray(s_matrix, dtype=np.float64)
     p = ensure_distribution(p, "reverse step input")
@@ -213,8 +210,10 @@ def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float | None
         raise ValidationError("score matrix entries must be positive and finite")
     if np.abs(np.diagonal(s_matrix, axis1=-2, axis2=-1) - 1.0).max() > 1e-9:
         raise ValidationError("score matrix diagonal must be one")
-    if e is None and (sigma_t is None or dt is None):
+    if (e is None, sigma_t is None, dt is None) not in ((False, True, True), (True, False, False)):
         raise ValidationError("give e for the exact step, or sigma_t and dt for the Euler step")
+    if e is not None and not MIN_KEPT_SHARE <= e <= 1.0:
+        raise ValidationError(f"e must be a kept share in [{MIN_KEPT_SHARE:.0e}, 1], got {e}")
     if dt is not None and dt < 0.0:
         raise ValidationError("dt must be nonnegative")
 
@@ -302,7 +301,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     per_block = max(1, SCORER_ROWS // r)
     n_blocks = -(-n // per_block)
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
-    steps = [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(schedule, cfg)]
+    steps = [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(cfg.n_steps)]
     limit = cfg.max_step_clamp_mass
     rng = np.random.default_rng(cfg.seed)
     probs, clamp, trajectories = [], [], []

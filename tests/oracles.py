@@ -4,9 +4,10 @@ Each one is written independently of the fast path it checks: a series
 matrix exponential for the closed-form forward marginal, the rate applied
 explicitly for Euler stepping, quadrature for the closed-form posteriors,
 single-column score and loss helpers for the batched training loss, the
-SiLU slope from a fresh exp, the scorer network's forward on its master
-parameters as the textbook writes it, and a per-array Adam in its textbook
-order for the optimizer's whole-buffer update.  ExactScorer scores from a known
+SiLU slope from a fresh exp, GroupNorm and its backward by numpy's mean and
+variance, the scorer network's forward on its master parameters as the
+textbook writes it, and a per-array Adam in its textbook order for the
+optimizer's whole-buffer update.  ExactScorer scores from a known
 posterior through the closed-form forward marginal, and bayes_accuracy
 draws the exact-posterior argmax's accuracy, the ceiling a trained
 classifier is held to.
@@ -262,6 +263,31 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
+def reference_groupnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int):
+    """GroupNorm of (n, h) rows in float64 by numpy's mean and variance over each
+    group of h // groups units: (out, xhat, variances of shape (n, groups, 1))."""
+    n = len(x)
+    xg = np.asarray(x, dtype=np.float64).reshape(n, groups, -1)
+    var = xg.var(axis=2, keepdims=True)
+    xhat = ((xg - xg.mean(axis=2, keepdims=True)) / np.sqrt(var + GN_EPS)).reshape(n, -1)
+    out = xhat * np.asarray(gamma, dtype=np.float64) + np.asarray(beta, dtype=np.float64)
+    return out, xhat, var
+
+
+def reference_groupnorm_backward(dout: np.ndarray, x: np.ndarray, gamma: np.ndarray,
+                                 groups: int):
+    """(dx, dgamma, dbeta) of reference_groupnorm's output at input x, given dL/dout, in
+    float64: dx = (g - mean(g) - xhat * mean(g * xhat)) / std per group, g = dout * gamma."""
+    n = len(x)
+    dout = np.asarray(dout, dtype=np.float64)
+    _, xhat, var = reference_groupnorm(x, gamma, np.zeros_like(gamma), groups)
+    g = (dout * np.asarray(gamma, dtype=np.float64)).reshape(n, groups, -1)
+    xh = xhat.reshape(g.shape)
+    dx = (g - g.mean(axis=2, keepdims=True)
+          - xh * (g * xh).mean(axis=2, keepdims=True)) / np.sqrt(var + GN_EPS)
+    return dx.reshape(n, -1), (dout * xhat).sum(axis=0), dout.sum(axis=0)
+
+
 def reference_logits(params: dict, cfg: MlpConfig, features: np.ndarray, anchors: np.ndarray,
                      t: np.ndarray, schedule: LogLinearSchedule) -> np.ndarray:
     """The scorer network's logits in plain float64 on its master parameters.
@@ -282,14 +308,10 @@ def reference_logits(params: dict, cfg: MlpConfig, features: np.ndarray, anchors
     time_embedding = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
     cond = p["embed"][anchors] + time_embedding @ p["time_w"].T + p["time_b"]
     h = silu(np.asarray(features, dtype=np.float64) @ p["in_w"].T + p["in_b"])
-    n = len(h)
     for b in range(cfg.n_blocks):
         branch = silu(h @ p[f"w1_{b}"].T + p[f"b1_{b}"]) @ p[f"w2_{b}"].T + p[f"b2_{b}"]
         x = h + branch + silu(cond) @ p[f"cw_{b}"].T + p[f"cb_{b}"]
-        xg = x.reshape(n, cfg.groups, -1)
-        xhat = (xg - xg.mean(axis=2, keepdims=True)) / np.sqrt(xg.var(axis=2, keepdims=True)
-                                                                + GN_EPS)
-        h = silu(xhat.reshape(n, -1) * p[f"gn_g_{b}"] + p[f"gn_b_{b}"])
+        h = silu(reference_groupnorm(x, p[f"gn_g_{b}"], p[f"gn_b_{b}"], cfg.groups)[0])
     return h @ p["out_w"].T + p["out_b"]
 
 

@@ -129,14 +129,14 @@ class TestTrace:
 
 
     def test_steps_labelled_with_the_sampler_grid(self):
-        """On the uniform-noise grid the t column follows step_times, not 1 - step/n."""
+        """The t column follows step_times, 1 - step/n, and the last snapshot reads 0."""
         task = MixtureTask.ring(4, 2, separation=2.0)
         sched = LogLinearSchedule(1.0, 0.5)
-        cfg = SamplerConfig(n_steps=8, time_grid="uniform-noise")
+        cfg = SamplerConfig(n_steps=8)
         rows = trace_topk(_exact(task, sched), np.array([1.0, 0.5]), sched, cfg, k=1)
-        expected = [t for t, _ in step_times(sched, cfg)] + [0.0]
+        expected = [t for t, _ in step_times(8)] + [0.0]
         assert [r["t"] for r in rows] == expected
-        assert abs(rows[4]["t"] - 0.5) > 0.05
+        np.testing.assert_allclose(expected, 1.0 - np.arange(9) / 8, rtol=0, atol=1e-15)
 
 
 class TestCompareGrid:

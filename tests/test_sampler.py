@@ -12,7 +12,7 @@ from diffclass import sampler
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import MlpConfig, MlpScorer
-from diffclass.sampler import (STRATEGIES, TIME_GRIDS, SamplerConfig, _cl_step_batch,
+from diffclass.sampler import (STRATEGIES, SamplerConfig, _cl_step_batch,
                                _cp_step_batch, _select_labels_batch, posterior_cl, posterior_cp,
                                posterior_cp_batch, posterior_full, reverse_step_full, step_times)
 from diffclass.schedule import LogLinearSchedule
@@ -96,6 +96,13 @@ class TestReverseStepFull:
             reverse_step_full(bad, p, 0.1, 0.1)
         with pytest.raises(ValidationError, match="sigma_t and dt"):
             reverse_step_full(np.ones((3, 3)), p)  # neither step chosen
+        # e is a kept share in [MIN_KEPT_SHARE, 1], and takes the exact step alone
+        for kwargs in ({"e": 1.5}, {"e": 0.0}, {"e": -0.2}, {"e": float("nan")},
+                       {"e": float("inf")}, {"e": 0.1 * sampler.MIN_KEPT_SHARE},
+                       {"e": 0.5, "sigma_t": 0.1, "dt": 0.1}, {"e": 0.5, "dt": 0.1},
+                       {"e": 0.5, "sigma_t": 0.1}):
+            with pytest.raises(ValidationError):
+                reverse_step_full(np.ones((3, 3)), p, **kwargs)
 
 
 class TestSelectLabel:
@@ -288,15 +295,14 @@ class TestPosteriorFull:
 
 
 class TestExactStep:
-    @pytest.mark.parametrize("time_grid", TIME_GRIDS)
-    def test_cp_and_full_return_the_exact_posterior(self, time_grid):
+    def test_cp_and_full_return_the_exact_posterior(self):
         """With an exact scorer the step needs no small steps: cp and full are within
         1e-8 of the true posterior at 1, 2, 4 and 8 steps, and within 1e-10 of
         each other; they clip nothing, so a limit of 0 does not abort."""
         task, schedule, scorer, y, _ = _exact_setup(n=40)
         q_true = true_posterior_batch(task, y)
         for n_steps in (1, 2, 4, 8):
-            cfg = SamplerConfig(n_steps=n_steps, time_grid=time_grid, max_step_clamp_mass=0.0)
+            cfg = SamplerConfig(n_steps=n_steps, max_step_clamp_mass=0.0)
             cp = posterior_cp(y, scorer, schedule, cfg)
             full = posterior_full(y, scorer, schedule, cfg)
             assert np.abs(cp.probs - q_true).max() < 1e-8, n_steps
@@ -330,34 +336,26 @@ class TestExactStep:
         _, clip_cl = _cl_step_batch(np.array([[0.05, 0.45, 0.5]]) / 0.45, np.array([1]), e=0.5)
         assert clip_cl[0] == pytest.approx(clip[0], rel=1e-12)
 
-    @pytest.mark.parametrize("sigma_bar_max", [23.0, 400.0])
+    @pytest.mark.parametrize("sigma_bar_max", [3.0, 23.0, 400.0])
     def test_a_step_past_float_precision_raises(self, sigma_bar_max):
-        """One step over a noise of 23 keeps e = exp(-46) of the signal, which the
-        floor c = (1 - e) / 2 rounds away; over 400, e underflows to 0.  Either
-        way the step cannot denoise, and says so."""
-        schedule = LogLinearSchedule(sigma_bar_max, 0.5)
-        with pytest.raises(NumericalError, match="more steps"):
-            posterior_cp(np.zeros(1), UniformScorer(2), schedule, SamplerConfig(n_steps=1))
+        """One step of a 10-class exact scorer over a noise of 3 keeps
+        e = exp(-30) = 9.4e-14 of the signal, where roundoff swamps the denoised
+        column: let through, the posterior reads 6.1e-4 off in mean TV, with
+        nothing clipped.  Over 23 the floor c = (1 - e) / K rounds e away, and
+        over 400 e underflows to 0.  Each raises before any scorer call, naming
+        t and e."""
+        _, schedule, scorer, y, _ = _exact_setup(n=200, sched=(sigma_bar_max, 0.9))
+        with mock.patch.object(scorer, "score_batch", side_effect=AssertionError("scored")), \
+                pytest.raises(NumericalError, match=r"t=1 keeps e=.*use more steps"):
+            posterior_cp(y, scorer, schedule, SamplerConfig(n_steps=1))
 
 
 class TestTimeGrid:
     def test_uniform_grid_hits_zero_exactly(self):
-        schedule = LogLinearSchedule(1.0, 0.5)
-        times = step_times(schedule, SamplerConfig(n_steps=7))
+        times = step_times(7)
         assert times[0][0] == 1.0
         assert times[-1][0] - times[-1][1] == pytest.approx(0.0, abs=1e-15)
         assert all(dt == pytest.approx(1 / 7) for _, dt in times)
-
-    def test_noise_uniform_grid_spans_unit_interval(self):
-        schedule = LogLinearSchedule(2.0, 0.1)
-        cfg = SamplerConfig(n_steps=8, time_grid="uniform-noise")
-        times = step_times(schedule, cfg)
-        assert times[0][0] == 1.0
-        assert sum(dt for _, dt in times) == pytest.approx(1.0, abs=1e-12)
-        # equal noise increments per step
-        increments = [schedule.sigma_bar(t) - schedule.sigma_bar(max(t - dt, 0.0))
-                      for t, dt in times]
-        np.testing.assert_allclose(increments, 0.25, atol=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -477,7 +475,7 @@ def _sampler_case(draw):
     limit = draw(st.one_of(st.none(), st.floats(1e-6, 1.0)))
     cfg = SamplerConfig(n_steps=draw(st.integers(1, 6)), strategy=draw(st.sampled_from(STRATEGIES)),
                         n_samples=draw(st.integers(1, 8)), seed=seed,
-                        time_grid=draw(st.sampled_from(TIME_GRIDS)), max_step_clamp_mass=limit)
+                        max_step_clamp_mass=limit)
     task = MixtureTask.random(k, dim, spread=draw(st.floats(0.0, 4.0)), seed=seed)
     if draw(st.booleans()):
         scorer = ExactScorer(lambda f: true_posterior_batch(task, f), k, schedule)
@@ -529,7 +527,7 @@ class TestSamplerProperties:
         one_at_a_time = np.stack([s.probs for s in singles])
         if method == "full" or (method == "cp" and cfg.strategy == "sampling"):
             amplified = sum(1.0 / sampler._kept_share(schedule, t, dt, k)
-                            for t, dt in step_times(schedule, cfg))
+                            for t, dt in step_times(cfg.n_steps))
             atol = 1e-12 + 16 * np.finfo(np.float64).eps * amplified
             np.testing.assert_allclose(est.probs, one_at_a_time, rtol=0, atol=atol)
         else:
