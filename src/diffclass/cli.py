@@ -58,9 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-bar-max", type=float, default=0.6)
     p.add_argument("--schedule-decay", type=float, default=0.7)
     p.add_argument("--grad-clip", type=float, default=1.0)
-    p.add_argument("--hidden-dim", type=int, default=128)
+    p.add_argument("--hidden-dim", type=int, default=128,
+                   help="scorer width; its GroupNorm groups number min(8, width // 4), "
+                        "so the width must be at least 4 and divisible by that count")
     p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--time-input", choices=("total-noise", "raw"), default="total-noise")
     p.add_argument("--stratified-t", action="store_true")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--timing", action="store_true",
@@ -173,8 +174,7 @@ def _run_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
         seed=args.seed, sigma_bar_max=args.sigma_bar_max,
         schedule_decay=args.schedule_decay, grad_clip=args.grad_clip,
-        hidden_dim=args.hidden_dim, n_blocks=args.blocks,
-        time_input=args.time_input, stratified_t=args.stratified_t,
+        hidden_dim=args.hidden_dim, n_blocks=args.blocks, stratified_t=args.stratified_t,
     )
     try:
         scorer, metrics = fit(config, task, corruption=corruption,

@@ -14,10 +14,7 @@ baseline of matched capacity (train.fit_ce_baseline).
 
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.
-The trunk runs in float32 unless the config's GroupNorm groups hold fewer
-than MIN_FLOAT32_GROUP units (MlpConfig.trunk_dtype): there a near-zero
-group variance magnifies float32 rounding, so that config runs its trunk
-in float64, in training and inference alike.
+Every GroupNorm group holds at least MIN_GROUP_UNITS units (MlpConfig).
 
 Both forwards run on one form of the parameters (inference_params): every
 affine map that only feeds a SiLU is halved, so each SiLU takes its
@@ -35,7 +32,7 @@ master parameters exactly.  On float64 features (the finite-difference
 gradient tests) the whole path stays float64.
 
 Inference (MlpScorer.prepare, inference_logits) builds the form once per
-prepare call, in cfg.trunk_dtype, and keeps no cache.  Its GroupNorm
+prepare call, in float32, and keeps no cache.  Its GroupNorm
 (_inference_groupnorm) spreads the halved gain into a (groups, hidden)
 matrix, so one matmul of the per-group reciprocal standard deviations
 gives the scale the rows take in one multiply; it never forms xhat, which
@@ -88,12 +85,11 @@ from .score import Scorer
 MAGIC = b"SCORENET"
 FORMAT_VERSION = 1
 GN_EPS = 1e-5
-# The fewest units per GroupNorm group the trunk runs in float32 at.  A smaller
-# group's variance can be near zero, where GroupNorm magnifies rounding by up to
-# 1/sqrt(GN_EPS) times: over 100 random 8-group scorers of 1-3 blocks, float32
-# logits were off float64's by up to 1.1e-4 at 2-unit groups and 2.4e-5 at 3,
-# against 1.5e-5 at 4 and 5.9e-6 at 8.
-MIN_FLOAT32_GROUP = 4
+# The fewest units a GroupNorm group may hold.  A 1-unit group normalizes to 0
+# and a 2-unit one to about +-1: 3-epoch K=8 scorers (seeds 0-5) read cp@8
+# top-1 0.12-0.13 at hidden 8 on 8 groups, against 0.45-0.69 on 2.  Smaller
+# groups also magnify float32 rounding: 1.1e-4 logit error at 2 units, 1.5e-5 at 4.
+MIN_GROUP_UNITS = 4
 # Rows per inference tile (see row_tiles).  The trunk's tail makes ~16
 # elementwise passes per block over (rows, hidden) arrays; at 8,000 rows and
 # hidden 128 those are 4 MiB in float32, twice a 2 MiB L2 cache, and on a
@@ -122,8 +118,6 @@ def _usable_cpus() -> int:
 # 1,000-row tiles and hidden 128); more than two were not measured.
 WORKERS = min(2, _usable_cpus())
 
-TIME_INPUT_MODES = ("total-noise", "raw")
-
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -134,7 +128,6 @@ class MlpConfig:
     n_blocks: int = 3
     time_embed_dim: int = 64
     groups: int = 8
-    time_input: str = "total-noise"
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
@@ -147,15 +140,13 @@ class MlpConfig:
             raise ValidationError("embed_dim, hidden_dim, time_embed_dim and groups must be positive")
         if self.hidden_dim % self.groups != 0:
             raise ValidationError("hidden_dim must be divisible by groups")
+        if self.hidden_dim // self.groups < MIN_GROUP_UNITS:
+            raise ValidationError(
+                f"hidden_dim={self.hidden_dim} over groups={self.groups} gives "
+                f"{self.hidden_dim // self.groups}-unit GroupNorm groups; "
+                f"each needs at least {MIN_GROUP_UNITS}")
         if self.time_embed_dim % 2 != 0:
             raise ValidationError("time_embed_dim must be even")
-        if self.time_input not in TIME_INPUT_MODES:
-            raise ValidationError(f"time_input must be one of {TIME_INPUT_MODES}")
-
-    @property
-    def trunk_dtype(self) -> type:
-        """float32, or float64 for GroupNorm groups under MIN_FLOAT32_GROUP units."""
-        return np.float32 if self.hidden_dim // self.groups >= MIN_FLOAT32_GROUP else np.float64
 
 
 def silu_from_half(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -521,30 +512,24 @@ class MlpScorer(Scorer):
         self.k = cfg.n_classes
         self.params = params if params is not None else init_params(cfg, seed)
 
-    def time_scalar(self, t: np.ndarray) -> np.ndarray:
-        """Scalar fed to the time embedding; total noise fraction by default."""
-        t = np.asarray(t, dtype=np.float64)
-        if self.cfg.time_input == "raw":
-            return t
-        return np.asarray(self.schedule.sigma_bar(t)) / self.schedule.sigma_bar_max
-
     def conditioning(self, anchors: np.ndarray, t: np.ndarray):
-        """Label embedding plus projected time embedding, computed once per call."""
-        tf = time_features(self.time_scalar(t), self.cfg.time_embed_dim)
+        """Label embedding plus projected time embedding, computed once per call; the
+        time embedding reads the fraction of the total noise reached by t."""
+        tf = time_features(self.schedule.sigma_bar(t) / self.schedule.sigma_bar_max,
+                           self.cfg.time_embed_dim)
         cond = self.params["embed"][anchors] + tf @ self.params["time_w"].T + self.params["time_b"]
         return cond, tf
 
     def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray):
         """Float64 logits with the backprop cache; the training forward.
 
-        The trunk runs in float32 on float32 features when cfg.trunk_dtype
-        is float32, and in float64 otherwise; the conditioning and the head
-        run in float64.  The trunk reads the inference form of the current
-        parameters in the trunk's dtype (inference_params), which the cache
-        keeps for param_grads.
+        The trunk runs in float32 on float32 features and in float64 on any
+        others; the conditioning and the head run in float64.  The trunk
+        reads the inference form of the current parameters in the trunk's
+        dtype (inference_params), which the cache keeps for param_grads.
         """
         features = np.asarray(features)
-        if features.dtype != np.float32 or self.cfg.trunk_dtype != np.float32:
+        if features.dtype != np.float32:
             features = features.astype(np.float64, copy=False)
         anchors = np.asarray(anchors)
         q = inference_params(self.params, self.cfg, features.dtype)
@@ -557,8 +542,8 @@ class MlpScorer(Scorer):
     def prepare(self, features: np.ndarray) -> PreparedFeatures:
         """Run the conditioning-free prefix of the inference trunk once.
 
-        Builds the inference form of the parameters in cfg.trunk_dtype and
-        runs the input layer and block 0's residual branch on the rows, tile
+        Builds the float32 inference form of the parameters and runs the
+        input layer and block 0's residual branch on the rows, tile
         by tile on the workers (_run_workers); score_batch takes the result
         in place of the features at any anchors and times, until the
         parameters change.
@@ -567,25 +552,24 @@ class MlpScorer(Scorer):
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
             raise ValidationError(f"features must be (rows, {self.cfg.feature_dim}); "
                                   f"got shape {features.shape}")
-        dtype = self.cfg.trunk_dtype
-        q = inference_params(self.params, self.cfg, dtype)
-        base = np.empty((features.shape[0], self.cfg.hidden_dim), dtype)
+        q = inference_params(self.params, self.cfg, np.float32)
+        base = np.empty((features.shape[0], self.cfg.hidden_dim), np.float32)
 
         def run(tiles: Iterable[slice], h_work: np.ndarray, scratch_work: np.ndarray) -> None:
             for tile in tiles:
                 h, scratch = (w[:tile.stop - tile.start] for w in (h_work, scratch_work))
-                np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
+                np.matmul(features[tile].astype(np.float32, copy=False), q["in_w"].T, out=h)
                 h += q["in_b"]
                 silu_from_half(h, scratch)
                 _inference_branch(q, 0, h, base[tile], scratch)
 
-        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), dtype)
+        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), np.float32)
                                               for _ in range(2)], run)
         return PreparedFeatures(q, base)
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
-        """Logits of the inference path: cfg.trunk_dtype trunk, float64 head, no cache.
+        """Logits of the inference path: float32 trunk, float64 head, no cache.
 
         features are raw rows, prepared here, or the result of prepare;
         anchors and t hold one integer label and one time per row.  The
@@ -626,11 +610,9 @@ class MlpScorer(Scorer):
                                          self.cfg.groups, scratch)
                     silu_from_half(h, scratch)
                 zt = z[tile]
-                if h.dtype != zt.dtype:
-                    head_in = pair.view(zt.dtype)[:m * hidden].reshape(m, hidden)
-                    head_in[...] = h
-                    h = head_in
-                np.matmul(h, q["out_w"].T, out=zt)
+                head_in = pair.view(zt.dtype)[:m * hidden].reshape(m, hidden)
+                head_in[...] = h
+                np.matmul(head_in, q["out_w"].T, out=zt)
                 zt += q["out_b"]
 
         _run_workers(len(base), lambda rows: (np.empty((rows, hidden), base.dtype),
@@ -707,7 +689,9 @@ class MlpScorer(Scorer):
 # ---------------------------------------------------------------------------
 # Checkpoint format: MAGIC, u32 version, u32 K/F/d/H/B/dt/groups/time-mode,
 # f64 schedule params, u32 array count, then per array (u16 name length,
-# name, u8 ndim, u32 dims..., f32 data, little-endian, sorted by name).
+# name, u8 ndim, u32 dims..., f32 data, little-endian, sorted by name).  The
+# time-mode field must read 0: the time embedding reads the total-noise
+# fraction (MlpScorer.conditioning), the sidecar's time_input=total-noise.
 # ---------------------------------------------------------------------------
 
 def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
@@ -716,8 +700,7 @@ def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
         fh.write(MAGIC)
         fh.write(struct.pack(
             "<9I", FORMAT_VERSION, cfg.n_classes, cfg.feature_dim, cfg.embed_dim,
-            cfg.hidden_dim, cfg.n_blocks, cfg.time_embed_dim, cfg.groups,
-            TIME_INPUT_MODES.index(cfg.time_input),
+            cfg.hidden_dim, cfg.n_blocks, cfg.time_embed_dim, cfg.groups, 0,
         ))
         fh.write(struct.pack("<2d", schedule.sigma_bar_max, schedule.decay))
         names = sorted(params)
@@ -742,7 +725,7 @@ def _sidecar_entries(cfg: MlpConfig, schedule: LogLinearSchedule, n_arrays: int)
         "feature_dim": str(cfg.feature_dim), "embed_dim": str(cfg.embed_dim),
         "hidden_dim": str(cfg.hidden_dim), "n_blocks": str(cfg.n_blocks),
         "time_embed_dim": str(cfg.time_embed_dim), "groups": str(cfg.groups),
-        "time_input": cfg.time_input, "sigma_bar_max": repr(float(schedule.sigma_bar_max)),
+        "time_input": "total-noise", "sigma_bar_max": repr(float(schedule.sigma_bar_max)),
         "schedule_decay": repr(float(schedule.decay)), "n_arrays": str(n_arrays),
     }
 
@@ -787,13 +770,13 @@ def load_params(path: str):
     version, k, f, d, h, blocks, dt, groups, mode = unpack("<9I")
     if version != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported format version {version}")
-    if mode >= len(TIME_INPUT_MODES):
-        raise ValidationError(f"{path}: unknown time-input mode {mode}")
+    if mode != 0:
+        raise ValidationError(f"{path}: header time_input mode {mode}; "
+                              f"only 0 (total-noise) is supported")
     sbar_max, decay = unpack("<2d")
     try:
         cfg = MlpConfig(k, f, embed_dim=d, hidden_dim=h, n_blocks=blocks,
-                        time_embed_dim=dt, groups=groups,
-                        time_input=TIME_INPUT_MODES[mode])
+                        time_embed_dim=dt, groups=groups)
         schedule = LogLinearSchedule(sbar_max, decay)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

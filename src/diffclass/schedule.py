@@ -26,13 +26,13 @@ from .errors import ValidationError
 class LogLinearSchedule:
     """Geometric-decay noise rate with closed-form total noise.
 
-    With the default parameters the t=1 marginal of the forward process is
-    uniform to machine precision for any K >= 2 (exp(-K * 20) <= exp(-40)).
-    Note sigma(1) is small but nonzero under this family.
+    At t=1 the forward process keeps a share exp(-K * sigma_bar_max) of the
+    label signal.  The parameters have no defaults; TrainConfig holds the
+    ones training uses.  sigma(1) is small but nonzero under this family.
     """
 
-    sigma_bar_max: float = 20.0
-    decay: float = 1e-4
+    sigma_bar_max: float
+    decay: float
 
     def __post_init__(self) -> None:
         if not (self.sigma_bar_max > 0.0 and math.isfinite(self.sigma_bar_max)):

@@ -11,10 +11,8 @@ the scorer's forward and backward run the trunk in float32 (the head stays
 float64), on a float32 inference form of the parameters that each forward
 builds from the master ones (mlp.inference_params), while the master
 parameters, the gradients, the Adam moments and the checkpoints stay
-float64.  A config whose GroupNorm groups hold fewer than 4 units trains
-in float64 throughout (MlpConfig.trunk_dtype).
-train_step itself runs in the dtype of the features it is given; on
-float64 features the whole step is float64.
+float64.  train_step itself runs in the dtype of the features it is
+given; on float64 features the whole step is float64.
 
 Each optimizer (AdamState) owns one workspace: contiguous float64 buffers
 for the parameters, their gradients and the two moments, and one small
@@ -51,7 +49,7 @@ import numpy as np
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import NumericalError, ValidationError
 from .loss import loss_grad_wrt_logits, score_entropy_terms
-from .mlp import MlpConfig, MlpScorer
+from .mlp import MIN_GROUP_UNITS, MlpConfig, MlpScorer
 from .schedule import LogLinearSchedule
 from .score import floor_probs
 from .transition import forward_marginal, sample_categorical_rows
@@ -71,8 +69,7 @@ class TrainConfig:
     hidden_dim: int = 128
     n_blocks: int = 3
     time_embed_dim: int = 64
-    groups: int = 8
-    time_input: str = "total-noise"
+    groups: int | None = None       # None: min(8, hidden_dim // MIN_GROUP_UNITS)
     stratified_t: bool = False      # low-discrepancy time draws instead of iid
     eval_steps: int = 8             # reverse steps for per-epoch validation
     eval_subset: int = 512          # validation inputs scored per epoch
@@ -92,16 +89,18 @@ class TrainConfig:
         return LogLinearSchedule(self.sigma_bar_max, self.schedule_decay)
 
     def mlp_config(self, n_classes: int, feature_dim: int) -> MlpConfig:
+        groups = self.groups
+        if groups is None:
+            # At least 1, so a width under MIN_GROUP_UNITS fails on its group size.
+            groups = max(1, min(8, self.hidden_dim // MIN_GROUP_UNITS))
         return MlpConfig(
             n_classes, feature_dim, embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
-            n_blocks=self.n_blocks, time_embed_dim=self.time_embed_dim,
-            groups=self.groups, time_input=self.time_input,
+            n_blocks=self.n_blocks, time_embed_dim=self.time_embed_dim, groups=groups,
         )
 
 
 # The dtype fit casts the training features to, and so the dtype of the trunk's
-# forward and backward, unless the config's trunk needs float64
-# (MlpConfig.trunk_dtype); the master parameters stay float64 whatever it is.
+# forward and backward; the master parameters stay float64 whatever it is.
 TRAIN_FEATURE_DTYPE = np.float32
 
 # The (anchor, t) at which the cross-entropy baseline reads its scorer.
@@ -342,15 +341,13 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
     """The training loop: config.epochs passes of train_step over batches shuffled by rng.
 
     train_data is (features, labels); the features are cast once to
-    TRAIN_FEATURE_DTYPE (exact for dataset files, stored as float32), or to
-    float64 where the trunk needs it.  After each epoch validate(), if
-    given, returns its (tv, top1), else both are NaN.  A numerical failure
-    in an epoch raises TrainingDiverged, which carries the scorer with the
-    last finished epoch's parameters and metrics.
+    TRAIN_FEATURE_DTYPE (exact for dataset files, stored as float32).
+    After each epoch validate(), if given, returns its (tv, top1), else both
+    are NaN.  A numerical failure in an epoch raises TrainingDiverged, which
+    carries the scorer with the last finished epoch's parameters and metrics.
     """
     features, labels = train_data
-    features = np.asarray(features, dtype=np.promote_types(TRAIN_FEATURE_DTYPE,
-                                                           scorer.cfg.trunk_dtype))
+    features = np.asarray(features, dtype=TRAIN_FEATURE_DTYPE)
     opt = AdamState(scorer.params)
     n = features.shape[0]
     total_steps = config.epochs * max(1, math.ceil(n / config.batch_size))
@@ -388,11 +385,22 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
 
     Data is generated from the task unless (features, labels) pairs are
     passed explicitly.  Validation runs the class-probability sampler at
-    config.eval_steps on a held-out subset each epoch.  A numerical failure
-    raises TrainingDiverged (see _train_epochs).
+    config.eval_steps on a held-out subset each epoch; a schedule whose
+    steps there keep too little label signal to sample raises
+    ValidationError before training starts.  A numerical failure raises
+    TrainingDiverged (see _train_epochs).
     """
-    from .sampler import SamplerConfig, posterior_cp_batch  # deferred: avoids cycle
+    # deferred: avoids cycle
+    from .sampler import MIN_KEPT_SHARE, SamplerConfig, _kept_share, posterior_cp_batch, step_times
 
+    for t, dt in step_times(config.eval_steps):
+        try:
+            _kept_share(config.schedule(), t, dt, task.k)
+        except NumericalError:
+            raise ValidationError(
+                f"sigma_bar_max={config.sigma_bar_max}, schedule_decay={config.schedule_decay}: "
+                f"the {config.eval_steps}-step validation's step from t={t:.3g} keeps under "
+                f"{MIN_KEPT_SHARE:.0e} of the label signal at K={task.k}") from None
     rng = np.random.default_rng(config.seed)
     if train_data is None:
         train_data = generate(task, n_train, corruption, rng)

@@ -301,8 +301,7 @@ def reference_logits(params: dict, cfg: MlpConfig, features: np.ndarray, anchors
         return x / (1.0 + np.exp(-x))
 
     p = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
-    t = np.asarray(t, dtype=np.float64)
-    scalar = t if cfg.time_input == "raw" else schedule.sigma_bar(t) / schedule.sigma_bar_max
+    scalar = schedule.sigma_bar(np.asarray(t, dtype=np.float64)) / schedule.sigma_bar_max
     freqs = np.exp(np.linspace(0.0, np.log(1000.0), cfg.time_embed_dim // 2))
     angles = np.outer(scalar, freqs)
     time_embedding = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)

@@ -233,7 +233,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, fmt, offset, value, message", [
         ("groups", "<I", 36, 4, "header groups=4 disagrees with the .meta sidecar (groups=8)"),
         ("groups", "<I", 36, 5, "hidden_dim must be divisible by groups"),
-        ("time_input", "<I", 40, 1, "header time_input=raw disagrees with the .meta sidecar"),
+        ("groups", "<I", 36, 16, "hidden_dim=32 over groups=16 gives 2-unit GroupNorm groups"),
+        ("time_input", "<I", 40, 1, "header time_input mode 1; only 0 (total-noise)"),
         ("schedule_decay", "<d", 52, 0.5,
          "header schedule_decay=0.5 disagrees with the .meta sidecar (schedule_decay=0.7)")])
     def test_header_disagreeing_with_sidecar_is_2(self, tmp_path, field, fmt, offset, value,
@@ -382,6 +383,34 @@ class TestErrorContract:
                        "--checkpoint", str(tmp_path / "m.ckpt")])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_group_count_follows_the_width(self, tmp_path, capsys):
+        """--hidden-dim 8 trains on 2 groups of 4 units; a width under 4 exits 2."""
+        stem = _gen(tmp_path, "d", 64, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--data", stem, "--hidden-dim", "8", "--blocks", "1",
+                         "--epochs", "1", "--checkpoint", str(ckpt)]) == 0
+        assert "groups=2\n" in Path(str(ckpt) + ".meta").read_text()
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", stem, "--hidden-dim", "3", "--blocks", "1",
+                       "--checkpoint", str(tmp_path / "n.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and "hidden_dim" in err, err
+        assert not (tmp_path / "n.ckpt").exists()
+
+    def test_schedule_the_validation_cannot_sample_exits_2_before_training(self, tmp_path,
+                                                                            capsys):
+        """At K=8, sigma_bar_max 25 leaves the 8-step validation's first step e ~ 6e-10
+        of the label signal: train exits 2 naming the schedule, and writes nothing."""
+        stem = _gen(tmp_path, "d", 64, seed=0, k=8)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "fit.csv"
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", stem, "--sigma-bar-max", "25", "--epochs", "3",
+                       "--checkpoint", str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert "sigma_bar_max=25.0" in err and "schedule_decay=0.7" in err and "t=1" in err
+        assert not ckpt.exists() and not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
                                              ("--grad-clip", "nan"), ("--grad-clip", "inf")])

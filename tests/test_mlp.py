@@ -94,12 +94,6 @@ class TestOutputContract:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             scorer.score_batch(np.ones((2, 3)), np.array([0, 1]), np.array([0.1, 0.2]))
 
-    def test_raw_time_input_mode(self):
-        cfg = MlpConfig(n_classes=3, feature_dim=2, embed_dim=8, hidden_dim=16,
-                        n_blocks=1, time_embed_dim=8, groups=2, time_input="raw")
-        scorer = MlpScorer(cfg, SCHED, seed=0)
-        np.testing.assert_allclose(scorer.time_scalar(np.array([0.0, 0.5, 1.0])), [0.0, 0.5, 1.0])
-
 
 @pytest.fixture(scope="module")
 def trained_scorer():
@@ -324,15 +318,10 @@ class TestPreparedPath:
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
-           group_size=st.sampled_from([1, 2, 3, 4, 8, 16]), blocks=st.integers(1, 3),
+           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
            seed=st.integers(0, 2**16))
     def test_prepared_path_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
-        """Scores keep their contract and the inference logits stay near float64's.
-
-        Groups under 4 units run the trunk in float64 (MlpConfig.trunk_dtype):
-        a 2-unit group's variance can be near zero, where GroupNorm magnifies
-        float32 rounding up to 1/sqrt(GN_EPS) times.
-        """
+        """Scores keep their contract and the float32 inference logits stay near float64's."""
         cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
                         hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
                         groups=groups)
@@ -344,7 +333,7 @@ class TestPreparedPath:
         anchors = rng.integers(0, k, n)
         t = rng.choice([1.0, 0.5, 0.125], n)
         prepared = scorer.prepare(y)
-        assert prepared.base.dtype == (np.float32 if group_size >= 4 else np.float64)
+        assert prepared.base.dtype == np.float32
         values = scorer.score_batch(prepared, anchors, t)
         assert np.all(np.isfinite(values)) and np.all(values > 0.0)
         assert np.all(values[np.arange(n), anchors] == 1.0)
@@ -628,10 +617,9 @@ class TestMixedPrecisionTraining:
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
-           group_size=st.sampled_from([1, 2, 3, 4, 8, 16]), blocks=st.integers(1, 3),
+           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
            seed=st.integers(0, 2**16))
     def test_float32_gradients_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
-        """Groups under 4 units train in float64, as test_prepared_path_on_random_configs says."""
         cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
                         hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
                         groups=groups)
@@ -643,7 +631,7 @@ class TestMixedPrecisionTraining:
         g32 = _grads_at(scorer, y, labels, seed)
         g64 = _grads_at(scorer, y.astype(np.float64), labels, seed)
         assert all(v.dtype == np.float64 for v in g32.values())
-        assert _relative_gap(g32, g64) <= (1e-4 if group_size >= 4 else 0.0)
+        assert _relative_gap(g32, g64) <= 1e-4
 
     @pytest.mark.parametrize("offset", [0.0, 4.0])
     def test_float32_groupnorm_backward_matches_float64_reductions(self, offset):
@@ -717,13 +705,13 @@ class TestReferenceForward:
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
-           group_size=st.sampled_from([1, 2, 3, 4, 8, 16]), blocks=st.integers(1, 3),
-           time_input=st.sampled_from(mlp.TIME_INPUT_MODES), seed=st.integers(0, 2**16))
+           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
     def test_forwards_and_gradients_match_the_reference(self, k, dim, groups, group_size,
-                                                        blocks, time_input, seed):
+                                                        blocks, seed):
         cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
                         hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
-                        groups=groups, time_input=time_input)
+                        groups=groups)
         scorer = MlpScorer(cfg, SCHED, seed=seed)
         rng = np.random.default_rng(seed)
         # Every entry off its initial value, so b2, the biases, the GroupNorm shifts and
@@ -756,7 +744,7 @@ class TestReferenceForward:
             arr += h * direction
             return (up - down) / (2 * h)
 
-        # A 2- or 3-unit group's variance can be near zero, where the objective
+        # A group's variance can be near zero, where the objective
         # bends too sharply for any one step: each difference is allowed its own
         # truncation error, twice its gap to the difference at the doubled step.
         # Over 1,200 random configs the worst error was 0.4 of this bound, and a
@@ -983,6 +971,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             MlpConfig(n_classes=3, feature_dim=2, n_blocks=0)
 
-    def test_time_input_mode_checked(self):
-        with pytest.raises(ValidationError):
-            MlpConfig(n_classes=3, feature_dim=2, time_input="sigma")
+    @settings(max_examples=300, deadline=None)
+    @given(hidden=st.integers(1, 512), groups=st.one_of(st.none(), st.integers(1, 64)))
+    def test_built_configs_have_groups_of_at_least_four_units(self, hidden, groups):
+        """TrainConfig.mlp_config gives every GroupNorm group at least 4 units or raises
+        naming hidden_dim; by default a width of 32 or more divisible by 8 gets 8 groups."""
+        eight = groups is None and hidden >= 32 and hidden % 8 == 0
+        try:
+            cfg = TrainConfig(hidden_dim=hidden, groups=groups).mlp_config(4, 2)
+        except ValidationError as exc:
+            assert "hidden_dim" in str(exc) and not eight
+            return
+        assert cfg.hidden_dim % cfg.groups == 0 and cfg.hidden_dim // cfg.groups >= 4
+        assert cfg.groups == 8 or not eight

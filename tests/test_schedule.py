@@ -76,7 +76,7 @@ class TestIntegralIdentity:
 class TestValidation:
     @pytest.mark.parametrize("t", [-0.1, 1.1, float("nan")])
     def test_time_domain_errors(self, t):
-        s = LogLinearSchedule()
+        s = LogLinearSchedule(0.6, 0.7)
         with pytest.raises(ValidationError):
             s.sigma(t)
         with pytest.raises(ValidationError):
