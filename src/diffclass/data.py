@@ -88,6 +88,7 @@ class MixtureTask:
         """Means equally spaced on a circle with the given nearest-neighbor distance."""
         if k < 2 or dim < 2:
             raise ValidationError("ring layout needs k >= 2 and dim >= 2")
+        _check_finite("separation", separation)
         radius = (separation / 2.0) / math.sin(math.pi / k)
         ang = 2.0 * math.pi * np.arange(k) / k
         means = np.zeros((k, dim))
@@ -100,8 +101,16 @@ class MixtureTask:
                variance: float = 1.0, seed: int = 0) -> "MixtureTask":
         if k < 2 or dim < 1:
             raise ValidationError("random layout needs k >= 2 and dim >= 1")
+        _check_finite("spread", spread)
         rng = np.random.default_rng(seed)
         return cls(means=spread * rng.standard_normal((k, dim)), variance=variance, seed=seed)
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Raise ValidationError naming a layout scale that is not finite, before it
+    reaches the means as NaN through inf * 0."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def generate(task: MixtureTask, n: int, corruption: CorruptionSpec,

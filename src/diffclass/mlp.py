@@ -29,7 +29,13 @@ SiLU's output s and t = 1 + tanh u, and each GroupNorm's xhat and
 variance; the backward takes each SiLU's slope in u as t + s * (2 - t)
 (_silu_slope), and param_grads maps the form's gradients back to the
 master parameters exactly.  On float64 features (the finite-difference
-gradient tests) the whole path stays float64.
+gradient tests) the whole path stays float64.  Every array of a training
+forward and backward (the form, the logits, the cache and the backward's
+temporaries) comes from _array: in a fit, from the optimizer's workspace
+(train.AdamState.work), which keeps one array per name from the first
+step on, a short tail batch taking views of their first rows; without a
+workspace (MlpScorer.logits called on its own), new arrays, from the
+same code.
 
 Inference (MlpScorer.prepare, inference_logits) builds the form once per
 prepare call, in float32, and keeps no cache.  Its GroupNorm
@@ -149,6 +155,23 @@ class MlpConfig:
             raise ValidationError("time_embed_dim must be even")
 
 
+def _array(work: dict | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array of shape and dtype for the training forward or backward.
+
+    Without a workspace (work None) it is a new array.  With one, a dict
+    that a fit keeps for all its steps (train.AdamState.work), it is the
+    array stored under name, or a view of its first rows for a shorter
+    batch; a new or larger shape replaces the stored array.  Each name
+    serves one use at a time, so a fit's steps allocate their arrays once.
+    """
+    if work is None:
+        return np.empty(shape, dtype)
+    kept = work.get(name)
+    if kept is None or kept.dtype != dtype or kept.shape[1:] != shape[1:] or len(kept) < shape[0]:
+        kept = work[name] = np.empty(shape, dtype)
+    return kept[:shape[0]]
+
+
 def silu_from_half(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """silu(2u) = u * (1 + tanh u), written over u, since sigmoid(x) = (1 + tanh(x / 2)) / 2;
     scratch, an array of u's shape, is left holding 1 + tanh u."""
@@ -158,16 +181,17 @@ def silu_from_half(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return u
 
 
-def silu(x: np.ndarray, tanh: np.ndarray | None = None) -> np.ndarray:
-    """x * sigmoid(x) in a new array, as silu_from_half(x / 2); pass tanh, an array of
-    x's shape, to keep 1 + tanh(x / 2) in it for _silu_slope."""
-    return silu_from_half(np.multiply(x, 0.5), np.empty_like(x) if tanh is None else tanh)
+def silu(x: np.ndarray, tanh: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """x * sigmoid(x), as silu_from_half(x / 2), in out or a new array; pass tanh, an
+    array of x's shape, to keep 1 + tanh(x / 2) in it for _silu_slope."""
+    return silu_from_half(np.multiply(x, 0.5, out=out), np.empty_like(x) if tanh is None else tanh)
 
 
-def _silu_slope(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d silu(2u) / du from silu_from_half's output s and its t = 1 + tanh u: with
-    tau = tanh u it is (1 + tau) + u (1 - tau)(1 + tau) = t + s * (2 - t)."""
-    slope = np.subtract(2.0, t)
+def _silu_slope(s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d silu(2u) / du from silu_from_half's output s and its t = 1 + tanh u, in out or
+    a new array: with tau = tanh u it is (1 + tau) + u (1 - tau)(1 + tau) = t + s * (2 - t)."""
+    slope = np.subtract(2.0, t, out=out)
     slope *= s
     slope += t
     return slope
@@ -180,10 +204,16 @@ def _time_frequencies(half: int) -> np.ndarray:
     return freqs
 
 
-def time_features(u: np.ndarray, n_dims: int) -> np.ndarray:
-    """Sinusoidal features of a scalar in [0, 1], geometric frequency ladder."""
-    ang = np.asarray(u, dtype=np.float64)[:, None] * _time_frequencies(n_dims // 2)[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+def time_features(u: np.ndarray, n_dims: int, work: dict | None = None) -> np.ndarray:
+    """Sinusoidal features of a scalar in [0, 1], geometric frequency ladder; the arrays
+    come from work (_array)."""
+    u = np.asarray(u, dtype=np.float64)
+    half = n_dims // 2
+    ang = np.multiply(u[:, None], _time_frequencies(half)[None, :],
+                      out=_array(work, "time_angle", (len(u), half), np.float64))
+    sin = np.sin(ang, out=_array(work, "time_sin", ang.shape, np.float64))
+    return np.concatenate([sin, np.cos(ang, out=ang)], axis=1,
+                          out=_array(work, "time_features", (len(u), n_dims), np.float64))
 
 
 def param_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
@@ -248,11 +278,11 @@ def _center(x: np.ndarray, groups: int, scratch: np.ndarray) -> np.ndarray:
     return _group_means(scratch, groups)
 
 
-def _gn_forward(x, gamma, beta, groups):
-    """GroupNorm; normalizes x in place (x becomes xhat) and returns the affine output
-    and the cache (xhat, variances of shape (n, groups, 1))."""
+def _gn_forward(x, gamma, beta, groups, out=None):
+    """GroupNorm; normalizes x in place (x becomes xhat) and returns the affine output,
+    in out or a new array, and the cache (xhat, variances of shape (n, groups, 1))."""
     n, h = x.shape
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     var = _center(x, groups, out)[:, :, None]
     xg = x.reshape(n, groups, h // groups)
     xg /= np.sqrt(var + GN_EPS)
@@ -261,22 +291,28 @@ def _gn_forward(x, gamma, beta, groups):
     return out, (x, var)
 
 
-def _gn_backward(dout, gamma, cache, groups):
+def _gn_backward(dout, gamma, cache, groups, dx=None, scratch=None):
     """GroupNorm backward; returns (dx, dgamma, dbeta), dx = (g - mean(g) - xhat *
-    mean(g * xhat)) / std per group with g = dout * gamma, the means by _group_means."""
+    mean(g * xhat)) / std per group with g = dout * gamma, the means by _group_means.
+
+    dx and scratch, arrays of dout's shape, take dx and the temporaries;
+    without them they are new arrays.
+    """
     xhat, var = cache
     n, h = dout.shape
-    dout_xhat = dout * xhat
+    dout_xhat = np.multiply(dout, xhat, out=scratch)
     dgamma = dout_xhat.sum(axis=0)
     dbeta = dout.sum(axis=0)
-    dxh = dout * gamma
-    mean_dxh_xh = _group_means(dout_xhat * gamma, groups)
-    mean_dxh = _group_means(dxh, groups)
-    dx = dxh.reshape(n, groups, h // groups)
-    dx -= mean_dxh[:, :, None]
-    dx -= xhat.reshape(dx.shape) * mean_dxh_xh[:, :, None]
-    dx /= np.sqrt(var + GN_EPS)
-    return dx.reshape(n, h), dgamma, dbeta
+    dout_xhat *= gamma
+    mean_dxh_xh = _group_means(dout_xhat, groups)
+    dx = np.multiply(dout, gamma, out=dx)
+    mean_dxh = _group_means(dx, groups)
+    dxg = dx.reshape(n, groups, h // groups)
+    dxg -= mean_dxh[:, :, None]
+    dxg -= np.multiply(xhat.reshape(dxg.shape), mean_dxh_xh[:, :, None],
+                       out=dout_xhat.reshape(dxg.shape))
+    dxg /= np.sqrt(var + GN_EPS)
+    return dx, dgamma, dbeta
 
 
 def _inference_groupnorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
@@ -379,8 +415,8 @@ def _run_workers(n: int, alloc, run) -> None:
 HALVED = ("in_w", "in_b", "w1_", "b1_", "gn_g_", "gn_b_")
 
 
-def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
-                     dtype) -> dict[str, np.ndarray]:
+def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig, dtype,
+                     work: dict | None = None) -> dict[str, np.ndarray]:
     """The form both forwards run on: the trunk's entries in dtype, the head's float64.
 
     The HALVED entries (in_w, in_b and each block's w1, b1, gn_g, gn_b) are
@@ -389,18 +425,35 @@ def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
     (groups, hidden) matrix E * gamma / 2 (E the 0/1 group expansion) for
     _inference_groupnorm; cb becomes cb + b2, which inference adds to the
     few distinct (anchor, t) rows of a call.  Entries already in dtype
-    (w2 and cw in float64) are the master arrays themselves.
+    (w2 and cw in float64) are the master arrays themselves.  Each entry is
+    computed in float64 and rounded once to dtype, into arrays from work
+    (_array): a training step rebuilds the form in the same arrays.
     """
     expand = _group_expand(cfg.hidden_dim, cfg.groups, np.float64)
-    q = {"in_w": 0.5 * params["in_w"], "in_b": 0.5 * params["in_b"]}
+
+    def entry(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        return _array(work, f"form.{name}", shape, dtype)
+
+    def half(name: str) -> np.ndarray:
+        return np.multiply(params[name], 0.5, out=entry(name, params[name].shape))
+
+    def cast(name: str) -> np.ndarray:
+        if params[name].dtype == dtype:
+            return params[name]
+        out = entry(name, params[name].shape)
+        np.copyto(out, params[name])
+        return out
+
+    q = {"in_w": half("in_w"), "in_b": half("in_b")}
     for b in range(cfg.n_blocks):
-        gamma = 0.5 * params[f"gn_g_{b}"]
-        q.update({f"w1_{b}": 0.5 * params[f"w1_{b}"], f"b1_{b}": 0.5 * params[f"b1_{b}"],
-                  f"w2_{b}": params[f"w2_{b}"], f"cw_{b}": params[f"cw_{b}"],
-                  f"cb_{b}": params[f"cb_{b}"] + params[f"b2_{b}"],
-                  f"gn_g_{b}": gamma, f"gn_b_{b}": 0.5 * params[f"gn_b_{b}"],
-                  f"gn_scale_{b}": expand * gamma})
-    q = {name: v.astype(dtype, copy=False) for name, v in q.items()}
+        gamma = half(f"gn_g_{b}")
+        q.update({f"w1_{b}": half(f"w1_{b}"), f"b1_{b}": half(f"b1_{b}"),
+                  f"w2_{b}": cast(f"w2_{b}"), f"cw_{b}": cast(f"cw_{b}"),
+                  f"cb_{b}": np.add(params[f"cb_{b}"], params[f"b2_{b}"],
+                                    out=entry(f"cb_{b}", params[f"cb_{b}"].shape)),
+                  f"gn_g_{b}": gamma, f"gn_b_{b}": half(f"gn_b_{b}"),
+                  f"gn_scale_{b}": np.multiply(expand, gamma, out=entry(
+                      f"gn_scale_{b}", (cfg.groups, cfg.hidden_dim)))})
     q.update(out_w=params["out_w"], out_b=params["out_b"])
     return q
 
@@ -436,31 +489,44 @@ class PreparedFeatures:
         return self.base.shape[0]
 
 
-def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray):
+def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray,
+                   work: dict | None = None):
     """Training forward of (n, f) rows at (n, d) conditioning rows on the form q
     (inference_params); returns (logits, cache).
 
     The trunk runs in the dtype of features, cond and q's trunk entries, the
     head in the dtype of q["out_w"].  The cache keeps what backward_logits
-    reads (see the module docstring).
+    reads (see the module docstring), work among it.  The logits and every
+    array of the cache come from work (_array), so they hold until the next
+    forward in the same workspace.
     """
-    u = features @ q["in_w"].T
+    n, width = len(features), cond.shape[1]
+
+    def rows(name: str, cols: int = cfg.hidden_dim, dtype=features.dtype) -> np.ndarray:
+        return _array(work, name, (n, cols), dtype)
+
+    u = np.matmul(features, q["in_w"].T, out=rows("h_in"))
     u += q["in_b"]
-    cache = {"features": features, "t_in": np.empty_like(u), "t_cond": np.empty_like(cond)}
+    cache = {"features": features, "t_in": rows("t_in"), "t_cond": rows("t_cond", width),
+             "work": work}
     h = silu_from_half(u, cache["t_in"])
-    sc = silu(cond, cache["t_cond"])
+    sc = silu(cond, cache["t_cond"], rows("sc", width))
     for b in range(cfg.n_blocks):
-        s1, t1 = np.empty_like(h), np.empty_like(h)
-        x = _inference_branch(q, b, h, np.empty_like(h), s1, t1)
+        s1, t1 = rows(f"s1_{b}"), rows(f"t1_{b}")
+        x = _inference_branch(q, b, h, rows(f"x_{b}"), s1, t1)
         cache.update({f"h_{b}": h, f"s1_{b}": s1, f"t1_{b}": t1})
-        cvec = sc @ q[f"cw_{b}"].T
+        cvec = np.matmul(sc, q[f"cw_{b}"].T, out=rows("scratch"))
         cvec += q[f"cb_{b}"]
         x += cvec
-        u, cache[f"gn_{b}"] = _gn_forward(x, q[f"gn_g_{b}"], q[f"gn_b_{b}"], cfg.groups)
-        cache[f"tgn_{b}"] = np.empty_like(u)
+        u, cache[f"gn_{b}"] = _gn_forward(x, q[f"gn_g_{b}"], q[f"gn_b_{b}"], cfg.groups,
+                                          rows(f"u_{b}"))
+        cache[f"tgn_{b}"] = rows(f"tgn_{b}")
         h = silu_from_half(u, cache[f"tgn_{b}"])
+    head_in = rows("head", dtype=q["out_w"].dtype)
+    np.copyto(head_in, h)
     cache.update({"sc": sc, "h_top": h})
-    z = h.astype(q["out_w"].dtype, copy=False) @ q["out_w"].T + q["out_b"]
+    z = np.matmul(head_in, q["out_w"].T, out=rows("z", cfg.n_classes, head_in.dtype))
+    z += q["out_b"]
     return z, cache
 
 
@@ -469,33 +535,49 @@ def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dic
 
     Returns the gradient of every entry of q that forward_logits reads, the
     head's in its dtype and the trunk's in the trunk dtype, plus "_dcond",
-    dL/dcond per row.
+    dL/dcond per row.  The weight matrices' gradients, dL/dcond and every
+    temporary come from the forward's workspace (cache["work"], _array);
+    the cache itself is only read.
     """
-    s = cache["h_top"]
-    g = {"out_w": dz.T @ s, "out_b": dz.sum(axis=0)}
-    dh = (dz @ q["out_w"]).astype(s.dtype, copy=False)
-    sc = cache["sc"]
-    dsc = np.zeros_like(sc)
+    s, sc, work = cache["h_top"], cache["sc"], cache["work"]
+
+    def rows(name: str, cols: int = cfg.hidden_dim, dtype=s.dtype) -> np.ndarray:
+        return _array(work, name, (len(dz), cols), dtype)
+
+    def grad(name: str) -> np.ndarray:
+        return _array(work, f"grad.{name}", q[name].shape, q[name].dtype)
+
+    # One array in the head's dtype takes the head's input, then dL/d(input).
+    head = rows("head", dtype=dz.dtype)
+    np.copyto(head, s)
+    g = {"out_w": np.matmul(dz.T, head, out=grad("out_w")), "out_b": dz.sum(axis=0)}
+    dh = rows("dh")
+    np.copyto(dh, np.matmul(dz, q["out_w"], out=head))
+    dsc = rows("dsc", sc.shape[1])
+    dsc[...] = 0.0
     for b in reversed(range(cfg.n_blocks)):
-        du = _silu_slope(s, cache[f"tgn_{b}"])
+        du = _silu_slope(s, cache[f"tgn_{b}"], rows("du"))
         du *= dh
-        dpre, dgamma, dbeta = _gn_backward(du, q[f"gn_g_{b}"], cache[f"gn_{b}"], cfg.groups)
+        dpre, dgamma, dbeta = _gn_backward(du, q[f"gn_g_{b}"], cache[f"gn_{b}"], cfg.groups,
+                                           rows("dpre"), rows("scratch"))
         s1 = cache[f"s1_{b}"]
-        g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta, f"cw_{b}": dpre.T @ sc,
-                  f"cb_{b}": dpre.sum(axis=0), f"w2_{b}": dpre.T @ s1})
-        dsc += dpre @ q[f"cw_{b}"]
-        du1 = dpre @ q[f"w2_{b}"]
-        du1 *= _silu_slope(s1, cache[f"t1_{b}"])
+        g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta,
+                  f"cw_{b}": np.matmul(dpre.T, sc, out=grad(f"cw_{b}")),
+                  f"cb_{b}": dpre.sum(axis=0),
+                  f"w2_{b}": np.matmul(dpre.T, s1, out=grad(f"w2_{b}"))})
+        dsc += np.matmul(dpre, q[f"cw_{b}"], out=rows("dcond", sc.shape[1]))
+        du1 = np.matmul(dpre, q[f"w2_{b}"], out=du)
+        du1 *= _silu_slope(s1, cache[f"t1_{b}"], rows("scratch"))
         s = cache[f"h_{b}"]
-        g[f"w1_{b}"] = du1.T @ s
+        g[f"w1_{b}"] = np.matmul(du1.T, s, out=grad(f"w1_{b}"))
         g[f"b1_{b}"] = du1.sum(axis=0)
-        dh = du1 @ q[f"w1_{b}"]
+        dh = np.matmul(du1, q[f"w1_{b}"], out=rows("dh"))
         dh += dpre
-    du = _silu_slope(s, cache["t_in"])
+    du = _silu_slope(s, cache["t_in"], rows("du"))
     du *= dh
-    g["in_w"] = du.T @ cache["features"]
+    g["in_w"] = np.matmul(du.T, cache["features"], out=grad("in_w"))
     g["in_b"] = du.sum(axis=0)
-    dcond = _silu_slope(sc, cache["t_cond"])
+    dcond = _silu_slope(sc, cache["t_cond"], rows("dcond", sc.shape[1]))
     dcond *= dsc
     dcond *= 0.5                      # silu(cond) took u = cond / 2
     g["_dcond"] = dcond
@@ -512,29 +594,48 @@ class MlpScorer(Scorer):
         self.k = cfg.n_classes
         self.params = params if params is not None else init_params(cfg, seed)
 
-    def conditioning(self, anchors: np.ndarray, t: np.ndarray):
+    def conditioning(self, anchors: np.ndarray, t: np.ndarray, work: dict | None = None):
         """Label embedding plus projected time embedding, computed once per call; the
-        time embedding reads the fraction of the total noise reached by t."""
+        time embedding reads the fraction of the total noise reached by t.
+
+        anchors must lie in [0, K), as _check_rows makes sure: the embedding
+        rows are gathered without a bounds check.  The arrays come from work
+        (_array).
+        """
         tf = time_features(self.schedule.sigma_bar(t) / self.schedule.sigma_bar_max,
-                           self.cfg.time_embed_dim)
-        cond = self.params["embed"][anchors] + tf @ self.params["time_w"].T + self.params["time_b"]
+                           self.cfg.time_embed_dim, work)
+        shape = (len(anchors), self.cfg.embed_dim)
+        # "clip" gathers what "raise" would for indices in range, without the buffered
+        # copy numpy makes for out= under "raise".
+        cond = np.take(self.params["embed"], anchors, axis=0, mode="clip",
+                       out=_array(work, "cond", shape, np.float64))
+        cond += np.matmul(tf, self.params["time_w"].T, out=_array(work, "time_proj", shape,
+                                                                 np.float64))
+        cond += self.params["time_b"]
         return cond, tf
 
-    def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray):
+    def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray,
+               work: dict | None = None):
         """Float64 logits with the backprop cache; the training forward.
 
         The trunk runs in float32 on float32 features and in float64 on any
         others; the conditioning and the head run in float64.  The trunk
         reads the inference form of the current parameters in the trunk's
         dtype (inference_params), which the cache keeps for param_grads.
+        With work, a fit's workspace (train.AdamState.work), the form, the
+        logits, the cache and the backward's arrays all come from it
+        (_array), and hold until the next forward in that workspace; without
+        it every array is new.
         """
         features = np.asarray(features)
         if features.dtype != np.float32:
             features = features.astype(np.float64, copy=False)
-        anchors = np.asarray(anchors)
-        q = inference_params(self.params, self.cfg, features.dtype)
-        cond, tf = self.conditioning(anchors, t)
-        z, cache = forward_logits(q, self.cfg, features, cond.astype(features.dtype, copy=False))
+        anchors, t = self._check_rows(len(features), anchors, t)
+        q = inference_params(self.params, self.cfg, features.dtype, work)
+        cond, tf = self.conditioning(anchors, t, work)
+        trunk_cond = _array(work, "trunk_cond", cond.shape, features.dtype)
+        np.copyto(trunk_cond, cond)
+        z, cache = forward_logits(q, self.cfg, features, trunk_cond, work)
         cache.update({"params": q, "tf": tf, "anchors": anchors})
         self._check_finite(z)
         return z, cache
@@ -664,7 +765,8 @@ class MlpScorer(Scorer):
         dL/dcond over the anchors, is taken as a one-hot matmul.
         """
         g = backward_logits(cache["params"], self.cfg, dz, cache)
-        dcond = g.pop("_dcond").astype(np.float64, copy=False)
+        dcond = _array(cache["work"], "dcond64", g["_dcond"].shape, np.float64)
+        np.copyto(dcond, g.pop("_dcond"))
         if out is None:
             out = {name: np.empty_like(v) for name, v in self.params.items()}
         onehot = np.equal.outer(cache["anchors"], np.arange(self.k)).astype(np.float64)

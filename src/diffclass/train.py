@@ -14,10 +14,11 @@ parameters, the gradients, the Adam moments and the checkpoints stay
 float64.  train_step itself runs in the dtype of the features it is
 given; on float64 features the whole step is float64.
 
-Each optimizer (AdamState) owns one workspace: contiguous float64 buffers
-for the parameters, their gradients and the two moments, and one small
-scratch array.  The scorer's params entries are views into the parameter
-buffer, and param_grads writes into the gradient buffer's views, so
+Each optimizer (AdamState) owns one workspace, allocated once per fit:
+contiguous float64 buffers for the parameters, their gradients, the two
+moments and the epoch's starting parameters, one small scratch array, and
+the step arrays (work).  The scorer's params entries are views into the
+parameter buffer, and param_grads writes into the gradient buffer's views, so
 clipping is one dot product and one scale, and the Adam step is thirteen
 ufuncs over each cache-sized slice of the buffers:
 
@@ -25,8 +26,21 @@ ufuncs over each cache-sized slice of the buffers:
     p -= (lr/bc1) * m / (sqrt(v) * (1/sqrt(bc2)) + eps),
 
 with the bias corrections bc = 1 - b**step folded into scalars (in exact
-arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)).  The workspace holds no
-float32 parameters; the forward's inference form is the only copy.
+arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)).
+
+The step arrays are every array a step's forward and backward make for up
+to batch_size rows: the float32 inference form, which each forward
+rebuilds in place from the master views, the logits, the backprop cache
+and the backward's temporaries (mlp._array; a short tail batch takes views
+of their first rows).  An epoch's first step makes them and the epoch's
+validation, which needs memory of its own, starts by freeing them.  Freed
+and made again at every step, they cost a fresh-process train of the
+reference model (1 epoch on 32,000 rows, 2-vCPU Xeon) 158,000 minor page
+faults, as glibc returned the heap's top to the system after each step and
+faulted it back in at the next; kept, 8,400.  Kept through the validation,
+they raised that process's peak RSS by 1.7 MiB.  Each epoch starts by
+copying the parameter buffer into best, which a numerical failure copies
+back (TrainingDiverged).
 
 The comparison grid's cross-entropy baseline is the same network read at
 one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
@@ -69,7 +83,8 @@ class TrainConfig:
     hidden_dim: int = 128
     n_blocks: int = 3
     time_embed_dim: int = 64
-    groups: int | None = None       # None: min(8, hidden_dim // MIN_GROUP_UNITS)
+    groups: int | None = None       # None: the largest divisor of hidden_dim up to
+                                    # min(8, hidden_dim // MIN_GROUP_UNITS)
     stratified_t: bool = False      # low-discrepancy time draws instead of iid
     eval_steps: int = 8             # reverse steps for per-epoch validation
     eval_subset: int = 512          # validation inputs scored per epoch
@@ -92,7 +107,8 @@ class TrainConfig:
         groups = self.groups
         if groups is None:
             # At least 1, so a width under MIN_GROUP_UNITS fails on its group size.
-            groups = max(1, min(8, self.hidden_dim // MIN_GROUP_UNITS))
+            cap = max(1, min(8, self.hidden_dim // MIN_GROUP_UNITS))
+            groups = next(g for g in range(cap, 0, -1) if self.hidden_dim % g == 0)
         return MlpConfig(
             n_classes, feature_dim, embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
             n_blocks=self.n_blocks, time_embed_dim=self.time_embed_dim, groups=groups,
@@ -121,24 +137,30 @@ ADAM_CHUNK = 16384
 
 
 class AdamState:
-    """Adam's step count and the optimizer's one float64 workspace.
+    """Adam's step count and the optimizer's one workspace.
 
     The workspace is four contiguous float64 buffers of the parameters'
     total size, rows of one block: the master parameters (flat), their
-    gradients (grad) and the two moments (m, v); plus one scratch buffer of
-    ADAM_CHUNK elements for adam_update.  params and grads map each
-    parameter name to its view into flat and grad.  Packing a parameter
-    dict (the constructor, pack) copies its arrays into flat and makes its
-    entries those views, so the optimizer's whole-buffer updates are updates
-    to the dict.  There is no float32 copy of flat: each forward builds the
-    inference form it runs on from the master views (MlpScorer.logits).
+    gradients (grad) and the two moments (m, v); one more, the epoch's
+    snapshot of flat (best); one scratch buffer of ADAM_CHUNK elements for
+    adam_update; and work, the step arrays that MlpScorer.logits and
+    param_grads take from it by name (mlp._array), made by an epoch's first
+    step and freed before its validation (_train_epochs).  params and grads
+    map each parameter name to its view into flat and grad.  Packing a
+    parameter dict (the constructor, pack) copies its arrays into flat and
+    makes its entries those views, so the optimizer's whole-buffer updates
+    are updates to the dict.  Each forward rebuilds the inference form it
+    runs on from the master views, in work's arrays.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         size = sum(np.size(v) for v in params.values())
         self.step = 0
         self.flat, self.grad, self.m, self.v = np.zeros((4, size))
+        # Apart from flat's block, which the scorer's parameter views keep alive after the fit.
+        self.best = np.empty(size)
         self.scratch = np.empty(min(size, ADAM_CHUNK))
+        self.work: dict[str, np.ndarray] = {}
         self.params = self._views(self.flat, params)
         self.grads = self._views(self.grad, params)
         self.pack(params)
@@ -236,7 +258,7 @@ def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray
     s_true = q_t / q_t[np.arange(n), anchors][:, None]
     s_true[np.arange(n), anchors] = 1.0
 
-    z, cache = scorer.logits(features, anchors, t)
+    z, cache = scorer.logits(features, anchors, t, None if workspace is None else workspace.work)
     s_pred = np.exp(z - z[np.arange(n), anchors][:, None])
     s_pred[np.arange(n), anchors] = 1.0
 
@@ -264,7 +286,8 @@ def cross_entropy_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels
     """Mean cross-entropy of the scorer's logits at (BASELINE_ANCHOR, BASELINE_T) on a
     labeled batch; returns (stats, grads).  A workspace serves as in batch_loss_and_grads."""
     n = labels.size
-    z, cache = scorer.logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T))
+    z, cache = scorer.logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T),
+                             None if workspace is None else workspace.work)
     log_p = _log_softmax(z)
     rows = np.arange(n)
     total = float(-log_p[rows, labels].mean())
@@ -354,7 +377,8 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
     metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        best = {k: p.copy() for k, p in scorer.params.items()}
+        opt.pack(scorer.params)
+        np.copyto(opt.best, opt.flat)
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
@@ -369,9 +393,11 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
                 )
                 epoch_loss += stats.total
                 n_batches += 1
+            opt.work.clear()        # the validation reuses the step arrays' memory
             tv, top1 = (math.nan, math.nan) if validate is None else validate()
         except NumericalError as exc:
-            scorer.params = best
+            np.copyto(opt.flat, opt.best)
+            scorer.params = dict(opt.params)
             raise TrainingDiverged(epoch, scorer, metrics, exc) from exc
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(EpochMetrics(epoch, epoch_loss / max(n_batches, 1), tv, top1, wall_ms))

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -151,6 +153,66 @@ class TestConfigFile:
         assert task.k == 5      # from config
         assert y.shape[0] == 32  # explicit flag wins over config
         assert seed == 9
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process, and a command leaves nothing in it."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_rejected_flag_leaves_the_parser_usable(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["gen-data", "--k", "many", "--stem", str(tmp_path / "x")])
+        assert err.value.code == 2
+        _, _, task, _, seed = load_dataset(_gen(tmp_path, "d", 32, seed=4))
+        assert task.k == 4 and seed == 4
+
+    def test_config_values_reach_only_their_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=5\nseed=9\nvariance=2\n")
+        configured, plain = str(tmp_path / "a"), str(tmp_path / "b")
+        assert cli.main(["gen-data", "--config", str(cfg), "--n", "32", "--stem", configured]) == 0
+        assert cli.main(["gen-data", "--n", "32", "--stem", plain]) == 0
+        _, _, task, _, seed = load_dataset(configured)
+        assert (task.k, task.variance, seed) == (5, 2.0, 9)
+        _, _, task, _, seed = load_dataset(plain)
+        assert (task.k, task.variance, seed) == (8, 1.0, 0)
+
+    def test_outputs_do_not_depend_on_the_commands_before(self, tmp_path, monkeypatch):
+        """gen-data, train and eval write the same bytes as the first command of a new
+        process and as the fifth, sixth and seventh of this one, after a rejected
+        flag and commands with other flags and a config file."""
+        commands = [["gen-data", "--k", "3", "--n", "256", "--seed", "2", "--stem", "d"],
+                    ["train", "--data", "d", "--seed", "3", "--checkpoint", "m.ckpt",
+                     "--out", "fit.csv"] + TINY_TRAIN,
+                    ["eval", "--data", "d", "--checkpoint", "m.ckpt", "--steps", "2",
+                     "--seed", "3", "--out", "eval.csv"]]
+        outputs = ["d.bin", "d.meta", "m.ckpt", "m.ckpt.meta", "fit.csv", "eval.csv"]
+        first = tmp_path / "first"
+        first.mkdir()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "diffclass.cli", *argv], cwd=first, env=env,
+                           check=True, stdout=subprocess.DEVNULL)
+        later = tmp_path / "later"
+        later.mkdir()
+        cfg = later / "run.cfg"
+        cfg.write_text("k=5\nvariance=2\n")
+        monkeypatch.chdir(later)
+        with pytest.raises(SystemExit):
+            cli.main(["eval", "--method", "bogus", "--data", "x", "--checkpoint", "y"])
+        assert cli.main(["gen-data", "--config", str(cfg), "--n", "64", "--stem", "o"]) == 0
+        assert cli.main(["train", "--data", "o", "--epochs", "1", "--hidden-dim", "16",
+                         "--blocks", "1", "--stratified-t", "--checkpoint", "o.ckpt"]) == 0
+        assert cli.main(["eval", "--data", "o", "--checkpoint", "o.ckpt", "--method", "cl",
+                         "--steps", "2", "--n-samples", "2"]) == 0
+        for argv in commands:
+            assert cli.main(argv) == 0
+        for name in outputs:
+            assert (later / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestExitCodes:
@@ -385,18 +447,39 @@ class TestErrorContract:
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_group_count_follows_the_width(self, tmp_path, capsys):
-        """--hidden-dim 8 trains on 2 groups of 4 units; a width under 4 exits 2."""
+        """--hidden-dim 8 trains on 2 groups of 4 units, and 36, which 8 groups would not
+        divide, on 6 of 6; a width under 4 exits 2."""
         stem = _gen(tmp_path, "d", 64, seed=0)
         ckpt = tmp_path / "m.ckpt"
-        assert cli.main(["train", "--data", stem, "--hidden-dim", "8", "--blocks", "1",
-                         "--epochs", "1", "--checkpoint", str(ckpt)]) == 0
-        assert "groups=2\n" in Path(str(ckpt) + ".meta").read_text()
+        for width, groups in (("8", 2), ("36", 6)):
+            assert cli.main(["train", "--data", stem, "--hidden-dim", width, "--blocks", "1",
+                             "--epochs", "1", "--checkpoint", str(ckpt)]) == 0
+            assert f"groups={groups}\n" in Path(str(ckpt) + ".meta").read_text()
         capsys.readouterr()
         rc = cli.main(["train", "--data", stem, "--hidden-dim", "3", "--blocks", "1",
                        "--checkpoint", str(tmp_path / "n.ckpt")])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and "hidden_dim" in err, err
         assert not (tmp_path / "n.ckpt").exists()
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["gen-data", "--separation", "inf"], "separation", "inf"),
+        (["gen-data", "--separation=-inf"], "separation", "-inf"),
+        (["gen-data", "--layout", "random", "--separation", "nan"], "spread", "nan"),
+        (["compare", "--separation", "inf"], "separation", "inf"),
+    ])
+    def test_non_finite_layout_scale_exits_2_naming_it(self, tmp_path, capsys, argv, name,
+                                                       value):
+        """A non-finite separation would reach the means as inf * 0 = NaN, warning on
+        the way; it is rejected first, with no warning."""
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv + ["--stem", str(tmp_path / "d")] if argv[0] == "gen-data"
+                          else argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err == f"error: {name} must be finite, got {value}\n"
+        assert not (tmp_path / "d.bin").exists()
 
     def test_schedule_the_validation_cannot_sample_exits_2_before_training(self, tmp_path,
                                                                             capsys):

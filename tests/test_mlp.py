@@ -984,3 +984,12 @@ class TestConfigValidation:
             return
         assert cfg.hidden_dim % cfg.groups == 0 and cfg.hidden_dim // cfg.groups >= 4
         assert cfg.groups == 8 or not eight
+
+    @settings(max_examples=300, deadline=None)
+    @given(hidden=st.integers(4, 4096))
+    def test_default_groups_accept_every_width_of_at_least_four(self, hidden):
+        """With groups unset, every width of at least 4 builds a config, on the most
+        groups of at least 4 units, up to 8, that divide it."""
+        groups = TrainConfig(hidden_dim=hidden).mlp_config(4, 2).groups
+        assert hidden % groups == 0 and hidden // groups >= 4
+        assert not any(hidden % more == 0 for more in range(groups + 1, min(8, hidden // 4) + 1))

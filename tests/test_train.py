@@ -1,17 +1,19 @@
 """Training loop: optimum behavior, determinism, pipeline gradients, smoke runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diffclass import mlp, train
 from diffclass.data import CorruptionSpec, MixtureTask, generate
-from diffclass.errors import ValidationError
+from diffclass.errors import NumericalError, ValidationError
 from diffclass.loss import score_entropy_terms
 from diffclass.mlp import MlpScorer
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import floor_probs
-from diffclass.train import (AdamState, TrainConfig, adam_update, batch_loss_and_grads,
-                             clip_global_norm, fit, train_step)
+from diffclass.train import (AdamState, TrainConfig, TrainingDiverged, adam_update,
+                             batch_loss_and_grads, clip_global_norm, fit, train_step)
 from diffclass.transition import forward_marginal, sample_categorical_rows
 from oracles import ExactScorer, adam_reference, bayes_accuracy
 
@@ -252,6 +254,76 @@ class TestWorkspace:
             for name in shapes:
                 ulps = np.abs(params[name] - want[name]) / np.spacing(np.abs(want[name]))
                 assert ulps.max() <= 6, (step, name, ulps.max())
+
+    def test_a_step_after_the_first_allocates_only_small_arrays(self):
+        """After a fit's first step, a step of the reference model (hidden 128, 3
+        blocks, 128-row batches, K=8) reuses every workspace array and makes under
+        256 KiB of new memory at its peak; making its arrays afresh took 2.6 MiB.
+        What is left: the loss's (rows, K) arrays, the bias gradients, and the
+        buffers of 32-64 KiB numpy makes for a broadcast or a cast."""
+        config = TrainConfig()
+        scorer = MlpScorer(config.mlp_config(8, 2), config.schedule(), seed=0)
+        opt = AdamState(scorer.params)
+        rng = np.random.default_rng(50)
+        y, labels = generate(MixtureTask.ring(8, 2), 3 * 128, CorruptionSpec(), rng)
+        batches = [(y[i:i + 128].astype(np.float32), labels[i:i + 128]) for i in (0, 128, 256)]
+        for features, batch_labels in batches[:2]:
+            train_step(scorer, opt, features, batch_labels, scorer.schedule, rng, lr=1e-3)
+        kept = dict(opt.work)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(scorer, opt, *batches[2], scorer.schedule, rng, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+        assert opt.work.keys() == kept.keys()
+        assert all(opt.work[name] is array for name, array in kept.items())
+
+    @pytest.mark.parametrize("fail_at", [None, 8])
+    def test_workspace_steps_equal_steps_on_new_arrays(self, monkeypatch, fail_at):
+        """A fit whose steps take their arrays from the workspace ends, bit for bit,
+        where one whose every forward and backward makes new arrays ends: on 48-row
+        batches and an 8-row tail, and when epoch 1's third step fails, on the
+        parameters epoch 1 started from (best)."""
+        real_logits, real_step = MlpScorer.logits, train.train_step
+
+        def run(new_arrays: bool):
+            works, starts = [], []
+
+            def logits(scorer, features, anchors, t, work=None):
+                out = real_logits(scorer, features, anchors, t, None if new_arrays else work)
+                works.append((work, len(work)))
+                return out
+
+            def step(scorer, *args, **kwargs):
+                starts.append({name: v.copy() for name, v in scorer.params.items()})
+                if len(starts) == fail_at:
+                    raise NumericalError("injected")
+                return real_step(scorer, *args, **kwargs)
+
+            monkeypatch.setattr(MlpScorer, "logits", logits)
+            monkeypatch.setattr(train, "train_step", step)
+            config = _tiny_config(epochs=2, batch_size=48)
+            try:
+                scorer, _ = fit(config, MixtureTask.ring(4, 2), n_train=200, n_eval=64)
+            except TrainingDiverged as exc:
+                assert fail_at is not None
+                scorer = exc.scorer
+            assert len(works) == len(starts) - (fail_at is not None)
+            assert all(work is works[0][0] for work, _ in works)     # one workspace per fit
+            assert all(bool(size) is not new_arrays for _, size in works)
+            return scorer.params, starts
+
+        kept, starts = run(new_arrays=False)
+        new, _ = run(new_arrays=True)
+        assert len(starts) == (10 if fail_at is None else fail_at)
+        want = new if fail_at is None else starts[5]      # epoch 1 starts at step 6
+        for name in want:
+            assert kept[name].tobytes() == want[name].tobytes() == new[name].tobytes(), name
+        if fail_at is not None:
+            assert not np.array_equal(starts[7]["out_w"], starts[5]["out_w"])
 
     def test_clip_scales_the_buffer_to_the_bound(self):
         grad = np.random.default_rng(41).standard_normal(1000)
