@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.0)
     p.add_argument("--stem", required=True, help="output path stem (.bin/.meta)")
 
-    p = sub.add_parser("train", help="train a scorer on a dataset")
+    p = sub.add_parser("train", help="train a scorer on a dataset",
+                       description="Train a scorer by score entropy; each example of a "
+                                   "batch draws one noise time, iid uniform on [0, 1).")
     _add_common(p)
     p.add_argument("--data", required=True, help="dataset stem from gen-data")
     p.add_argument("--eval-data", help="held-out dataset stem for per-epoch metrics")
@@ -75,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scorer width, at least 4; its GroupNorm groups number the largest "
                         "divisor of the width up to min(8, width // 4)")
     p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--stratified-t", action="store_true")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-level determinism)")
@@ -187,8 +188,7 @@ def _run_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
         seed=args.seed, sigma_bar_max=args.sigma_bar_max,
         schedule_decay=args.schedule_decay, grad_clip=args.grad_clip,
-        hidden_dim=args.hidden_dim, n_blocks=args.blocks, stratified_t=args.stratified_t,
-    )
+        hidden_dim=args.hidden_dim, n_blocks=args.blocks)
     try:
         scorer, metrics = fit(config, task, corruption=corruption,
                               train_data=(y, labels), eval_data=eval_data)

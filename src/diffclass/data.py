@@ -7,7 +7,7 @@ before they reach the model:
 
   none            identity
   additive-noise  y = x + level * standard normal  (variances add)
-  mask-coordinates  first int(level) coordinates zeroed (observed subspace)
+  mask-coordinates  first level coordinates zeroed; level a whole number
   quantize        y = round(x / level) * level  (per-cell interval mass)
 
 Datasets are stored as <stem>.bin (little-endian float32 features followed
@@ -47,6 +47,8 @@ class CorruptionSpec:
             raise ValidationError("corruption level must be nonnegative and finite")
         if self.kind == "quantize" and self.level <= 0.0:
             raise ValidationError("quantize needs a positive cell size")
+        if self.kind == "mask-coordinates" and self.level != int(self.level):
+            raise ValidationError(f"mask-coordinates needs a whole-number level, got {self.level}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, posterior_cl,
                       posterior_cp, posterior_cp_batch, posterior_full, step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
-from .train import TrainConfig, ce_baseline_proba, fit, fit_ce_baseline
+from .train import TrainConfig, ce_baseline_proba, check_samplable, fit, fit_ce_baseline
 
 PROB_FLOOR_NLL = 1e-12
 
@@ -167,26 +167,29 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
     models from the same data, and reports top-1 plus the exact-posterior
     ceiling; the gain column carries no sign requirement.  A cell trains on
     at least one batch of rows, and never on more than n_train; n_train
-    reports the rows it used.
+    reports the rows it used.  Every argument is checked before a cell trains.
     """
     if not all(0.0 < ratio <= 1.0 for ratio in ratios):
         raise ValidationError(f"training ratios must be in (0, 1], got {ratios}")
-    rows = []
+    cp_cfg = SamplerConfig(n_steps=steps, seed=seed)
+    cell_cfg = replace(config, seed=seed)
+    check_samplable(cell_cfg, task.k, steps, "evaluation")
+    levels = []
     for level in corruption_levels:
         corruption = (CorruptionSpec("none", 0.0) if level == 0.0
                       else CorruptionSpec(corruption_kind, level))
         data_rng = np.random.default_rng([seed, int(level * 1e6)])
-        full_train = generate(task, n_train, corruption, data_rng)
-        eval_y, eval_c = generate(task, n_eval, corruption, data_rng)
+        levels.append((level, corruption, generate(task, n_train, corruption, data_rng),
+                       generate(task, n_eval, corruption, data_rng)))
+    rows = []
+    for level, corruption, full_train, (eval_y, eval_c) in levels:
         bayes_pred = np.argmax(true_posterior_batch(task, eval_y, corruption), axis=1)
         bayes_top1 = float((bayes_pred == eval_c).mean())
         for ratio in ratios:
             n_sub = min(n_train, max(config.batch_size, int(round(n_train * ratio))))
             sub = (full_train[0][:n_sub], full_train[1][:n_sub])
-            cell_cfg = replace(config, seed=seed)
             scorer, _ = fit(cell_cfg, task, corruption=corruption,
                             train_data=sub, eval_data=(eval_y, eval_c))
-            cp_cfg = SamplerConfig(n_steps=steps, seed=seed)
             probs, _, _ = posterior_cp_batch(eval_y, scorer, cell_cfg.schedule(), cp_cfg)
             diff_top1 = float(topk_hits(probs, eval_c, 1).mean())
             baseline = fit_ce_baseline(cell_cfg, task, sub)

@@ -1,10 +1,10 @@
 """Stochastic training of the ratio-score network.
 
-One step per batch: build the clean one-hot label distribution, draw a
-noise time uniformly per example, push the distribution through the
-closed-form forward marginal, sample a noisy label from it, form the true
-ratio column against that anchor, score with the network, and descend the
-score-entropy objective with an adaptive-moment update.
+One step per batch: build the clean one-hot label distribution, draw one
+noise time per example, iid uniform on [0, 1), push the distribution
+through the closed-form forward marginal, sample a noisy label from it,
+form the true ratio column against that anchor, score with the network,
+and descend the score-entropy objective with an adaptive-moment update.
 
 fit trains in mixed precision: it casts the features to float32 once, so
 the scorer's forward and backward run the trunk in float32 (the head stays
@@ -64,6 +64,7 @@ from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import NumericalError, ValidationError
 from .loss import loss_grad_wrt_logits, score_entropy_terms
 from .mlp import MIN_GROUP_UNITS, MlpConfig, MlpScorer
+from .sampler import SamplerConfig, _kept_share, posterior_cp_batch, step_times
 from .schedule import LogLinearSchedule
 from .score import floor_probs
 from .transition import forward_marginal, sample_categorical_rows
@@ -85,7 +86,6 @@ class TrainConfig:
     time_embed_dim: int = 64
     groups: int | None = None       # None: the largest divisor of hidden_dim up to
                                     # min(8, hidden_dim // MIN_GROUP_UNITS)
-    stratified_t: bool = False      # low-discrepancy time draws instead of iid
     eval_steps: int = 8             # reverse steps for per-epoch validation
     eval_subset: int = 512          # validation inputs scored per epoch
 
@@ -238,20 +238,19 @@ def adam_update(state: AdamState, lr: float, betas: tuple[float, float],
         p -= s
 
 
-def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, q0: np.ndarray,
+def batch_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels: np.ndarray,
                          schedule: LogLinearSchedule, rng: np.random.Generator,
-                         stratified_t: bool = False, workspace: AdamState | None = None):
-    """Forward-noise a batch, score it, and return (stats, parameter grads).
+                         workspace: AdamState | None = None):
+    """Forward-noise a labeled batch, score it, and return (stats, parameter grads).
 
-    q0 rows may be one-hot labels or any distribution on the simplex (mixed
-    targets are supported structurally).  With a workspace, packed with
-    scorer.params, the gradients are written into its gradient views.
+    Each example draws its time iid uniform on [0, 1), then its anchor from
+    the forward marginal of its one-hot label at that time.  With a
+    workspace, packed with scorer.params, the gradients are written into
+    its gradient views.
     """
+    q0 = np.eye(scorer.k)[labels]
     n, k = q0.shape
-    if stratified_t:
-        t = (np.arange(n) + rng.random(n)) / n
-    else:
-        t = rng.random(n)
+    t = rng.random(n)
     q_t = forward_marginal(q0, np.asarray(schedule.sigma_bar(t)))
     anchors = sample_categorical_rows(q_t, rng.random(n))
     q_t = floor_probs(q_t)
@@ -304,14 +303,13 @@ def cross_entropy_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels
 def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
                labels: np.ndarray, schedule: LogLinearSchedule,
                rng: np.random.Generator, lr: float, betas=(0.9, 0.999),
-               grad_clip: float = 1.0, stratified_t: bool = False,
-               cross_entropy: bool = False):
+               grad_clip: float = 1.0, cross_entropy: bool = False):
     """One stochastic update on a labeled batch; mutates scorer params and opt state.
 
     The loss is the score-entropy objective (batch_loss_and_grads), or with
     cross_entropy the baseline's (cross_entropy_loss_and_grads), which
-    ignores schedule, rng and stratified_t.  Returns (scorer, opt_state,
-    stats) for callers that prefer the functional shape.
+    ignores schedule and rng.  Returns (scorer, opt_state, stats) for
+    callers that prefer the functional shape.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -322,10 +320,7 @@ def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
     if cross_entropy:
         stats, _ = cross_entropy_loss_and_grads(scorer, features, labels, opt_state)
     else:
-        q0 = np.zeros((labels.size, scorer.k))
-        q0[np.arange(labels.size), labels] = 1.0
-        stats, _ = batch_loss_and_grads(scorer, features, q0, schedule, rng, stratified_t,
-                                        opt_state)
+        stats, _ = batch_loss_and_grads(scorer, features, labels, schedule, rng, opt_state)
     norm = clip_global_norm(opt_state.grad, grad_clip)
     if not math.isfinite(norm):
         raise NumericalError("non-finite gradient; aborting step")
@@ -388,9 +383,7 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
                 _, _, stats = train_step(
                     scorer, opt, features[idx], labels[idx], scorer.schedule, rng,
                     lr=learning_rate(config, opt.step, total_steps), betas=config.betas,
-                    grad_clip=config.grad_clip, stratified_t=config.stratified_t,
-                    cross_entropy=cross_entropy,
-                )
+                    grad_clip=config.grad_clip, cross_entropy=cross_entropy)
                 epoch_loss += stats.total
                 n_batches += 1
             opt.work.clear()        # the validation reuses the step arrays' memory
@@ -402,6 +395,17 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(EpochMetrics(epoch, epoch_loss / max(n_batches, 1), tv, top1, wall_ms))
     return metrics
+
+
+def check_samplable(config: TrainConfig, k: int, n_steps: int, run: str) -> None:
+    """Raise ValidationError, naming config's schedule and the run, unless every step of
+    an n_steps reverse run keeps enough of the label signal at K=k (sampler._kept_share)."""
+    for t, dt in step_times(n_steps):
+        try:
+            _kept_share(config.schedule(), t, dt, k)
+        except NumericalError as exc:
+            raise ValidationError(f"sigma_bar_max={config.sigma_bar_max}, schedule_decay="
+                                  f"{config.schedule_decay}, {n_steps}-step {run}: {exc}") from None
 
 
 def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: int = 2000,
@@ -416,17 +420,7 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
     ValidationError before training starts.  A numerical failure raises
     TrainingDiverged (see _train_epochs).
     """
-    # deferred: avoids cycle
-    from .sampler import MIN_KEPT_SHARE, SamplerConfig, _kept_share, posterior_cp_batch, step_times
-
-    for t, dt in step_times(config.eval_steps):
-        try:
-            _kept_share(config.schedule(), t, dt, task.k)
-        except NumericalError:
-            raise ValidationError(
-                f"sigma_bar_max={config.sigma_bar_max}, schedule_decay={config.schedule_decay}: "
-                f"the {config.eval_steps}-step validation's step from t={t:.3g} keeps under "
-                f"{MIN_KEPT_SHARE:.0e} of the label signal at K={task.k}") from None
+    check_samplable(config, task.k, config.eval_steps, "validation")
     rng = np.random.default_rng(config.seed)
     if train_data is None:
         train_data = generate(task, n_train, corruption, rng)

@@ -206,7 +206,7 @@ class TestOneParserPerProcess:
             cli.main(["eval", "--method", "bogus", "--data", "x", "--checkpoint", "y"])
         assert cli.main(["gen-data", "--config", str(cfg), "--n", "64", "--stem", "o"]) == 0
         assert cli.main(["train", "--data", "o", "--epochs", "1", "--hidden-dim", "16",
-                         "--blocks", "1", "--stratified-t", "--checkpoint", "o.ckpt"]) == 0
+                         "--blocks", "1", "--timing", "--checkpoint", "o.ckpt"]) == 0
         assert cli.main(["eval", "--data", "o", "--checkpoint", "o.ckpt", "--method", "cl",
                          "--steps", "2", "--n-samples", "2"]) == 0
         for argv in commands:
@@ -528,6 +528,53 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert rc == 2 and err == "error: --topk must be >= 1\n"
         assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--steps", "0"], "n_steps must be >= 1"),
+        (["--k", "40", "--steps", "1"], "1-step evaluation: the step from t=1 keeps e="),
+        (["--corruption-kind", "mask-coordinates"], "needs a whole-number level, got 0.5"),
+        (["--corruption-kind", "mask-coordinates", "--levels", "0,3"], "cannot mask 3 of 2"),
+    ])
+    def test_compare_rejects_bad_flags_before_training(self, tmp_path, monkeypatch, capsys,
+                                                       argv, message):
+        """A flag combination no cell can run exits 2 before the first cell trains."""
+        calls = []
+        real = train._train_epochs
+        monkeypatch.setattr(train, "_train_epochs",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["compare", "--out", "grid.csv"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and calls == []
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_fractional_mask_level_exits_2(self, tmp_path, capsys):
+        """A mask level of 0.5 would mask int(0.5) = 0 coordinates, silently."""
+        stem = tmp_path / "d"
+        capsys.readouterr()
+        rc = cli.main(["gen-data", "--corruption", "mask-coordinates", "--level", "0.5",
+                       "--stem", str(stem)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: mask-coordinates needs a whole-number level, got 0.5\n"
+        assert not os.path.exists(str(stem) + ".bin")
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_stratified_time_flag_is_gone(self, tmp_path, capsys, via_config):
+        """The stratified time draw was deleted: an old script's flag or config line
+        fails loudly, not trains with the iid draw."""
+        stem = _gen(tmp_path, "d", 16, seed=0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stratified_t=1\n")
+        flag = ["--config", str(cfg)] if via_config else ["--stratified-t"]
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", stem, "--checkpoint", str(ckpt)] + flag + TINY_TRAIN)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stratified-t" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_compare_reports_the_rows_it_trained_on(self, tmp_path):
         out = str(tmp_path / "grid.csv")

@@ -62,6 +62,13 @@ class TestGenerate:
         y, _ = generate(task, 50, CorruptionSpec("quantize", 0.5), np.random.default_rng(3))
         np.testing.assert_allclose(y, np.round(y / 0.5) * 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("level", [0.5, 1.5, 1e-9])
+    def test_fractional_mask_level_rejected(self, level):
+        """int(level) coordinates would be masked, silently: 0.5 masks none."""
+        with pytest.raises(ValidationError, match=f"whole-number level, got {level}$"):
+            CorruptionSpec("mask-coordinates", level)
+        assert CorruptionSpec("mask-coordinates", float(round(level))).level == round(level)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             CorruptionSpec("blur", 1.0)
@@ -227,6 +234,19 @@ class TestDatasetFiles:
         with open(stem + ".meta", "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         with pytest.raises(ValidationError, match="bad.meta"):
+            load_dataset(stem)
+
+    def test_fractional_mask_level_in_header_rejected(self, tmp_path):
+        task = MixtureTask.ring(3, 2)
+        spec = CorruptionSpec("mask-coordinates", 1.0)
+        y, labels = generate(task, 10, spec, np.random.default_rng(16))
+        stem = str(tmp_path / "bad")
+        save_dataset(stem, y, labels, task, spec, seed=0)
+        with open(stem + ".meta", encoding="utf-8") as fh:
+            meta = fh.read().replace("\nlevel=1.0\n", "\nlevel=0.5\n")
+        with open(stem + ".meta", "w", encoding="utf-8") as fh:
+            fh.write(meta)
+        with pytest.raises(ValidationError, match="bad.meta: .*whole-number level, got 0.5"):
             load_dataset(stem)
 
     def test_empty_dataset_rejected(self, tmp_path):

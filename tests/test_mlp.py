@@ -590,8 +590,7 @@ assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
 
 def _grads_at(scorer, features, labels, seed):
     """Parameter gradients of one training batch, the noise drawn from seed."""
-    q0 = np.eye(scorer.k)[labels]
-    _, grads = batch_loss_and_grads(scorer, features, q0, scorer.schedule,
+    _, grads = batch_loss_and_grads(scorer, features, labels, scorer.schedule,
                                     np.random.default_rng(seed))
     return grads
 

@@ -333,44 +333,6 @@ class TestWorkspace:
         assert np.linalg.norm(grad) == pytest.approx(1.0, rel=1e-14)
 
 
-class TestStratifiedTime:
-    def _fit(self, monkeypatch, stratified, seed=0):
-        """A short fit; returns its training batches' times and the trained parameters."""
-        times = []
-        real_logits = MlpScorer.logits
-
-        def recording_logits(scorer, features, anchors, t, *args, **kwargs):
-            times.append(np.array(t))
-            return real_logits(scorer, features, anchors, t, *args, **kwargs)
-
-        monkeypatch.setattr(MlpScorer, "logits", recording_logits)
-        config = _tiny_config(epochs=2, batch_size=48, seed=seed, stratified_t=stratified)
-        scorer, _ = fit(config, MixtureTask.ring(3, 2), n_train=200, n_eval=64)
-        monkeypatch.setattr(MlpScorer, "logits", real_logits)
-        return times, scorer.params
-
-    def test_each_batch_draws_one_time_in_each_stratum(self, monkeypatch):
-        times, _ = self._fit(monkeypatch, stratified=True)
-        assert [len(t) for t in times] == [48, 48, 48, 48, 8] * 2
-        for t in times:
-            n = len(t)
-            t = np.sort(t)
-            assert np.all(t >= np.arange(n) / n) and np.all(t < (np.arange(n) + 1) / n)
-
-    def test_a_seeded_run_reproduces_itself_and_differs_from_iid(self, monkeypatch):
-        times, params = self._fit(monkeypatch, stratified=True)
-        times_again, params_again = self._fit(monkeypatch, stratified=True)
-        iid_times, iid_params = self._fit(monkeypatch, stratified=False)
-        assert all(np.array_equal(a, b) for a, b in zip(times, times_again))
-        for name in params:
-            assert np.array_equal(params[name], params_again[name]), name
-        assert not all(np.array_equal(a, b) for a, b in zip(times, iid_times))
-        assert not all(np.array_equal(params[name], iid_params[name]) for name in params)
-        # iid draws do not hold to the strata
-        assert not all(np.array_equal(np.floor(np.sort(t) * len(t)), np.arange(len(t)))
-                       for t in iid_times)
-
-
 class TestPipelineGradient:
     def test_full_pipeline_matches_directional_finite_differences(self):
         """Loss through forward-noising, anchoring, and the network: analytic
@@ -387,11 +349,9 @@ class TestPipelineGradient:
         h = 1e-6
         worst = 0.0
         for i in range(32):
-            q0 = np.zeros((1, 5))
-            q0[0, labels_all[i]] = 1.0
             draw_seed = 1000 + i
-            _, grads = batch_loss_and_grads(
-                scorer, y_all[i:i + 1], q0, schedule, np.random.default_rng(draw_seed))
+            _, grads = batch_loss_and_grads(scorer, y_all[i:i + 1], labels_all[i:i + 1],
+                                            schedule, np.random.default_rng(draw_seed))
             direction = {k: np.random.default_rng((5, i, j)).standard_normal(v.shape)
                          for j, (k, v) in enumerate(sorted(scorer.params.items()))}
             analytic = sum(float((grads[k] * direction[k]).sum()) for k in grads)
@@ -400,8 +360,8 @@ class TestPipelineGradient:
                 saved = {k: v.copy() for k, v in scorer.params.items()}
                 for k in scorer.params:
                     scorer.params[k] += eps * direction[k]
-                stats, _ = batch_loss_and_grads(
-                    scorer, y_all[i:i + 1], q0, schedule, np.random.default_rng(draw_seed))
+                stats, _ = batch_loss_and_grads(scorer, y_all[i:i + 1], labels_all[i:i + 1],
+                                                schedule, np.random.default_rng(draw_seed))
                 scorer.params.update(saved)
                 return stats.total
 
