@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=3.0)
     p.add_argument("--variance", type=float, default=1.0)
     p.add_argument("--corruption-kind", choices=CORRUPTION_KINDS[1:], default="additive-noise")
-    p.add_argument("--levels", default="0,0.5,1.0", help="comma-separated corruption levels")
+    p.add_argument("--levels", help="comma-separated corruption levels (default: 0,1,2 "
+                                    "for mask-coordinates, else 0,0.5,1.0)")
     p.add_argument("--ratios", default="0.25,0.5,1.0", help="comma-separated training ratios")
     p.add_argument("--n-train", type=int, default=4000)
     p.add_argument("--n-eval", type=int, default=2000)
@@ -295,6 +296,8 @@ def _run_trace(args) -> int:
 
 def _run_compare(args) -> int:
     task = MixtureTask.ring(args.k, args.dim, args.separation, args.variance, args.seed)
+    if args.levels is None:
+        args.levels = "0,1,2" if args.corruption_kind == "mask-coordinates" else "0,0.5,1.0"
     try:
         levels = [float(v) for v in args.levels.split(",")]
         ratios = [float(v) for v in args.ratios.split(",")]

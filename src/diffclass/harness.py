@@ -5,7 +5,8 @@ configured posterior estimator over all of them at once, and score the
 estimates against the exact posterior.  Results are emitted as long-format
 CSV rows so the downstream plotting story stays language-neutral.  The
 comparison grid's cross-entropy baseline is the scorer's network at one
-fixed (anchor, t), trained by fit's loop (train.fit_ce_baseline).
+fixed (anchor, t); the grid trains it and the diffusion scorer by fit's
+loop without fit's per-epoch validation (train.fit_without_validation).
 
 With a fixed seed every function here is deterministic with one BLAS
 thread, whatever the scorer's worker count (mlp.WORKERS); wall-clock
@@ -23,11 +24,12 @@ import numpy as np
 
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import ValidationError
-from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, posterior_cl,
-                      posterior_cp, posterior_cp_batch, posterior_full, step_times)
+from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, check_samplable,
+                      posterior_cl, posterior_cp, posterior_cp_batch, posterior_full,
+                      step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
-from .train import TrainConfig, ce_baseline_proba, check_samplable, fit, fit_ce_baseline
+from .train import TrainConfig, ce_baseline_proba, fit_without_validation
 
 PROB_FLOOR_NLL = 1e-12
 
@@ -101,15 +103,14 @@ def default_sweep_grid(k: int) -> list[tuple[str, int, int]]:
 
 def nfe_sweep(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
               schedule: LogLinearSchedule, n_eval: int, seed: int,
-              grid: list[tuple[str, int, int]] | None = None,
-              base_cfg: SamplerConfig = SamplerConfig()) -> list[dict]:
+              grid: list[tuple[str, int, int]] | None = None) -> list[dict]:
     """Accuracy versus scorer-evaluation budget across estimator settings."""
     grid = default_sweep_grid(task.k) if grid is None else grid
     if not grid:
         raise ValidationError("sweep grid must be non-empty")
     rows = []
     for method, steps, n_samples in grid:
-        cfg = replace(base_cfg, n_steps=steps, n_samples=n_samples, seed=seed)
+        cfg = SamplerConfig(n_steps=steps, n_samples=n_samples, seed=seed)
         report = evaluate(scorer, task, corruption, cfg, n_eval,
                           np.random.default_rng(seed), schedule, method=method)
         rows.append({
@@ -173,7 +174,7 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
         raise ValidationError(f"training ratios must be in (0, 1], got {ratios}")
     cp_cfg = SamplerConfig(n_steps=steps, seed=seed)
     cell_cfg = replace(config, seed=seed)
-    check_samplable(cell_cfg, task.k, steps, "evaluation")
+    check_samplable(cell_cfg.schedule(), task.k, steps, "evaluation")
     levels = []
     for level in corruption_levels:
         corruption = (CorruptionSpec("none", 0.0) if level == 0.0
@@ -188,11 +189,10 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
         for ratio in ratios:
             n_sub = min(n_train, max(config.batch_size, int(round(n_train * ratio))))
             sub = (full_train[0][:n_sub], full_train[1][:n_sub])
-            scorer, _ = fit(cell_cfg, task, corruption=corruption,
-                            train_data=sub, eval_data=(eval_y, eval_c))
+            scorer = fit_without_validation(cell_cfg, task, sub)
             probs, _, _ = posterior_cp_batch(eval_y, scorer, cell_cfg.schedule(), cp_cfg)
             diff_top1 = float(topk_hits(probs, eval_c, 1).mean())
-            baseline = fit_ce_baseline(cell_cfg, task, sub)
+            baseline = fit_without_validation(cell_cfg, task, sub, cross_entropy=True)
             base_top1 = float(topk_hits(ce_baseline_proba(baseline, eval_y), eval_c, 1).mean())
             rows.append({
                 "corruption_level": level, "train_ratio": ratio, "n_train": n_sub,

@@ -10,7 +10,7 @@ the softmax of z.
 
 Read at one fixed (anchor, t), where the conditioning is a constant each
 block's cb could hold, the same network is the comparison grid's softmax
-baseline of matched capacity (train.fit_ce_baseline).
+baseline of matched capacity (train.fit_without_validation, cross_entropy).
 
 Parameters live as float64 arrays in a flat dict; checkpoints are written
 as little-endian float32 with a binary header plus a plain-text sidecar.

@@ -41,8 +41,7 @@ column renormalized; the share of the column's remaining mass that the clip
 took, a probability in [0, 1), is recorded.  Entries below zero by no more
 than roundoff (ROUNDOFF * c) are clipped but not counted, so an exact
 scorer records none.  Clipping keeps coarse-step sweeps runnable while
-making the violation visible; callers can set an abort threshold
-(max_step_clamp_mass) instead.
+making the violation visible.
 
 Random streams: cp draws its anchors (strategy "sampling") from one
 default_rng(cfg.seed) per call, block after block, so its draws depend on
@@ -96,9 +95,6 @@ class SamplerConfig:
     n_samples: int = 16
     seed: int = 0
     record_trajectory: bool = False
-    # None = clip silently and record telemetry; a finite value >= 0 aborts any
-    # single step whose clipped probability mass exceeds it.
-    max_step_clamp_mass: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
@@ -107,10 +103,6 @@ class SamplerConfig:
             raise ValidationError("n_samples must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
-        limit = self.max_step_clamp_mass
-        if limit is not None and not (math.isfinite(limit) and limit >= 0.0):
-            raise ValidationError(f"max_step_clamp_mass must be None or a finite value >= 0, "
-                                  f"got {limit}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +153,17 @@ def _kept_share(schedule: LogLinearSchedule, t: float, dt: float, k: int) -> flo
         raise NumericalError(f"the step from t={t:.3g} keeps e={e:.1e} of the label signal, "
                              f"below {MIN_KEPT_SHARE:.0e}, too little to denoise; use more steps")
     return e
+
+
+def check_samplable(schedule: LogLinearSchedule, k: int, n_steps: int, run: str) -> None:
+    """Raise ValidationError, naming the schedule and the run, unless every step of an
+    n_steps reverse run keeps enough of the label signal at K=k (_kept_share)."""
+    for t, dt in step_times(n_steps):
+        try:
+            _kept_share(schedule, t, dt, k)
+        except NumericalError as exc:
+            raise ValidationError(f"sigma_bar_max={schedule.sigma_bar_max}, schedule_decay="
+                                  f"{schedule.decay}, {n_steps}-step {run}: {exc}") from None
 
 
 def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
@@ -302,7 +305,6 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     n_blocks = -(-n // per_block)
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     steps = [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(cfg.n_steps)]
-    limit = cfg.max_step_clamp_mass
     rng = np.random.default_rng(cfg.seed)
     probs, clamp, trajectories = [], [], []
     n_clamped = 0
@@ -330,9 +332,6 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
             state, step_clamp = _step(
                 method, scorer.score_batch(prepared, anchors, np.full(nb * r, t)), state,
                 e, uniforms[:, step + 1] if method == "cl" else None)
-            if limit is not None and step_clamp.max() > limit:
-                raise NumericalError(f"clamped probability mass {step_clamp.max():.3e} exceeds "
-                                     f"{limit:.1e} in one step; use a smaller dt (more steps)")
             clamp_rows += step_clamp
             n_clamped += int(np.count_nonzero(step_clamp > 0.0))
             if snapshots is not None:

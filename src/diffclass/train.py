@@ -26,7 +26,8 @@ ufuncs over each cache-sized slice of the buffers:
     p -= (lr/bc1) * m / (sqrt(v) * (1/sqrt(bc2)) + eps),
 
 with the bias corrections bc = 1 - b**step folded into scalars (in exact
-arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)).
+arithmetic, lr * (m/bc1) / (sqrt(v/bc2) + eps)), and Kingma & Ba's
+published (b1, b2) = ADAM_BETAS and eps = ADAM_EPS (arXiv:1412.6980).
 
 The step arrays are every array a step's forward and backward make for up
 to batch_size rows: the float32 inference form, which each forward
@@ -45,8 +46,11 @@ back (TrainingDiverged).
 The comparison grid's cross-entropy baseline is the same network read at
 one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
 constant row that each block's cb could hold: the scorer's trunk,
-GroupNorm and head as a plain classifier.  fit_ce_baseline trains it by
-fit's loop (_train_epochs), and ce_baseline_proba reads it without a cache.
+GroupNorm and head as a plain classifier.  fit_without_validation trains
+the grid's two scorers by fit's loop (_train_epochs) without fit's
+per-epoch validation (EVAL_STEPS cp steps on EVAL_SUBSET held-out inputs),
+which draws nothing from the training stream; ce_baseline_proba reads the
+baseline without a cache.
 
 All randomness flows from the config seed, so a fixed seed reproduces the
 run bit-for-bit with one BLAS thread.
@@ -64,7 +68,7 @@ from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from .errors import NumericalError, ValidationError
 from .loss import loss_grad_wrt_logits, score_entropy_terms
 from .mlp import MIN_GROUP_UNITS, MlpConfig, MlpScorer
-from .sampler import SamplerConfig, _kept_share, posterior_cp_batch, step_times
+from .sampler import SamplerConfig, check_samplable, posterior_cp_batch
 from .schedule import LogLinearSchedule
 from .score import floor_probs
 from .transition import forward_marginal, sample_categorical_rows
@@ -75,7 +79,6 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 128
     learning_rate: float = 2e-3
-    betas: tuple[float, float] = (0.9, 0.999)
     seed: int = 0
     sigma_bar_max: float = 0.6
     schedule_decay: float = 0.7
@@ -86,19 +89,14 @@ class TrainConfig:
     time_embed_dim: int = 64
     groups: int | None = None       # None: the largest divisor of hidden_dim up to
                                     # min(8, hidden_dim // MIN_GROUP_UNITS)
-    eval_steps: int = 8             # reverse steps for per-epoch validation
-    eval_subset: int = 512          # validation inputs scored per epoch
 
     def __post_init__(self) -> None:
-        if min(self.epochs, self.batch_size, self.eval_steps, self.eval_subset) < 1:
-            raise ValidationError(
-                "epochs, batch_size, eval_steps and eval_subset must be positive")
+        if min(self.epochs, self.batch_size) < 1:
+            raise ValidationError("epochs and batch_size must be positive")
         # Written so that NaN fails too: a NaN grad_clip would never clip.
         if not (0.0 <= self.learning_rate < math.inf and 0.0 < self.grad_clip < math.inf):
             raise ValidationError("learning_rate must be finite and >= 0, "
                                   "and grad_clip finite and > 0")
-        if not (0.0 < self.betas[0] < 1.0 and 0.0 < self.betas[1] < 1.0):
-            raise ValidationError("moment decays must lie in (0, 1)")
 
     def schedule(self) -> LogLinearSchedule:
         return LogLinearSchedule(self.sigma_bar_max, self.schedule_decay)
@@ -122,6 +120,13 @@ TRAIN_FEATURE_DTYPE = np.float32
 # The (anchor, t) at which the cross-entropy baseline reads its scorer.
 BASELINE_ANCHOR = 0
 BASELINE_T = 0.0
+
+# fit's per-epoch validation: reverse steps, and held-out inputs scored.
+EVAL_STEPS = 8
+EVAL_SUBSET = 512
+# Adam's moment decays and denominator offset.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
@@ -206,15 +211,14 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
     return norm
 
 
-def adam_update(state: AdamState, lr: float, betas: tuple[float, float],
-                eps: float = 1e-8) -> None:
+def adam_update(state: AdamState, lr: float) -> None:
     """One Adam step over the workspace: the parameters from the gradient buffer.
 
     The buffers are walked in ADAM_CHUNK-element slices, so each slice's
     thirteen ufuncs run on data the cache holds.
     """
     state.step += 1
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     # p -= (lr / bc1) * m / (sqrt(v) * (1 / sqrt(bc2)) + eps): the bias corrections are
@@ -232,7 +236,7 @@ def adam_update(state: AdamState, lr: float, betas: tuple[float, float],
         v += s
         np.sqrt(v, out=s)
         s *= v_scale
-        s += eps
+        s += ADAM_EPS
         np.divide(m, s, out=s)
         s *= step_size
         p -= s
@@ -302,8 +306,8 @@ def cross_entropy_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels
 @np.errstate(over="ignore", invalid="ignore")   # a diverging step raises NumericalError
 def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
                labels: np.ndarray, schedule: LogLinearSchedule,
-               rng: np.random.Generator, lr: float, betas=(0.9, 0.999),
-               grad_clip: float = 1.0, cross_entropy: bool = False):
+               rng: np.random.Generator, lr: float, grad_clip: float = 1.0,
+               cross_entropy: bool = False):
     """One stochastic update on a labeled batch; mutates scorer params and opt state.
 
     The loss is the score-entropy objective (batch_loss_and_grads), or with
@@ -324,7 +328,7 @@ def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
     norm = clip_global_norm(opt_state.grad, grad_clip)
     if not math.isfinite(norm):
         raise NumericalError("non-finite gradient; aborting step")
-    adam_update(opt_state, lr, betas)
+    adam_update(opt_state, lr)
     return scorer, opt_state, replace(stats, grad_norm=norm)
 
 
@@ -382,8 +386,8 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
                 idx = order[lo:lo + config.batch_size]
                 _, _, stats = train_step(
                     scorer, opt, features[idx], labels[idx], scorer.schedule, rng,
-                    lr=learning_rate(config, opt.step, total_steps), betas=config.betas,
-                    grad_clip=config.grad_clip, cross_entropy=cross_entropy)
+                    lr=learning_rate(config, opt.step, total_steps), grad_clip=config.grad_clip,
+                    cross_entropy=cross_entropy)
                 epoch_loss += stats.total
                 n_batches += 1
             opt.work.clear()        # the validation reuses the step arrays' memory
@@ -397,17 +401,6 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
     return metrics
 
 
-def check_samplable(config: TrainConfig, k: int, n_steps: int, run: str) -> None:
-    """Raise ValidationError, naming config's schedule and the run, unless every step of
-    an n_steps reverse run keeps enough of the label signal at K=k (sampler._kept_share)."""
-    for t, dt in step_times(n_steps):
-        try:
-            _kept_share(config.schedule(), t, dt, k)
-        except NumericalError as exc:
-            raise ValidationError(f"sigma_bar_max={config.sigma_bar_max}, schedule_decay="
-                                  f"{config.schedule_decay}, {n_steps}-step {run}: {exc}") from None
-
-
 def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: int = 2000,
         corruption: CorruptionSpec = CorruptionSpec(),
         train_data=None, eval_data=None):
@@ -415,21 +408,21 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
 
     Data is generated from the task unless (features, labels) pairs are
     passed explicitly.  Validation runs the class-probability sampler at
-    config.eval_steps on a held-out subset each epoch; a schedule whose
-    steps there keep too little label signal to sample raises
-    ValidationError before training starts.  A numerical failure raises
-    TrainingDiverged (see _train_epochs).
+    EVAL_STEPS on the first EVAL_SUBSET held-out inputs each epoch; a
+    schedule whose steps there keep too little label signal to sample
+    raises ValidationError before training starts.  A numerical failure
+    raises TrainingDiverged (see _train_epochs).
     """
-    check_samplable(config, task.k, config.eval_steps, "validation")
+    check_samplable(config.schedule(), task.k, EVAL_STEPS, "validation")
     rng = np.random.default_rng(config.seed)
     if train_data is None:
         train_data = generate(task, n_train, corruption, rng)
     if eval_data is None:
         eval_data = generate(task, n_eval, corruption, rng)
-    eval_y, eval_c = (a[:config.eval_subset] for a in eval_data)
+    eval_y, eval_c = (a[:EVAL_SUBSET] for a in eval_data)
     eval_q = true_posterior_batch(task, eval_y, corruption)
     scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
-    cp_cfg = SamplerConfig(n_steps=config.eval_steps, seed=config.seed)
+    cp_cfg = SamplerConfig(n_steps=EVAL_STEPS, seed=config.seed)
 
     def validate() -> tuple[float, float]:
         p0, _, _ = posterior_cp_batch(eval_y, scorer, scorer.schedule, cp_cfg)
@@ -439,22 +432,26 @@ def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: in
     return scorer, _train_epochs(config, scorer, train_data, rng, validate)
 
 
-def fit_ce_baseline(config: TrainConfig, task: MixtureTask,
-                    train_data: tuple[np.ndarray, np.ndarray]) -> MlpScorer:
-    """A scorer of config's size trained by fit's loop on cross_entropy_loss_and_grads,
-    without validation.  A numerical failure raises TrainingDiverged, as in fit."""
+def fit_without_validation(config: TrainConfig, task: MixtureTask,
+                           train_data: tuple[np.ndarray, np.ndarray],
+                           cross_entropy: bool = False) -> MlpScorer:
+    """A scorer of config's size trained by fit's loop on train_data without validation:
+    fit(..., train_data=train_data, eval_data=...)'s scorer bit for bit, or with
+    cross_entropy the comparison grid's baseline.  Raises TrainingDiverged as fit does."""
     scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
-    # Zero conditioning projections start the baseline as the plain classifier; random
-    # ones add an offset per block that cost 0.015 top-1 on criterion-8 cells of 500 rows.
-    for b in range(scorer.cfg.n_blocks):
-        scorer.params[f"cw_{b}"][...] = 0.0
+    if cross_entropy:
+        # Zero conditioning projections start the baseline as the plain classifier; random
+        # ones add an offset per block that cost 0.015 top-1 on criterion-8 cells of 500 rows.
+        for b in range(scorer.cfg.n_blocks):
+            scorer.params[f"cw_{b}"][...] = 0.0
     _train_epochs(config, scorer, train_data, np.random.default_rng(config.seed),
-                  cross_entropy=True)
+                  cross_entropy=cross_entropy)
     return scorer
 
 
 def ce_baseline_proba(scorer: MlpScorer, features: np.ndarray) -> np.ndarray:
-    """Class probabilities of a fit_ce_baseline scorer on the inference path (no cache)."""
+    """Class probabilities of a cross-entropy fit_without_validation scorer on the
+    inference path (no cache)."""
     n = len(features)
     z = scorer.inference_logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T))
     return np.exp(_log_softmax(z))

@@ -215,7 +215,7 @@ def test_criterion_6_estimator_consistency():
     y, _ = generate(TV_TASK, 3, NONE, np.random.default_rng(31))
     worst_full = 0.0
     for i in range(3):
-        cfg = SamplerConfig(n_steps=8, max_step_clamp_mass=None)
+        cfg = SamplerConfig(n_steps=8)
         full = posterior_full(y[i], scorer, TV_SCHEDULE, cfg)
         cp = posterior_cp(y[i], scorer, TV_SCHEDULE, cfg)
         worst_full = max(worst_full, float(np.abs(full.probs - cp.probs).max()))
@@ -258,7 +258,7 @@ def test_criterion_8_uncertainty_grid(tmp_path):
     """3x3 corruption-by-ratio grid: deterministic CSV, every cell Bayes-bounded."""
     config = TrainConfig(epochs=5, batch_size=128, seed=0, hidden_dim=64, n_blocks=2,
                          embed_dim=32, time_embed_dim=32, groups=8,
-                         sigma_bar_max=0.6, schedule_decay=0.7, eval_subset=64)
+                         sigma_bar_max=0.6, schedule_decay=0.7)
     rows = compare_grid(REFERENCE_TASK, [0.0, 0.8, 1.6], [0.25, 0.5, 1.0], config,
                         n_train=2000, n_eval=1000, steps=8, seed=0)
     columns = list(rows[0].keys())

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffclass import cli, mlp, train
+from diffclass import cli, mlp, sampler, train
 from diffclass.data import CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset
 from diffclass.errors import NumericalError
 from diffclass.mlp import MlpScorer
@@ -140,6 +140,30 @@ class TestOtherCommands:
         assert rc == 0
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 3
+
+    def test_compare_runs_one_reverse_process_per_cell(self, tmp_path, monkeypatch):
+        """compare trains its scorers without fit's per-epoch validation: a 1-cell,
+        2-epoch grid runs one reverse process, the cell's cp evaluation."""
+        calls = []
+        real = sampler._reverse
+        monkeypatch.setattr(sampler, "_reverse",
+                            lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+        assert cli.main(["compare", "--k", "3", "--levels", "0", "--ratios", "1",
+                         "--n-train", "100", "--n-eval", "50", "--epochs", "2", "--steps", "2",
+                         "--out", str(tmp_path / "grid.csv")]) == 0
+        assert calls == ["cp"]
+
+    @pytest.mark.parametrize("kind, levels", [("mask-coordinates", ["0.0", "1.0", "2.0"]),
+                                              ("additive-noise", ["0.0", "0.5", "1.0"]),
+                                              ("quantize", ["0.0", "0.5", "1.0"])])
+    def test_compare_runs_each_kind_at_its_default_levels(self, tmp_path, kind, levels):
+        """mask-coordinates masks a whole number of coordinates, so its default levels
+        are 0, 1 and 2; the ring task has at least 2."""
+        out = tmp_path / "grid.csv"
+        assert cli.main(["compare", "--corruption-kind", kind, "--k", "3", "--ratios", "1",
+                         "--n-train", "64", "--n-eval", "50", "--epochs", "1", "--steps", "2",
+                         "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == levels
 
 
 class TestConfigFile:
@@ -532,7 +556,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv, message", [
         (["--steps", "0"], "n_steps must be >= 1"),
         (["--k", "40", "--steps", "1"], "1-step evaluation: the step from t=1 keeps e="),
-        (["--corruption-kind", "mask-coordinates"], "needs a whole-number level, got 0.5"),
+        (["--corruption-kind", "mask-coordinates", "--levels", "0,0.5"],
+         "needs a whole-number level, got 0.5"),
         (["--corruption-kind", "mask-coordinates", "--levels", "0,3"], "cannot mask 3 of 2"),
     ])
     def test_compare_rejects_bad_flags_before_training(self, tmp_path, monkeypatch, capsys,

@@ -9,7 +9,7 @@ from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_abla
                                topk_hits, trace_topk, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
-from diffclass.train import TrainConfig, ce_baseline_proba, fit_ce_baseline
+from diffclass.train import TrainConfig, ce_baseline_proba, fit_without_validation
 from oracles import ExactScorer, UniformScorer, bayes_accuracy
 
 NONE = CorruptionSpec()
@@ -75,8 +75,7 @@ class TestSweep:
         task = MixtureTask.ring(10, 2, separation=2.0)
         sched = LogLinearSchedule(1.0, 0.9)
         grid = [("cp", 8, 1), ("cl", 2, 16), ("full", 4, 1)]
-        rows = nfe_sweep(_exact(task, sched), task, NONE, sched, 20, seed=0, grid=grid,
-                         base_cfg=SamplerConfig(max_step_clamp_mass=None))
+        rows = nfe_sweep(_exact(task, sched), task, NONE, sched, 20, seed=0, grid=grid)
         by_method = {r["method"]: r for r in rows}
         assert by_method["cp"]["nfe"] == 8
         assert by_method["cl"]["nfe"] == 32
@@ -159,7 +158,7 @@ class TestCompareGrid:
         rng = np.random.default_rng(2)
         train = generate(task, 1000, NONE, rng)
         test_y, test_c = generate(task, 1000, NONE, rng)
-        model = fit_ce_baseline(config, task, train)
+        model = fit_without_validation(config, task, train, cross_entropy=True)
         acc = (ce_baseline_proba(model, test_y).argmax(axis=1) == test_c).mean()
         assert acc > 0.9
 
@@ -169,7 +168,7 @@ class TestCompareGrid:
         config = TrainConfig(epochs=2, batch_size=64, seed=0, learning_rate=1e308, **TINY)
         train = generate(task, 256, NONE, np.random.default_rng(3))
         with pytest.raises(NumericalError):
-            fit_ce_baseline(config, task, train)
+            fit_without_validation(config, task, train, cross_entropy=True)
 
 
 class TestCsv:

@@ -23,7 +23,8 @@ from diffclass.mlp import (GN_EPS, MlpConfig, MlpScorer, PreparedFeatures,
                            silu, silu_from_half)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import (AdamState, TrainConfig, batch_loss_and_grads, ce_baseline_proba,
-                             cross_entropy_loss_and_grads, fit, fit_ce_baseline, train_step)
+                             cross_entropy_loss_and_grads, fit, fit_without_validation,
+                             train_step)
 from oracles import (reference_groupnorm, reference_groupnorm_backward, reference_logits,
                      score_column, silu_grad)
 
@@ -839,7 +840,8 @@ class TestCeBaseline:
                              hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)
         rng = np.random.default_rng(9)
         data = (rng.standard_normal((100, 3)), rng.integers(0, 5, 100))
-        scorer = fit_ce_baseline(config, MixtureTask(np.eye(5, 3)), data)
+        scorer = fit_without_validation(config, MixtureTask(np.eye(5, 3)), data,
+                                        cross_entropy=True)
         assert not scorer.params["cw_0"].any() and not scorer.params["cw_1"].any()
         assert scorer.params["w1_0"].any()
 

@@ -13,7 +13,8 @@ from diffclass.mlp import MlpScorer
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import floor_probs
 from diffclass.train import (AdamState, TrainConfig, TrainingDiverged, adam_update,
-                             batch_loss_and_grads, clip_global_norm, fit, train_step)
+                             batch_loss_and_grads, clip_global_norm, fit,
+                             fit_without_validation, train_step)
 from diffclass.transition import forward_marginal, sample_categorical_rows
 from oracles import ExactScorer, adam_reference, bayes_accuracy
 
@@ -57,7 +58,7 @@ class TestOptimumBehavior:
         opt = AdamState(scorer.params)
         before = {k: v.copy() for k, v in scorer.params.items()}
         opt.grad[:] = 0.0
-        adam_update(opt, lr=1e-3, betas=(0.9, 0.999))
+        adam_update(opt, lr=1e-3)
         for key in before:
             assert np.array_equal(scorer.params[key], before[key]), key
 
@@ -100,6 +101,21 @@ class TestDeterminism:
             assert np.array_equal(scorer.params[key], fresh.params[key]), key
         assert len({m.top1 for m in metrics}) == 1
         assert len({m.tv for m in metrics}) == 1
+
+    def test_training_without_validation_gives_fits_scorer(self):
+        """fit's per-epoch validation draws nothing from the training stream, so the
+        scorer trained without it equals fit's bit for bit."""
+        task = MixtureTask.ring(4, 2, separation=2.0)
+        rng = np.random.default_rng(5)
+        data = generate(task, 300, CorruptionSpec(), rng)
+        held_out = generate(task, 100, CorruptionSpec(), rng)
+        config = _tiny_config(epochs=2)
+        fitted, metrics = fit(config, task, train_data=data, eval_data=held_out)
+        assert all(np.isfinite(m.tv) for m in metrics)      # fit did validate
+        scorer = fit_without_validation(config, task, data)
+        assert scorer.params.keys() == fitted.params.keys()
+        for key in fitted.params:
+            assert np.array_equal(scorer.params[key], fitted.params[key]), key
 
 
 class TestMixedPrecision:
@@ -247,7 +263,7 @@ class TestWorkspace:
             lr = float(rng.uniform(1e-4, 1e-2))
             want = {name: np.zeros(shape) for name, shape in shapes.items()}
             opt.flat[:] = 0.0
-            adam_update(opt, lr, (0.9, 0.999))
+            adam_update(opt, lr)
             adam_reference(want, grads, m, v, step, lr, (0.9, 0.999))
             assert np.array_equal(opt.m, np.concatenate([m[name].ravel() for name in shapes]))
             assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in shapes]))
@@ -431,11 +447,7 @@ class TestValidationErrors:
                        config.schedule(), np.random.default_rng(0), lr=1e-3)
 
     def test_config_bounds(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValidationError):
-            TrainConfig(betas=(1.5, 0.999))
-        for field in ("eval_steps", "eval_subset"):
+        for field in ("epochs", "batch_size"):
             for bad in (0, -5):
                 with pytest.raises(ValidationError, match=field):
                     TrainConfig(**{field: bad})
