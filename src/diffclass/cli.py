@@ -26,7 +26,7 @@ from .data import (CORRUPTION_KINDS, CorruptionSpec, MixtureTask, generate,
 from .errors import NumericalError, ValidationError
 from .mlp import MlpScorer
 from .sampler import METHOD_SAMPLERS, STRATEGIES, SamplerConfig
-from .train import TrainConfig, TrainingDiverged, fit
+from .train import EVAL_SUBSET, TrainConfig, TrainingDiverged, fit
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "batch draws one noise time, iid uniform on [0, 1).")
     _add_common(p)
     p.add_argument("--data", required=True, help="dataset stem from gen-data")
-    p.add_argument("--eval-data", help="held-out dataset stem for per-epoch metrics")
+    p.add_argument("--eval-data", help="held-out dataset stem for per-epoch metrics (default: "
+                                       f"{EVAL_SUBSET} fresh draws of the dataset's task, "
+                                       "on a stream of their own)")
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr", type=float, default=2e-3)
@@ -179,20 +181,21 @@ def _run_gen_data(args) -> int:
 
 def _run_train(args) -> int:
     y, labels, task, corruption, _ = load_dataset(args.data)
-    eval_data = None
     if args.eval_data:
         ey, ec, eval_task, eval_corruption, _ = load_dataset(args.eval_data)
         _check_same_task(args.data, task, corruption, args.eval_data, eval_task,
                          eval_corruption)
         eval_data = (ey, ec)
+    else:
+        # Its own stream: fit's default_rng(seed) then trains as it does with --eval-data.
+        eval_data = generate(task, EVAL_SUBSET, corruption, np.random.default_rng([args.seed, 1]))
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
         seed=args.seed, sigma_bar_max=args.sigma_bar_max,
         schedule_decay=args.schedule_decay, grad_clip=args.grad_clip,
         hidden_dim=args.hidden_dim, n_blocks=args.blocks)
     try:
-        scorer, metrics = fit(config, task, corruption=corruption,
-                              train_data=(y, labels), eval_data=eval_data)
+        scorer, metrics = fit(config, task, (y, labels), eval_data, corruption)
     except TrainingDiverged as exc:
         # Keep what the finished epochs made; main reports the failure and exits 3.
         _save_training(args, exc.scorer, exc.metrics)

@@ -5,8 +5,9 @@ configured posterior estimator over all of them at once, and score the
 estimates against the exact posterior.  Results are emitted as long-format
 CSV rows so the downstream plotting story stays language-neutral.  The
 comparison grid's cross-entropy baseline is the scorer's network at one
-fixed (anchor, t); the grid trains it and the diffusion scorer by fit's
-loop without fit's per-epoch validation (train.fit_without_validation).
+fixed (anchor, t); the grid trains it and the diffusion scorer with
+train.fit on the same rows, passing no held-out data, so neither runs
+fit's per-epoch validation.
 
 With a fixed seed every function here is deterministic with one BLAS
 thread, whatever the scorer's worker count (mlp.WORKERS); wall-clock
@@ -29,7 +30,7 @@ from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, check_samplabl
                       step_times)
 from .schedule import LogLinearSchedule
 from .score import Scorer
-from .train import TrainConfig, ce_baseline_proba, fit_without_validation
+from .train import TrainConfig, ce_baseline_proba, fit
 
 PROB_FLOOR_NLL = 1e-12
 
@@ -189,10 +190,10 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
         for ratio in ratios:
             n_sub = min(n_train, max(config.batch_size, int(round(n_train * ratio))))
             sub = (full_train[0][:n_sub], full_train[1][:n_sub])
-            scorer = fit_without_validation(cell_cfg, task, sub)
+            scorer, _ = fit(cell_cfg, task, sub)
             probs, _, _ = posterior_cp_batch(eval_y, scorer, cell_cfg.schedule(), cp_cfg)
             diff_top1 = float(topk_hits(probs, eval_c, 1).mean())
-            baseline = fit_without_validation(cell_cfg, task, sub, cross_entropy=True)
+            baseline, _ = fit(cell_cfg, task, sub, cross_entropy=True)
             base_top1 = float(topk_hits(ce_baseline_proba(baseline, eval_y), eval_c, 1).mean())
             rows.append({
                 "corruption_level": level, "train_ratio": ratio, "n_train": n_sub,

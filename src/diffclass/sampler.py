@@ -29,11 +29,11 @@ label at t, q_s(i) (e [i = j] + c) / q_t(j).  With an exact scorer this is
 the exact posterior at any step count (the uniform-rate case of the Tweedie
 tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).  The
 denoised column's roundoff grows as float eps / e, so a step that keeps
-less than MIN_KEPT_SHARE of the signal raises NumericalError before the
-first scorer call.  reverse_step_full also keeps the first-order Euler
-step, whose kernel column for anchor j has off-diagonal entries
-S(i,j) * sigma_t * dt and diagonal 1 minus their sum; the sampler does not
-take it.
+less than MIN_KEPT_SHARE of the signal raises ValidationError, naming the
+schedule, before the first scorer call (check_samplable).
+reverse_step_full also keeps the first-order Euler step, whose kernel
+column for anchor j has off-diagonal entries S(i,j) * sigma_t * dt and
+diagonal 1 minus their sum; the sampler does not take it.
 
 Clip telemetry.  A learned score column can sit below the uniform floor c,
 where the denoised column goes negative.  Those entries are clipped and the
@@ -155,15 +155,15 @@ def _kept_share(schedule: LogLinearSchedule, t: float, dt: float, k: int) -> flo
     return e
 
 
-def check_samplable(schedule: LogLinearSchedule, k: int, n_steps: int, run: str) -> None:
-    """Raise ValidationError, naming the schedule and the run, unless every step of an
-    n_steps reverse run keeps enough of the label signal at K=k (_kept_share)."""
-    for t, dt in step_times(n_steps):
-        try:
-            _kept_share(schedule, t, dt, k)
-        except NumericalError as exc:
-            raise ValidationError(f"sigma_bar_max={schedule.sigma_bar_max}, schedule_decay="
-                                  f"{schedule.decay}, {n_steps}-step {run}: {exc}") from None
+def check_samplable(schedule: LogLinearSchedule, k: int, n_steps: int,
+                    run: str) -> list[tuple[float, float]]:
+    """The (t, e) of each step of an n_steps reverse run at K=k, e its _kept_share;
+    raises ValidationError, naming the schedule and the run, if a step keeps too little."""
+    try:
+        return [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(n_steps)]
+    except NumericalError as exc:
+        raise ValidationError(f"sigma_bar_max={schedule.sigma_bar_max}, schedule_decay="
+                              f"{schedule.decay}, {n_steps}-step {run}: {exc}") from None
 
 
 def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
@@ -304,7 +304,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     per_block = max(1, SCORER_ROWS // r)
     n_blocks = -(-n // per_block)
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
-    steps = [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(cfg.n_steps)]
+    steps = check_samplable(schedule, k, cfg.n_steps, f"{method} posterior")
     rng = np.random.default_rng(cfg.seed)
     probs, clamp, trajectories = [], [], []
     n_clamped = 0

@@ -46,11 +46,11 @@ back (TrainingDiverged).
 The comparison grid's cross-entropy baseline is the same network read at
 one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
 constant row that each block's cb could hold: the scorer's trunk,
-GroupNorm and head as a plain classifier.  fit_without_validation trains
-the grid's two scorers by fit's loop (_train_epochs) without fit's
-per-epoch validation (EVAL_STEPS cp steps on EVAL_SUBSET held-out inputs),
-which draws nothing from the training stream; ce_baseline_proba reads the
-baseline without a cache.
+GroupNorm and head as a plain classifier.  fit trains it with
+cross_entropy on the same loop, and ce_baseline_proba reads it without a
+cache.  fit's per-epoch validation (EVAL_STEPS cp steps on EVAL_SUBSET
+held-out inputs) runs only when the caller passes held-out data, and
+draws nothing from the training stream.
 
 All randomness flows from the config seed, so a fixed seed reproduces the
 run bit-for-bit with one BLAS thread.
@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
+from .data import CorruptionSpec, MixtureTask, true_posterior_batch
 from .errors import NumericalError, ValidationError
 from .loss import loss_grad_wrt_logits, score_entropy_terms
 from .mlp import MIN_GROUP_UNITS, MlpConfig, MlpScorer
@@ -87,8 +87,6 @@ class TrainConfig:
     hidden_dim: int = 128
     n_blocks: int = 3
     time_embed_dim: int = 64
-    groups: int | None = None       # None: the largest divisor of hidden_dim up to
-                                    # min(8, hidden_dim // MIN_GROUP_UNITS)
 
     def __post_init__(self) -> None:
         if min(self.epochs, self.batch_size) < 1:
@@ -102,11 +100,11 @@ class TrainConfig:
         return LogLinearSchedule(self.sigma_bar_max, self.schedule_decay)
 
     def mlp_config(self, n_classes: int, feature_dim: int) -> MlpConfig:
-        groups = self.groups
-        if groups is None:
-            # At least 1, so a width under MIN_GROUP_UNITS fails on its group size.
-            cap = max(1, min(8, self.hidden_dim // MIN_GROUP_UNITS))
-            groups = next(g for g in range(cap, 0, -1) if self.hidden_dim % g == 0)
+        """The scorer's shape; its GroupNorm groups number the largest divisor of
+        hidden_dim up to min(8, hidden_dim // MIN_GROUP_UNITS)."""
+        # At least 1, so a width under MIN_GROUP_UNITS fails on its group size.
+        cap = max(1, min(8, self.hidden_dim // MIN_GROUP_UNITS))
+        groups = next(g for g in range(cap, 0, -1) if self.hidden_dim % g == 0)
         return MlpConfig(
             n_classes, feature_dim, embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
             n_blocks=self.n_blocks, time_embed_dim=self.time_embed_dim, groups=groups,
@@ -150,7 +148,7 @@ class AdamState:
     snapshot of flat (best); one scratch buffer of ADAM_CHUNK elements for
     adam_update; and work, the step arrays that MlpScorer.logits and
     param_grads take from it by name (mlp._array), made by an epoch's first
-    step and freed before its validation (_train_epochs).  params and grads
+    step and freed before its validation (fit).  params and grads
     map each parameter name to its view into flat and grad.  Packing a
     parameter dict (the constructor, pack) copies its arrays into flat and
     makes its entries those views, so the optimizer's whole-buffer updates
@@ -357,17 +355,39 @@ class EpochMetrics:
     wall_ms: float
 
 
-def _train_epochs(config: TrainConfig, scorer: MlpScorer,
-                  train_data: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
-                  validate=None, cross_entropy: bool = False) -> list[EpochMetrics]:
-    """The training loop: config.epochs passes of train_step over batches shuffled by rng.
+def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np.ndarray],
+        eval_data: tuple[np.ndarray, np.ndarray] | None = None,
+        corruption: CorruptionSpec = CorruptionSpec(), cross_entropy: bool = False):
+    """Train a scorer on train_data, (features, labels); returns (scorer, per-epoch metrics).
 
-    train_data is (features, labels); the features are cast once to
-    TRAIN_FEATURE_DTYPE (exact for dataset files, stored as float32).
-    After each epoch validate(), if given, returns its (tv, top1), else both
-    are NaN.  A numerical failure in an epoch raises TrainingDiverged, which
-    carries the scorer with the last finished epoch's parameters and metrics.
+    config.epochs passes of train_step over batches shuffled by
+    default_rng(config.seed), on the features cast once to
+    TRAIN_FEATURE_DTYPE (exact for dataset files, stored as float32).  With
+    eval_data, each epoch ends by scoring EVAL_STEPS cp steps on its first
+    EVAL_SUBSET inputs against the exact posterior under corruption, and a
+    schedule that cannot sample those steps raises ValidationError before
+    training; without it, each epoch's tv and top1 are NaN.  Validation
+    draws nothing from the training stream, so the scorer does not depend
+    on it.  With cross_entropy, which takes no eval_data, the scorer is the
+    comparison grid's baseline.  A numerical failure in an epoch raises
+    TrainingDiverged, which carries the scorer with the last finished
+    epoch's parameters and metrics.
     """
+    if cross_entropy and eval_data is not None:
+        raise ValidationError("the cross-entropy baseline takes no eval_data: "
+                              "validation reads the score-entropy sampler")
+    if eval_data is not None:
+        check_samplable(config.schedule(), task.k, EVAL_STEPS, "validation")
+        eval_y, eval_c = (a[:EVAL_SUBSET] for a in eval_data)
+        eval_q = true_posterior_batch(task, eval_y, corruption)
+        cp_cfg = SamplerConfig(n_steps=EVAL_STEPS, seed=config.seed)
+    scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
+    if cross_entropy:
+        # Zero conditioning projections start the baseline as the plain classifier; random
+        # ones add an offset per block that cost 0.015 top-1 on criterion-8 cells of 500 rows.
+        for b in range(scorer.cfg.n_blocks):
+            scorer.params[f"cw_{b}"][...] = 0.0
+    rng = np.random.default_rng(config.seed)
     features, labels = train_data
     features = np.asarray(features, dtype=TRAIN_FEATURE_DTYPE)
     opt = AdamState(scorer.params)
@@ -381,6 +401,7 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
+        tv = top1 = math.nan
         try:
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
@@ -391,67 +412,22 @@ def _train_epochs(config: TrainConfig, scorer: MlpScorer,
                 epoch_loss += stats.total
                 n_batches += 1
             opt.work.clear()        # the validation reuses the step arrays' memory
-            tv, top1 = (math.nan, math.nan) if validate is None else validate()
+            if eval_data is not None:
+                p0, _, _ = posterior_cp_batch(eval_y, scorer, scorer.schedule, cp_cfg)
+                tv = float(0.5 * np.abs(p0 - eval_q).sum(axis=1).mean())
+                top1 = float((np.argmax(p0, axis=1) == eval_c).mean())
         except NumericalError as exc:
             np.copyto(opt.flat, opt.best)
             scorer.params = dict(opt.params)
             raise TrainingDiverged(epoch, scorer, metrics, exc) from exc
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(EpochMetrics(epoch, epoch_loss / max(n_batches, 1), tv, top1, wall_ms))
-    return metrics
-
-
-def fit(config: TrainConfig, task: MixtureTask, n_train: int = 20000, n_eval: int = 2000,
-        corruption: CorruptionSpec = CorruptionSpec(),
-        train_data=None, eval_data=None):
-    """Train a scorer on a mixture task; returns (scorer, per-epoch metrics).
-
-    Data is generated from the task unless (features, labels) pairs are
-    passed explicitly.  Validation runs the class-probability sampler at
-    EVAL_STEPS on the first EVAL_SUBSET held-out inputs each epoch; a
-    schedule whose steps there keep too little label signal to sample
-    raises ValidationError before training starts.  A numerical failure
-    raises TrainingDiverged (see _train_epochs).
-    """
-    check_samplable(config.schedule(), task.k, EVAL_STEPS, "validation")
-    rng = np.random.default_rng(config.seed)
-    if train_data is None:
-        train_data = generate(task, n_train, corruption, rng)
-    if eval_data is None:
-        eval_data = generate(task, n_eval, corruption, rng)
-    eval_y, eval_c = (a[:EVAL_SUBSET] for a in eval_data)
-    eval_q = true_posterior_batch(task, eval_y, corruption)
-    scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
-    cp_cfg = SamplerConfig(n_steps=EVAL_STEPS, seed=config.seed)
-
-    def validate() -> tuple[float, float]:
-        p0, _, _ = posterior_cp_batch(eval_y, scorer, scorer.schedule, cp_cfg)
-        return (float(0.5 * np.abs(p0 - eval_q).sum(axis=1).mean()),
-                float((np.argmax(p0, axis=1) == eval_c).mean()))
-
-    return scorer, _train_epochs(config, scorer, train_data, rng, validate)
-
-
-def fit_without_validation(config: TrainConfig, task: MixtureTask,
-                           train_data: tuple[np.ndarray, np.ndarray],
-                           cross_entropy: bool = False) -> MlpScorer:
-    """A scorer of config's size trained by fit's loop on train_data without validation:
-    fit(..., train_data=train_data, eval_data=...)'s scorer bit for bit, or with
-    cross_entropy the comparison grid's baseline.  Raises TrainingDiverged as fit does."""
-    scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
-    if cross_entropy:
-        # Zero conditioning projections start the baseline as the plain classifier; random
-        # ones add an offset per block that cost 0.015 top-1 on criterion-8 cells of 500 rows.
-        for b in range(scorer.cfg.n_blocks):
-            scorer.params[f"cw_{b}"][...] = 0.0
-    _train_epochs(config, scorer, train_data, np.random.default_rng(config.seed),
-                  cross_entropy=cross_entropy)
-    return scorer
+    return scorer, metrics
 
 
 def ce_baseline_proba(scorer: MlpScorer, features: np.ndarray) -> np.ndarray:
-    """Class probabilities of a cross-entropy fit_without_validation scorer on the
-    inference path (no cache)."""
+    """Class probabilities of a fit(..., cross_entropy=True) scorer on the inference
+    path (no cache)."""
     n = len(features)
     z = scorer.inference_logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T))
     return np.exp(_log_softmax(z))

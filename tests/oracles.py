@@ -207,6 +207,13 @@ def bayes_accuracy(task: MixtureTask, corruption: CorruptionSpec, n: int,
     return acc, math.sqrt(max(acc * (1.0 - acc), 1e-12) / n)
 
 
+def fit_data(task: MixtureTask, n_train: int, n_eval: int, seed: int):
+    """(training, held-out) (features, labels) draws of a task for train.fit: n_train
+    then n_eval rows from default_rng([seed, 1]), a stream apart from fit's own."""
+    rng = np.random.default_rng([seed, 1])
+    return tuple(generate(task, n, CorruptionSpec(), rng) for n in (n_train, n_eval))
+
+
 class UniformScorer(Scorer):
     """All-ones scores for every query; the uniform-belief fixed point."""
 

@@ -19,7 +19,7 @@ from diffclass.sampler import (SamplerConfig, posterior_cl, posterior_cp,
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import TrainConfig, fit
 from diffclass.transition import forward_marginal
-from oracles import (ExactScorer, ScoreColumn, apply_rate, matrix_exponential_oracle,
+from oracles import (ExactScorer, ScoreColumn, apply_rate, fit_data, matrix_exponential_oracle,
                      score_entropy_grad, score_entropy_loss)
 
 NONE = CorruptionSpec()
@@ -53,7 +53,7 @@ def trained_reference():
     scorers = {}
     for seed in (0, 1, 2):
         config = TrainConfig(**{**REFERENCE_TRAIN.__dict__, "seed": seed})
-        scorer, _ = fit(config, REFERENCE_TASK, n_train=20_000, n_eval=2_000)
+        scorer, _ = fit(config, REFERENCE_TASK, *fit_data(REFERENCE_TASK, 20_000, 2_000, seed))
         scorers[seed] = scorer
     test_y, test_c = generate(REFERENCE_TASK, 10_000, NONE, np.random.default_rng(999))
     return scorers, test_y, test_c
@@ -257,7 +257,7 @@ def test_criterion_7_trained_accuracy_reaches_reference(trained_reference):
 def test_criterion_8_uncertainty_grid(tmp_path):
     """3x3 corruption-by-ratio grid: deterministic CSV, every cell Bayes-bounded."""
     config = TrainConfig(epochs=5, batch_size=128, seed=0, hidden_dim=64, n_blocks=2,
-                         embed_dim=32, time_embed_dim=32, groups=8,
+                         embed_dim=32, time_embed_dim=32,
                          sigma_bar_max=0.6, schedule_decay=0.7)
     rows = compare_grid(REFERENCE_TASK, [0.0, 0.8, 1.6], [0.25, 0.5, 1.0], config,
                         n_train=2000, n_eval=1000, steps=8, seed=0)

@@ -85,6 +85,21 @@ class TestTrainEval:
                               Path(ckpt).read_bytes()))
         assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
 
+    def test_default_held_out_draws_leave_the_training_unchanged(self, tmp_path):
+        """Without --eval-data, train validates on draws of a stream of its own: at one
+        seed it writes the checkpoint and loss column that --eval-data gives."""
+        stem = _gen(tmp_path, "train", 512, seed=0)
+        test = _gen(tmp_path, "test", 256, seed=1)
+        runs = []
+        for name, extra in (("drawn", []), ("file", ["--eval-data", test])):
+            ckpt, out = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.csv"
+            assert cli.main(["train", "--data", stem, "--seed", "4", "--checkpoint", str(ckpt),
+                             "--out", str(out)] + extra + TINY_TRAIN) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert all(row[2] for row in rows)      # each epoch validated
+            runs.append((ckpt.read_bytes(), [row[1] for row in rows]))
+        assert runs[0] == runs[1]
+
     def test_cl_and_full_methods_run(self, tmp_path):
         train = _gen(tmp_path, "train", 256, seed=0, k=3)
         ckpt = str(tmp_path / "m.ckpt")
@@ -519,6 +534,34 @@ class TestErrorContract:
         assert "sigma_bar_max=25.0" in err and "schedule_decay=0.7" in err and "t=1" in err
         assert not ckpt.exists() and not out.exists()
 
+    @pytest.fixture(scope="class")
+    def noisy_schedule(self, tmp_path_factory):
+        """A K=4 checkpoint at sigma_bar_max 5: its 8-step validation samples, but one
+        step from t=1 keeps e = exp(-20) ~ 2e-9 of the label signal."""
+        tmp_path = tmp_path_factory.mktemp("noisy")
+        stem = _gen(tmp_path, "d", 128, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        assert cli.main(["train", "--data", stem, "--sigma-bar-max", "5", "--checkpoint",
+                         ckpt] + TINY_TRAIN) == 0
+        return stem, ckpt
+
+    @pytest.mark.parametrize("command, argv", [
+        ("eval", ["--steps", "1"]), ("sweep", ["--n-eval", "8"]),
+        ("ablate", ["--steps", "1", "--n-eval", "8"]), ("trace", ["--steps", "1"])])
+    def test_a_step_grid_the_schedule_cannot_sample_exits_2(self, noisy_schedule, tmp_path,
+                                                           capsys, command, argv):
+        """Every command that samples exits 2 naming the schedule, as train and compare
+        do, on a step grid the checkpoint's schedule cannot sample (sweep's grid starts
+        at 1 step), and writes nothing."""
+        stem, ckpt = noisy_schedule
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        rc = cli.main([command, "--data", stem, "--checkpoint", ckpt, "--out", str(out)] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert "sigma_bar_max=5.0" in err and "schedule_decay=0.7" in err and "1-step" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
                                              ("--grad-clip", "nan"), ("--grad-clip", "inf")])
     def test_non_finite_training_flag_exits_2(self, tmp_path, capsys, flag, value):
@@ -564,8 +607,8 @@ class TestErrorContract:
                                                        argv, message):
         """A flag combination no cell can run exits 2 before the first cell trains."""
         calls = []
-        real = train._train_epochs
-        monkeypatch.setattr(train, "_train_epochs",
+        real = train.train_step
+        monkeypatch.setattr(train, "train_step",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()

@@ -9,11 +9,11 @@ from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_abla
                                topk_hits, trace_topk, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
-from diffclass.train import TrainConfig, ce_baseline_proba, fit_without_validation
+from diffclass.train import TrainConfig, ce_baseline_proba, fit
 from oracles import ExactScorer, UniformScorer, bayes_accuracy
 
 NONE = CorruptionSpec()
-TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)
+TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16)
 
 
 def _exact(task, sched):
@@ -158,7 +158,7 @@ class TestCompareGrid:
         rng = np.random.default_rng(2)
         train = generate(task, 1000, NONE, rng)
         test_y, test_c = generate(task, 1000, NONE, rng)
-        model = fit_without_validation(config, task, train, cross_entropy=True)
+        model, _ = fit(config, task, train, cross_entropy=True)
         acc = (ce_baseline_proba(model, test_y).argmax(axis=1) == test_c).mean()
         assert acc > 0.9
 
@@ -168,7 +168,7 @@ class TestCompareGrid:
         config = TrainConfig(epochs=2, batch_size=64, seed=0, learning_rate=1e308, **TINY)
         train = generate(task, 256, NONE, np.random.default_rng(3))
         with pytest.raises(NumericalError):
-            fit_without_validation(config, task, train, cross_entropy=True)
+            fit(config, task, train, cross_entropy=True)
 
 
 class TestCsv:

@@ -23,9 +23,8 @@ from diffclass.mlp import (GN_EPS, MlpConfig, MlpScorer, PreparedFeatures,
                            silu, silu_from_half)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import (AdamState, TrainConfig, batch_loss_and_grads, ce_baseline_proba,
-                             cross_entropy_loss_and_grads, fit, fit_without_validation,
-                             train_step)
-from oracles import (reference_groupnorm, reference_groupnorm_backward, reference_logits,
+                             cross_entropy_loss_and_grads, fit, train_step)
+from oracles import (fit_data, reference_groupnorm, reference_groupnorm_backward, reference_logits,
                      score_column, silu_grad)
 
 SMALL = MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32,
@@ -99,8 +98,8 @@ class TestOutputContract:
 @pytest.fixture(scope="module")
 def trained_scorer():
     """Reference-size scorer (K=8, hidden 128, 3 blocks) after one short epoch."""
-    scorer, _ = fit(TrainConfig(epochs=1, seed=0), MixtureTask.ring(8, 2),
-                    n_train=4096, n_eval=256)
+    task = MixtureTask.ring(8, 2)
+    scorer, _ = fit(TrainConfig(epochs=1, seed=0), task, *fit_data(task, 4096, 256, 0))
     return scorer
 
 
@@ -191,9 +190,9 @@ class TestInferencePath:
 
     def test_parameters_stay_float64_through_training(self):
         config = TrainConfig(epochs=1, batch_size=32, seed=0, embed_dim=16, hidden_dim=32,
-                             n_blocks=2, time_embed_dim=16, groups=4)
+                             n_blocks=2, time_embed_dim=16)
         task = MixtureTask.ring(4, 2)
-        scorer, _ = fit(config, task, n_train=128, n_eval=64)
+        scorer, _ = fit(config, task, *fit_data(task, 128, 64, 0))
         assert all(v.dtype == np.float64 for v in scorer.params.values())
         rng = np.random.default_rng(15)
         train_step(scorer, AdamState(scorer.params), rng.standard_normal((16, 2)),
@@ -837,11 +836,10 @@ class TestCeBaseline:
         """At a zero learning rate the trained baseline is its initial network,
         whose blocks add no conditioning offset."""
         config = TrainConfig(epochs=1, batch_size=64, learning_rate=0.0, seed=4, embed_dim=16,
-                             hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)
+                             hidden_dim=32, n_blocks=2, time_embed_dim=16)
         rng = np.random.default_rng(9)
         data = (rng.standard_normal((100, 3)), rng.integers(0, 5, 100))
-        scorer = fit_without_validation(config, MixtureTask(np.eye(5, 3)), data,
-                                        cross_entropy=True)
+        scorer, _ = fit(config, MixtureTask(np.eye(5, 3)), data, cross_entropy=True)
         assert not scorer.params["cw_0"].any() and not scorer.params["cw_1"].any()
         assert scorer.params["w1_0"].any()
 
@@ -973,13 +971,13 @@ class TestConfigValidation:
             MlpConfig(n_classes=3, feature_dim=2, n_blocks=0)
 
     @settings(max_examples=300, deadline=None)
-    @given(hidden=st.integers(1, 512), groups=st.one_of(st.none(), st.integers(1, 64)))
-    def test_built_configs_have_groups_of_at_least_four_units(self, hidden, groups):
+    @given(hidden=st.integers(1, 512))
+    def test_built_configs_have_groups_of_at_least_four_units(self, hidden):
         """TrainConfig.mlp_config gives every GroupNorm group at least 4 units or raises
-        naming hidden_dim; by default a width of 32 or more divisible by 8 gets 8 groups."""
-        eight = groups is None and hidden >= 32 and hidden % 8 == 0
+        naming hidden_dim; a width of 32 or more divisible by 8 gets 8 groups."""
+        eight = hidden >= 32 and hidden % 8 == 0
         try:
-            cfg = TrainConfig(hidden_dim=hidden, groups=groups).mlp_config(4, 2)
+            cfg = TrainConfig(hidden_dim=hidden).mlp_config(4, 2)
         except ValidationError as exc:
             assert "hidden_dim" in str(exc) and not eight
             return

@@ -332,7 +332,7 @@ class TestExactStep:
         t and e."""
         _, schedule, scorer, y, _ = _exact_setup(n=200, sched=(sigma_bar_max, 0.9))
         with mock.patch.object(scorer, "score_batch", side_effect=AssertionError("scored")), \
-                pytest.raises(NumericalError, match=r"t=1 keeps e=.*use more steps"):
+                pytest.raises(ValidationError, match=r"t=1 keeps e=.*use more steps"):
             posterior_cp(y, scorer, schedule, SamplerConfig(n_steps=1))
 
 

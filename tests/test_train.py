@@ -13,12 +13,11 @@ from diffclass.mlp import MlpScorer
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import floor_probs
 from diffclass.train import (AdamState, TrainConfig, TrainingDiverged, adam_update,
-                             batch_loss_and_grads, clip_global_norm, fit,
-                             fit_without_validation, train_step)
+                             batch_loss_and_grads, clip_global_norm, fit, train_step)
 from diffclass.transition import forward_marginal, sample_categorical_rows
-from oracles import ExactScorer, adam_reference, bayes_accuracy
+from oracles import ExactScorer, adam_reference, bayes_accuracy, fit_data
 
-TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16, groups=4)
+TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16)
 
 
 def _tiny_config(**kw):
@@ -87,7 +86,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             config = _tiny_config(epochs=1)
-            scorer, _ = fit(config, task, n_train=512, n_eval=128)
+            scorer, _ = fit(config, task, *fit_data(task, 512, 128, config.seed))
             runs.append(scorer.params)
         for key in runs[0]:
             assert np.array_equal(runs[0][key], runs[1][key]), key
@@ -95,7 +94,7 @@ class TestDeterminism:
     def test_zero_learning_rate_freezes_parameters_and_metrics(self):
         task = MixtureTask.ring(3, 2, separation=2.0)
         config = _tiny_config(epochs=3, learning_rate=0.0)
-        scorer, metrics = fit(config, task, n_train=256, n_eval=128)
+        scorer, metrics = fit(config, task, *fit_data(task, 256, 128, config.seed))
         fresh = MlpScorer(config.mlp_config(3, 2), config.schedule(), seed=config.seed)
         for key in fresh.params:
             assert np.array_equal(scorer.params[key], fresh.params[key]), key
@@ -104,18 +103,27 @@ class TestDeterminism:
 
     def test_training_without_validation_gives_fits_scorer(self):
         """fit's per-epoch validation draws nothing from the training stream, so the
-        scorer trained without it equals fit's bit for bit."""
+        scorer trained without eval_data equals the validated one bit for bit, and its
+        epochs carry the same losses with NaN tv and top1."""
         task = MixtureTask.ring(4, 2, separation=2.0)
-        rng = np.random.default_rng(5)
-        data = generate(task, 300, CorruptionSpec(), rng)
-        held_out = generate(task, 100, CorruptionSpec(), rng)
+        data, held_out = fit_data(task, 300, 100, 5)
         config = _tiny_config(epochs=2)
-        fitted, metrics = fit(config, task, train_data=data, eval_data=held_out)
+        fitted, metrics = fit(config, task, data, held_out)
         assert all(np.isfinite(m.tv) for m in metrics)      # fit did validate
-        scorer = fit_without_validation(config, task, data)
+        scorer, bare = fit(config, task, data)
+        assert [m.loss for m in bare] == [m.loss for m in metrics]
+        assert all(np.isnan([m.tv, m.top1]).all() for m in bare)
         assert scorer.params.keys() == fitted.params.keys()
         for key in fitted.params:
             assert np.array_equal(scorer.params[key], fitted.params[key]), key
+
+    def test_cross_entropy_with_eval_data_is_rejected(self):
+        """The baseline has no score-entropy sampler to validate, so held-out data
+        passed with cross_entropy raise rather than go unused."""
+        task = MixtureTask.ring(4, 2)
+        data, held_out = fit_data(task, 128, 64, 0)
+        with pytest.raises(ValidationError, match="cross-entropy baseline takes no eval_data"):
+            fit(_tiny_config(), task, data, held_out, cross_entropy=True)
 
 
 class TestMixedPrecision:
@@ -139,10 +147,10 @@ class TestMixedPrecision:
             return real_step(scorer, opt, features, *args, **kwargs)
 
         monkeypatch.setattr(train, "train_step", recording_step)
-        _, (m32,) = fit(config, task, train_data=train_data, eval_data=eval_data)
+        _, (m32,) = fit(config, task, train_data, eval_data)
         assert dtypes == {np.dtype(np.float32)}
         monkeypatch.setattr(train, "TRAIN_FEATURE_DTYPE", np.float64)
-        _, (m64,) = fit(config, task, train_data=train_data, eval_data=eval_data)
+        _, (m64,) = fit(config, task, train_data, eval_data)
         assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
         assert abs(m32.loss - m64.loss) <= 1e-6 * abs(m64.loss)
         assert abs(m32.tv - m64.tv) <= 1e-6 * m64.tv
@@ -162,7 +170,7 @@ class TestMixedPrecision:
             return z, cache
 
         monkeypatch.setattr(MlpScorer, "logits", recording_logits)
-        scorer, metrics = fit(config, task, n_train=640, n_eval=128)
+        scorer, metrics = fit(config, task, *fit_data(task, 640, 128, config.seed))
         assert dtypes == {np.dtype(np.float32)} and scorer.cfg.groups == 4
         assert all(np.isfinite([m.loss, m.tv, m.top1]).all() for m in metrics)
 
@@ -322,8 +330,9 @@ class TestWorkspace:
             monkeypatch.setattr(MlpScorer, "logits", logits)
             monkeypatch.setattr(train, "train_step", step)
             config = _tiny_config(epochs=2, batch_size=48)
+            task = MixtureTask.ring(4, 2)
             try:
-                scorer, _ = fit(config, MixtureTask.ring(4, 2), n_train=200, n_eval=64)
+                scorer, _ = fit(config, task, *fit_data(task, 200, 64, config.seed))
             except TrainingDiverged as exc:
                 assert fail_at is not None
                 scorer = exc.scorer
@@ -413,7 +422,7 @@ class TestSmokeTraining:
         bayes, _ = bayes_accuracy(task, CorruptionSpec(), 50_000, np.random.default_rng(8))
         config = TrainConfig(epochs=1, batch_size=128, seed=9,
                              sigma_bar_max=3.0, schedule_decay=0.5, **TINY)
-        _, metrics = fit(config, task, n_train=4000, n_eval=1000)
+        _, metrics = fit(config, task, *fit_data(task, 4000, 1000, config.seed))
         assert metrics[-1].top1 >= 0.95 * bayes
 
     def test_more_epochs_do_not_hurt_final_accuracy(self):
@@ -424,7 +433,7 @@ class TestSmokeTraining:
             accs = []
             for epochs in (2, 4):
                 config = TrainConfig(epochs=epochs, batch_size=64, seed=seed, **TINY)
-                _, metrics = fit(config, task, n_train=1500, n_eval=600)
+                _, metrics = fit(config, task, *fit_data(task, 1500, 600, seed))
                 accs.append(metrics[-1].top1)
             assert accs[1] >= accs[0] - 0.01
 
