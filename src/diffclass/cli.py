@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -165,6 +166,18 @@ def _apply_config(argv: list[str]) -> list[str]:
         flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     # subcommand first, then config defaults, then explicit flags (last wins)
     return expanded[:1] + flags + expanded[1:]
+
+
+def _check_output_dirs(args) -> None:
+    """Raise ValidationError naming the flag and path when a file the command writes
+    (--out, gen-data's --stem, train's --checkpoint) would go in a directory that
+    does not exist, before any work; creates nothing."""
+    written = {"gen-data": ("stem",), "train": ("checkpoint",)}.get(args.command, ())
+    for name in ("out", *written):
+        path = getattr(args, name)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"--{name} {path}: directory {os.path.dirname(path)} "
+                                  f"does not exist")
 
 
 def _run_gen_data(args) -> int:
@@ -337,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise ValidationError("--seed must be >= 0")
+        _check_output_dirs(args)
         return _RUNNERS[args.command](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,12 @@ before they reach the model:
 
 Datasets are stored as <stem>.bin (little-endian float32 features followed
 by an int32 zero-based label per record) with a plain-text <stem>.meta header.
+
+Datasets and scorer checkpoints (mlp.save_params) are each described by
+such a header alone, in one grammar (write_header, read_header): UTF-8
+text, one key=value entry per line, the key running to the first "=".  A
+dataset's header holds k, dim, n, corruption, level, seed, labels,
+variance, means and priors.
 """
 
 from __future__ import annotations
@@ -180,6 +186,28 @@ def true_posterior_batch(task: MixtureTask, y: np.ndarray,
     return ensure_distribution(p / p.sum(axis=1, keepdims=True), "posterior")
 
 
+def write_header(path: str, entries: dict) -> None:
+    """Write a .meta header: one key=value line per entry, in order, as UTF-8 text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key}={value}\n" for key, value in entries.items())
+
+
+def read_header(path: str) -> dict[str, str]:
+    """The key=value entries of a .meta header, the last one of a repeated key.
+
+    Raises ValidationError naming the file when it is missing or is not UTF-8
+    text; the caller checks the entries.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: the header file is missing") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    return dict(line.partition("=")[::2] for line in lines)
+
+
 def _record_dtype(dim: int) -> np.dtype:
     """One .bin record: dim little-endian float32 features, then an int32 label."""
     return np.dtype([("y", "<f4", (dim,)), ("c", "<i4")])
@@ -193,35 +221,23 @@ def save_dataset(stem: str, y: np.ndarray, labels: np.ndarray, task: MixtureTask
     records["c"] = labels
     with open(stem + ".bin", "wb") as fh:
         fh.write(records.tobytes())
-    with open(stem + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"k={task.k}\n")
-        fh.write(f"dim={dim}\n")
-        fh.write(f"n={n}\n")
-        fh.write(f"corruption={corruption.kind}\n")
-        fh.write(f"level={corruption.level!r}\n")
-        fh.write(f"seed={seed}\n")
-        fh.write("labels=zero-based\n")
-        fh.write(f"variance={task.variance!r}\n")
-        fh.write("means=" + ",".join(repr(float(v)) for v in task.means.ravel()) + "\n")
-        fh.write("priors=" + ",".join(repr(float(v)) for v in task.priors) + "\n")
+    write_header(stem + ".meta", {
+        "k": task.k, "dim": dim, "n": n, "corruption": corruption.kind,
+        "level": repr(corruption.level), "seed": seed, "labels": "zero-based",
+        "variance": repr(task.variance),
+        "means": ",".join(repr(float(v)) for v in task.means.ravel()),
+        "priors": ",".join(repr(float(v)) for v in task.priors)})
 
 
 def load_dataset(stem: str):
     """Read a dataset back; returns (features, labels, task, corruption, seed).
 
-    Raises ValidationError naming the file when the header is not UTF-8
-    text, is incomplete, or describes no valid task or corruption, when the
-    record count is below one or disagrees with the file length, a label
-    falls outside [0, k), or a feature is not finite.
+    Raises ValidationError naming the file when the header is missing, is
+    not UTF-8 text, is incomplete, or describes no valid task or corruption,
+    when the record count is below one or disagrees with the file length, a
+    label falls outside [0, k), or a feature is not finite.
     """
-    meta: dict[str, str] = {}
-    try:
-        with open(stem + ".meta", encoding="utf-8") as fh:
-            for line in fh:
-                key, _, value = line.strip().partition("=")
-                meta[key] = value
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{stem}.meta: not UTF-8 text") from exc
+    meta = read_header(stem + ".meta")
     try:
         k, dim, n = int(meta["k"]), int(meta["dim"]), int(meta["n"])
         means = np.array([float(v) for v in meta["means"].split(",")]).reshape(k, dim)

@@ -12,8 +12,10 @@ Read at one fixed (anchor, t), where the conditioning is a constant each
 block's cb could hold, the same network is the comparison grid's softmax
 baseline of matched capacity (train.fit with cross_entropy).
 
-Parameters live as float64 arrays in a flat dict; checkpoints are written
-as little-endian float32 with a binary header plus a plain-text sidecar.
+Parameters live as float64 arrays in a flat dict.  A checkpoint
+(save_params, load_params) is the bare little-endian float32 parameters
+in a fixed order, described only by its plain-text .meta header, whose
+key=value grammar datasets share (data.read_header).
 Every GroupNorm group holds at least MIN_GROUP_UNITS units (MlpConfig).
 
 Both forwards run on one form of the parameters (inference_params): every
@@ -77,19 +79,19 @@ import contextvars
 import functools
 import math
 import os
-import struct
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .data import read_header, write_header
 from .errors import NumericalError, ValidationError
 from .schedule import LogLinearSchedule
 from .score import Scorer
 
-MAGIC = b"SCORENET"
-FORMAT_VERSION = 1
+CHECKPOINT_FORMAT = "scorer-checkpoint"
+FORMAT_VERSION = 2
 GN_EPS = 1e-5
 # The fewest units a GroupNorm group may hold.  A 1-unit group normalizes to 0
 # and a 2-unit one to about +-1: 3-epoch K=8 scorers (seeds 0-5) read cp@8
@@ -789,133 +791,63 @@ class MlpScorer(Scorer):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: MAGIC, u32 version, u32 K/F/d/H/B/dt/groups/time-mode,
-# f64 schedule params, u32 array count, then per array (u16 name length,
-# name, u8 ndim, u32 dims..., f32 data, little-endian, sorted by name).  The
-# time-mode field must read 0: the time embedding reads the total-noise
-# fraction (MlpScorer.conditioning), the sidecar's time_input=total-noise.
+# Checkpoint format, version 2.  <path> holds the parameters alone: each array
+# of param_shapes(cfg), in sorted-name order, as little-endian float32, with
+# nothing between them.  <path>.meta, a data.write_header header, is the only
+# description of the file: format=scorer-checkpoint, format_version=2, every
+# MlpConfig field, and the schedule's sigma_bar_max and schedule_decay.
+# Version 1 files (a binary header, then each array's name and dims before its
+# values) are not read.
 # ---------------------------------------------------------------------------
 
 def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
                 schedule: LogLinearSchedule) -> None:
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(
-            "<9I", FORMAT_VERSION, cfg.n_classes, cfg.feature_dim, cfg.embed_dim,
-            cfg.hidden_dim, cfg.n_blocks, cfg.time_embed_dim, cfg.groups, 0,
-        ))
-        fh.write(struct.pack("<2d", schedule.sigma_bar_max, schedule.decay))
-        names = sorted(params)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(params[name], dtype="<f4")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-    with open(path + ".meta", "w", encoding="utf-8") as fh:
-        for key, value in _sidecar_entries(cfg, schedule, len(params)).items():
-            fh.write(f"{key}={value}\n")
-
-
-def _sidecar_entries(cfg: MlpConfig, schedule: LogLinearSchedule, n_arrays: int) -> dict[str, str]:
-    """The .meta sidecar's key=value entries, as save_params writes them."""
-    return {
-        "format_version": str(FORMAT_VERSION), "n_classes": str(cfg.n_classes),
-        "feature_dim": str(cfg.feature_dim), "embed_dim": str(cfg.embed_dim),
-        "hidden_dim": str(cfg.hidden_dim), "n_blocks": str(cfg.n_blocks),
-        "time_embed_dim": str(cfg.time_embed_dim), "groups": str(cfg.groups),
-        "time_input": "total-noise", "sigma_bar_max": repr(float(schedule.sigma_bar_max)),
-        "schedule_decay": repr(float(schedule.decay)), "n_arrays": str(n_arrays),
-    }
-
-
-def _read_sidecar(path: str) -> dict[str, str]:
-    try:
-        with open(path + ".meta", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError as exc:
-        raise ValidationError(f"{path}: the .meta sidecar is missing") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: the .meta sidecar is not UTF-8 text") from exc
-    entries = {}
-    for line in lines:
-        key, _, value = line.partition("=")
-        entries[key] = value
-    return entries
+        for name in sorted(param_shapes(cfg)):
+            fh.write(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
+    write_header(path + ".meta", {
+        "format": CHECKPOINT_FORMAT, "format_version": FORMAT_VERSION,
+        **{field.name: getattr(cfg, field.name) for field in fields(MlpConfig)},
+        "sigma_bar_max": repr(float(schedule.sigma_bar_max)),
+        "schedule_decay": repr(float(schedule.decay))})
 
 
 def load_params(path: str):
-    """Read a checkpoint; raises ValidationError naming the path on a bad or short file.
+    """Read a checkpoint; returns (params, cfg, schedule).
 
-    Every array must have the shape the binary header implies, and every
-    header field must equal its entry in the .meta sidecar.
+    Raises ValidationError naming the file when the .meta header is missing,
+    is not UTF-8 text, is not a version-2 scorer checkpoint's or holds a
+    missing or invalid entry, and when the binary's length differs from the
+    byte count the header implies or a value is not finite.
     """
+    meta = read_header(path + ".meta")
+    kind = (meta.get("format"), meta.get("format_version"))
+    if kind != (CHECKPOINT_FORMAT, str(FORMAT_VERSION)):
+        raise ValidationError(f"{path}.meta: format={kind[0]}, format_version={kind[1]}; this "
+                              f"program reads format={CHECKPOINT_FORMAT}, "
+                              f"format_version={FORMAT_VERSION}")
+    try:
+        cfg = MlpConfig(**{field.name: int(meta[field.name]) for field in fields(MlpConfig)})
+        schedule = LogLinearSchedule(float(meta["sigma_bar_max"]), float(meta["schedule_decay"]))
+    except (KeyError, ValueError) as exc:    # ValidationError is a ValueError
+        raise ValidationError(f"{path}.meta: missing or malformed entry ({exc})") from exc
+    # The count from the one- and two-block tables: a corrupt header's block count
+    # can run to billions, so its own table is built only once the file's size fits.
+    one, two = (sum(math.prod(shape) for shape in param_shapes(replace(cfg, n_blocks=b)).values())
+                for b in (1, 2))
+    count = one + (cfg.n_blocks - 1) * (two - one)
     with open(path, "rb") as fh:
         raw = fh.read()
-    pos = 0
-
-    def take(nbytes: int) -> bytes:
-        nonlocal pos
-        if pos + nbytes > len(raw):
-            raise ValidationError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
-        pos += nbytes
-        return raw[pos - nbytes:pos]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    if take(8) != MAGIC:
-        raise ValidationError(f"{path}: not a scorer checkpoint")
-    version, k, f, d, h, blocks, dt, groups, mode = unpack("<9I")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported format version {version}")
-    if mode != 0:
-        raise ValidationError(f"{path}: header time_input mode {mode}; "
-                              f"only 0 (total-noise) is supported")
-    sbar_max, decay = unpack("<2d")
-    try:
-        cfg = MlpConfig(k, f, embed_dim=d, hidden_dim=h, n_blocks=blocks,
-                        time_embed_dim=dt, groups=groups)
-        schedule = LogLinearSchedule(sbar_max, decay)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    (n_arrays,) = unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        (nlen,) = unpack("<H")
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: corrupt array name") from exc
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I")
-        values = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"{path}: array {name!r} holds non-finite values")
-        try:
-            data = values.reshape(shape)
-        except ValueError as exc:   # an empty array whose other dimensions overflow
-            raise ValidationError(f"{path}: array {name!r} has impossible shape {shape}") from exc
-        params[name] = data.astype(np.float64)
-    if pos != len(raw):
-        raise ValidationError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
-    if cfg.n_blocks > len(params):
-        # Every block has arrays of its own; do not build the shape table of a
-        # corrupt header's block count, which can run to billions.
-        raise ValidationError(f"{path}: the file holds {len(params)} arrays; "
-                              f"the header implies {cfg.n_blocks} blocks")
-    expected = param_shapes(cfg)
-    for name in sorted(expected.keys() | params.keys()):
-        got = params[name].shape if name in params else None
-        if got != expected.get(name):
-            raise ValidationError(
-                f"{path}: array {name!r} has shape {got}; the header implies {expected.get(name)}")
-    sidecar = _read_sidecar(path)
-    for key, value in _sidecar_entries(cfg, schedule, len(params)).items():
-        if sidecar.get(key) != value:
-            raise ValidationError(f"{path}: header {key}={value} disagrees with the .meta "
-                                  f"sidecar ({key}={sidecar.get(key)})")
+    if len(raw) != 4 * count:
+        raise ValidationError(f"{path}: {len(raw)} bytes, where the .meta header describes "
+                              f"{4 * count} bytes ({count} float32 parameters)")
+    values = np.frombuffer(raw, dtype="<f4")
+    # Checked before the float64 cast, which warns on a signalling NaN.
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: holds non-finite values")
+    values = values.astype(np.float64)
+    params, start = {}, 0
+    for name, shape in sorted(param_shapes(cfg).items()):
+        params[name] = values[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
     return params, cfg, schedule

@@ -1,7 +1,7 @@
 """Command-line interface: subcommands, config files, exit codes, determinism."""
 
 import os
-import struct
+import shutil
 import subprocess
 import sys
 import warnings
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffclass import cli, mlp, sampler, train
+from diffclass import cli, harness, mlp, sampler, train
 from diffclass.data import CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset
 from diffclass.errors import NumericalError
 from diffclass.mlp import MlpScorer
@@ -254,6 +254,17 @@ class TestOneParserPerProcess:
             assert (later / name).read_bytes() == (first / name).read_bytes(), name
 
 
+@pytest.fixture(scope="module")
+def wide_checkpoint(tmp_path_factory):
+    """(dataset stem, checkpoint path) of a 1-epoch hidden-32, 2-block scorer on 4 classes."""
+    tmp_path = tmp_path_factory.mktemp("wide")
+    train_stem = _gen(tmp_path, "train", 128, seed=0)
+    ckpt = str(tmp_path / "m.ckpt")
+    assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
+                     "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
+    return train_stem, ckpt
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
         train = _gen(tmp_path, "train", 64, seed=0)
@@ -289,7 +300,36 @@ class TestExitCodes:
         with open(ckpt, "wb") as fh:
             fh.write(blob[:keep])
         rc = cli.main(["eval", "--data", train, "--checkpoint", ckpt, "--steps", "2"])
-        assert rc == 2 and "truncated checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: {ckpt}: {len(blob[:keep])} bytes, where the "
+                                          f".meta header describes {len(blob)} bytes"), err
+
+    @pytest.mark.parametrize("damage, message", [
+        ("padded", "bytes, where the .meta header describes"),
+        ("non-finite", ": holds non-finite values"),
+        ("meta-not-utf8", ".meta: not UTF-8 text"),
+        ("version-1", ".meta: format=None, format_version=1; this program reads "
+                      "format=scorer-checkpoint, format_version=2")],
+        ids=["padded", "non-finite", "meta-not-utf8", "version-1"])
+    def test_damaged_checkpoint_is_2_naming_the_file(self, checkpoint, damage, message, capsys):
+        train, ckpt = checkpoint
+        blob, meta = Path(ckpt).read_bytes(), Path(ckpt + ".meta").read_bytes()
+        if damage == "padded":
+            blob += bytes(4)
+        elif damage == "non-finite":
+            blob = blob[:8] + np.float32(np.nan).tobytes() + blob[12:]
+        elif damage == "meta-not-utf8":
+            meta = b"\xff" + meta
+        else:
+            v1 = Path(__file__).parent / "checkpoints" / "v1.ckpt"
+            blob, meta = v1.read_bytes(), Path(f"{v1}.meta").read_bytes()
+        Path(ckpt).write_bytes(blob)
+        Path(ckpt + ".meta").write_bytes(meta)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--data", train, "--checkpoint", ckpt, "--steps", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: {ckpt}") and err.count("\n") == 1, err
+        assert message in err, err
 
     @pytest.mark.parametrize("command", ["eval", "sweep", "ablate", "trace"])
     @pytest.mark.parametrize("k, dim", [(6, 2), (4, 3)])
@@ -309,50 +349,29 @@ class TestExitCodes:
         rc = cli.main(["sweep", "--data", "x", "--checkpoint", "y"])
         assert rc == 3
 
-    # Header fields after the 8-byte magic, as "<9I": version, K, F, d, H, B, dt, groups, mode.
-    @pytest.mark.parametrize("field, offset, value", [
-        ("n_blocks", 28, 3), ("n_blocks", 28, 1), ("hidden_dim", 24, 64),
-        ("embed_dim", 20, 32), ("n_classes", 12, 5)])
-    def test_header_disagreeing_with_arrays_is_2(self, tmp_path, field, offset, value, capsys):
-        train_stem = _gen(tmp_path, "train", 128, seed=0)
+    @pytest.mark.parametrize("entry", ["n_blocks=3", "n_blocks=1", "n_blocks=1000000000",
+                                       "hidden_dim=64", "embed_dim=32", "n_classes=5",
+                                       "groups=5", "groups=16"])
+    def test_meta_describing_another_model_is_2(self, tmp_path, wide_checkpoint, entry, capsys):
+        """The .meta is the checkpoint's only description: one naming another model
+        exits 2, naming the file and, where the model is valid, both byte counts."""
+        message = {"groups=5": "hidden_dim must be divisible by groups",
+                   "groups=16": "hidden_dim=32 over groups=16 gives 2-unit GroupNorm groups"
+                   }.get(entry, "bytes, where the .meta header describes")
+        train_stem, saved = wide_checkpoint
         ckpt = str(tmp_path / "m.ckpt")
-        assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
-                         "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
-        blob = bytearray(Path(ckpt).read_bytes())
-        assert struct.unpack_from("<I", blob, offset)[0] != value
-        struct.pack_into("<I", blob, offset, value)
-        with open(ckpt, "wb") as fh:
-            fh.write(blob)
+        shutil.copy(saved, ckpt)
+        key = entry.partition("=")[0]
+        lines = Path(saved + ".meta").read_text(encoding="utf-8").splitlines()
+        assert entry not in lines
+        Path(ckpt + ".meta").write_text(
+            "".join(f"{entry if line.startswith(key + '=') else line}\n" for line in lines),
+            encoding="utf-8")
         capsys.readouterr()
         rc = cli.main(["eval", "--data", train_stem, "--checkpoint", ckpt, "--steps", "2"])
         err = capsys.readouterr().err
-        assert rc == 2 and ckpt in err and "the header implies" in err, field
-
-
-    # Header fields no array shape depends on: groups and the time-input mode
-    # ("<I" at 36 and 40) and the schedule's decay ("<d" at 52, after sigma_bar_max).
-    @pytest.mark.parametrize("field, fmt, offset, value, message", [
-        ("groups", "<I", 36, 4, "header groups=4 disagrees with the .meta sidecar (groups=8)"),
-        ("groups", "<I", 36, 5, "hidden_dim must be divisible by groups"),
-        ("groups", "<I", 36, 16, "hidden_dim=32 over groups=16 gives 2-unit GroupNorm groups"),
-        ("time_input", "<I", 40, 1, "header time_input mode 1; only 0 (total-noise)"),
-        ("schedule_decay", "<d", 52, 0.5,
-         "header schedule_decay=0.5 disagrees with the .meta sidecar (schedule_decay=0.7)")])
-    def test_header_disagreeing_with_sidecar_is_2(self, tmp_path, field, fmt, offset, value,
-                                                  message, capsys):
-        train_stem = _gen(tmp_path, "train", 128, seed=0)
-        ckpt = str(tmp_path / "m.ckpt")
-        assert cli.main(["train", "--data", train_stem, "--seed", "0", "--epochs", "1",
-                         "--hidden-dim", "32", "--blocks", "2", "--checkpoint", ckpt]) == 0
-        blob = bytearray(Path(ckpt).read_bytes())
-        assert struct.unpack_from(fmt, blob, offset)[0] != value
-        struct.pack_into(fmt, blob, offset, value)
-        with open(ckpt, "wb") as fh:
-            fh.write(blob)
-        capsys.readouterr()
-        rc = cli.main(["eval", "--data", train_stem, "--checkpoint", ckpt, "--steps", "2"])
-        err = capsys.readouterr().err
-        assert rc == 2 and err.startswith(f"error: {ckpt}: ") and message in err, field
+        assert rc == 2 and err.startswith(f"error: {ckpt}") and err.count("\n") == 1, err
+        assert message in err, err
 
     def test_missing_sidecar_is_2(self, tmp_path, checkpoint, capsys):
         train, ckpt = checkpoint
@@ -360,7 +379,7 @@ class TestExitCodes:
         capsys.readouterr()
         rc = cli.main(["eval", "--data", train, "--checkpoint", ckpt, "--steps", "2"])
         err = capsys.readouterr().err
-        assert rc == 2 and ckpt in err and ".meta sidecar is missing" in err
+        assert rc == 2 and err == f"error: {ckpt}.meta: the header file is missing\n"
 
 
 class TestDivergence:
@@ -617,6 +636,31 @@ class TestErrorContract:
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err and calls == []
         assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--checkpoint"), ("train", "--out"), ("compare", "--out"),
+        ("gen-data", "--stem"), ("gen-data", "--out")])
+    def test_an_output_in_a_missing_directory_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command, flag):
+        """The check comes before the data is drawn, the model trained or the grid
+        run, and creates no file."""
+        stem = _gen(tmp_path, "d", 64, seed=0)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for module, name in ((cli, "fit"), (harness, "compare_grid"), (cli, "generate")):
+            monkeypatch.setattr(module, name, no_work)
+        missing = str(tmp_path / "missing" / "x")
+        argv = {"train": ["train", "--data", stem, "--checkpoint", str(tmp_path / "m.ckpt")],
+                "compare": ["compare"], "gen-data": ["gen-data", "--stem", str(tmp_path / "e")]}
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        rc = cli.main(argv[command] + [flag, missing])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == (f"error: {flag} {missing}: directory "
+                                   f"{tmp_path / 'missing'} does not exist\n"), err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_fractional_mask_level_exits_2(self, tmp_path, capsys):
         """A mask level of 0.5 would mask int(0.5) = 0 coordinates, silently."""

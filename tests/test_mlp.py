@@ -1,4 +1,4 @@
-"""Scorer network: output contract, gradients vs finite differences, serialization."""
+"""Scorer network: output contract, gradients vs finite differences, checkpoints."""
 
 import multiprocessing
 import os
@@ -7,15 +7,16 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffclass import mlp
-from diffclass.data import MixtureTask
+from diffclass.data import CorruptionSpec, MixtureTask, save_dataset
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.mlp import (GN_EPS, MlpConfig, MlpScorer, PreparedFeatures,
                            _gn_backward, _gn_forward, _group_expand, _inference_groupnorm,
@@ -858,6 +859,9 @@ class TestCeBaseline:
         assert peak < 16 * 2**20, peak / 2**20
 
 
+FIXTURES = Path(__file__).parent / "checkpoints"
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         scorer = _small_scorer(head_scale=0.5)
@@ -886,6 +890,7 @@ class TestSerialization:
         path = str(tmp_path / "m.ckpt")
         scorer.save(path)
         meta = Path(path + ".meta").read_text(encoding="utf-8")
+        assert meta.startswith("format=scorer-checkpoint\nformat_version=2\n")
         assert "n_classes=5" in meta and "hidden_dim=32" in meta
         assert "sigma_bar_max=1.0" in meta
 
@@ -902,15 +907,127 @@ class TestSerialization:
             load_params(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
+        """The .meta's format entries take the place of a magic number: a file whose
+        header is a dataset's is no checkpoint, even at the right length."""
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="the header file is missing"):
             load_params(str(path))
+        save_dataset(str(tmp_path / "d"), np.zeros((3, 2)), np.arange(3), MixtureTask(np.eye(3, 2)),
+                     CorruptionSpec(), seed=0)
+        os.replace(tmp_path / "d.meta", str(path) + ".meta")
+        with pytest.raises(ValidationError, match="format=None, format_version=None"):
+            load_params(str(path))
+
+
+class TestFormatFixtures:
+    """tests/checkpoints holds one 1-epoch run (K=3, hidden 16, 1 block) in both formats
+    (see its README): v1.ckpt as the version-1 writer saved it, v2.ckpt as save_params
+    does.  They pin the format: a change to it shows here."""
+
+    def test_version_1_file_is_rejected_naming_its_version(self):
+        with pytest.raises(ValidationError,
+                           match=r"v1\.ckpt\.meta: format=None, format_version=1;"):
+            load_params(str(FIXTURES / "v1.ckpt"))
+
+    def test_version_2_file_loads_and_saves_to_the_same_bytes(self, tmp_path):
+        params, cfg, schedule = load_params(str(FIXTURES / "v2.ckpt"))
+        assert cfg == MlpConfig(3, 2, hidden_dim=16, n_blocks=1, groups=4)
+        assert schedule == LogLinearSchedule(0.6, 0.7)
+        path = str(tmp_path / "again.ckpt")
+        mlp.save_params(path, params, cfg, schedule)
+        for suffix in ("", ".meta"):
+            assert (Path(path + suffix).read_bytes()
+                    == (FIXTURES / f"v2.ckpt{suffix}").read_bytes()), suffix
+
+    def test_version_2_file_holds_the_arrays_of_version_1(self):
+        """Each array the v2 file loads is in the v1 file of the same run, after its
+        name, ndim (u8) and dims (u32 each), as version 1 laid arrays out."""
+        params, _, _ = load_params(str(FIXTURES / "v2.ckpt"))
+        v1 = (FIXTURES / "v1.ckpt").read_bytes()
+        for name, value in params.items():
+            record = (name.encode() + bytes([value.ndim]) + np.array(value.shape, "<u4").tobytes()
+                      + value.astype("<f4").tobytes())
+            assert record in v1, name
+
+
+def _n_parameters(cfg: MlpConfig) -> int:
+    """The parameter count in closed form, from the shapes the network documents."""
+    k, f, d, h, dt = (cfg.n_classes, cfg.feature_dim, cfg.embed_dim, cfg.hidden_dim,
+                      cfg.time_embed_dim)
+    return k * d + d * dt + d + h * f + h + cfg.n_blocks * (2 * h * h + 5 * h + h * d) + k * h + k
+
+
+@st.composite
+def _models(draw):
+    """A small random MlpConfig and schedule."""
+    groups = draw(st.integers(1, 3))
+    cfg = MlpConfig(draw(st.integers(2, 6)), draw(st.integers(1, 4)),
+                    embed_dim=draw(st.integers(1, 8)),
+                    hidden_dim=4 * groups * draw(st.integers(1, 3)),
+                    n_blocks=draw(st.integers(1, 3)),
+                    time_embed_dim=2 * draw(st.integers(1, 4)), groups=groups)
+    schedule = LogLinearSchedule(draw(st.floats(1e-3, 10.0)), draw(st.floats(1e-3, 0.999)))
+    return cfg, schedule
+
+
+def _saved(tmp_path, cfg, schedule, seed):
+    """A checkpoint of random values for cfg and schedule: (params, path)."""
+    rng = np.random.default_rng(seed)
+    params = {name: rng.standard_normal(shape) for name, shape in param_shapes(cfg).items()}
+    path = str(tmp_path / "m.ckpt")
+    mlp.save_params(path, params, cfg, schedule)
+    return params, path
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(model=_models(), seed=st.integers(0, 2**16))
+    def test_round_trip_keeps_the_float32_values_cfg_and_schedule(self, tmp_path_factory, model,
+                                                                  seed):
+        cfg, schedule = model
+        params, path = _saved(tmp_path_factory.mktemp("ckpt"), cfg, schedule, seed)
+        assert os.path.getsize(path) == 4 * _n_parameters(cfg)
+        loaded, cfg2, schedule2 = load_params(path)
+        assert (cfg2, schedule2) == (cfg, schedule)
+        assert loaded.keys() == params.keys()
+        for name, value in params.items():
+            assert loaded[name].dtype == np.float64
+            assert np.array_equal(loaded[name], value.astype(np.float32)), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=_models(), key=st.sampled_from(["n_classes", "hidden_dim", "n_blocks"]),
+           value=st.integers(1, 8) | st.just(10**9))
+    def test_a_meta_of_another_model_names_both_byte_counts(self, tmp_path_factory, model, key,
+                                                            value):
+        """Also at a block count of 10**9, whose shape table the loader must not build:
+        param_shapes is patched to fail above both 2 blocks and the saved model's."""
+        cfg, schedule = model
+        value *= 4 * cfg.groups if key == "hidden_dim" else 1
+        assume(value != getattr(cfg, key) and (key != "n_classes" or value >= 2))
+        _, path = _saved(tmp_path_factory.mktemp("ckpt"), cfg, schedule, 0)
+        meta = Path(path + ".meta").read_text(encoding="utf-8")
+        Path(path + ".meta").write_text(
+            meta.replace(f"\n{key}={getattr(cfg, key)}\n", f"\n{key}={value}\n"), encoding="utf-8")
+        other = replace(cfg, **{key: value})
+        shapes = mlp.param_shapes
+
+        def small_tables_only(c):
+            assert c.n_blocks <= max(2, cfg.n_blocks), "built a large block count's shape table"
+            return shapes(c)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlp, "param_shapes", small_tables_only)
+            with pytest.raises(ValidationError) as info:
+                load_params(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: {4 * _n_parameters(cfg)} bytes, "), message
+        assert f"describes {4 * _n_parameters(other)} bytes" in message, message
 
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """(scorer, checkpoint bytes, sidecar bytes, path for altered copies)."""
+    """(scorer, checkpoint bytes, .meta bytes, path for altered copies)."""
     scorer = _small_scorer(head_scale=0.5)
     path = str(tmp_path_factory.mktemp("checkpoint") / "m.ckpt")
     scorer.save(path)
@@ -928,12 +1045,24 @@ def _altered(blob: bytes, cut: int | None, edits: list[tuple[int, int]]) -> byte
     return bytes(out)
 
 
-# Half the edits land in the first 128 bytes: the header and the first array's name and shape.
+def _with_values(meta: bytes, values: list[tuple[int, str]]) -> bytes:
+    """meta with the value of line i set to v for each (i, v) in values."""
+    lines = meta.split(b"\n")
+    for i, v in values:
+        key = lines[i % len(lines)].partition(b"=")[0]
+        lines[i % len(lines)] = key + b"=" + v.encode()
+    return b"\n".join(lines)
+
+
+# Byte edits land in the binary or the .meta (in_meta); value edits set .meta entries to
+# values either side of the valid ones, and can come with edits to the binary.
 ALTERATIONS = dict(
-    in_sidecar=st.booleans(),
+    in_meta=st.booleans(),
     cut=st.none() | st.integers(0, 2**16),
-    edits=st.lists(st.tuples(st.integers(0, 127) | st.integers(0, 2**16), st.integers(0, 255)),
-                   min_size=1, max_size=3),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=3),
+    values=st.lists(st.tuples(st.integers(0, 15), st.sampled_from(
+        ["0", "1", "2", "4", "16", "-1", "1000000000", "0.5", "1e9", "nan", "inf", "", "x",
+         "scorer-checkpoint"])), max_size=2),
 )
 
 
@@ -941,10 +1070,10 @@ class TestLoaderProperties:
     @settings(max_examples=300, deadline=None)
     @given(**ALTERATIONS)
     def test_altered_checkpoint_loads_or_raises_validation_error(
-            self, saved_checkpoint, in_sidecar, cut, edits):
+            self, saved_checkpoint, in_meta, cut, edits, values):
         scorer, blob, meta, path = saved_checkpoint
-        new_blob = blob if in_sidecar else _altered(blob, cut, edits)
-        new_meta = _altered(meta, cut, edits) if in_sidecar else meta
+        new_blob = blob if in_meta else _altered(blob, cut, edits)
+        new_meta = _with_values(_altered(meta, cut, edits) if in_meta else meta, values)
         with open(path, "wb") as fh, open(path + ".meta", "wb") as fh_meta:
             fh.write(new_blob)
             fh_meta.write(new_meta)
@@ -953,9 +1082,10 @@ class TestLoaderProperties:
         except ValidationError:
             assert (new_blob, new_meta) != (blob, meta)
             return
-        assert cut is None or in_sidecar            # a cut checkpoint never loads
+        assert cut is None or in_meta               # a cut checkpoint never loads
         assert {k: v.shape for k, v in params.items()} == param_shapes(cfg)
-        if new_blob == blob:                        # the sidecar only confirms the header
+        assert all(np.all(np.isfinite(v)) for v in params.values())
+        if (new_blob, new_meta) == (blob, meta):
             assert (cfg, schedule) == (scorer.cfg, scorer.schedule)
             for name, value in scorer.params.items():
                 assert np.array_equal(params[name], value.astype(np.float32)), name
