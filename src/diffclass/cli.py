@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n-eval", type=int, default=2000)
 
-    p = sub.add_parser("ablate", help="anchor-selection strategy comparison")
+    p = sub.add_parser("ablate", help="cp under each anchor rule (argmax, argmin)")
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -170,14 +170,18 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def _check_output_dirs(args) -> None:
     """Raise ValidationError naming the flag and path when a file the command writes
-    (--out, gen-data's --stem, train's --checkpoint) would go in a directory that
-    does not exist, before any work; creates nothing."""
-    written = {"gen-data": ("stem",), "train": ("checkpoint",)}.get(args.command, ())
-    for name in ("out", *written):
+    (--out, gen-data's <stem>.bin and .meta, train's --checkpoint and its .meta)
+    would go in a directory that does not exist, or is a directory, before any
+    work; creates nothing."""
+    written = {"gen-data": [("stem", ".bin"), ("stem", ".meta")],
+               "train": [("checkpoint", ""), ("checkpoint", ".meta")]}.get(args.command, [])
+    for name, suffix in [("out", ""), *written]:
         path = getattr(args, name)
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValidationError(f"--{name} {path}: directory {os.path.dirname(path)} "
                                   f"does not exist")
+        if path is not None and os.path.isdir(path + suffix):
+            raise ValidationError(f"--{name} {path}: {path + suffix} is a directory")
 
 
 def _run_gen_data(args) -> int:

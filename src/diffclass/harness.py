@@ -132,7 +132,7 @@ def selection_ablation(scorer: Scorer, task: MixtureTask, corruption: Corruption
     """
     rows = []
     for strategy in STRATEGIES:
-        cfg = SamplerConfig(n_steps=steps, strategy=strategy, seed=seed)
+        cfg = SamplerConfig(n_steps=steps, strategy=strategy)
         report = evaluate(scorer, task, corruption, cfg, n_eval,
                           np.random.default_rng(seed), schedule, method="cp")
         rows.append({"strategy": strategy, "top1": report.top1, "top5": report.top5,
@@ -173,7 +173,7 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
     """
     if not all(0.0 < ratio <= 1.0 for ratio in ratios):
         raise ValidationError(f"training ratios must be in (0, 1], got {ratios}")
-    cp_cfg = SamplerConfig(n_steps=steps, seed=seed)
+    cp_cfg = SamplerConfig(n_steps=steps)
     cell_cfg = replace(config, seed=seed)
     check_samplable(cell_cfg.schedule(), task.k, steps, "evaluation")
     levels = []
@@ -191,7 +191,7 @@ def compare_grid(task: MixtureTask, corruption_levels: list[float], ratios: list
             n_sub = min(n_train, max(config.batch_size, int(round(n_train * ratio))))
             sub = (full_train[0][:n_sub], full_train[1][:n_sub])
             scorer, _ = fit(cell_cfg, task, sub)
-            probs, _, _ = posterior_cp_batch(eval_y, scorer, cell_cfg.schedule(), cp_cfg)
+            probs, _ = posterior_cp_batch(eval_y, scorer, cell_cfg.schedule(), cp_cfg)
             diff_top1 = float(topk_hits(probs, eval_c, 1).mean())
             baseline, _ = fit(cell_cfg, task, sub, cross_entropy=True)
             base_top1 = float(topk_hits(ce_baseline_proba(baseline, eval_y), eval_c, 1).mean())

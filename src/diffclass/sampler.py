@@ -43,13 +43,11 @@ than roundoff (ROUNDOFF * c) are clipped but not counted, so an exact
 scorer records none.  Clipping keeps coarse-step sweeps runnable while
 making the violation visible.
 
-Random streams: cp draws its anchors (strategy "sampling") from one
-default_rng(cfg.seed) per call, block after block, so its draws depend on
-the blocking: a cp call over more than SCORER_ROWS inputs draws other
-anchors than one block would.  cl draws trajectory j of input i (its row
+Random streams: cp and full draw nothing; cp's anchor is a fixed rule of
+the state (argmax or argmin).  cl draws trajectory j of input i (its row
 in the call) from default_rng([cfg.seed + i, j]): one uniform for the
-start label and one per step, so its results do not depend on the
-blocking, and input i run alone with seed cfg.seed + i matches.
+start label and one per step.  So no estimator's result depends on the
+blocking, and for cl input i run alone with seed cfg.seed + i matches.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from .schedule import LogLinearSchedule
 from .score import Scorer, floor_probs
 from .transition import ensure_distribution, sample_categorical_rows
 
-STRATEGIES = ("argmax", "sampling", "argmin")
+STRATEGIES = ("argmax", "argmin")
 # A denoised score entry below zero by at most ROUNDOFF * c is roundoff, not a
 # scorer below the uniform floor c: clipped, but not counted as clipping.
 ROUNDOFF = 64 * np.finfo(np.float64).eps
@@ -82,14 +80,14 @@ MIN_KEPT_SHARE = 1e-8
 # 51.4 for full at 8,192 rows on one worker, and at 44.8, 47.0 and 44.7 at
 # 4,096 on two, each block's prepared rows dropped before the next
 # block's.  Larger blocks cost memory and gained no speed: at 16,384 rows the
-# same cl eval peaked at 76 MiB and ran no faster than at 8,192.  cp's
-# "sampling" draws depend on the blocking (see Random streams above), so they
-# now change above 4,096 inputs, where they changed above 8,192 before.
+# same cl eval peaked at 76 MiB and ran no faster than at 8,192.
 SCORER_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """One posterior call's settings; seed keys cl's streams, the only random draws."""
+
     n_steps: int = 256
     strategy: str = "argmin"
     n_samples: int = 16
@@ -135,13 +133,10 @@ def step_times(n_steps: int) -> list[tuple[float, float]]:
     return [(1.0 - k * dt, dt) for k in range(n_steps)]
 
 
-def _select_labels_batch(p: np.ndarray, strategy: str, rng: np.random.Generator) -> np.ndarray:
-    """Anchor per row for the next scorer call; ties broken by lowest index."""
-    if strategy == "argmax":
-        return np.argmax(p, axis=1)
-    if strategy == "argmin":
-        return np.argmin(p, axis=1)
-    return sample_categorical_rows(p, rng.random(p.shape[0]))
+def _select_labels_batch(p: np.ndarray, strategy: str) -> np.ndarray:
+    """cp's anchor per row for the next scorer call: the most ("argmax") or least
+    ("argmin") probable label of the row's state, ties broken by lowest index."""
+    return np.argmax(p, axis=1) if strategy == "argmax" else np.argmin(p, axis=1)
 
 
 def _kept_share(schedule: LogLinearSchedule, t: float, dt: float, k: int) -> float:
@@ -305,7 +300,6 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     n_blocks = -(-n // per_block)
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     steps = check_samplable(schedule, k, cfg.n_steps, f"{method} posterior")
-    rng = np.random.default_rng(cfg.seed)
     probs, clamp, trajectories = [], [], []
     n_clamped = 0
     for lo, hi in zip(bounds, bounds[1:]):
@@ -324,7 +318,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
         snapshots = [_distribution(state, nb, k)] if cfg.record_trajectory else None
         for step, (t, e) in enumerate(steps):
             if method == "cp":
-                anchors = _select_labels_batch(state, cfg.strategy, rng)
+                anchors = _select_labels_batch(state, cfg.strategy)
             elif method == "cl":
                 anchors = state
             # The scores go straight into the step, so neither they nor the
@@ -353,12 +347,10 @@ def posterior_cp_batch(features: np.ndarray, scorer: Scorer, schedule: LogLinear
                        cfg: SamplerConfig):
     """Class-probability reversal for rows of inputs, one scorer call per step and block.
 
-    Returns (posteriors (n, K), clamp mass per row, trajectory or None).
-    The trajectory stacks the per-step probability snapshots including the
-    uniform start, shape (n_steps + 1, n, K).
+    Returns (posteriors (n, K), clamp mass per row).
     """
     est, clamp = _reverse("cp", features, scorer, schedule, cfg)
-    return est.probs, clamp, est.trajectory
+    return est.probs, clamp
 
 
 def posterior_cp(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,

@@ -380,7 +380,7 @@ def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np
         check_samplable(config.schedule(), task.k, EVAL_STEPS, "validation")
         eval_y, eval_c = (a[:EVAL_SUBSET] for a in eval_data)
         eval_q = true_posterior_batch(task, eval_y, corruption)
-        cp_cfg = SamplerConfig(n_steps=EVAL_STEPS, seed=config.seed)
+        cp_cfg = SamplerConfig(n_steps=EVAL_STEPS)
     scorer = MlpScorer(config.mlp_config(task.k, task.dim), config.schedule(), seed=config.seed)
     if cross_entropy:
         # Zero conditioning projections start the baseline as the plain classifier; random
@@ -413,7 +413,7 @@ def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np
                 n_batches += 1
             opt.work.clear()        # the validation reuses the step arrays' memory
             if eval_data is not None:
-                p0, _, _ = posterior_cp_batch(eval_y, scorer, scorer.schedule, cp_cfg)
+                p0, _ = posterior_cp_batch(eval_y, scorer, scorer.schedule, cp_cfg)
                 tv = float(0.5 * np.abs(p0 - eval_q).sum(axis=1).mean())
                 top1 = float((np.argmax(p0, axis=1) == eval_c).mean())
         except NumericalError as exc:

@@ -195,8 +195,8 @@ def test_criterion_5_posterior_recovery():
     tvs = {}
     clamp_at_256 = None
     for steps in (2, 4, 8, 16, 32, 64, 128, 256):
-        probs, clamp, _ = posterior_cp_batch(y, scorer, TV_SCHEDULE,
-                                             SamplerConfig(n_steps=steps))
+        probs, clamp = posterior_cp_batch(y, scorer, TV_SCHEDULE,
+                                          SamplerConfig(n_steps=steps))
         tvs[steps] = float(0.5 * np.abs(probs - q_true).sum(axis=1).mean())
         if steps == 256:
             clamp_at_256 = float(clamp.mean())
@@ -242,8 +242,8 @@ def test_criterion_7_trained_accuracy_reaches_reference(trained_reference):
     scorers, test_y, test_c = trained_reference
     accs = {}
     for seed, scorer in scorers.items():
-        probs, _, _ = posterior_cp_batch(test_y, scorer, scorer.schedule,
-                                         SamplerConfig(n_steps=8, seed=seed))
+        probs, _ = posterior_cp_batch(test_y, scorer, scorer.schedule,
+                                      SamplerConfig(n_steps=8, seed=seed))
         accs[seed] = float(topk_hits(probs, test_c, 1).mean())
     elapsed = time.perf_counter() - t0
     se = np.sqrt(PINNED_BAYES * (1 - PINNED_BAYES) / len(test_c))
@@ -285,8 +285,8 @@ def test_criterion_9_few_step_efficiency(trained_reference):
     scorer = scorers[0]
     accs = {}
     for steps in (2, 64):
-        probs, _, _ = posterior_cp_batch(test_y, scorer, scorer.schedule,
-                                         SamplerConfig(n_steps=steps, seed=0))
+        probs, _ = posterior_cp_batch(test_y, scorer, scorer.schedule,
+                                      SamplerConfig(n_steps=steps, seed=0))
         accs[steps] = float(topk_hits(probs, test_c, 1).mean())
     gap = abs(accs[2] - accs[64])
     _verdict(9, gap <= 0.005,

@@ -136,7 +136,7 @@ class TestOtherCommands:
         assert cli.main(["ablate", "--data", train, "--checkpoint", ckpt, "--steps", "4",
                          "--n-eval", "50", "--seed", "0", "--out", out]) == 0
         lines = Path(out).read_text().splitlines()
-        assert len(lines) == 4  # header + 3 strategies
+        assert [line.split(",")[0] for line in lines] == ["strategy", "argmax", "argmin"]
 
     def test_trace(self, trained):
         train, ckpt, tmp_path = trained
@@ -637,29 +637,44 @@ class TestErrorContract:
         assert message in err and calls == []
         assert not (tmp_path / "grid.csv").exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("train", "--checkpoint"), ("train", "--out"), ("compare", "--out"),
-        ("gen-data", "--stem"), ("gen-data", "--out")])
+    @pytest.mark.parametrize("command, flag, directory", [
+        pytest.param(command, flag, directory, id=f"{command}-{flag}" + (
+            "" if directory is None else f"-is-a-directory{directory}"))
+        for command, flag, directory in [
+            ("train", "--checkpoint", None), ("train", "--out", None), ("compare", "--out", None),
+            ("gen-data", "--stem", None), ("gen-data", "--out", None),
+            ("train", "--checkpoint", ""), ("train", "--checkpoint", ".meta"),
+            ("train", "--out", ""), ("compare", "--out", ""), ("eval", "--out", ""),
+            ("gen-data", "--stem", ".bin"), ("gen-data", "--stem", ".meta"),
+            ("gen-data", "--out", "")]])
     def test_an_output_in_a_missing_directory_exits_2_before_any_work(
-            self, tmp_path, monkeypatch, capsys, command, flag):
-        """The check comes before the data is drawn, the model trained or the grid
-        run, and creates no file."""
+            self, tmp_path, monkeypatch, capsys, command, flag, directory):
+        """An output in a directory that does not exist (directory None), or whose path
+        plus the suffix `directory` is an existing directory, exits 2 before the data is
+        drawn, the model trained, or the grid or posterior run, and creates no file."""
         stem = _gen(tmp_path, "d", 64, seed=0)
 
         def no_work(*args, **kwargs):
             raise AssertionError("the command started its work")
 
-        for module, name in ((cli, "fit"), (harness, "compare_grid"), (cli, "generate")):
+        for module, name in ((cli, "fit"), (harness, "compare_grid"), (cli, "generate"),
+                             (harness, "evaluate_on")):
             monkeypatch.setattr(module, name, no_work)
-        missing = str(tmp_path / "missing" / "x")
+        if directory is None:
+            path = str(tmp_path / "missing" / "x")
+            message = f"directory {tmp_path / 'missing'} does not exist"
+        else:
+            path = str(tmp_path / "adir")
+            os.mkdir(path + directory)
+            message = f"{path + directory} is a directory"
         argv = {"train": ["train", "--data", stem, "--checkpoint", str(tmp_path / "m.ckpt")],
-                "compare": ["compare"], "gen-data": ["gen-data", "--stem", str(tmp_path / "e")]}
+                "compare": ["compare"], "gen-data": ["gen-data", "--stem", str(tmp_path / "e")],
+                "eval": ["eval", "--data", stem, "--checkpoint", str(tmp_path / "none.ckpt")]}
         before = sorted(os.listdir(tmp_path))
         capsys.readouterr()
-        rc = cli.main(argv[command] + [flag, missing])
+        rc = cli.main(argv[command] + [flag, path])
         err = capsys.readouterr().err
-        assert rc == 2 and err == (f"error: {flag} {missing}: directory "
-                                   f"{tmp_path / 'missing'} does not exist\n"), err
+        assert rc == 2 and err == f"error: {flag} {path}: {message}\n", err
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_fractional_mask_level_exits_2(self, tmp_path, capsys):
@@ -687,6 +702,19 @@ class TestErrorContract:
         assert exc.value.code == 2
         assert "unrecognized arguments: --stratified-t" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_sampling_strategy_is_gone(self, tmp_path, capsys):
+        """The random anchor rule was deleted: an old script's --strategy sampling
+        exits 2 through argparse's choices."""
+        stem = _gen(tmp_path, "d", 16, seed=0)
+        out = tmp_path / "e.csv"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--data", stem, "--checkpoint", str(tmp_path / "none.ckpt"),
+                      "--strategy", "sampling", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sampling'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_reports_the_rows_it_trained_on(self, tmp_path):
         out = str(tmp_path / "grid.csv")

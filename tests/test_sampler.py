@@ -17,6 +17,7 @@ from diffclass.sampler import (STRATEGIES, SamplerConfig, _cl_step_batch,
                                posterior_cp_batch, posterior_full, reverse_step_full, step_times)
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import PROB_FLOOR
+from diffclass.train import TrainConfig, fit
 from diffclass.transition import forward_marginal
 from oracles import ExactScorer, UniformScorer
 
@@ -107,20 +108,15 @@ class TestReverseStepFull:
 
 class TestSelectLabel:
     def test_argmin_ties_take_lowest_index(self):
-        rng = np.random.default_rng(1)
         p = np.array([[0.8, 0.1, 0.1]])
-        assert _select_labels_batch(p, "argmin", rng).tolist() == [1]
-        assert _select_labels_batch(p, "argmax", rng).tolist() == [0]
-
-    def test_sampling_one_hot(self):
-        rng = np.random.default_rng(2)
-        p = np.zeros((1, 5))
-        p[0, 3] = 1.0
-        assert all(_select_labels_batch(p, "sampling", rng)[0] == 3 for _ in range(20))
+        assert _select_labels_batch(p, "argmin").tolist() == [1]
+        assert _select_labels_batch(p, "argmax").tolist() == [0]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
             SamplerConfig(strategy="best")
+        with pytest.raises(ValidationError):   # deleted: its anchors were random draws
+            SamplerConfig(strategy="sampling")
 
 
 class TestPosteriorCp:
@@ -153,7 +149,7 @@ class TestPosteriorCp:
     def test_exact_scorer_recovers_posterior(self):
         task, schedule, scorer, y, _ = _exact_setup(n=40)
         q_true = true_posterior_batch(task, y)
-        probs, clamp, _ = posterior_cp_batch(y, scorer, schedule, SamplerConfig(n_steps=256))
+        probs, clamp = posterior_cp_batch(y, scorer, schedule, SamplerConfig(n_steps=256))
         tv = 0.5 * np.abs(probs - q_true).sum(axis=1)
         assert tv.mean() < 1e-2
         assert clamp.mean() < 1e-3
@@ -163,19 +159,19 @@ class TestPosteriorCp:
         q_true = true_posterior_batch(task, y)
         tvs = []
         for steps in (2, 4, 8, 16, 32, 64):
-            probs, _, _ = posterior_cp_batch(y, scorer, schedule, SamplerConfig(n_steps=steps))
+            probs, _ = posterior_cp_batch(y, scorer, schedule, SamplerConfig(n_steps=steps))
             tvs.append(0.5 * np.abs(probs - q_true).sum(axis=1).mean())
         assert all(tvs[i + 1] <= tvs[i] + 1e-3 for i in range(len(tvs) - 1))
 
     def test_strategy_invariance_with_exact_scorer(self):
         _, schedule, scorer, y, _ = _exact_setup(n=4)
+        assert STRATEGIES == ("argmax", "argmin")
         outs = []
-        for strategy in ("argmax", "sampling", "argmin"):
-            cfg = SamplerConfig(n_steps=32, strategy=strategy, seed=5)
-            probs, _, _ = posterior_cp_batch(y, scorer, schedule, cfg)
+        for strategy in STRATEGIES:
+            cfg = SamplerConfig(n_steps=32, strategy=strategy)
+            probs, _ = posterior_cp_batch(y, scorer, schedule, cfg)
             outs.append(probs)
         assert np.abs(outs[0] - outs[1]).max() < 1e-10
-        assert np.abs(outs[0] - outs[2]).max() < 1e-10
 
     def test_trajectory_recording(self):
         _, schedule, scorer, y, _ = _exact_setup(n=1)
@@ -184,6 +180,45 @@ class TestPosteriorCp:
         assert est.trajectory.shape == (9, 10)
         np.testing.assert_allclose(est.trajectory[0], 0.1, atol=1e-15)
         np.testing.assert_allclose(est.trajectory[-1], est.probs, atol=1e-15)
+
+
+class TestCpDrawsNothing:
+    """cp's anchors are a fixed rule of its state, so it draws no random number and
+    its posteriors do not depend on how the engine blocks the inputs."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        task = MixtureTask.ring(8, 2, separation=3.0)
+        config = TrainConfig(epochs=1, batch_size=128, seed=0, embed_dim=16, hidden_dim=32,
+                             n_blocks=2, time_embed_dim=16)
+        scorer, _ = fit(config, task, generate(task, 4000, CorruptionSpec(),
+                                               np.random.default_rng(0)))
+        y, _ = generate(task, 7000, CorruptionSpec(), np.random.default_rng(1))
+        return scorer, y
+
+    @pytest.mark.parametrize("strategy", ["argmin", "argmax"])
+    def test_learned_scorer_posteriors_do_not_depend_on_the_blocking(
+            self, trained, strategy, monkeypatch):
+        """7,000 inputs as two blocks, whose scorer calls run 1,166- and 1,167-row
+        tiles, and as one block of 1,000-row tiles: the same posteriors, bit for bit."""
+        scorer, y = trained
+        cfg = SamplerConfig(n_steps=4, strategy=strategy)
+        probs = []
+        for rows in (4096, 8192):
+            monkeypatch.setattr(sampler, "SCORER_ROWS", rows)
+            probs.append(posterior_cp_batch(y, scorer, scorer.schedule, cfg)[0])
+        assert np.array_equal(probs[0], probs[1])
+
+    @pytest.mark.parametrize("strategy", ["argmin", "argmax"])
+    def test_a_posterior_builds_no_generator(self, trained, strategy, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("cp built a random generator")
+
+        scorer, y = trained
+        monkeypatch.setattr(sampler.np.random, "default_rng", no_generator)
+        est = posterior_cp(y[:50], scorer, scorer.schedule,
+                           SamplerConfig(n_steps=4, strategy=strategy))
+        np.testing.assert_allclose(est.probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestClStep:
@@ -376,7 +411,7 @@ class TestPreparedFeatures:
         sampler_cfg = SamplerConfig(n_steps=5, n_samples=6, seed=2)
         y = np.random.default_rng(3).standard_normal((7, 2))
         if method == "cp":
-            probs, _, _ = posterior_cp_batch(y, scorer, schedule, sampler_cfg)
+            probs, _ = posterior_cp_batch(y, scorer, schedule, sampler_cfg)
             rows, nfe = 7, 5
         else:
             runner = posterior_cl if method == "cl" else posterior_full
@@ -429,7 +464,7 @@ class TestClampAccounting:
         assert est["cp"].n_clamped == est["full"].n_clamped
         assert est["cp"].clamp_mass == pytest.approx(est["full"].clamp_mass, rel=1e-10)
         # clamp_mass is the per-input sum over steps, averaged over the inputs
-        _, clamp_rows, _ = posterior_cp_batch(y, scorer, schedule, cfg)
+        _, clamp_rows = posterior_cp_batch(y, scorer, schedule, cfg)
         assert est["cp"].clamp_mass == pytest.approx(clamp_rows.mean(), rel=1e-14)
         # and n_clamped adds up over inputs run one at a time
         for method in ("cp", "full"):
@@ -473,10 +508,10 @@ class TestSamplerProperties:
     def test_on_simplex_with_documented_nfe_and_row_independent(self, case, method, block_rows):
         """Each estimator stays on the simplex with its documented nfe or raises
         NumericalError, in any blocking; with the exact scorer, rows run at once
-        equal rows run one at a time (input i with seed + i).  cp's "sampling"
-        strategy draws its anchors from one stream per call, so those anchors,
-        and the roundoff they bring, differ between the two; a step that keeps
-        a share e of the label signal divides the score column's roundoff by e."""
+        equal rows run one at a time (input i with seed + i): bit for bit for
+        cp under either anchor rule and for cl; for full to roundoff, which its
+        batched matrix products order differently, and which a step that keeps
+        a share e of the label signal divides by e."""
         scorer, schedule, cfg, y = case
         n, k = y.shape[0], scorer.k
         with mock.patch.object(sampler, "SCORER_ROWS", block_rows):
@@ -497,7 +532,7 @@ class TestSamplerProperties:
             return
         assert all(s is not None for s in singles)
         one_at_a_time = np.stack([s.probs for s in singles])
-        if method == "full" or (method == "cp" and cfg.strategy == "sampling"):
+        if method == "full":
             amplified = sum(1.0 / sampler._kept_share(schedule, t, dt, k)
                             for t, dt in step_times(cfg.n_steps))
             atol = 1e-12 + 16 * np.finfo(np.float64).eps * amplified
