@@ -127,8 +127,8 @@ def selection_ablation(scorer: Scorer, task: MixtureTask, corruption: Corruption
                        seed: int) -> list[dict]:
     """Class-probability sampler under each anchor-selection strategy.
 
-    Strategies can only differ for imperfect scorers; the best row is
-    flagged, nothing is asserted about which wins.
+    Strategies can only differ for imperfect scorers; every row that ties
+    the highest top1 is flagged best, nothing is asserted about which wins.
     """
     rows = []
     for strategy in STRATEGIES:
@@ -137,9 +137,9 @@ def selection_ablation(scorer: Scorer, task: MixtureTask, corruption: Corruption
                           np.random.default_rng(seed), schedule, method="cp")
         rows.append({"strategy": strategy, "top1": report.top1, "top5": report.top5,
                      "nfe": report.nfe})
-    best = max(range(len(rows)), key=lambda i: rows[i]["top1"])
-    for i, row in enumerate(rows):
-        row["best"] = 1 if i == best else 0
+    best = max(row["top1"] for row in rows)
+    for row in rows:
+        row["best"] = int(row["top1"] == best)
     return rows
 
 

@@ -12,10 +12,15 @@ Read at one fixed (anchor, t), where the conditioning is a constant each
 block's cb could hold, the same network is the comparison grid's softmax
 baseline of matched capacity (train.fit with cross_entropy).
 
-Parameters live as float64 arrays in a flat dict.  A checkpoint
-(save_params, load_params) is the bare little-endian float32 parameters
-in a fixed order, described only by its plain-text .meta header, whose
-key=value grammar datasets share (data.read_header).
+Parameters live as float32 arrays in a flat dict: init_params rounds its
+float64 draws once, and training updates them in float32 (train.AdamState).
+A checkpoint (save_params, load_params) is those float32 values, bare and
+little-endian, in a fixed order, described only by its plain-text .meta
+header, whose key=value grammar datasets share (data.read_header); so a
+loaded scorer is the saved one, bit for bit.  Float64 stays in the
+conditioning and the head, which cast the small tables they read (embed,
+time_w, time_b, out_w, out_b) to float64 exactly (_cast), and in
+everything downstream of the logits.
 Every GroupNorm group holds at least MIN_GROUP_UNITS units (MlpConfig).
 
 Both forwards run on one form of the parameters (inference_params): every
@@ -25,19 +30,19 @@ block's GroupNorm gain and shift are halved, and b2 joins the
 conditioning bias cb.
 
 Training (MlpScorer.logits, forward_logits) builds the form from the
-float64 master parameters at every forward: the trunk in the dtype of the
+master parameters at every forward: the trunk in the dtype of the
 features, the head in float64.  The cache keeps each block's input, every
 SiLU's output s and t = 1 + tanh u, and each GroupNorm's xhat and
 variance; the backward takes each SiLU's slope in u as t + s * (2 - t)
 (_silu_slope), and param_grads maps the form's gradients back to the
-master parameters exactly.  On float64 features (the finite-difference
-gradient tests) the whole path stays float64.  Every array of a training
-forward and backward (the form, the logits, the cache and the backward's
-temporaries) comes from _array: in a fit, from the optimizer's workspace
-(train.AdamState.work), which keeps one array per name from the first
-step on, a short tail batch taking views of their first rows; without a
-workspace (MlpScorer.logits called on its own), new arrays, from the
-same code.
+master parameters exactly.  On float64 features and float64 parameters
+(the finite-difference gradient tests) the whole path stays float64.
+Every array of a training forward and backward (the form, the logits, the
+cache and the backward's temporaries) comes from _array: in a fit, from
+the optimizer's workspace (train.AdamState.work), which keeps one array
+per name from the first step on, a short tail batch taking views of their
+first rows; without a workspace (MlpScorer.logits called on its own), new
+arrays, from the same code.
 
 Inference (MlpScorer.prepare, inference_logits) builds the form once per
 prepare call, in float32, and keeps no cache.  Its GroupNorm
@@ -234,17 +239,32 @@ def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
     """He-style init of the weight matrices, small embeddings, unit GroupNorm gains.
 
     Biases and the output head start at zero, so the initial scores are all ones.
+    The draws are float64, each rounded once to the float32 the parameters live in.
     """
     rng = np.random.default_rng(seed)
     p: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
         if name == "embed":
-            p[name] = 0.1 * rng.standard_normal(shape)
+            value = 0.1 * rng.standard_normal(shape)
         elif len(shape) == 2 and name != "out_w":
-            p[name] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
         else:
-            p[name] = np.ones(shape) if name.startswith("gn_g_") else np.zeros(shape)
+            value = np.ones(shape) if name.startswith("gn_g_") else np.zeros(shape)
+        p[name] = value.astype(np.float32)
     return p
+
+
+def _cast(work: dict | None, name: str, value: np.ndarray, dtype) -> np.ndarray:
+    """value in dtype: itself when it is, else a copy in an array from work (_array).
+
+    The float64 stages (the conditioning, the head) cast their float32 tables
+    first: numpy's mixed-dtype matmul does not round like the float64 BLAS
+    product, and np.take will not gather float32 into float64."""
+    if value.dtype == dtype:
+        return value
+    out = _array(work, f"{np.dtype(dtype).name}.{name}", value.shape, dtype)
+    np.copyto(out, value)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,13 +445,15 @@ def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig, dtype,
     halved, exactly, so every SiLU's input arrives at half scale for
     silu_from_half; gn_scale spreads the halved gain into the
     (groups, hidden) matrix E * gamma / 2 (E the 0/1 group expansion) for
-    _inference_groupnorm; cb becomes cb + b2, which inference adds to the
-    few distinct (anchor, t) rows of a call.  Entries already in dtype
-    (w2 and cw in float64) are the master arrays themselves.  Each entry is
-    computed in float64 and rounded once to dtype, into arrays from work
-    (_array): a training step rebuilds the form in the same arrays.
+    _inference_groupnorm; cb becomes cb + b2, summed in float64 and rounded
+    once to dtype, which inference adds to the few distinct (anchor, t)
+    rows of a call.  Entries already in dtype (w2 and cw of float32 masters
+    in a float32 form) are the master arrays themselves, the others casts
+    (_cast), and the head's out_w and out_b are cast to float64.  Every
+    entry that is not a master array is an array from work (_array): a
+    training step rebuilds the form in the same arrays.
     """
-    expand = _group_expand(cfg.hidden_dim, cfg.groups, np.float64)
+    expand = _group_expand(cfg.hidden_dim, cfg.groups, dtype)
 
     def entry(name: str, shape: tuple[int, ...]) -> np.ndarray:
         return _array(work, f"form.{name}", shape, dtype)
@@ -439,24 +461,20 @@ def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig, dtype,
     def half(name: str) -> np.ndarray:
         return np.multiply(params[name], 0.5, out=entry(name, params[name].shape))
 
-    def cast(name: str) -> np.ndarray:
-        if params[name].dtype == dtype:
-            return params[name]
-        out = entry(name, params[name].shape)
-        np.copyto(out, params[name])
-        return out
+    def cast(name: str, to) -> np.ndarray:
+        return _cast(work, f"form.{name}", params[name], to)
 
     q = {"in_w": half("in_w"), "in_b": half("in_b")}
     for b in range(cfg.n_blocks):
         gamma = half(f"gn_g_{b}")
         q.update({f"w1_{b}": half(f"w1_{b}"), f"b1_{b}": half(f"b1_{b}"),
-                  f"w2_{b}": cast(f"w2_{b}"), f"cw_{b}": cast(f"cw_{b}"),
-                  f"cb_{b}": np.add(params[f"cb_{b}"], params[f"b2_{b}"],
+                  f"w2_{b}": cast(f"w2_{b}", dtype), f"cw_{b}": cast(f"cw_{b}", dtype),
+                  f"cb_{b}": np.add(params[f"cb_{b}"], params[f"b2_{b}"], dtype=np.float64,
                                     out=entry(f"cb_{b}", params[f"cb_{b}"].shape)),
                   f"gn_g_{b}": gamma, f"gn_b_{b}": half(f"gn_b_{b}"),
                   f"gn_scale_{b}": np.multiply(expand, gamma, out=entry(
                       f"gn_scale_{b}", (cfg.groups, cfg.hidden_dim)))})
-    q.update(out_w=params["out_w"], out_b=params["out_b"])
+    q.update(out_w=cast("out_w", np.float64), out_b=cast("out_b", np.float64))
     return q
 
 
@@ -601,19 +619,21 @@ class MlpScorer(Scorer):
         time embedding reads the fraction of the total noise reached by t.
 
         anchors must lie in [0, K), as _check_rows makes sure: the embedding
-        rows are gathered without a bounds check.  The arrays come from work
-        (_array).
+        rows are gathered without a bounds check.  It runs in float64, on
+        float64 casts of the embed, time_w and time_b tables; the arrays come
+        from work (_array).
         """
         tf = time_features(self.schedule.sigma_bar(t) / self.schedule.sigma_bar_max,
                            self.cfg.time_embed_dim, work)
         shape = (len(anchors), self.cfg.embed_dim)
+        embed, time_w, time_b = (_cast(work, name, self.params[name], np.float64)
+                                 for name in ("embed", "time_w", "time_b"))
         # "clip" gathers what "raise" would for indices in range, without the buffered
         # copy numpy makes for out= under "raise".
-        cond = np.take(self.params["embed"], anchors, axis=0, mode="clip",
+        cond = np.take(embed, anchors, axis=0, mode="clip",
                        out=_array(work, "cond", shape, np.float64))
-        cond += np.matmul(tf, self.params["time_w"].T, out=_array(work, "time_proj", shape,
-                                                                 np.float64))
-        cond += self.params["time_b"]
+        cond += np.matmul(tf, time_w.T, out=_array(work, "time_proj", shape, np.float64))
+        cond += time_b
         return cond, tf
 
     def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray,
@@ -756,27 +776,36 @@ class MlpScorer(Scorer):
 
     def param_grads(self, dz: np.ndarray, cache: dict,
                     out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Float64 gradients of every parameter, in the order of self.params, given dL/dz.
+        """Gradients of every parameter, in the order of self.params, given dL/dz.
 
-        They are written into out, float64 arrays named like self.params
-        (an optimizer workspace's gradient views), when it is given, and
-        into new arrays otherwise.  The gradients of the inference form map
-        back to the master parameters exactly: an entry the form halves
-        (HALVED) takes half its form gradient, and b2, which the form's cb
-        holds, takes cb's.  The embedding gradient, a scatter-add of
-        dL/dcond over the anchors, is taken as a one-hot matmul.
+        They are written into out, arrays named like self.params (an
+        optimizer workspace's float32 gradient views), when it is given, and
+        into new arrays of the parameters' dtypes otherwise; each is computed
+        in its stage's dtype and rounded once into them.  The gradients of
+        the inference form map back to the master parameters exactly: an
+        entry the form halves (HALVED) takes half its form gradient, and b2,
+        which the form's cb holds, takes cb's.  The embedding gradient, a
+        scatter-add of dL/dcond over the anchors, is taken as a one-hot
+        matmul in float64.
         """
-        g = backward_logits(cache["params"], self.cfg, dz, cache)
-        dcond = _array(cache["work"], "dcond64", g["_dcond"].shape, np.float64)
+        g, work = backward_logits(cache["params"], self.cfg, dz, cache), cache["work"]
+        dcond = _array(work, "dcond64", g["_dcond"].shape, np.float64)
         np.copyto(dcond, g.pop("_dcond"))
         if out is None:
             out = {name: np.empty_like(v) for name, v in self.params.items()}
         onehot = np.equal.outer(cache["anchors"], np.arange(self.k)).astype(np.float64)
-        np.matmul(onehot.T, dcond, out=out["embed"])
-        np.matmul(dcond.T, cache["tf"], out=out["time_w"])
-        np.sum(dcond, axis=0, out=out["time_b"])
+        g["embed"] = np.matmul(onehot.T, dcond,
+                               out=_array(work, "grad.embed", out["embed"].shape, np.float64))
+        g["time_w"] = np.matmul(dcond.T, cache["tf"],
+                                out=_array(work, "grad.time_w", out["time_w"].shape, np.float64))
+        g["time_b"] = dcond.sum(axis=0)
+        # Rounded into out by copyto: an out= matmul or multiply that casts makes numpy
+        # allocate a buffer, 32-64 KiB a call at the reference model's sizes.
         for name, grad in g.items():
-            np.multiply(grad, 0.5 if name.startswith(HALVED) else 1.0, out=out[name])
+            if name.startswith(HALVED):
+                np.multiply(grad, 0.5, out=out[name])
+            else:
+                np.copyto(out[name], grad)
         for b in range(self.cfg.n_blocks):
             np.copyto(out[f"b2_{b}"], g[f"cb_{b}"])
         return out
@@ -813,7 +842,8 @@ def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
 
 
 def load_params(path: str):
-    """Read a checkpoint; returns (params, cfg, schedule).
+    """Read a checkpoint; returns (params, cfg, schedule), params as float32 views of
+    one buffer that holds the file's bytes.
 
     Raises ValidationError naming the file when the .meta header is missing,
     is not UTF-8 text, is not a version-2 scorer checkpoint's or holds a
@@ -837,15 +867,18 @@ def load_params(path: str):
                 for b in (1, 2))
     count = one + (cfg.n_blocks - 1) * (two - one)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) != 4 * count:
-        raise ValidationError(f"{path}: {len(raw)} bytes, where the .meta header describes "
+        size = os.fstat(fh.fileno()).st_size
+        if size == 4 * count:
+            # Read straight into the parameters' buffer; on a little-endian machine
+            # "<f4" is float32, and astype makes no copy.
+            values = np.empty(count, "<f4")
+            size = fh.readinto(values)
+    if size != 4 * count:
+        raise ValidationError(f"{path}: {size} bytes, where the .meta header describes "
                               f"{4 * count} bytes ({count} float32 parameters)")
-    values = np.frombuffer(raw, dtype="<f4")
-    # Checked before the float64 cast, which warns on a signalling NaN.
+    values = values.astype(np.float32, copy=False)
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{path}: holds non-finite values")
-    values = values.astype(np.float64)
     params, start = {}, 0
     for name, shape in sorted(param_shapes(cfg).items()):
         params[name] = values[start:start + math.prod(shape)].reshape(shape)

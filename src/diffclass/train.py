@@ -6,16 +6,18 @@ through the closed-form forward marginal, sample a noisy label from it,
 form the true ratio column against that anchor, score with the network,
 and descend the score-entropy objective with an adaptive-moment update.
 
-fit trains in mixed precision: it casts the features to float32 once, so
-the scorer's forward and backward run the trunk in float32 (the head stays
-float64), on a float32 inference form of the parameters that each forward
-builds from the master ones (mlp.inference_params), while the master
-parameters, the gradients, the Adam moments and the checkpoints stay
-float64.  train_step itself runs in the dtype of the features it is
-given; on float64 features the whole step is float64.
+fit trains in float32 with a float64 head: it casts the features to
+float32 once, so the scorer's forward and backward run the trunk in
+float32, on a float32 inference form of the parameters that each forward
+builds from the master ones (mlp.inference_params); the conditioning, the
+head and the loss stay float64.  The master parameters, their gradients,
+the Adam moments and so the checkpoints are float32: the optimizer's
+buffers are, and the gradient norm and the Adam step run in float32, so a
+checkpoint holds exactly the parameters the fit ends with.  train_step
+itself runs the trunk in the dtype of the features it is given.
 
 Each optimizer (AdamState) owns one workspace, allocated once per fit:
-contiguous float64 buffers for the parameters, their gradients, the two
+contiguous float32 buffers for the parameters, their gradients, the two
 moments and the epoch's starting parameters, one small scratch array, and
 the step arrays (work).  The scorer's params entries are views into the
 parameter buffer, and param_grads writes into the gradient buffer's views, so
@@ -112,7 +114,7 @@ class TrainConfig:
 
 
 # The dtype fit casts the training features to, and so the dtype of the trunk's
-# forward and backward; the master parameters stay float64 whatever it is.
+# forward and backward; the optimizer's buffers are float32 whatever it is.
 TRAIN_FEATURE_DTYPE = np.float32
 
 # The (anchor, t) at which the cross-entropy baseline reads its scorer.
@@ -133,16 +135,18 @@ def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-# Elements per slice of adam_update.  Five float64 slices of this size (640 KiB)
-# stay in a 2 MiB L2 cache; on such a Xeon the reference model's 130,888-element
-# step ran in 0.74 ms this way against 0.89 ms over the whole buffers.
-ADAM_CHUNK = 16384
+# Elements per slice of adam_update.  Five float32 slices of this size (640 KiB)
+# stay in a 2 MiB L2 cache.  On such a Xeon (2 vCPUs, medians of 9 runs of 400
+# steps) the reference model's 130,888-element float32 step took 0.345 ms in
+# slices of 16,384 elements, 0.296 ms in slices of 32,768, and 0.293 ms in
+# slices of 65,536 and over the whole buffers; the float64 step took 0.76 ms.
+ADAM_CHUNK = 32768
 
 
 class AdamState:
     """Adam's step count and the optimizer's one workspace.
 
-    The workspace is four contiguous float64 buffers of the parameters'
+    The workspace is four contiguous float32 buffers of the parameters'
     total size, rows of one block: the master parameters (flat), their
     gradients (grad) and the two moments (m, v); one more, the epoch's
     snapshot of flat (best); one scratch buffer of ADAM_CHUNK elements for
@@ -159,10 +163,10 @@ class AdamState:
     def __init__(self, params: dict[str, np.ndarray]):
         size = sum(np.size(v) for v in params.values())
         self.step = 0
-        self.flat, self.grad, self.m, self.v = np.zeros((4, size))
+        self.flat, self.grad, self.m, self.v = np.zeros((4, size), np.float32)
         # Apart from flat's block, which the scorer's parameter views keep alive after the fit.
-        self.best = np.empty(size)
-        self.scratch = np.empty(min(size, ADAM_CHUNK))
+        self.best = np.empty(size, np.float32)
+        self.scratch = np.empty(min(size, ADAM_CHUNK), np.float32)
         self.work: dict[str, np.ndarray] = {}
         self.params = self._views(self.flat, params)
         self.grads = self._views(self.grad, params)
@@ -180,7 +184,8 @@ class AdamState:
         """Make params' entries the workspace's views, copying in any array that is not.
 
         An entry a caller replaced with a new array since the last pack is
-        copied into the buffer here; one changed in place already is the buffer.
+        copied into the buffer here, rounded to float32; one changed in place
+        already is the buffer.
         """
         for name, view in self.params.items():
             value = params[name]

@@ -214,6 +214,17 @@ def fit_data(task: MixtureTask, n_train: int, n_eval: int, seed: int):
     return tuple(generate(task, n, CorruptionSpec(), rng) for n in (n_train, n_eval))
 
 
+def in_float64(scorer):
+    """The scorer, its float32 parameters replaced by float64 copies.
+
+    A float32 entry cannot take a finite difference's small step.  On
+    float64 parameters and float64 features the training forward, the
+    backward and the gradients run in float64 throughout.
+    """
+    scorer.params = {name: value.astype(np.float64) for name, value in scorer.params.items()}
+    return scorer
+
+
 class UniformScorer(Scorer):
     """All-ones scores for every query; the uniform-belief fixed point."""
 

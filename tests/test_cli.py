@@ -60,6 +60,22 @@ class TestTrainEval:
         assert rc == 0
         assert Path(out).read_text().startswith("method,steps")
 
+    def test_validation_equals_eval_of_the_checkpoint(self, tmp_path):
+        """train --eval-data's last tv and top1 are eval's cp@EVAL_STEPS of the
+        checkpoint on the same 512 rows: the trained scorer is the saved one."""
+        train_stem = _gen(tmp_path, "train", 1024, seed=0)
+        test = _gen(tmp_path, "test", train.EVAL_SUBSET, seed=1)
+        ckpt, metrics, out = (str(tmp_path / name) for name in ("m.ckpt", "fit.csv", "eval.csv"))
+        assert cli.main(["train", "--data", train_stem, "--eval-data", test, "--seed", "0",
+                         "--checkpoint", ckpt, "--out", metrics] + TINY_TRAIN) == 0
+        assert cli.main(["eval", "--data", test, "--checkpoint", ckpt, "--method", "cp",
+                         "--steps", str(train.EVAL_STEPS), "--out", out]) == 0
+        header, *_, final = Path(metrics).read_text().splitlines()
+        last = dict(zip(header.split(","), final.split(",")))
+        header, row = Path(out).read_text().splitlines()
+        report = dict(zip(header.split(","), row.split(",")))
+        assert (last["tv"], last["top1"]) == (report["mean_tv"], report["top1"])
+
     def test_fixed_seed_byte_identical_outputs(self, tmp_path, monkeypatch):
         """Same seed, full train+eval runs on 1, 2 and 3 scorer workers: all CSV
         artifacts and checkpoints match bytewise.

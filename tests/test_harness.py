@@ -110,7 +110,17 @@ class TestAblation:
         assert len({r["nfe"] for r in rows}) == 1
         top1s = {r["top1"] for r in rows}
         assert max(top1s) - min(top1s) < 1e-12
-        assert sum(r["best"] for r in rows) == 1
+        assert [r["best"] for r in rows] == [int(r["top1"] == max(top1s)) for r in rows]
+
+    def test_every_row_that_ties_the_best_top1_is_flagged(self):
+        """All-ones scores give both rules the uniform posterior and so the same top1:
+        neither wins, and both rows are flagged best."""
+        task = MixtureTask.ring(4, 2, separation=2.0)
+        sched = LogLinearSchedule(1.0, 0.5)
+        rows = selection_ablation(UniformScorer(task.k), task, NONE, sched,
+                                  steps=4, n_eval=300, seed=0)
+        assert rows[0]["top1"] == rows[1]["top1"]
+        assert [r["best"] for r in rows] == [1, 1]
 
 
 class TestTrace:

@@ -25,8 +25,8 @@ from diffclass.mlp import (GN_EPS, MlpConfig, MlpScorer, PreparedFeatures,
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import (AdamState, TrainConfig, batch_loss_and_grads, ce_baseline_proba,
                              cross_entropy_loss_and_grads, fit, train_step)
-from oracles import (fit_data, reference_groupnorm, reference_groupnorm_backward, reference_logits,
-                     score_column, silu_grad)
+from oracles import (fit_data, in_float64, reference_groupnorm, reference_groupnorm_backward,
+                     reference_logits, score_column, silu_grad)
 
 SMALL = MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32,
                   n_blocks=2, time_embed_dim=16, groups=4)
@@ -37,8 +37,9 @@ def _small_scorer(seed=0, head_scale=0.0):
     scorer = MlpScorer(SMALL, SCHED, seed=seed)
     if head_scale:
         rng = np.random.default_rng(seed + 100)
-        scorer.params["out_w"] = head_scale * rng.standard_normal(scorer.params["out_w"].shape)
-        scorer.params["out_b"] = head_scale * rng.standard_normal(scorer.params["out_b"].shape)
+        for name in ("out_w", "out_b"):
+            draw = head_scale * rng.standard_normal(scorer.params[name].shape)
+            scorer.params[name] = draw.astype(np.float32)
     return scorer
 
 
@@ -59,8 +60,10 @@ class TestOutputContract:
         np.testing.assert_allclose(values, 1.0, atol=1e-15)
 
     def test_logit_shift_invariance(self):
-        """Adding a constant to every output logit leaves the scores unchanged."""
-        scorer = _small_scorer(head_scale=0.4)
+        """Adding a constant to every output logit leaves the scores unchanged.
+
+        On float64 parameters, so that the shifted bias is not rounded to float32."""
+        scorer = in_float64(_small_scorer(head_scale=0.4))
         y = np.random.default_rng(2).standard_normal((6, 3))
         anchors = np.array([0, 1, 2, 3, 4, 0])
         t = np.full(6, 0.5)
@@ -189,17 +192,25 @@ class TestInferencePath:
         assert np.array_equal(out, gamma * xhat + beta)
         assert np.array_equal(cached_xhat, xhat) and np.array_equal(cached_var, var)
 
-    def test_parameters_stay_float64_through_training(self):
+    def test_parameters_stay_float32_through_training(self):
+        """The initial parameters, the fitted ones, the optimizer's buffers, and the
+        parameters after a float64-feature step and a scoring call are all float32."""
         config = TrainConfig(epochs=1, batch_size=32, seed=0, embed_dim=16, hidden_dim=32,
                              n_blocks=2, time_embed_dim=16)
         task = MixtureTask.ring(4, 2)
+        fresh = MlpScorer(config.mlp_config(4, 2), config.schedule(), seed=0)
+        assert all(v.dtype == np.float32 for v in fresh.params.values())
         scorer, _ = fit(config, task, *fit_data(task, 128, 64, 0))
-        assert all(v.dtype == np.float64 for v in scorer.params.values())
+        assert all(v.dtype == np.float32 for v in scorer.params.values())
         rng = np.random.default_rng(15)
-        train_step(scorer, AdamState(scorer.params), rng.standard_normal((16, 2)),
+        opt = AdamState(scorer.params)
+        assert all(a.dtype == np.float32
+                   for a in (opt.flat, opt.grad, opt.m, opt.v, opt.best, opt.scratch))
+        train_step(scorer, opt, rng.standard_normal((16, 2)),
                    rng.integers(0, 4, 16), config.schedule(), rng, lr=1e-3)
         scorer.score_batch(rng.standard_normal((16, 2)), rng.integers(0, 4, 16), np.full(16, 0.5))
-        assert all(v.dtype == np.float64 for v in scorer.params.values())
+        assert all(v.dtype == np.float32 for v in scorer.params.values())
+        assert all(v.dtype == np.float32 for v in opt.grads.values())
 
     @pytest.mark.parametrize("name", ["in_w", "cw_0", "gn_g_1", "out_w", "embed"])
     def test_nonfinite_parameter_anywhere_raises(self, name):
@@ -603,7 +614,8 @@ def _relative_gap(got, want):
 
 
 class TestMixedPrecisionTraining:
-    """Float32 features run the training trunk in float32; the gradients stay float64."""
+    """Float32 features run the training trunk in float32; the gradients are float32,
+    like the parameters, whatever the features' dtype."""
 
     def test_float32_gradients_match_float64_on_the_reference_config(self, trained_scorer):
         rng = np.random.default_rng(20)
@@ -612,7 +624,7 @@ class TestMixedPrecisionTraining:
         g32 = _grads_at(trained_scorer, y, labels, seed=21)
         g64 = _grads_at(trained_scorer, y.astype(np.float64), labels, seed=21)
         assert list(g32) == list(trained_scorer.params)
-        assert all(v.dtype == np.float64 for v in g32.values())
+        assert all(v.dtype == np.float32 for g in (g32, g64) for v in g.values())
         assert _relative_gap(g32, g64) <= 1e-4
 
     @settings(max_examples=25, deadline=None)
@@ -625,12 +637,12 @@ class TestMixedPrecisionTraining:
                         groups=groups)
         scorer = MlpScorer(cfg, SCHED, seed=seed)
         rng = np.random.default_rng(seed)
-        scorer.params["out_w"] = 0.5 * rng.standard_normal((k, cfg.hidden_dim))
+        scorer.params["out_w"] = (0.5 * rng.standard_normal((k, cfg.hidden_dim))).astype(np.float32)
         y = (2.0 * rng.standard_normal((48, dim))).astype(np.float32)
         labels = rng.integers(0, k, 48)
         g32 = _grads_at(scorer, y, labels, seed)
         g64 = _grads_at(scorer, y.astype(np.float64), labels, seed)
-        assert all(v.dtype == np.float64 for v in g32.values())
+        assert all(v.dtype == np.float32 for g in (g32, g64) for v in g.values())
         assert _relative_gap(g32, g64) <= 1e-4
 
     @pytest.mark.parametrize("offset", [0.0, 4.0])
@@ -657,18 +669,18 @@ class TestMixedPrecisionTraining:
         want = mlp.inference_params(scorer.params, SMALL, np.float64)
         assert all(v.dtype == np.float64 and v.tobytes() == want[k].tobytes()
                    for k, v in q.items())
-        # The entries the form leaves as they are are the master arrays: no cast, no copy.
-        assert all(q[k] is scorer.params[k] for k in ("w2_0", "cw_1", "out_w", "out_b"))
         _, cache = scorer.logits(y.astype(np.float32), anchors, rng.random(6))
         q = cache["params"]
         assert cache["h_top"].dtype == np.float32
         assert all(q[k].dtype == (np.float64 if k.startswith("out_") else np.float32) for k in q)
+        # The entries the float32 form leaves as they are are the master arrays: no copy.
+        assert all(q[k] is scorer.params[k] for k in ("w2_0", "cw_1"))
 
 
 class TestGradients:
     def test_param_grads_match_finite_differences(self):
         """Backprop through head, blocks, group norm, and embeddings vs central FD."""
-        scorer = _small_scorer(head_scale=0.3)
+        scorer = in_float64(_small_scorer(head_scale=0.3))
         rng = np.random.default_rng(5)
         n = 6
         y = rng.standard_normal((n, 3))
@@ -712,7 +724,7 @@ class TestReferenceForward:
         cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
                         hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
                         groups=groups)
-        scorer = MlpScorer(cfg, SCHED, seed=seed)
+        scorer = in_float64(MlpScorer(cfg, SCHED, seed=seed))
         rng = np.random.default_rng(seed)
         # Every entry off its initial value, so b2, the biases, the GroupNorm shifts and
         # the head all reach the logits.
@@ -778,13 +790,14 @@ class TestBackwardReuse:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_embedding_gradient_is_the_scatter_add_over_the_anchors(self, dtype):
-        """The one-hot matmul equals np.add.at byte for byte, signed zeros included."""
+        """The one-hot matmul equals np.add.at, rounded once to the parameters' float32,
+        byte for byte, signed zeros included."""
         rng = np.random.default_rng(25)
         for k in (2, 5, 13):
             cfg = MlpConfig(n_classes=k, feature_dim=3, embed_dim=8, hidden_dim=16,
                             n_blocks=2, time_embed_dim=8, groups=4)
             scorer = MlpScorer(cfg, SCHED, seed=k)
-            scorer.params["out_w"] = 0.5 * rng.standard_normal((k, 16))
+            scorer.params["out_w"] = (0.5 * rng.standard_normal((k, 16))).astype(np.float32)
             for n in (1, 7, 64, 300):
                 y = rng.standard_normal((n, 3)).astype(dtype)
                 anchors = rng.integers(0, k, n)
@@ -795,16 +808,16 @@ class TestBackwardReuse:
                 want = np.zeros((k, 8))
                 np.add.at(want, anchors, dcond.astype(np.float64))
                 got = scorer.param_grads(dz, cache)["embed"]
-                assert got.tobytes() == want.tobytes(), (k, n)
+                assert got.tobytes() == want.astype(np.float32).tobytes(), (k, n)
 
 
 class TestCeBaseline:
     """The cross-entropy baseline: the scorer read at (BASELINE_ANCHOR, BASELINE_T)."""
 
     def test_gradients_match_finite_differences(self):
-        """Float64 features keep the whole path float64, so central differences of
-        the loss check every parameter group, the conditioning's among them."""
-        scorer = _small_scorer(seed=1, head_scale=0.5)
+        """Float64 features and parameters keep the whole path float64, so central
+        differences of the loss check every parameter group, the conditioning's among them."""
+        scorer = in_float64(_small_scorer(seed=1, head_scale=0.5))
         rng = np.random.default_rng(6)
         y = rng.standard_normal((8, 3))
         labels = rng.integers(0, 5, 8)
@@ -992,7 +1005,7 @@ class TestCheckpointProperties:
         assert (cfg2, schedule2) == (cfg, schedule)
         assert loaded.keys() == params.keys()
         for name, value in params.items():
-            assert loaded[name].dtype == np.float64
+            assert loaded[name].dtype == np.float32
             assert np.array_equal(loaded[name], value.astype(np.float32)), name
 
     @settings(max_examples=100, deadline=None)

@@ -10,12 +10,13 @@ from diffclass.data import CorruptionSpec, MixtureTask, generate
 from diffclass.errors import NumericalError, ValidationError
 from diffclass.loss import score_entropy_terms
 from diffclass.mlp import MlpScorer
+from diffclass.sampler import SamplerConfig, posterior_cp_batch
 from diffclass.schedule import LogLinearSchedule
 from diffclass.score import floor_probs
 from diffclass.train import (AdamState, TrainConfig, TrainingDiverged, adam_update,
                              batch_loss_and_grads, clip_global_norm, fit, train_step)
 from diffclass.transition import forward_marginal, sample_categorical_rows
-from oracles import ExactScorer, adam_reference, bayes_accuracy, fit_data
+from oracles import ExactScorer, adam_reference, bayes_accuracy, fit_data, in_float64
 
 TINY = dict(embed_dim=16, hidden_dim=32, n_blocks=2, time_embed_dim=16)
 
@@ -116,6 +117,22 @@ class TestDeterminism:
         assert scorer.params.keys() == fitted.params.keys()
         for key in fitted.params:
             assert np.array_equal(scorer.params[key], fitted.params[key]), key
+
+    def test_a_checkpoint_reproduces_the_fitted_scorer(self, tmp_path):
+        """The fit's parameters are the float32 values its checkpoint holds, so the
+        loaded scorer's cp posteriors on the validation rows equal the fitted one's
+        bit for bit, and so does the last epoch's validation."""
+        task = MixtureTask.ring(4, 2, separation=2.0)
+        data, held_out = fit_data(task, 1024, train.EVAL_SUBSET, 6)
+        scorer, metrics = fit(_tiny_config(epochs=2), task, data, held_out)
+        path = str(tmp_path / "m.ckpt")
+        scorer.save(path)
+        loaded = MlpScorer.load(path)
+        cfg = SamplerConfig(n_steps=train.EVAL_STEPS)
+        want, _ = posterior_cp_batch(held_out[0], scorer, scorer.schedule, cfg)
+        got, _ = posterior_cp_batch(held_out[0], loaded, loaded.schedule, cfg)
+        assert np.array_equal(got, want)
+        assert metrics[-1].top1 == float((np.argmax(got, axis=1) == held_out[1]).mean())
 
     def test_cross_entropy_with_eval_data_is_rejected(self):
         """The baseline has no score-entropy sampler to validate, so held-out data
@@ -247,8 +264,9 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("chunk", [7, train.ADAM_CHUNK])
     def test_whole_buffer_adam_matches_the_per_array_reference(self, chunk, monkeypatch):
-        """50 random steps: the moments match the reference bit for bit, the update
-        within 6 ulp, whether the 184 parameters take one slice or 27.
+        """50 random steps: the float32 moments match a float32 per-array reference
+        bit for bit, the update within 6 ulp, whether the 184 parameters take one
+        slice or 27.
 
         Each step starts from zero parameters, so the update is read off
         exactly.  The whole-buffer step folds the bias corrections into two
@@ -259,17 +277,17 @@ class TestWorkspace:
         monkeypatch.setattr(train, "ADAM_CHUNK", chunk)
         shapes = {"w": (16, 8), "b": (16,), "e": (4, 3, 2)}
         rng = np.random.default_rng(40)
-        params = {name: np.zeros(shape) for name, shape in shapes.items()}
+        params = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         opt = AdamState(params)
-        m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         for step in range(1, 51):
-            grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3)
-                     for name, shape in shapes.items()}
+            grads = {name: (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3))
+                     .astype(np.float32) for name, shape in shapes.items()}
             for name, g in grads.items():
                 opt.grads[name][...] = g
             lr = float(rng.uniform(1e-4, 1e-2))
-            want = {name: np.zeros(shape) for name, shape in shapes.items()}
+            want = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
             opt.flat[:] = 0.0
             adam_update(opt, lr)
             adam_reference(want, grads, m, v, step, lr, (0.9, 0.999))
@@ -282,9 +300,11 @@ class TestWorkspace:
     def test_a_step_after_the_first_allocates_only_small_arrays(self):
         """After a fit's first step, a step of the reference model (hidden 128, 3
         blocks, 128-row batches, K=8) reuses every workspace array and makes under
-        256 KiB of new memory at its peak; making its arrays afresh took 2.6 MiB.
-        What is left: the loss's (rows, K) arrays, the bias gradients, and the
-        buffers of 32-64 KiB numpy makes for a broadcast or a cast."""
+        160 KiB of new memory at its peak (132 KiB, tracemalloc, numpy 2.4); making
+        its arrays afresh took 2.6 MiB.  What is left: the loss's (rows, K) arrays,
+        the bias gradients, and the buffers of 32-64 KiB numpy makes for a
+        broadcast.  The float32 masters removed the ones it made for a ufunc or
+        matmul that cast float64 into a float32 out= array."""
         config = TrainConfig()
         scorer = MlpScorer(config.mlp_config(8, 2), config.schedule(), seed=0)
         opt = AdamState(scorer.params)
@@ -301,9 +321,25 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 1024, peak
+        assert peak < 160 * 1024, peak
         assert opt.work.keys() == kept.keys()
         assert all(opt.work[name] is array for name, array in kept.items())
+
+    def test_a_reference_model_fit_peaks_under_6_5_mib(self):
+        """One epoch of the reference model (hidden 128, 3 blocks, K=8) on 2,048
+        float32 rows, validated on 512, peaks at 5.5 MiB of traced memory
+        (numpy 2.4): the float32 parameters, gradients, Adam moments and epoch
+        snapshot take 2.5 MiB of it.  With those buffers in float64 the fit
+        peaked at 8.2 MiB; the bound leaves 18% headroom."""
+        task = MixtureTask.ring(8, 2)
+        (y, labels), held_out = fit_data(task, 2048, 512, 0)
+        tracemalloc.start()
+        try:
+            fit(TrainConfig(epochs=1), task, (y.astype(np.float32), labels), held_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2**20, peak
 
     @pytest.mark.parametrize("fail_at", [None, 8])
     def test_workspace_steps_equal_steps_on_new_arrays(self, monkeypatch, fail_at):
@@ -366,7 +402,7 @@ class TestPipelineGradient:
         task = MixtureTask.ring(5, 2, separation=2.5)
         config = _tiny_config()
         schedule = config.schedule()
-        scorer = MlpScorer(config.mlp_config(5, 2), schedule, seed=3)
+        scorer = in_float64(MlpScorer(config.mlp_config(5, 2), schedule, seed=3))
         rng = np.random.default_rng(4)
         # non-degenerate head so the objective sees curvature
         scorer.params["out_w"] = 0.3 * rng.standard_normal(scorer.params["out_w"].shape)
