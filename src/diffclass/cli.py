@@ -84,14 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-level determinism)")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset",
+                       description="Evaluate a checkpoint on a dataset.  --seed keys only "
+                                   "cl's trajectories, the only random draws.")
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--method", choices=sorted(METHOD_SAMPLERS), default="cp")
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--n-samples", type=int, default=16)
-    p.add_argument("--strategy", choices=STRATEGIES, default="argmin")
+    p.add_argument("--strategy", choices=STRATEGIES, default="argmin",
+                   help="cp's anchor rule; applies only to cp, so cl and full leave "
+                        "the CSV's strategy cell empty")
     p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("sweep", help="accuracy vs scorer-call budget")
@@ -264,9 +268,9 @@ def _run_eval(args) -> int:
                                  scorer.schedule, method=args.method, timing=args.timing)
     row = {"method": args.method, "steps": args.steps,
            "n_samples": args.n_samples if args.method == "cl" else "",
-           "strategy": args.strategy, "seed": args.seed, "top1": report.top1,
-           "top5": report.top5, "mean_tv": report.mean_tv, "nll": report.nll,
-           "nfe": report.nfe, "wall_ms": report.wall_ms}
+           "strategy": args.strategy if args.method == "cp" else "", "seed": args.seed,
+           "top1": report.top1, "top5": report.top5, "mean_tv": report.mean_tv,
+           "nll": report.nll, "nfe": report.nfe, "wall_ms": report.wall_ms}
     if args.out:
         harness.write_csv(args.out, [row])
     print(f"{args.method}@{args.steps}: top1={report.top1:.4f} tv={report.mean_tv:.4f} "

@@ -94,7 +94,7 @@ def evaluate(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
                        schedule, method=method, timing=timing)
 
 
-def default_sweep_grid(k: int) -> list[tuple[str, int, int]]:
+def default_sweep_grid() -> list[tuple[str, int, int]]:
     """(method, steps, n_samples) cells mirroring the quality-efficiency sweep."""
     grid = [("cp", s, 1) for s in (1, 2, 4, 8, 16)]
     grid += [("cl", s, n) for s, n in ((2, 16), (4, 16), (8, 16), (2, 64))]
@@ -106,7 +106,7 @@ def nfe_sweep(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
               schedule: LogLinearSchedule, n_eval: int, seed: int,
               grid: list[tuple[str, int, int]] | None = None) -> list[dict]:
     """Accuracy versus scorer-evaluation budget across estimator settings."""
-    grid = default_sweep_grid(task.k) if grid is None else grid
+    grid = default_sweep_grid() if grid is None else grid
     if not grid:
         raise ValidationError("sweep grid must be non-empty")
     rows = []

@@ -30,10 +30,8 @@ the exact posterior at any step count (the uniform-rate case of the Tweedie
 tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).  The
 denoised column's roundoff grows as float eps / e, so a step that keeps
 less than MIN_KEPT_SHARE of the signal raises ValidationError, naming the
-schedule, before the first scorer call (check_samplable).
-reverse_step_full also keeps the first-order Euler step, whose kernel
-column for anchor j has off-diagonal entries S(i,j) * sigma_t * dt and
-diagonal 1 minus their sum; the sampler does not take it.
+schedule, before the first scorer call (check_samplable, which computes
+each step's e).
 
 Clip telemetry.  A learned score column can sit below the uniform floor c,
 where the denoised column goes negative.  Those entries are clipped and the
@@ -139,31 +137,28 @@ def _select_labels_batch(p: np.ndarray, strategy: str) -> np.ndarray:
     return np.argmax(p, axis=1) if strategy == "argmax" else np.argmin(p, axis=1)
 
 
-def _kept_share(schedule: LogLinearSchedule, t: float, dt: float, k: int) -> float:
-    """e = exp(-K (sigma_bar(t) - sigma_bar(s))) over the step [s, t] = [t - dt, t]:
-    the share of the label distribution at s that the forward process keeps at t.
-    Raises NumericalError below MIN_KEPT_SHARE."""
-    e = math.exp(-k * (schedule.sigma_bar(t) - schedule.sigma_bar(max(t - dt, 0.0))))
-    if e < MIN_KEPT_SHARE:
-        raise NumericalError(f"the step from t={t:.3g} keeps e={e:.1e} of the label signal, "
-                             f"below {MIN_KEPT_SHARE:.0e}, too little to denoise; use more steps")
-    return e
-
-
 def check_samplable(schedule: LogLinearSchedule, k: int, n_steps: int,
                     run: str) -> list[tuple[float, float]]:
-    """The (t, e) of each step of an n_steps reverse run at K=k, e its _kept_share;
-    raises ValidationError, naming the schedule and the run, if a step keeps too little."""
-    try:
-        return [(t, _kept_share(schedule, t, dt, k)) for t, dt in step_times(n_steps)]
-    except NumericalError as exc:
-        raise ValidationError(f"sigma_bar_max={schedule.sigma_bar_max}, schedule_decay="
-                              f"{schedule.decay}, {n_steps}-step {run}: {exc}") from None
+    """The (t, e) of each step [s, t] = [t - dt, t] of an n_steps reverse run at K=k:
+    e = exp(-K (sigma_bar(t) - sigma_bar(s))), the share of the label distribution at
+    s that the forward process keeps at t.  Raises ValidationError, naming the
+    schedule and the run, if a step keeps less than MIN_KEPT_SHARE."""
+    steps = []
+    for t, dt in step_times(n_steps):
+        e = math.exp(-k * (schedule.sigma_bar(t) - schedule.sigma_bar(max(t - dt, 0.0))))
+        if e < MIN_KEPT_SHARE:
+            raise ValidationError(
+                f"sigma_bar_max={schedule.sigma_bar_max}, schedule_decay={schedule.decay}, "
+                f"{n_steps}-step {run}: the step from t={t:.3g} keeps e={e:.1e} of the label "
+                f"signal, below {MIN_KEPT_SHARE:.0e}, too little to denoise; use more steps")
+        steps.append((t, e))
+    return steps
 
 
 def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
     """The score distribution q_s at the step's start s, from the normalized score
-    distribution q_t at its end t, along axis; e is _kept_share.
+    distribution q_t at its end t, along axis; e is the step's kept share
+    (check_samplable).
 
     q_s is max(q_t - c, 0) with c = (1 - e) / K, normalized (without a clip,
     that is (q_t - c) / e) and floored at PROB_FLOOR, so no label is ruled
@@ -181,64 +176,42 @@ def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
     return floor_probs(kept / total), clipped.squeeze(axis)
 
 
-def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, sigma_t: float | None = None,
-                      dt: float | None = None, e: float | None = None):
-    """One step of the reverse process with an explicit K x K score matrix.
+def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, e: float):
+    """One exact reverse step of rows p (n, K), each with an explicit K x K score
+    matrix (n, K, K) whose column j holds the scores anchored at j; e, finite in
+    [MIN_KEPT_SHARE, 1], is the step's kept share (check_samplable).
 
-    p is one vector (K,) with its matrix (K, K), or rows (n, K) with one
-    matrix each (n, K, K); column j of a matrix holds the scores anchored at j.
-    Returns (next p, clipped probability mass per vector).
-
-    With sigma_t and dt this is the Euler step: it builds the transition
-    kernel I + reverse-rate * dt whose columns sum to one and clamps
-    negative self-transition entries column-wise, the clamped mass being
-    the state's mass on them.  With e (_kept_share of the step), finite in
-    [MIN_KEPT_SHARE, 1] and given alone, it is the sampler's exact step:
-    column j of the kernel is q_s(j) * (e [i = j] + c) / q_t(j)(j), where
-    q(j) is the score column anchored at j, normalized and denoised by
-    _denoise.
+    Column j of the kernel is q_s(j) * (e [i = j] + c) / q_t(j)(j), where q(j)
+    is the score column anchored at j, normalized and denoised by _denoise.
+    Returns (next p rows, clipped probability mass per row).
     """
     s_matrix = np.asarray(s_matrix, dtype=np.float64)
     p = ensure_distribution(p, "reverse step input")
-    k = p.shape[-1]
+    if p.ndim != 2:
+        raise ValidationError(f"probabilities must be rows (n, K); got shape {p.shape}")
+    k = p.shape[1]
     if s_matrix.shape != p.shape + (k,):
         raise ValidationError(f"score matrix shape {s_matrix.shape} does not match "
                               f"probabilities of shape {p.shape}")
     if np.any(s_matrix <= 0.0) or not np.all(np.isfinite(s_matrix)):
         raise ValidationError("score matrix entries must be positive and finite")
-    if np.abs(np.diagonal(s_matrix, axis1=-2, axis2=-1) - 1.0).max() > 1e-9:
+    if np.abs(np.diagonal(s_matrix, axis1=1, axis2=2) - 1.0).max() > 1e-9:
         raise ValidationError("score matrix diagonal must be one")
-    if (e is None, sigma_t is None, dt is None) not in ((False, True, True), (True, False, False)):
-        raise ValidationError("give e for the exact step, or sigma_t and dt for the Euler step")
-    if e is not None and not MIN_KEPT_SHARE <= e <= 1.0:
+    if not MIN_KEPT_SHARE <= e <= 1.0:
         raise ValidationError(f"e must be a kept share in [{MIN_KEPT_SHARE:.0e}, 1], got {e}")
-    if dt is not None and dt < 0.0:
-        raise ValidationError("dt must be nonnegative")
 
-    if e is not None:
-        q_t = floor_probs(s_matrix / s_matrix.sum(axis=-2, keepdims=True))
-        q_s, clip = _denoise(q_t, e, axis=-2)
-        w = p / np.diagonal(q_t, axis1=-2, axis2=-1)
-        p_next = ((1.0 - e) / k * (q_s @ w[..., None])[..., 0]
-                  + e * np.diagonal(q_s, axis1=-2, axis2=-1) * w)
-        p_next = ensure_distribution(p_next / p_next.sum(axis=-1, keepdims=True),
-                                     "reverse step output")
-        clamp_mass = np.sum(p * clip, axis=-1)
-        return p_next, (float(clamp_mass) if p.ndim == 1 else clamp_mass)
-
-    offdiag = sigma_t * dt * (s_matrix.sum(axis=-2) - 1.0)  # per column, diagonal excluded
-    d_raw = 1.0 - offdiag
-    clamp_mass = np.sum(p * np.maximum(-d_raw, 0.0), axis=-1)
-    d_plus = np.maximum(d_raw, 0.0)
-    z = np.where(d_raw < 0.0, 1.0 - d_raw, 1.0)
-    pz = p / z
-    p_next = sigma_t * dt * (s_matrix @ pz[..., None])[..., 0] - sigma_t * dt * pz + p * d_plus / z
-    p_next = ensure_distribution(p_next, "reverse step output")
-    return p_next, (float(clamp_mass) if p.ndim == 1 else clamp_mass)
+    q_t = floor_probs(s_matrix / s_matrix.sum(axis=1, keepdims=True))
+    q_s, clip = _denoise(q_t, e, axis=1)
+    w = p / np.diagonal(q_t, axis1=1, axis2=2)
+    p_next = ((1.0 - e) / k * (q_s @ w[..., None])[..., 0]
+              + e * np.diagonal(q_s, axis1=1, axis2=2) * w)
+    p_next = ensure_distribution(p_next / p_next.sum(axis=1, keepdims=True),
+                                 "reverse step output")
+    return p_next, np.sum(p * clip, axis=1)
 
 
 def _cp_step_batch(q_hat: np.ndarray, p: np.ndarray, e: float):
-    """Rank-one fast path of reverse_step_full's exact step for rows of (q_hat, p).
+    """Rank-one fast path of reverse_step_full for rows of (q_hat, p).
 
     Identical step and clip semantics; O(K) per row instead of O(K^2).
     Returns (next p rows, clipped mass per row).
@@ -264,7 +237,7 @@ def _cl_step_batch(scores: np.ndarray, states: np.ndarray, e: float):
 
 def _step(method: str, scores: np.ndarray, state: np.ndarray, e: float, u: np.ndarray | None):
     """One reverse step of a block's rows from their scores: the next state and the
-    clipped mass per row.  e is the step's _kept_share; u holds cl's one
+    clipped mass per row.  e is the step's kept share; u holds cl's one
     uniform per trajectory for the step."""
     if method == "cp":
         q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
@@ -275,7 +248,7 @@ def _step(method: str, scores: np.ndarray, state: np.ndarray, e: float, u: np.nd
     nb, k = state.shape
     s_matrix = scores.reshape(nb, k, k).transpose(0, 2, 1).copy()
     s_matrix[:, np.arange(k), np.arange(k)] = 1.0  # column j: scores anchored at j
-    return reverse_step_full(s_matrix, state, e=e)
+    return reverse_step_full(s_matrix, state, e)
 
 
 def _distribution(state: np.ndarray, n_inputs: int, k: int) -> np.ndarray:

@@ -127,6 +127,21 @@ class TestTrainEval:
                            method, "--steps", "2", "--out", out] + extra)
             assert rc == 0
 
+    def test_only_cp_fills_the_strategy_cell(self, tmp_path):
+        """--strategy is cp's anchor rule: cl and full take none and leave the
+        eval CSV's strategy cell empty; every method keeps the seed."""
+        stem = _gen(tmp_path, "train", 128, seed=0, k=3)
+        ckpt = str(tmp_path / "m.ckpt")
+        assert cli.main(["train", "--data", stem, "--checkpoint", ckpt] + TINY_TRAIN) == 0
+        for method, strategy in (("cp", "argmax"), ("cl", ""), ("full", "")):
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["eval", "--data", stem, "--checkpoint", ckpt, "--method", method,
+                             "--steps", "2", "--n-samples", "2", "--strategy", "argmax",
+                             "--seed", "5", "--out", str(out)]) == 0
+            header, row = out.read_text().splitlines()
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert (cells["strategy"], cells["seed"]) == (strategy, "5"), method
+
 
 class TestOtherCommands:
     @pytest.fixture()

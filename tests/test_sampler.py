@@ -16,7 +16,7 @@ from diffclass.sampler import (STRATEGIES, SamplerConfig, _cl_step_batch,
                                _cp_step_batch, _select_labels_batch, posterior_cl, posterior_cp,
                                posterior_cp_batch, posterior_full, reverse_step_full, step_times)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.score import PROB_FLOOR
+from diffclass.score import PROB_FLOOR, floor_probs
 from diffclass.train import TrainConfig, fit
 from diffclass.transition import forward_marginal
 from oracles import ExactScorer, UniformScorer
@@ -39,71 +39,71 @@ def _below_floor_setup(k=10, n=4):
 
 
 class TestReverseStepFull:
-    def test_uniform_scores_low_rate(self):
-        """Kernel for all-ones scores at sigma*dt = 0.02: hand-checked product."""
-        kernel = np.full((3, 3), 0.02)
-        np.fill_diagonal(kernel, 0.96)
-        p = np.array([0.8, 0.1, 0.1])
-        expected = kernel @ p  # [0.772, 0.114, 0.114]
-        out, clamp = reverse_step_full(np.ones((3, 3)), p, sigma_t=0.2, dt=0.1)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-        np.testing.assert_allclose(out, [0.772, 0.114, 0.114], atol=1e-12)
-        assert clamp == 0.0
-
-    def test_uniform_scores_high_rate(self):
-        kernel = np.full((3, 3), 0.25)
-        np.fill_diagonal(kernel, 0.5)
-        p = np.array([0.8, 0.1, 0.1])
-        expected = kernel @ p  # [0.45, 0.275, 0.275]
-        out, _ = reverse_step_full(np.ones((3, 3)), p, sigma_t=2.5, dt=0.1)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-        np.testing.assert_allclose(out, [0.45, 0.275, 0.275], atol=1e-12)
-
-    def test_zero_dt_is_identity(self):
-        p = np.array([0.6, 0.3, 0.1])
-        out, _ = reverse_step_full(np.ones((3, 3)), p, sigma_t=5.0, dt=0.0)
+    def test_e_one_is_identity(self):
+        """A step that keeps all of the signal (e = 1) denoises nothing and moves
+        no mass."""
+        rng = np.random.default_rng(1)
+        q = rng.dirichlet(np.ones(4), size=3)
+        s = q[:, :, None] / q[:, None, :]
+        p = rng.dirichlet(np.ones(4), size=3)
+        out, clamp = reverse_step_full(s, p, 1.0)
         np.testing.assert_allclose(out, p, atol=1e-15)
+        assert clamp.tolist() == [0.0] * 3
 
     def test_mass_conserved_without_clamping(self):
+        """Scores of a forward marginal over the step, q = e q0 + c, clip nothing."""
         rng = np.random.default_rng(0)
         for _ in range(50):
-            q = rng.dirichlet(np.ones(6) * 5)
+            q = 0.9 * rng.dirichlet(np.ones(6) * 5) + 0.1 / 6
             s = np.outer(q, 1.0 / q)
             p = rng.dirichlet(np.ones(6))
-            out, clamp = reverse_step_full(s, p, sigma_t=0.3, dt=0.05)
+            out, clamp = reverse_step_full(s[None], p[None], 0.9)
             assert abs(out.sum() - 1.0) < 1e-12
-            assert out.min() >= 0.0
+            assert out.min() >= 0.0 and clamp.tolist() == [0.0]
 
-    def test_clamp_abort_threshold(self):
-        """A peaked column with large sigma*dt drives the self-transition negative:
-        the kernel clamps it, reports the mass, here above 1e-3, and still
-        returns a distribution."""
+    def test_clipped_rows_report_their_mass(self):
+        """A peaked column sits below the uniform floor c = (1 - e) / K of a step
+        keeping e = 0.5: the kernel clips it, reports the mass, here above 1e-3,
+        and still returns a distribution; each row steps as it does alone."""
         q = np.array([0.9, 0.05, 0.05])
-        s = np.outer(q, 1.0 / q)
-        p = np.full(3, 1 / 3)
-        out, clamp = reverse_step_full(s, p, sigma_t=3.0, dt=0.5)
-        assert clamp > 1e-3
+        s = np.outer(q, 1.0 / q)[None]
+        p = np.full((1, 3), 1 / 3)
+        out, clamp = reverse_step_full(s, p, 0.5)
+        assert clamp[0] > 1e-3
         assert abs(out.sum() - 1.0) < 1e-12 and out.min() >= 0.0
-        rows, clamp_rows = reverse_step_full(np.stack([s, s]), np.stack([p, p]), 3.0, 0.5)
-        assert np.array_equal(rows, np.stack([out, out])) and clamp_rows.tolist() == [clamp] * 2
+        rows, clamp_rows = reverse_step_full(np.concatenate([s, s]), np.concatenate([p, p]), 0.5)
+        assert np.array_equal(rows, np.concatenate([out, out]))
+        assert clamp_rows.tolist() == [clamp[0]] * 2
 
-    def test_rejects_bad_score_matrix(self):
-        p = np.full(3, 1 / 3)
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    @pytest.mark.parametrize("e", [1e-8, 0.01, 0.5, 1.0])
+    def test_rank_one_matrices_take_cp_step(self, k, e):
+        """On rank-one matrices s[:, i, j] = q_i / q_j every anchor reads q, so the
+        full step is cp's rank-one step, rows and clipped mass."""
+        rng = np.random.default_rng([k, int(e * 1e8)])
+        q = rng.dirichlet(np.ones(k), size=32)
+        p = rng.dirichlet(np.ones(k), size=32)
+        out, clamp = reverse_step_full(q[:, :, None] / q[:, None, :], p, e)
+        ref, ref_clamp = _cp_step_batch(floor_probs(q), p, e)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(clamp, ref_clamp, rtol=0, atol=1e-12)
+
+    def test_rejects_bad_input(self):
+        p = np.full((1, 3), 1 / 3)
         with pytest.raises(ValidationError):
-            reverse_step_full(np.ones((3, 3)) * 2.0, p, 0.1, 0.1)  # diagonal not one
-        bad = np.ones((3, 3))
-        bad[0, 1] = -1.0
+            reverse_step_full(np.ones((1, 3, 3)) * 2.0, p, 0.5)  # diagonal not one
+        bad = np.ones((1, 3, 3))
+        bad[0, 0, 1] = -1.0
         with pytest.raises(ValidationError):
-            reverse_step_full(bad, p, 0.1, 0.1)
-        with pytest.raises(ValidationError, match="sigma_t and dt"):
-            reverse_step_full(np.ones((3, 3)), p)  # neither step chosen
-        # e is a kept share in [MIN_KEPT_SHARE, 1], and takes the exact step alone
-        for kwargs in ({"e": 1.5}, {"e": 0.0}, {"e": -0.2}, {"e": float("nan")},
-                       {"e": float("inf")}, {"e": 0.1 * sampler.MIN_KEPT_SHARE},
-                       {"e": 0.5, "sigma_t": 0.1, "dt": 0.1}, {"e": 0.5, "dt": 0.1},
-                       {"e": 0.5, "sigma_t": 0.1}):
+            reverse_step_full(bad, p, 0.5)
+        with pytest.raises(ValidationError):
+            reverse_step_full(np.ones((2, 3, 3)), p, 0.5)  # one matrix per row
+        with pytest.raises(ValidationError, match="rows"):
+            reverse_step_full(np.ones((3, 3)), p[0], 0.5)  # a lone vector is not rows
+        # e is a kept share in [MIN_KEPT_SHARE, 1]
+        for e in (1.5, 0.0, -0.2, float("nan"), float("inf"), 0.1 * sampler.MIN_KEPT_SHARE):
             with pytest.raises(ValidationError):
-                reverse_step_full(np.ones((3, 3)), p, **kwargs)
+                reverse_step_full(np.ones((1, 3, 3)), p, e)
 
 
 class TestSelectLabel:
@@ -533,8 +533,8 @@ class TestSamplerProperties:
         assert all(s is not None for s in singles)
         one_at_a_time = np.stack([s.probs for s in singles])
         if method == "full":
-            amplified = sum(1.0 / sampler._kept_share(schedule, t, dt, k)
-                            for t, dt in step_times(cfg.n_steps))
+            amplified = sum(1.0 / e for _, e in
+                            sampler.check_samplable(schedule, k, cfg.n_steps, "property"))
             atol = 1e-12 + 16 * np.finfo(np.float64).eps * amplified
             np.testing.assert_allclose(est.probs, one_at_a_time, rtol=0, atol=atol)
         else:
