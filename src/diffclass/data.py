@@ -12,6 +12,8 @@ before they reach the model:
 
 Datasets are stored as <stem>.bin (little-endian float32 features followed
 by an int32 zero-based label per record) with a plain-text <stem>.meta header.
+load_dataset returns those arrays as they are, float32 features and int32
+labels, with no wider copy.
 
 Datasets and scorer checkpoints (mlp.save_params) are each described by
 such a header alone, in one grammar (write_header, read_header): UTF-8
@@ -23,6 +25,7 @@ variance, means and priors.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +235,11 @@ def save_dataset(stem: str, y: np.ndarray, labels: np.ndarray, task: MixtureTask
 def load_dataset(stem: str):
     """Read a dataset back; returns (features, labels, task, corruption, seed).
 
+    The features and labels are the file's own values in its own dtypes,
+    C-contiguous (n, dim) float32 and (n,) int32 arrays; consumers cast
+    where they compute.  The records are read with one readinto, once the
+    file's size matches the header's n.
+
     Raises ValidationError naming the file when the header is missing, is
     not UTF-8 text, is incomplete, or describes no valid task or corruption,
     when the record count is below one or disagrees with the file length, a
@@ -251,15 +259,16 @@ def load_dataset(stem: str):
         raise ValidationError(f"{stem}.meta: n={n}, a dataset holds at least one record")
     dtype = _record_dtype(dim)
     with open(stem + ".bin", "rb") as fh:
-        raw = fh.read()
-    if len(raw) != n * dtype.itemsize:
-        raise ValidationError(f"{stem}.bin: expected {n * dtype.itemsize} bytes, found {len(raw)}")
-    records = np.frombuffer(raw, dtype=dtype)
-    # Checked before the float64 cast, which warns on a signalling NaN.
+        size = os.fstat(fh.fileno()).st_size
+        if size == n * dtype.itemsize:
+            records = np.empty(n, dtype)
+            size = fh.readinto(records)
+    if size != n * dtype.itemsize:
+        raise ValidationError(f"{stem}.bin: expected {n * dtype.itemsize} bytes, found {size}")
     if not np.all(np.isfinite(records["y"])):
         raise ValidationError(f"{stem}.bin: non-finite feature")
-    y = records["y"].astype(np.float64)
-    labels = records["c"].astype(np.int64)
+    y = np.ascontiguousarray(records["y"], dtype=np.float32)
+    labels = np.ascontiguousarray(records["c"], dtype=np.int32)
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"{stem}.bin: label outside [0, {k})")
     return y, labels, task, corruption, seed

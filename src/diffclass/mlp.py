@@ -42,7 +42,10 @@ cache and the backward's temporaries) comes from _array: in a fit, from
 the optimizer's workspace (train.AdamState.work), which keeps one array
 per name from the first step on, a short tail batch taking views of their
 first rows; without a workspace (MlpScorer.logits called on its own), new
-arrays, from the same code.
+arrays, from the same code.  A gradient is held once: in a fit the
+backward writes every trunk entry's straight into the optimizer's float32
+gradient buffer (param_grads), and only the float64 head, embedding and
+time gradients take workspace arrays, rounded once into it.
 
 Inference (MlpScorer.prepare, inference_logits) builds the form once per
 prepare call, in float32, and keeps no cache.  Its GroupNorm
@@ -313,18 +316,20 @@ def _gn_forward(x, gamma, beta, groups, out=None):
     return out, (x, var)
 
 
-def _gn_backward(dout, gamma, cache, groups, dx=None, scratch=None):
+def _gn_backward(dout, gamma, cache, groups, out=None):
     """GroupNorm backward; returns (dx, dgamma, dbeta), dx = (g - mean(g) - xhat *
     mean(g * xhat)) / std per group with g = dout * gamma, the means by _group_means.
 
-    dx and scratch, arrays of dout's shape, take dx and the temporaries;
-    without them they are new arrays.
+    out, when given, is (dx, dgamma, dbeta, scratch): arrays of dout's shape
+    for dx and the temporaries, and of gamma's for the gain's and shift's
+    gradients, all in dout's dtype; without it they are new arrays.
     """
     xhat, var = cache
     n, h = dout.shape
+    dx, dgamma, dbeta, scratch = (None,) * 4 if out is None else out
     dout_xhat = np.multiply(dout, xhat, out=scratch)
-    dgamma = dout_xhat.sum(axis=0)
-    dbeta = dout.sum(axis=0)
+    dgamma = np.sum(dout_xhat, axis=0, out=dgamma)
+    dbeta = np.sum(dout, axis=0, out=dbeta)
     dout_xhat *= gamma
     mean_dxh_xh = _group_means(dout_xhat, groups)
     dx = np.multiply(dout, gamma, out=dx)
@@ -550,14 +555,18 @@ def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarr
     return z, cache
 
 
-def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict,
+                    out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Gradients of a scalar objective with upstream dL/dz; mirrors forward_logits.
 
     Returns the gradient of every entry of q that forward_logits reads, the
     head's in its dtype and the trunk's in the trunk dtype, plus "_dcond",
-    dL/dcond per row.  The weight matrices' gradients, dL/dcond and every
-    temporary come from the forward's workspace (cache["work"], _array);
-    the cache itself is only read.
+    dL/dcond per row.  out maps parameter names to param_grads' destination
+    arrays: an entry's gradient is written straight into its destination
+    when the two share a dtype (in a float32 fit, every trunk entry's, into
+    the optimizer's gradient views), and otherwise into an array from the
+    forward's workspace (cache["work"], _array), as are dL/dcond and every
+    temporary.  The cache itself is only read.
     """
     s, sc, work = cache["h_top"], cache["sc"], cache["work"]
 
@@ -565,12 +574,16 @@ def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dic
         return _array(work, name, (len(dz), cols), dtype)
 
     def grad(name: str) -> np.ndarray:
+        dest = out.get(name)
+        if dest is not None and dest.dtype == q[name].dtype:
+            return dest
         return _array(work, f"grad.{name}", q[name].shape, q[name].dtype)
 
     # One array in the head's dtype takes the head's input, then dL/d(input).
     head = rows("head", dtype=dz.dtype)
     np.copyto(head, s)
-    g = {"out_w": np.matmul(dz.T, head, out=grad("out_w")), "out_b": dz.sum(axis=0)}
+    g = {"out_w": np.matmul(dz.T, head, out=grad("out_w")),
+         "out_b": np.sum(dz, axis=0, out=grad("out_b"))}
     dh = rows("dh")
     np.copyto(dh, np.matmul(dz, q["out_w"], out=head))
     dsc = rows("dsc", sc.shape[1])
@@ -578,25 +591,26 @@ def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict) -> dic
     for b in reversed(range(cfg.n_blocks)):
         du = _silu_slope(s, cache[f"tgn_{b}"], rows("du"))
         du *= dh
-        dpre, dgamma, dbeta = _gn_backward(du, q[f"gn_g_{b}"], cache[f"gn_{b}"], cfg.groups,
-                                           rows("dpre"), rows("scratch"))
+        dpre, dgamma, dbeta = _gn_backward(
+            du, q[f"gn_g_{b}"], cache[f"gn_{b}"], cfg.groups,
+            (rows("dpre"), grad(f"gn_g_{b}"), grad(f"gn_b_{b}"), rows("scratch")))
         s1 = cache[f"s1_{b}"]
         g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta,
                   f"cw_{b}": np.matmul(dpre.T, sc, out=grad(f"cw_{b}")),
-                  f"cb_{b}": dpre.sum(axis=0),
+                  f"cb_{b}": np.sum(dpre, axis=0, out=grad(f"cb_{b}")),
                   f"w2_{b}": np.matmul(dpre.T, s1, out=grad(f"w2_{b}"))})
         dsc += np.matmul(dpre, q[f"cw_{b}"], out=rows("dcond", sc.shape[1]))
         du1 = np.matmul(dpre, q[f"w2_{b}"], out=du)
         du1 *= _silu_slope(s1, cache[f"t1_{b}"], rows("scratch"))
         s = cache[f"h_{b}"]
         g[f"w1_{b}"] = np.matmul(du1.T, s, out=grad(f"w1_{b}"))
-        g[f"b1_{b}"] = du1.sum(axis=0)
+        g[f"b1_{b}"] = np.sum(du1, axis=0, out=grad(f"b1_{b}"))
         dh = np.matmul(du1, q[f"w1_{b}"], out=rows("dh"))
         dh += dpre
     du = _silu_slope(s, cache["t_in"], rows("du"))
     du *= dh
     g["in_w"] = np.matmul(du.T, cache["features"], out=grad("in_w"))
-    g["in_b"] = du.sum(axis=0)
+    g["in_b"] = np.sum(du, axis=0, out=grad("in_b"))
     dcond = _silu_slope(sc, cache["t_cond"], rows("dcond", sc.shape[1]))
     dcond *= dsc
     dcond *= 0.5                      # silu(cond) took u = cond / 2
@@ -781,18 +795,20 @@ class MlpScorer(Scorer):
         They are written into out, arrays named like self.params (an
         optimizer workspace's float32 gradient views), when it is given, and
         into new arrays of the parameters' dtypes otherwise; each is computed
-        in its stage's dtype and rounded once into them.  The gradients of
-        the inference form map back to the master parameters exactly: an
-        entry the form halves (HALVED) takes half its form gradient, and b2,
-        which the form's cb holds, takes cb's.  The embedding gradient, a
-        scatter-add of dL/dcond over the anchors, is taken as a one-hot
-        matmul in float64.
+        in its stage's dtype and rounded once into them, or, when computed
+        in out's dtype (every trunk entry in a float32 fit), written there by
+        backward_logits itself.  The gradients of the inference form map
+        back to the master parameters exactly: an entry the form halves
+        (HALVED) takes half its form gradient, in place where it is already
+        in out (x 0.5 is exact), and b2, which the form's cb holds, takes
+        cb's.  The embedding gradient, a scatter-add of dL/dcond over the
+        anchors, is taken as a one-hot matmul in float64.
         """
-        g, work = backward_logits(cache["params"], self.cfg, dz, cache), cache["work"]
-        dcond = _array(work, "dcond64", g["_dcond"].shape, np.float64)
-        np.copyto(dcond, g.pop("_dcond"))
         if out is None:
             out = {name: np.empty_like(v) for name, v in self.params.items()}
+        g, work = backward_logits(cache["params"], self.cfg, dz, cache, out), cache["work"]
+        dcond = _array(work, "dcond64", g["_dcond"].shape, np.float64)
+        np.copyto(dcond, g.pop("_dcond"))
         onehot = np.equal.outer(cache["anchors"], np.arange(self.k)).astype(np.float64)
         g["embed"] = np.matmul(onehot.T, dcond,
                                out=_array(work, "grad.embed", out["embed"].shape, np.float64))
@@ -804,7 +820,7 @@ class MlpScorer(Scorer):
         for name, grad in g.items():
             if name.startswith(HALVED):
                 np.multiply(grad, 0.5, out=out[name])
-            else:
+            elif grad is not out[name]:
                 np.copyto(out[name], grad)
         for b in range(self.cfg.n_blocks):
             np.copyto(out[f"b2_{b}"], g[f"cb_{b}"])

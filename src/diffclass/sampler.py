@@ -17,7 +17,10 @@ contiguous, near-equal blocks of at most max(1, SCORER_ROWS // r) inputs,
 so memory stays bounded; per block it runs scorer.prepare once on the
 repeated features (work that does not depend on the anchor or t) and then
 one score_batch call per step, whose scores go straight into the step's
-kernel and are dropped before the next call.
+kernel and are dropped before the next call.  The features reach the
+scorer in the dtype they come in (a dataset's float32, as load_dataset
+returns it): the engine makes no wider copy, and each scorer casts where
+it computes (MlpScorer.prepare runs its tiles in float32).
 
 The step is exact over its interval [s, t]: the forward process keeps a
 share e = exp(-K (sigma_bar(t) - sigma_bar(s))) of the label distribution
@@ -263,7 +266,7 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
 
     Returns the PosteriorEstimate and the clipped mass per input.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y)
     features = np.atleast_2d(y)
     n, k = features.shape[0], scorer.k
     if n == 0:

@@ -6,11 +6,12 @@ through the closed-form forward marginal, sample a noisy label from it,
 form the true ratio column against that anchor, score with the network,
 and descend the score-entropy objective with an adaptive-moment update.
 
-fit trains in float32 with a float64 head: it casts the features to
-float32 once, so the scorer's forward and backward run the trunk in
-float32, on a float32 inference form of the parameters that each forward
-builds from the master ones (mlp.inference_params); the conditioning, the
-head and the loss stay float64.  The master parameters, their gradients,
+fit trains in float32 with a float64 head: it takes the features as
+float32, a dataset file's own dtype (data.load_dataset), so they are held
+once, and casts any other dtype once.  The scorer's forward and backward
+run the trunk in float32, on a float32 inference form of the parameters
+that each forward builds from the master ones (mlp.inference_params); the
+conditioning, the head and the loss stay float64.  The master parameters, their gradients,
 the Adam moments and so the checkpoints are float32: the optimizer's
 buffers are, and the gradient norm and the Adam step run in float32, so a
 checkpoint holds exactly the parameters the fit ends with.  train_step
@@ -20,9 +21,12 @@ Each optimizer (AdamState) owns one workspace, allocated once per fit:
 contiguous float32 buffers for the parameters, their gradients, the two
 moments and the epoch's starting parameters, one small scratch array, and
 the step arrays (work).  The scorer's params entries are views into the
-parameter buffer, and param_grads writes into the gradient buffer's views, so
-clipping is one dot product and one scale, and the Adam step is thirteen
-ufuncs over each cache-sized slice of the buffers:
+parameter buffer, and param_grads writes into the gradient buffer's views:
+the backward writes each trunk weight and bias gradient there itself, and
+only the float64 head, embedding and time gradients pass through step
+arrays.  So each gradient is held once, clipping is one dot product and
+one scale, and the Adam step is thirteen ufuncs over each cache-sized
+slice of the buffers:
 
     m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*g**2,
     p -= (lr/bc1) * m / (sqrt(v) * (1/sqrt(bc2)) + eps),
@@ -33,17 +37,17 @@ published (b1, b2) = ADAM_BETAS and eps = ADAM_EPS (arXiv:1412.6980).
 
 The step arrays are every array a step's forward and backward make for up
 to batch_size rows: the float32 inference form, which each forward
-rebuilds in place from the master views, the logits, the backprop cache
-and the backward's temporaries (mlp._array; a short tail batch takes views
-of their first rows).  An epoch's first step makes them and the epoch's
-validation, which needs memory of its own, starts by freeing them.  Freed
-and made again at every step, they cost a fresh-process train of the
-reference model (1 epoch on 32,000 rows, 2-vCPU Xeon) 158,000 minor page
-faults, as glibc returned the heap's top to the system after each step and
-faulted it back in at the next; kept, 8,400.  Kept through the validation,
-they raised that process's peak RSS by 1.7 MiB.  Each epoch starts by
-copying the parameter buffer into best, which a numerical failure copies
-back (TrainingDiverged).
+rebuilds in place from the master views, the logits, the backprop cache,
+the backward's temporaries and the float64 gradients (mlp._array; a short
+tail batch takes views of their first rows).  An epoch's first step makes
+them and the epoch's validation, which needs memory of its own, starts by
+freeing them.  Freed and made again at every step, they cost a
+fresh-process train of the reference model (1 epoch on 32,000 rows, 2-vCPU
+Xeon) 158,000 minor page faults, as glibc returned the heap's top to the
+system after each step and faulted it back in at the next; kept, 8,400.
+Kept through the validation, they raised that process's peak RSS by 1.7
+MiB.  Each epoch starts by copying the parameter buffer into best, which a
+numerical failure copies back (TrainingDiverged).
 
 The comparison grid's cross-entropy baseline is the same network read at
 one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
@@ -366,8 +370,9 @@ def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np
     """Train a scorer on train_data, (features, labels); returns (scorer, per-epoch metrics).
 
     config.epochs passes of train_step over batches shuffled by
-    default_rng(config.seed), on the features cast once to
-    TRAIN_FEATURE_DTYPE (exact for dataset files, stored as float32).  With
+    default_rng(config.seed), on the features as TRAIN_FEATURE_DTYPE: a
+    dataset file's float32 features as they are, with no copy, and others
+    cast once.  With
     eval_data, each epoch ends by scoring EVAL_STEPS cp steps on its first
     EVAL_SUBSET inputs against the exact posterior under corruption, and a
     schedule that cannot sample those steps raises ValidationError before

@@ -204,11 +204,25 @@ class TestDatasetFiles:
                             for row, c in zip(y, labels))
         assert Path(stem + ".bin").read_bytes() == expected
 
+    def test_loads_the_records_fields_in_their_own_dtypes(self, tmp_path):
+        """The features and labels are the .bin records' own fields, bit for bit, as
+        C-contiguous float32 and int32 arrays: no wider copy of either."""
+        task = MixtureTask.ring(4, 3)
+        y, labels = generate(task, 50, NONE, np.random.default_rng(17))
+        stem = str(tmp_path / "d")
+        save_dataset(stem, y, labels, task, NONE, seed=0)
+        records = np.frombuffer(Path(stem + ".bin").read_bytes(), dtype=_record_dtype(3))
+        got_y, got_labels, *_ = load_dataset(stem)
+        for got, field, dtype in ((got_y, "y", np.float32), (got_labels, "c", np.int32)):
+            assert got.dtype == dtype and got.flags.c_contiguous, field
+            assert got.shape == records[field].shape, field
+            assert got.tobytes() == records[field].tobytes(), field
+
     @pytest.mark.parametrize("mutate", ["label_high", "label_negative", "nan", "inf",
                                         "signalling_nan"])
     def test_corrupt_records_rejected(self, tmp_path, mutate):
-        """A signalling NaN is rejected without the RuntimeWarning its float64 cast
-        gives (warnings are errors in this suite)."""
+        """A signalling NaN is rejected with no RuntimeWarning (warnings are errors in
+        this suite)."""
         task = MixtureTask.ring(3, 2)
         y, labels = generate(task, 10, NONE, np.random.default_rng(13))
         if mutate.startswith("label"):
@@ -298,5 +312,5 @@ class TestDatasetFiles:
         save_dataset(stem, y, labels, task, NONE, seed=0)
         with open(stem + ".bin", "r+b") as fh:
             fh.truncate(17)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="bad.bin: expected 120 bytes, found 17"):
             load_dataset(stem)

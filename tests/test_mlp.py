@@ -804,7 +804,7 @@ class TestBackwardReuse:
                 _, cache = scorer.logits(y, anchors, rng.random(n))
                 dz = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-6, 2, (n, 1))
                 dz[rng.random(n) < 0.2] = -0.0
-                dcond = backward_logits(cache["params"], cfg, dz, cache)["_dcond"]
+                dcond = backward_logits(cache["params"], cfg, dz, cache, {})["_dcond"]
                 want = np.zeros((k, 8))
                 np.add.at(want, anchors, dcond.astype(np.float64))
                 got = scorer.param_grads(dz, cache)["embed"]
