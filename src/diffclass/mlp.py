@@ -17,10 +17,14 @@ float64 draws once, and training updates them in float32 (train.AdamState).
 A checkpoint (save_params, load_params) is those float32 values, bare and
 little-endian, in a fixed order, described only by its plain-text .meta
 header, whose key=value grammar datasets share (data.read_header); so a
-loaded scorer is the saved one, bit for bit.  Float64 stays in the
-conditioning and the head, which cast the small tables they read (embed,
-time_w, time_b, out_w, out_b) to float64 exactly (_cast), and in
-everything downstream of the logits.
+loaded scorer is the saved one, bit for bit.  Every forward and backward,
+the conditioning and the head included, runs in the parameters' dtype
+and takes the features in it: float32 for every scorer the package
+makes, float64 only on a caller's float64 copy of the parameters (the
+finite-difference gradient tests).  The logits become float64 once, where
+logits and inference_logits return them, for the loss and the sampler;
+the backward takes dL/dz back into the parameters' dtype once.  Only the
+time embedding's angles are float64 (time_features).
 Every GroupNorm group holds at least MIN_GROUP_UNITS units (MlpConfig).
 
 Both forwards run on one form of the parameters (inference_params): every
@@ -30,29 +34,26 @@ block's GroupNorm gain and shift are halved, and b2 joins the
 conditioning bias cb.
 
 Training (MlpScorer.logits, forward_logits) builds the form from the
-master parameters at every forward: the trunk in the dtype of the
-features, the head in float64.  The cache keeps each block's input, every
-SiLU's output s and t = 1 + tanh u, and each GroupNorm's xhat and
+master parameters at every forward.  The cache keeps each block's input,
+every SiLU's output s and t = 1 + tanh u, and each GroupNorm's xhat and
 variance; the backward takes each SiLU's slope in u as t + s * (2 - t)
 (_silu_slope), and param_grads maps the form's gradients back to the
-master parameters exactly.  On float64 features and float64 parameters
-(the finite-difference gradient tests) the whole path stays float64.
-Every array of a training forward and backward (the form, the logits, the
-cache and the backward's temporaries) comes from _array: in a fit, from
-the optimizer's workspace (train.AdamState.work), which keeps one array
-per name from the first step on, a short tail batch taking views of their
-first rows; without a workspace (MlpScorer.logits called on its own), new
-arrays, from the same code.  A gradient is held once: in a fit the
-backward writes every trunk entry's straight into the optimizer's float32
-gradient buffer (param_grads), and only the float64 head, embedding and
-time gradients take workspace arrays, rounded once into it.
+master parameters exactly.  Every array of a training forward and
+backward (the form, the trunk's logits, the cache and the backward's
+temporaries) comes from _array: in a fit, from the optimizer's workspace
+(train.AdamState.work), which keeps one array per name from the first
+step on, a short tail batch taking views of their first rows; without a
+workspace (MlpScorer.logits called on its own), new arrays, from the same
+code.  A gradient is held once: the backward and param_grads write every
+entry's straight into param_grads' destination, in a fit the optimizer's
+float32 gradient buffer.
 
 Inference (MlpScorer.prepare, inference_logits) builds the form once per
-prepare call, in float32, and keeps no cache.  Its GroupNorm
-(_inference_groupnorm) spreads the halved gain into a (groups, hidden)
-matrix, so one matmul of the per-group reciprocal standard deviations
-gives the scale the rows take in one multiply; it never forms xhat, which
-the gain's gradient needs, so training keeps _gn_forward.  The two
+prepare call and keeps no cache.  Its GroupNorm (_inference_groupnorm)
+spreads the halved gain into a (groups, hidden) matrix, so one matmul of
+the per-group reciprocal standard deviations gives the scale the rows
+take in one multiply; it never forms xhat, which the gain's gradient
+needs, so training keeps _gn_forward.  The two
 GroupNorms, and _gn_backward, take their group means by one
 block-averaging matmul (_group_means, through _center for the
 statistics), in either dtype.  The block loops stay two as well: they
@@ -214,16 +215,18 @@ def _time_frequencies(half: int) -> np.ndarray:
     return freqs
 
 
-def time_features(u: np.ndarray, n_dims: int, work: dict | None = None) -> np.ndarray:
-    """Sinusoidal features of a scalar in [0, 1], geometric frequency ladder; the arrays
-    come from work (_array)."""
+def time_features(u: np.ndarray, n_dims: int, dtype, work: dict | None = None) -> np.ndarray:
+    """Sinusoidal features of a scalar in [0, 1], geometric frequency ladder, in dtype:
+    the sines fill the first half of the columns and the cosines the second.  The angles
+    are float64, each feature rounded once to dtype; the arrays come from work (_array)."""
     u = np.asarray(u, dtype=np.float64)
     half = n_dims // 2
     ang = np.multiply(u[:, None], _time_frequencies(half)[None, :],
                       out=_array(work, "time_angle", (len(u), half), np.float64))
-    sin = np.sin(ang, out=_array(work, "time_sin", ang.shape, np.float64))
-    return np.concatenate([sin, np.cos(ang, out=ang)], axis=1,
-                          out=_array(work, "time_features", (len(u), n_dims), np.float64))
+    features = _array(work, "time_features", (len(u), n_dims), dtype)
+    np.sin(ang, out=features[:, :half])
+    np.cos(ang, out=features[:, half:])
+    return features
 
 
 def param_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
@@ -255,19 +258,6 @@ def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
             value = np.ones(shape) if name.startswith("gn_g_") else np.zeros(shape)
         p[name] = value.astype(np.float32)
     return p
-
-
-def _cast(work: dict | None, name: str, value: np.ndarray, dtype) -> np.ndarray:
-    """value in dtype: itself when it is, else a copy in an array from work (_array).
-
-    The float64 stages (the conditioning, the head) cast their float32 tables
-    first: numpy's mixed-dtype matmul does not round like the float64 BLAS
-    product, and np.take will not gather float32 into float64."""
-    if value.dtype == dtype:
-        return value
-    out = _array(work, f"{np.dtype(dtype).name}.{name}", value.shape, dtype)
-    np.copyto(out, value)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,22 +432,20 @@ def _run_workers(n: int, alloc, run) -> None:
 HALVED = ("in_w", "in_b", "w1_", "b1_", "gn_g_", "gn_b_")
 
 
-def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig, dtype,
+def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
                      work: dict | None = None) -> dict[str, np.ndarray]:
-    """The form both forwards run on: the trunk's entries in dtype, the head's float64.
+    """The form both forwards run on, in the parameters' dtype.
 
     The HALVED entries (in_w, in_b and each block's w1, b1, gn_g, gn_b) are
     halved, exactly, so every SiLU's input arrives at half scale for
     silu_from_half; gn_scale spreads the halved gain into the
     (groups, hidden) matrix E * gamma / 2 (E the 0/1 group expansion) for
-    _inference_groupnorm; cb becomes cb + b2, summed in float64 and rounded
-    once to dtype, which inference adds to the few distinct (anchor, t)
-    rows of a call.  Entries already in dtype (w2 and cw of float32 masters
-    in a float32 form) are the master arrays themselves, the others casts
-    (_cast), and the head's out_w and out_b are cast to float64.  Every
-    entry that is not a master array is an array from work (_array): a
-    training step rebuilds the form in the same arrays.
+    _inference_groupnorm; cb becomes cb + b2, which inference adds to the
+    few distinct (anchor, t) rows of a call.  w2, cw, out_w and out_b are
+    the master arrays themselves; every other entry is an array from work
+    (_array), so a training step rebuilds the form in the same arrays.
     """
+    dtype = params["in_w"].dtype
     expand = _group_expand(cfg.hidden_dim, cfg.groups, dtype)
 
     def entry(name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -466,20 +454,17 @@ def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig, dtype,
     def half(name: str) -> np.ndarray:
         return np.multiply(params[name], 0.5, out=entry(name, params[name].shape))
 
-    def cast(name: str, to) -> np.ndarray:
-        return _cast(work, f"form.{name}", params[name], to)
-
     q = {"in_w": half("in_w"), "in_b": half("in_b")}
     for b in range(cfg.n_blocks):
         gamma = half(f"gn_g_{b}")
         q.update({f"w1_{b}": half(f"w1_{b}"), f"b1_{b}": half(f"b1_{b}"),
-                  f"w2_{b}": cast(f"w2_{b}", dtype), f"cw_{b}": cast(f"cw_{b}", dtype),
-                  f"cb_{b}": np.add(params[f"cb_{b}"], params[f"b2_{b}"], dtype=np.float64,
+                  f"w2_{b}": params[f"w2_{b}"], f"cw_{b}": params[f"cw_{b}"],
+                  f"cb_{b}": np.add(params[f"cb_{b}"], params[f"b2_{b}"],
                                     out=entry(f"cb_{b}", params[f"cb_{b}"].shape)),
                   f"gn_g_{b}": gamma, f"gn_b_{b}": half(f"gn_b_{b}"),
                   f"gn_scale_{b}": np.multiply(expand, gamma, out=entry(
                       f"gn_scale_{b}", (cfg.groups, cfg.hidden_dim)))})
-    q.update(out_w=cast("out_w", np.float64), out_b=cast("out_b", np.float64))
+    q.update(out_w=params["out_w"], out_b=params["out_b"])
     return q
 
 
@@ -519,16 +504,16 @@ def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarr
     """Training forward of (n, f) rows at (n, d) conditioning rows on the form q
     (inference_params); returns (logits, cache).
 
-    The trunk runs in the dtype of features, cond and q's trunk entries, the
-    head in the dtype of q["out_w"].  The cache keeps what backward_logits
-    reads (see the module docstring), work among it.  The logits and every
-    array of the cache come from work (_array), so they hold until the next
-    forward in the same workspace.
+    Everything runs in the dtype of features, cond and q, the logits among
+    it.  The cache keeps what backward_logits reads (see the module
+    docstring), work among it.  The logits and every array of the cache come
+    from work (_array), so they hold until the next forward in the same
+    workspace.
     """
     n, width = len(features), cond.shape[1]
 
-    def rows(name: str, cols: int = cfg.hidden_dim, dtype=features.dtype) -> np.ndarray:
-        return _array(work, name, (n, cols), dtype)
+    def rows(name: str, cols: int = cfg.hidden_dim) -> np.ndarray:
+        return _array(work, name, (n, cols), features.dtype)
 
     u = np.matmul(features, q["in_w"].T, out=rows("h_in"))
     u += q["in_b"]
@@ -547,75 +532,61 @@ def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarr
                                           rows(f"u_{b}"))
         cache[f"tgn_{b}"] = rows(f"tgn_{b}")
         h = silu_from_half(u, cache[f"tgn_{b}"])
-    head_in = rows("head", dtype=q["out_w"].dtype)
-    np.copyto(head_in, h)
     cache.update({"sc": sc, "h_top": h})
-    z = np.matmul(head_in, q["out_w"].T, out=rows("z", cfg.n_classes, head_in.dtype))
+    z = np.matmul(h, q["out_w"].T, out=rows("z", cfg.n_classes))
     z += q["out_b"]
     return z, cache
 
 
 def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict,
-                    out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+                    out: dict[str, np.ndarray]) -> np.ndarray:
     """Gradients of a scalar objective with upstream dL/dz; mirrors forward_logits.
 
-    Returns the gradient of every entry of q that forward_logits reads, the
-    head's in its dtype and the trunk's in the trunk dtype, plus "_dcond",
-    dL/dcond per row.  out maps parameter names to param_grads' destination
-    arrays: an entry's gradient is written straight into its destination
-    when the two share a dtype (in a float32 fit, every trunk entry's, into
-    the optimizer's gradient views), and otherwise into an array from the
-    forward's workspace (cache["work"], _array), as are dL/dcond and every
-    temporary.  The cache itself is only read.
+    Writes the gradient of every entry of q that forward_logits reads into
+    out[name], param_grads' destination arrays (in a fit, the optimizer's
+    gradient views), and returns dL/dcond per row.  dz, in any float dtype,
+    is taken into the trunk's once; dL/dcond and every temporary are arrays
+    from the forward's workspace (cache["work"], _array).  The cache itself
+    is only read.
     """
     s, sc, work = cache["h_top"], cache["sc"], cache["work"]
 
-    def rows(name: str, cols: int = cfg.hidden_dim, dtype=s.dtype) -> np.ndarray:
-        return _array(work, name, (len(dz), cols), dtype)
+    def rows(name: str, cols: int = cfg.hidden_dim) -> np.ndarray:
+        return _array(work, name, (len(dz), cols), s.dtype)
 
-    def grad(name: str) -> np.ndarray:
-        dest = out.get(name)
-        if dest is not None and dest.dtype == q[name].dtype:
-            return dest
-        return _array(work, f"grad.{name}", q[name].shape, q[name].dtype)
-
-    # One array in the head's dtype takes the head's input, then dL/d(input).
-    head = rows("head", dtype=dz.dtype)
-    np.copyto(head, s)
-    g = {"out_w": np.matmul(dz.T, head, out=grad("out_w")),
-         "out_b": np.sum(dz, axis=0, out=grad("out_b"))}
-    dh = rows("dh")
-    np.copyto(dh, np.matmul(dz, q["out_w"], out=head))
+    dz_trunk = rows("dz", cfg.n_classes)
+    dz_trunk[...] = dz
+    np.matmul(dz_trunk.T, s, out=out["out_w"])
+    np.sum(dz_trunk, axis=0, out=out["out_b"])
+    dh = np.matmul(dz_trunk, q["out_w"], out=rows("dh"))
     dsc = rows("dsc", sc.shape[1])
     dsc[...] = 0.0
     for b in reversed(range(cfg.n_blocks)):
         du = _silu_slope(s, cache[f"tgn_{b}"], rows("du"))
         du *= dh
-        dpre, dgamma, dbeta = _gn_backward(
+        dpre, _, _ = _gn_backward(
             du, q[f"gn_g_{b}"], cache[f"gn_{b}"], cfg.groups,
-            (rows("dpre"), grad(f"gn_g_{b}"), grad(f"gn_b_{b}"), rows("scratch")))
+            (rows("dpre"), out[f"gn_g_{b}"], out[f"gn_b_{b}"], rows("scratch")))
         s1 = cache[f"s1_{b}"]
-        g.update({f"gn_g_{b}": dgamma, f"gn_b_{b}": dbeta,
-                  f"cw_{b}": np.matmul(dpre.T, sc, out=grad(f"cw_{b}")),
-                  f"cb_{b}": np.sum(dpre, axis=0, out=grad(f"cb_{b}")),
-                  f"w2_{b}": np.matmul(dpre.T, s1, out=grad(f"w2_{b}"))})
+        np.matmul(dpre.T, sc, out=out[f"cw_{b}"])
+        np.sum(dpre, axis=0, out=out[f"cb_{b}"])
+        np.matmul(dpre.T, s1, out=out[f"w2_{b}"])
         dsc += np.matmul(dpre, q[f"cw_{b}"], out=rows("dcond", sc.shape[1]))
         du1 = np.matmul(dpre, q[f"w2_{b}"], out=du)
         du1 *= _silu_slope(s1, cache[f"t1_{b}"], rows("scratch"))
         s = cache[f"h_{b}"]
-        g[f"w1_{b}"] = np.matmul(du1.T, s, out=grad(f"w1_{b}"))
-        g[f"b1_{b}"] = np.sum(du1, axis=0, out=grad(f"b1_{b}"))
+        np.matmul(du1.T, s, out=out[f"w1_{b}"])
+        np.sum(du1, axis=0, out=out[f"b1_{b}"])
         dh = np.matmul(du1, q[f"w1_{b}"], out=rows("dh"))
         dh += dpre
     du = _silu_slope(s, cache["t_in"], rows("du"))
     du *= dh
-    g["in_w"] = np.matmul(du.T, cache["features"], out=grad("in_w"))
-    g["in_b"] = np.sum(du, axis=0, out=grad("in_b"))
+    np.matmul(du.T, cache["features"], out=out["in_w"])
+    np.sum(du, axis=0, out=out["in_b"])
     dcond = _silu_slope(sc, cache["t_cond"], rows("dcond", sc.shape[1]))
     dcond *= dsc
     dcond *= 0.5                      # silu(cond) took u = cond / 2
-    g["_dcond"] = dcond
-    return g
+    return dcond
 
 
 class MlpScorer(Scorer):
@@ -633,80 +604,75 @@ class MlpScorer(Scorer):
         time embedding reads the fraction of the total noise reached by t.
 
         anchors must lie in [0, K), as _check_rows makes sure: the embedding
-        rows are gathered without a bounds check.  It runs in float64, on
-        float64 casts of the embed, time_w and time_b tables; the arrays come
-        from work (_array).
+        rows are gathered without a bounds check.  It runs in the parameters'
+        dtype; the arrays come from work (_array).
         """
+        embed = self.params["embed"]
         tf = time_features(self.schedule.sigma_bar(t) / self.schedule.sigma_bar_max,
-                           self.cfg.time_embed_dim, work)
+                           self.cfg.time_embed_dim, embed.dtype, work)
         shape = (len(anchors), self.cfg.embed_dim)
-        embed, time_w, time_b = (_cast(work, name, self.params[name], np.float64)
-                                 for name in ("embed", "time_w", "time_b"))
         # "clip" gathers what "raise" would for indices in range, without the buffered
         # copy numpy makes for out= under "raise".
         cond = np.take(embed, anchors, axis=0, mode="clip",
-                       out=_array(work, "cond", shape, np.float64))
-        cond += np.matmul(tf, time_w.T, out=_array(work, "time_proj", shape, np.float64))
-        cond += time_b
+                       out=_array(work, "cond", shape, embed.dtype))
+        cond += np.matmul(tf, self.params["time_w"].T,
+                          out=_array(work, "time_proj", shape, embed.dtype))
+        cond += self.params["time_b"]
         return cond, tf
 
     def logits(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray,
                work: dict | None = None):
         """Float64 logits with the backprop cache; the training forward.
 
-        The trunk runs in float32 on float32 features and in float64 on any
-        others; the conditioning and the head run in float64.  The trunk
-        reads the inference form of the current parameters in the trunk's
-        dtype (inference_params), which the cache keeps for param_grads.
-        With work, a fit's workspace (train.AdamState.work), the form, the
-        logits, the cache and the backward's arrays all come from it
-        (_array), and hold until the next forward in that workspace; without
-        it every array is new.
+        The forward runs in the parameters' dtype, on the features taken in
+        it and on the inference form of the current parameters
+        (inference_params), which the cache keeps for param_grads; its
+        logits are widened to float64 once, here.  With work, a fit's
+        workspace (train.AdamState.work), the form, the cache and the
+        backward's arrays all come from it (_array), and hold until the next
+        forward in that workspace; without it every array is new.
         """
-        features = np.asarray(features)
-        if features.dtype != np.float32:
-            features = features.astype(np.float64, copy=False)
+        q = inference_params(self.params, self.cfg, work)
+        features = np.asarray(features, q["in_w"].dtype)
         anchors, t = self._check_rows(len(features), anchors, t)
-        q = inference_params(self.params, self.cfg, features.dtype, work)
         cond, tf = self.conditioning(anchors, t, work)
-        trunk_cond = _array(work, "trunk_cond", cond.shape, features.dtype)
-        np.copyto(trunk_cond, cond)
-        z, cache = forward_logits(q, self.cfg, features, trunk_cond, work)
+        z, cache = forward_logits(q, self.cfg, features, cond, work)
         cache.update({"params": q, "tf": tf, "anchors": anchors})
         self._check_finite(z)
-        return z, cache
+        return z.astype(np.float64, copy=False), cache
 
     def prepare(self, features: np.ndarray) -> PreparedFeatures:
         """Run the conditioning-free prefix of the inference trunk once.
 
-        Builds the float32 inference form of the parameters and runs the
-        input layer and block 0's residual branch on the rows, tile
-        by tile on the workers (_run_workers); score_batch takes the result
-        in place of the features at any anchors and times, until the
+        Builds the inference form of the parameters and runs the input layer
+        and block 0's residual branch on the rows, in the parameters' dtype,
+        tile by tile on the workers (_run_workers); score_batch takes the
+        result in place of the features at any anchors and times, until the
         parameters change.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
             raise ValidationError(f"features must be (rows, {self.cfg.feature_dim}); "
                                   f"got shape {features.shape}")
-        q = inference_params(self.params, self.cfg, np.float32)
-        base = np.empty((features.shape[0], self.cfg.hidden_dim), np.float32)
+        q = inference_params(self.params, self.cfg)
+        dtype = q["in_w"].dtype
+        base = np.empty((features.shape[0], self.cfg.hidden_dim), dtype)
 
         def run(tiles: Iterable[slice], h_work: np.ndarray, scratch_work: np.ndarray) -> None:
             for tile in tiles:
                 h, scratch = (w[:tile.stop - tile.start] for w in (h_work, scratch_work))
-                np.matmul(features[tile].astype(np.float32, copy=False), q["in_w"].T, out=h)
+                np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
                 h += q["in_b"]
                 silu_from_half(h, scratch)
                 _inference_branch(q, 0, h, base[tile], scratch)
 
-        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), np.float32)
+        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), dtype)
                                               for _ in range(2)], run)
         return PreparedFeatures(q, base)
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
                          t: np.ndarray) -> np.ndarray:
-        """Logits of the inference path: float32 trunk, float64 head, no cache.
+        """Float64 logits of the inference path, which keeps no cache.
 
         features are raw rows, prepared here, or the result of prepare;
         anchors and t hold one integer label and one time per row.  The
@@ -716,7 +682,9 @@ class MlpScorer(Scorer):
         (_run_workers), each in (rows, hidden) work arrays that its tiles
         reuse, so its temporaries stay cache-sized; the logits do not depend
         on the tiling while every tile holds at least TILE_ROWS rows, nor on
-        the worker count.
+        the worker count.  Everything runs in the dtype of the prepared
+        rows, the parameters'; the logits are widened to float64 once, at
+        the end.
         """
         if not isinstance(features, PreparedFeatures):
             features = self.prepare(features)
@@ -724,19 +692,13 @@ class MlpScorer(Scorer):
         pair_anchors, pair_t, index = self._distinct_pairs(anchors, t)
         q, base = features.params, features.base
         cond, _ = self.conditioning(pair_anchors, pair_t)
-        sc = silu(cond.astype(base.dtype))
+        sc = silu(cond)
         cvecs = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"] for b in range(self.cfg.n_blocks)]
-        z = np.empty((len(base), self.k), dtype=q["out_w"].dtype)
-        hidden = self.cfg.hidden_dim
+        z = np.empty((len(base), self.k), base.dtype)
 
-        def run(tiles: Iterable[slice], h_work: np.ndarray, pair: np.ndarray) -> None:
+        def run(tiles: Iterable[slice], *arrays: np.ndarray) -> None:
             for tile in tiles:
-                m = tile.stop - tile.start
-                h = h_work[:m]
-                # x and scratch are the two halves of one buffer, which also holds
-                # the float64 head's input once both are spent, so the head's cast
-                # takes no memory of its own.
-                x, scratch = pair[:2 * m * hidden].reshape(2, m, hidden)
+                h, x, scratch = (w[:tile.stop - tile.start] for w in arrays)
                 for b in range(self.cfg.n_blocks):
                     x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
                     # The indices are in range, so "clip" gathers what "raise" would,
@@ -746,16 +708,13 @@ class MlpScorer(Scorer):
                     _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"],
                                          self.cfg.groups, scratch)
                     silu_from_half(h, scratch)
-                zt = z[tile]
-                head_in = pair.view(zt.dtype)[:m * hidden].reshape(m, hidden)
-                head_in[...] = h
-                np.matmul(head_in, q["out_w"].T, out=zt)
+                zt = np.matmul(h, q["out_w"].T, out=z[tile])
                 zt += q["out_b"]
 
-        _run_workers(len(base), lambda rows: (np.empty((rows, hidden), base.dtype),
-                                              np.empty(2 * rows * hidden, base.dtype)), run)
+        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), base.dtype)
+                                              for _ in range(3)], run)
         self._check_finite(z)
-        return z
+        return z.astype(np.float64, copy=False)
 
     def _distinct_pairs(self, anchors: np.ndarray, t: np.ndarray):
         """(anchors, t) of the distinct (anchor, t) pairs, ordered by t then anchor, and
@@ -794,36 +753,26 @@ class MlpScorer(Scorer):
 
         They are written into out, arrays named like self.params (an
         optimizer workspace's float32 gradient views), when it is given, and
-        into new arrays of the parameters' dtypes otherwise; each is computed
-        in its stage's dtype and rounded once into them, or, when computed
-        in out's dtype (every trunk entry in a float32 fit), written there by
-        backward_logits itself.  The gradients of the inference form map
-        back to the master parameters exactly: an entry the form halves
-        (HALVED) takes half its form gradient, in place where it is already
-        in out (x 0.5 is exact), and b2, which the form's cb holds, takes
-        cb's.  The embedding gradient, a scatter-add of dL/dcond over the
-        anchors, is taken as a one-hot matmul in float64.
+        into new arrays like the parameters otherwise, each computed there
+        in the parameters' dtype, the trunk's and head's by backward_logits.
+        The gradients of the inference form map back to the master
+        parameters exactly: an entry the form halves (HALVED) takes half its
+        form gradient, in place (x 0.5 is exact), and b2, which the form's
+        cb holds, takes cb's.  The embedding gradient, a scatter-add of
+        dL/dcond over the anchors, is taken as a one-hot matmul.
         """
         if out is None:
             out = {name: np.empty_like(v) for name, v in self.params.items()}
-        g, work = backward_logits(cache["params"], self.cfg, dz, cache, out), cache["work"]
-        dcond = _array(work, "dcond64", g["_dcond"].shape, np.float64)
-        np.copyto(dcond, g.pop("_dcond"))
-        onehot = np.equal.outer(cache["anchors"], np.arange(self.k)).astype(np.float64)
-        g["embed"] = np.matmul(onehot.T, dcond,
-                               out=_array(work, "grad.embed", out["embed"].shape, np.float64))
-        g["time_w"] = np.matmul(dcond.T, cache["tf"],
-                                out=_array(work, "grad.time_w", out["time_w"].shape, np.float64))
-        g["time_b"] = dcond.sum(axis=0)
-        # Rounded into out by copyto: an out= matmul or multiply that casts makes numpy
-        # allocate a buffer, 32-64 KiB a call at the reference model's sizes.
-        for name, grad in g.items():
+        dcond = backward_logits(cache["params"], self.cfg, dz, cache, out)
+        onehot = np.equal.outer(cache["anchors"], np.arange(self.k)).astype(dcond.dtype)
+        np.matmul(onehot.T, dcond, out=out["embed"])
+        np.matmul(dcond.T, cache["tf"], out=out["time_w"])
+        np.sum(dcond, axis=0, out=out["time_b"])
+        for name, grad in out.items():
             if name.startswith(HALVED):
-                np.multiply(grad, 0.5, out=out[name])
-            elif grad is not out[name]:
-                np.copyto(out[name], grad)
+                grad *= 0.5
         for b in range(self.cfg.n_blocks):
-            np.copyto(out[f"b2_{b}"], g[f"cb_{b}"])
+            np.copyto(out[f"b2_{b}"], out[f"cb_{b}"])
         return out
 
     def save(self, path: str) -> None:

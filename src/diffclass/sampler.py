@@ -20,7 +20,7 @@ one score_batch call per step, whose scores go straight into the step's
 kernel and are dropped before the next call.  The features reach the
 scorer in the dtype they come in (a dataset's float32, as load_dataset
 returns it): the engine makes no wider copy, and each scorer casts where
-it computes (MlpScorer.prepare runs its tiles in float32).
+it computes (MlpScorer.prepare, to its parameters' float32).
 
 The step is exact over its interval [s, t]: the forward process keeps a
 share e = exp(-K (sigma_bar(t) - sigma_bar(s))) of the label distribution

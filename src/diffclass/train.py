@@ -6,27 +6,25 @@ through the closed-form forward marginal, sample a noisy label from it,
 form the true ratio column against that anchor, score with the network,
 and descend the score-entropy objective with an adaptive-moment update.
 
-fit trains in float32 with a float64 head: it takes the features as
-float32, a dataset file's own dtype (data.load_dataset), so they are held
-once, and casts any other dtype once.  The scorer's forward and backward
-run the trunk in float32, on a float32 inference form of the parameters
-that each forward builds from the master ones (mlp.inference_params); the
-conditioning, the head and the loss stay float64.  The master parameters, their gradients,
-the Adam moments and so the checkpoints are float32: the optimizer's
-buffers are, and the gradient norm and the Adam step run in float32, so a
-checkpoint holds exactly the parameters the fit ends with.  train_step
-itself runs the trunk in the dtype of the features it is given.
+fit trains in float32.  The master parameters, their gradients, the Adam
+moments and so the checkpoints are float32: the optimizer's buffers are,
+and the gradient norm and the Adam step run in float32, so a checkpoint
+holds exactly the parameters the fit ends with.  The scorer's forward and
+backward run in the parameters' dtype, on an inference form of them that
+each forward builds from the master ones (mlp.inference_params), and take
+each batch of features in that dtype: a dataset file's float32 rows
+(data.load_dataset) as they are, so they are held once.  Only the logits
+and the loss, noise and ratio columns around them are float64.
 
 Each optimizer (AdamState) owns one workspace, allocated once per fit:
 contiguous float32 buffers for the parameters, their gradients, the two
 moments and the epoch's starting parameters, one small scratch array, and
 the step arrays (work).  The scorer's params entries are views into the
 parameter buffer, and param_grads writes into the gradient buffer's views:
-the backward writes each trunk weight and bias gradient there itself, and
-only the float64 head, embedding and time gradients pass through step
-arrays.  So each gradient is held once, clipping is one dot product and
-one scale, and the Adam step is thirteen ufuncs over each cache-sized
-slice of the buffers:
+the backward writes every gradient there itself, and no step array holds
+one.  So each gradient is held once, clipping is one dot product and one
+scale, and the Adam step is thirteen ufuncs over each cache-sized slice
+of the buffers:
 
     m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*g**2,
     p -= (lr/bc1) * m / (sqrt(v) * (1/sqrt(bc2)) + eps),
@@ -37,11 +35,11 @@ published (b1, b2) = ADAM_BETAS and eps = ADAM_EPS (arXiv:1412.6980).
 
 The step arrays are every array a step's forward and backward make for up
 to batch_size rows: the float32 inference form, which each forward
-rebuilds in place from the master views, the logits, the backprop cache,
-the backward's temporaries and the float64 gradients (mlp._array; a short
-tail batch takes views of their first rows).  An epoch's first step makes
-them and the epoch's validation, which needs memory of its own, starts by
-freeing them.  Freed and made again at every step, they cost a
+rebuilds in place from the master views, the trunk's logits, the backprop
+cache and the backward's temporaries (mlp._array; a short tail batch
+takes views of their first rows).  An epoch's first step makes them and
+the epoch's validation, which needs memory of its own, starts by freeing
+them.  Freed and made again at every step, they cost a
 fresh-process train of the reference model (1 epoch on 32,000 rows, 2-vCPU
 Xeon) 158,000 minor page faults, as glibc returned the heap's top to the
 system after each step and faulted it back in at the next; kept, 8,400.
@@ -117,10 +115,6 @@ class TrainConfig:
         )
 
 
-# The dtype fit casts the training features to, and so the dtype of the trunk's
-# forward and backward; the optimizer's buffers are float32 whatever it is.
-TRAIN_FEATURE_DTYPE = np.float32
-
 # The (anchor, t) at which the cross-entropy baseline reads its scorer.
 BASELINE_ANCHOR = 0
 BASELINE_T = 0.0
@@ -150,8 +144,9 @@ ADAM_CHUNK = 32768
 class AdamState:
     """Adam's step count and the optimizer's one workspace.
 
-    The workspace is four contiguous float32 buffers of the parameters'
-    total size, rows of one block: the master parameters (flat), their
+    The workspace is four contiguous buffers of the parameters' total size
+    and dtype (float32 in every fit, float64 on a float64 copy of the
+    parameters), rows of one block: the master parameters (flat), their
     gradients (grad) and the two moments (m, v); one more, the epoch's
     snapshot of flat (best); one scratch buffer of ADAM_CHUNK elements for
     adam_update; and work, the step arrays that MlpScorer.logits and
@@ -166,11 +161,12 @@ class AdamState:
 
     def __init__(self, params: dict[str, np.ndarray]):
         size = sum(np.size(v) for v in params.values())
+        dtype = next(iter(params.values())).dtype
         self.step = 0
-        self.flat, self.grad, self.m, self.v = np.zeros((4, size), np.float32)
+        self.flat, self.grad, self.m, self.v = np.zeros((4, size), dtype)
         # Apart from flat's block, which the scorer's parameter views keep alive after the fit.
-        self.best = np.empty(size, np.float32)
-        self.scratch = np.empty(min(size, ADAM_CHUNK), np.float32)
+        self.best = np.empty(size, dtype)
+        self.scratch = np.empty(min(size, ADAM_CHUNK), dtype)
         self.work: dict[str, np.ndarray] = {}
         self.params = self._views(self.flat, params)
         self.grads = self._views(self.grad, params)
@@ -188,7 +184,7 @@ class AdamState:
         """Make params' entries the workspace's views, copying in any array that is not.
 
         An entry a caller replaced with a new array since the last pack is
-        copied into the buffer here, rounded to float32; one changed in place
+        copied into the buffer here, rounded to its dtype; one changed in place
         already is the buffer.
         """
         for name, view in self.params.items():
@@ -370,18 +366,15 @@ def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np
     """Train a scorer on train_data, (features, labels); returns (scorer, per-epoch metrics).
 
     config.epochs passes of train_step over batches shuffled by
-    default_rng(config.seed), on the features as TRAIN_FEATURE_DTYPE: a
-    dataset file's float32 features as they are, with no copy, and others
-    cast once.  With
-    eval_data, each epoch ends by scoring EVAL_STEPS cp steps on its first
-    EVAL_SUBSET inputs against the exact posterior under corruption, and a
-    schedule that cannot sample those steps raises ValidationError before
-    training; without it, each epoch's tv and top1 are NaN.  Validation
-    draws nothing from the training stream, so the scorer does not depend
-    on it.  With cross_entropy, which takes no eval_data, the scorer is the
-    comparison grid's baseline.  A numerical failure in an epoch raises
-    TrainingDiverged, which carries the scorer with the last finished
-    epoch's parameters and metrics.
+    default_rng(config.seed).  With eval_data, each epoch ends by scoring
+    EVAL_STEPS cp steps on its first EVAL_SUBSET inputs against the exact
+    posterior under corruption, and a schedule that cannot sample those
+    steps raises ValidationError before training; without it, each epoch's
+    tv and top1 are NaN.  Validation draws nothing from the training
+    stream, so the scorer does not depend on it.  With cross_entropy, which
+    takes no eval_data, the scorer is the comparison grid's baseline.  A
+    numerical failure in an epoch raises TrainingDiverged, which carries
+    the scorer with the last finished epoch's parameters and metrics.
     """
     if cross_entropy and eval_data is not None:
         raise ValidationError("the cross-entropy baseline takes no eval_data: "
@@ -399,7 +392,6 @@ def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np
             scorer.params[f"cw_{b}"][...] = 0.0
     rng = np.random.default_rng(config.seed)
     features, labels = train_data
-    features = np.asarray(features, dtype=TRAIN_FEATURE_DTYPE)
     opt = AdamState(scorer.params)
     n = features.shape[0]
     total_steps = config.epochs * max(1, math.ceil(n / config.batch_size))

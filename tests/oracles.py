@@ -218,8 +218,9 @@ def in_float64(scorer):
     """The scorer, its float32 parameters replaced by float64 copies.
 
     A float32 entry cannot take a finite difference's small step.  On
-    float64 parameters and float64 features the training forward, the
-    backward and the gradients run in float64 throughout.
+    float64 parameters every forward, backward and gradient runs in
+    float64, whatever the features' dtype, and so does an optimizer
+    (train.AdamState) made on them.
     """
     scorer.params = {name: value.astype(np.float64) for name, value in scorer.params.items()}
     return scorer

@@ -120,6 +120,16 @@ def _distinct_pairs(anchors, t):
     return first, index.ravel()
 
 
+def _float64_reference(scorer):
+    """A scorer on float64 copies of scorer's parameters (oracles.in_float64), checked to
+    run its forward in float64 on float32 features; scorer itself is left as it is."""
+    reference = in_float64(MlpScorer(scorer.cfg, scorer.schedule, params=scorer.params))
+    _, cache = reference.logits(np.zeros((1, scorer.cfg.feature_dim), np.float32),
+                                np.zeros(1, dtype=int), np.full(1, 0.5))
+    assert cache["h_top"].dtype == np.float64
+    return reference
+
+
 class TestInferencePath:
     def test_float32_trunk_matches_float64_forward(self, trained_scorer):
         rng = np.random.default_rng(10)
@@ -127,7 +137,7 @@ class TestInferencePath:
         y = 3.0 * rng.standard_normal((n, 2))
         anchors = rng.integers(0, 8, n)
         t = rng.choice(np.linspace(1.0, 0.125, 8), n)
-        z64, _ = trained_scorer.logits(y, anchors, t)
+        z64, _ = _float64_reference(trained_scorer).logits(y, anchors, t)
         z32 = trained_scorer.inference_logits(y, anchors, t)
         assert z32.dtype == np.float64
         assert np.abs(z32 - z64).max() <= 1e-5
@@ -159,19 +169,28 @@ class TestInferencePath:
     def test_gathered_conditioning_matches_per_row(self, trained_scorer):
         """Distinct rows gathered per row equal the per-row computation.
 
-        A matmul over the few distinct rows and the same rows inside an n-row
-        matmul may round differently (BLAS picks its kernel by row count), so
-        the match is to rounding, not to the bit; a wrong gather is off by O(1).
+        The conditioning runs in the parameters' float32.  A matmul over the
+        few distinct rows and the same rows inside an n-row matmul may round
+        differently (BLAS picks its kernel by row count), so the match is to
+        float32 rounding, not to the bit: each entry sums time_embed_dim
+        products and two table entries, and two orders of that sum differ by
+        at most that many float32 epsilons of its absolute terms (16-row and
+        600-row calls differed by up to 9.5e-7).  A wrong gather is off by O(1).
         """
         y, anchors, t = _shared_time_batch(600, 12)
         t[::3] = 0.25
         first, index = _distinct_pairs(anchors, t)
         assert len(first) == 16
-        cond_u, _ = trained_scorer.conditioning(anchors[first], t[first])
+        cond_u, tf_u = trained_scorer.conditioning(anchors[first], t[first])
         cond_rows, _ = trained_scorer.conditioning(anchors, t)
-        np.testing.assert_allclose(cond_u[index], cond_rows, rtol=0, atol=1e-13)
+        assert cond_u.dtype == cond_rows.dtype == np.float32
+        params = trained_scorer.params
+        terms = (np.abs(tf_u) @ np.abs(params["time_w"].T) + np.abs(params["time_b"])
+                 + np.abs(params["embed"][anchors[first]]))
+        bound = (trained_scorer.cfg.time_embed_dim + 2) * np.finfo(np.float32).eps * terms
+        assert np.all(np.abs(cond_u[index] - cond_rows) <= bound[index])
         z_gather = trained_scorer.inference_logits(y, anchors, t)
-        z_rows, _ = trained_scorer.logits(y.astype(np.float32), anchors, t)
+        z_rows, _ = trained_scorer.logits(y, anchors, t)
         np.testing.assert_allclose(z_gather, z_rows, rtol=0, atol=1e-5)
 
     def test_in_place_forms_compute_the_training_arithmetic(self):
@@ -333,13 +352,14 @@ class TestPreparedPath:
            group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
            seed=st.integers(0, 2**16))
     def test_prepared_path_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
-        """Scores keep their contract and the float32 inference logits stay near float64's."""
+        """Scores keep their contract and the float32 inference logits stay near those of
+        the float64 training forward on float64 copies of the parameters."""
         cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
                         hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
                         groups=groups)
         scorer = MlpScorer(cfg, SCHED, seed=seed)
         rng = np.random.default_rng(seed)
-        scorer.params["out_w"] = 0.5 * rng.standard_normal((k, cfg.hidden_dim))
+        scorer.params["out_w"] = (0.5 * rng.standard_normal((k, cfg.hidden_dim))).astype(np.float32)
         n = 40
         y = 2.0 * rng.standard_normal((n, dim))
         anchors = rng.integers(0, k, n)
@@ -349,7 +369,7 @@ class TestPreparedPath:
         values = scorer.score_batch(prepared, anchors, t)
         assert np.all(np.isfinite(values)) and np.all(values > 0.0)
         assert np.all(values[np.arange(n), anchors] == 1.0)
-        z64, _ = scorer.logits(y, anchors, t)
+        z64, _ = _float64_reference(scorer).logits(y, anchors, t)
         assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
 
 
@@ -614,17 +634,18 @@ def _relative_gap(got, want):
 
 
 class TestMixedPrecisionTraining:
-    """Float32 features run the training trunk in float32; the gradients are float32,
-    like the parameters, whatever the features' dtype."""
+    """The training forward and backward run in the parameters' dtype: float32 gradients
+    of float32 parameters stay near those of a float64 copy (_float64_reference)."""
 
     def test_float32_gradients_match_float64_on_the_reference_config(self, trained_scorer):
         rng = np.random.default_rng(20)
         y = (3.0 * rng.standard_normal((128, 2))).astype(np.float32)
         labels = rng.integers(0, 8, 128)
         g32 = _grads_at(trained_scorer, y, labels, seed=21)
-        g64 = _grads_at(trained_scorer, y.astype(np.float64), labels, seed=21)
+        g64 = _grads_at(_float64_reference(trained_scorer), y, labels, seed=21)
         assert list(g32) == list(trained_scorer.params)
-        assert all(v.dtype == np.float32 for g in (g32, g64) for v in g.values())
+        assert all(v.dtype == np.float32 for v in g32.values())
+        assert all(v.dtype == np.float64 for v in g64.values())
         assert _relative_gap(g32, g64) <= 1e-4
 
     @settings(max_examples=25, deadline=None)
@@ -641,8 +662,9 @@ class TestMixedPrecisionTraining:
         y = (2.0 * rng.standard_normal((48, dim))).astype(np.float32)
         labels = rng.integers(0, k, 48)
         g32 = _grads_at(scorer, y, labels, seed)
-        g64 = _grads_at(scorer, y.astype(np.float64), labels, seed)
-        assert all(v.dtype == np.float32 for g in (g32, g64) for v in g.values())
+        g64 = _grads_at(_float64_reference(scorer), y, labels, seed)
+        assert all(v.dtype == np.float32 for v in g32.values())
+        assert all(v.dtype == np.float64 for v in g64.values())
         assert _relative_gap(g32, g64) <= 1e-4
 
     @pytest.mark.parametrize("offset", [0.0, 4.0])
@@ -658,23 +680,27 @@ class TestMixedPrecisionTraining:
             assert g.dtype == np.float32 and g.shape == w.shape
             assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max()
 
-    def test_float64_features_keep_the_trunk_float64(self):
-        scorer = _small_scorer(head_scale=0.3)
+    def test_the_forward_runs_in_the_parameters_dtype(self):
+        """Float32 and float64 parameters each run the whole training forward in their
+        own dtype, whatever the features' dtype, on the form inference_params builds,
+        whose untouched entries are the master arrays; only the logits are float64."""
         rng = np.random.default_rng(23)
         y = rng.standard_normal((6, 3))
         anchors = rng.integers(0, 5, 6)
-        _, cache = scorer.logits(y, anchors, rng.random(6))
-        q = cache["params"]
-        assert cache["h_top"].dtype == np.float64
-        want = mlp.inference_params(scorer.params, SMALL, np.float64)
-        assert all(v.dtype == np.float64 and v.tobytes() == want[k].tobytes()
-                   for k, v in q.items())
-        _, cache = scorer.logits(y.astype(np.float32), anchors, rng.random(6))
-        q = cache["params"]
-        assert cache["h_top"].dtype == np.float32
-        assert all(q[k].dtype == (np.float64 if k.startswith("out_") else np.float32) for k in q)
-        # The entries the float32 form leaves as they are are the master arrays: no copy.
-        assert all(q[k] is scorer.params[k] for k in ("w2_0", "cw_1"))
+        for dtype in (np.float32, np.float64):
+            scorer = _small_scorer(head_scale=0.3)
+            if dtype == np.float64:
+                scorer = in_float64(scorer)
+            want = mlp.inference_params(scorer.params, SMALL)
+            for features in (y, y.astype(np.float32)):
+                z, cache = scorer.logits(features, anchors, rng.random(6))
+                assert z.dtype == np.float64
+                assert all(cache[k].dtype == dtype for k in ("features", "sc", "h_top", "tf"))
+                q = cache["params"]
+                assert q.keys() == want.keys()
+                assert all(v.dtype == dtype and v.tobytes() == want[k].tobytes()
+                           for k, v in q.items())
+                assert all(q[k] is scorer.params[k] for k in ("w2_0", "cw_1", "out_w", "out_b"))
 
 
 class TestGradients:
@@ -790,25 +816,33 @@ class TestBackwardReuse:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_embedding_gradient_is_the_scatter_add_over_the_anchors(self, dtype):
-        """The one-hot matmul equals np.add.at, rounded once to the parameters' float32,
-        byte for byte, signed zeros included."""
+        """The one-hot matmul, in the parameters' dtype, equals a float64 np.add.at of
+        dL/dcond over the anchors to that dtype's summation rounding: n terms, each
+        product exact, sum to within n epsilons of their absolute sum.  A label no
+        anchor holds gets exactly zero."""
         rng = np.random.default_rng(25)
         for k in (2, 5, 13):
             cfg = MlpConfig(n_classes=k, feature_dim=3, embed_dim=8, hidden_dim=16,
                             n_blocks=2, time_embed_dim=8, groups=4)
             scorer = MlpScorer(cfg, SCHED, seed=k)
             scorer.params["out_w"] = (0.5 * rng.standard_normal((k, 16))).astype(np.float32)
+            if dtype == np.float64:
+                scorer = in_float64(scorer)
             for n in (1, 7, 64, 300):
-                y = rng.standard_normal((n, 3)).astype(dtype)
+                y = rng.standard_normal((n, 3))
                 anchors = rng.integers(0, k, n)
                 _, cache = scorer.logits(y, anchors, rng.random(n))
                 dz = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-6, 2, (n, 1))
                 dz[rng.random(n) < 0.2] = -0.0
-                dcond = backward_logits(cache["params"], cfg, dz, cache, {})["_dcond"]
-                want = np.zeros((k, 8))
-                np.add.at(want, anchors, dcond.astype(np.float64))
+                out = {name: np.empty_like(v) for name, v in scorer.params.items()}
+                dcond = backward_logits(cache["params"], cfg, dz, cache, out).astype(np.float64)
+                want, scale = np.zeros((k, 8)), np.zeros((k, 8))
+                np.add.at(want, anchors, dcond)
+                np.add.at(scale, anchors, np.abs(dcond))
                 got = scorer.param_grads(dz, cache)["embed"]
-                assert got.tobytes() == want.astype(np.float32).tobytes(), (k, n)
+                assert got.dtype == dtype
+                assert np.all(np.abs(got - want) <= n * np.finfo(dtype).eps * scale), (k, n)
+                assert not got[np.bincount(anchors, minlength=k) == 0].any()
 
 
 class TestCeBaseline:
@@ -859,7 +893,7 @@ class TestCeBaseline:
 
     def test_prediction_keeps_no_backprop_cache(self):
         """Predicting 2,000 rows of a reference-size baseline runs the inference
-        path; the training forward's float64 backprop cache would take ~52 MiB."""
+        path; the training forward's float32 backprop cache would take ~20 MiB."""
         scorer = MlpScorer(MlpConfig(8, 2), SCHED, seed=3)
         y = np.random.default_rng(8).standard_normal((2000, 2))
         ce_baseline_proba(scorer, y[:10])       # warm the lru caches outside the trace
