@@ -1,10 +1,10 @@
 """Diffusion-based posterior estimation for classification.
 
 Labels are corrupted by a uniform-rate continuous-time Markov process with
-a closed-form marginal; a ratio-score network is trained with a
+a closed-form marginal; a scorer network is trained on ratio scores with a
 score-entropy objective; the posterior is recovered by stepping the reverse
 process over class probabilities or sampled class labels, each step denoising
-the score column exactly over its interval.
+the scorer's class distribution exactly over its interval.
 """
 
 from .data import CorruptionSpec, MixtureTask, generate, true_posterior_batch

@@ -29,6 +29,9 @@ from .mlp import MlpScorer
 from .sampler import METHOD_SAMPLERS, STRATEGIES, SamplerConfig
 from .train import EVAL_SUBSET, TrainConfig, TrainingDiverged, fit
 
+FRESH_DRAWS = ("Scores --n-eval fresh draws of the dataset's task and corruption, seeded by "
+               "--seed, through harness.evaluate; unlike eval and trace, not the rows of --data.")
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
@@ -98,18 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "the CSV's strategy cell empty")
     p.add_argument("--timing", action="store_true")
 
-    p = sub.add_parser("sweep", help="accuracy vs scorer-call budget")
+    p = sub.add_parser("sweep", help="accuracy vs scorer-call budget", description=FRESH_DRAWS)
     _add_common(p)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help="dataset stem: its task and corruption")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n-eval", type=int, default=2000)
+    p.add_argument("--n-eval", type=int, default=2000, help="fresh draws to score")
 
-    p = sub.add_parser("ablate", help="cp under each anchor rule (argmax, argmin)")
+    p = sub.add_parser("ablate", help="cp under each anchor rule (argmax, argmin)",
+                       description=FRESH_DRAWS)
     _add_common(p)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help="dataset stem: its task and corruption")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--n-eval", type=int, default=2000)
+    p.add_argument("--n-eval", type=int, default=2000, help="fresh draws to score")
 
     p = sub.add_parser("trace", help="per-step top-k probabilities for one input")
     _add_common(p)

@@ -1,12 +1,12 @@
-"""Trainable ratio-score network.
+"""Trainable scorer network.
 
 The scorer is a conditioned residual MLP: a label embedding and a
 sinusoidal time embedding are summed into one conditioning vector, each
 residual block adds a transformed copy of it on the skip path, the
 conditioned skip-sum is group-normalized, and a zero-initialized linear
-head emits logits z.  Scores are exp(z_i - z_j), which pins the anchor
-entry to one, keeps all entries positive, and makes score normalization
-the softmax of z.
+head emits logits z.  A read (score_batch) is the softmax of z, one class
+distribution per row; training takes the same logits as the ratios
+exp(z_i - z_j) against the row's anchor j, for the score-entropy loss.
 
 Read at one fixed (anchor, t), where the conditioning is a constant each
 block's cb could hold, the same network is the comparison grid's softmax
@@ -62,8 +62,8 @@ from and block 0's prefix, and inference's loop runs on the pool thread
 below.  The prefix (prepare) runs the input layer and block 0's residual
 branch, none of which sees the conditioning, once per set of inputs,
 which a sampler reuses on every step; the tail (inference_logits) runs
-the rest, with the conditioning once per call and distinct (anchor, t)
-pair.  Both run over contiguous row tiles (row_tiles) of fewer than
+the rest, with the conditioning once per call, for the K labels at the
+call's one t.  Both run over contiguous row tiles (row_tiles) of fewer than
 2 * TILE_ROWS rows, and of at least TILE_ROWS unless the call has fewer,
 in (rows, hidden) work arrays that every tile reuses, so the tail's
 elementwise passes stay in the L2 cache; with no tile under TILE_ROWS
@@ -244,7 +244,7 @@ def param_shapes(cfg: MlpConfig) -> dict[str, tuple[int, ...]]:
 def init_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
     """He-style init of the weight matrices, small embeddings, unit GroupNorm gains.
 
-    Biases and the output head start at zero, so the initial scores are all ones.
+    Biases and the output head start at zero, so the initial read is uniform.
     The draws are float64, each rounded once to the float32 the parameters live in.
     """
     rng = np.random.default_rng(seed)
@@ -441,9 +441,9 @@ def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
     silu_from_half; gn_scale spreads the halved gain into the
     (groups, hidden) matrix E * gamma / 2 (E the 0/1 group expansion) for
     _inference_groupnorm; cb becomes cb + b2, which inference adds to the
-    few distinct (anchor, t) rows of a call.  w2, cw, out_w and out_b are
-    the master arrays themselves; every other entry is an array from work
-    (_array), so a training step rebuilds the form in the same arrays.
+    K label rows of a call.  w2, cw, out_w and out_b are the master arrays
+    themselves; every other entry is an array from work (_array), so a
+    training step rebuilds the form in the same arrays.
     """
     dtype = params["in_w"].dtype
     expand = _group_expand(cfg.hidden_dim, cfg.groups, dtype)
@@ -603,7 +603,7 @@ class MlpScorer(Scorer):
         """Label embedding plus projected time embedding, computed once per call; the
         time embedding reads the fraction of the total noise reached by t.
 
-        anchors must lie in [0, K), as _check_rows makes sure: the embedding
+        anchors must lie in [0, K), as _check_anchors makes sure: the embedding
         rows are gathered without a bounds check.  It runs in the parameters'
         dtype; the arrays come from work (_array).
         """
@@ -634,7 +634,11 @@ class MlpScorer(Scorer):
         """
         q = inference_params(self.params, self.cfg, work)
         features = np.asarray(features, q["in_w"].dtype)
-        anchors, t = self._check_rows(len(features), anchors, t)
+        anchors = self._check_anchors(len(features), anchors)
+        t = np.asarray(t, dtype=np.float64)
+        if t.shape != anchors.shape:
+            raise ValidationError(f"need one time per row: {len(anchors)} rows, "
+                                  f"t of shape {t.shape}")
         cond, tf = self.conditioning(anchors, t, work)
         z, cache = forward_logits(q, self.cfg, features, cond, work)
         cache.update({"params": q, "tf": tf, "anchors": anchors})
@@ -671,27 +675,25 @@ class MlpScorer(Scorer):
         return PreparedFeatures(q, base)
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
-                         t: np.ndarray) -> np.ndarray:
+                         t: float) -> np.ndarray:
         """Float64 logits of the inference path, which keeps no cache.
 
         features are raw rows, prepared here, or the result of prepare;
-        anchors and t hold one integer label and one time per row.  The
-        conditioning and its per-block projections run once per call and
-        distinct (anchor, t) pair, at most K rows when every row shares t,
-        and are gathered per row.  The tail runs tile by tile on the workers
-        (_run_workers), each in (rows, hidden) work arrays that its tiles
-        reuse, so its temporaries stay cache-sized; the logits do not depend
-        on the tiling while every tile holds at least TILE_ROWS rows, nor on
-        the worker count.  Everything runs in the dtype of the prepared
-        rows, the parameters'; the logits are widened to float64 once, at
-        the end.
+        anchors hold one integer label per row, and every row is read at
+        the one time t.  The conditioning and its per-block projections run
+        once per call, for the K labels at t, and each row gathers its
+        anchor's.  The tail runs tile by tile on the workers (_run_workers),
+        each in (rows, hidden) work arrays that its tiles reuse, so its
+        temporaries stay cache-sized; the logits do not depend on the tiling
+        while every tile holds at least TILE_ROWS rows, nor on the worker
+        count.  Everything runs in the dtype of the prepared rows, the
+        parameters'; the logits are widened to float64 once, at the end.
         """
         if not isinstance(features, PreparedFeatures):
             features = self.prepare(features)
-        anchors, t = self._check_rows(len(features), anchors, t)
-        pair_anchors, pair_t, index = self._distinct_pairs(anchors, t)
+        anchors = self._check_anchors(len(features), anchors)
         q, base = features.params, features.base
-        cond, _ = self.conditioning(pair_anchors, pair_t)
+        cond, _ = self.conditioning(np.arange(self.k), np.full(self.k, float(t)))
         sc = silu(cond)
         cvecs = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"] for b in range(self.cfg.n_blocks)]
         z = np.empty((len(base), self.k), base.dtype)
@@ -703,7 +705,7 @@ class MlpScorer(Scorer):
                     x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
                     # The indices are in range, so "clip" gathers what "raise" would,
                     # without the buffered copy numpy makes for out= under "raise".
-                    np.take(cvecs[b], index[tile], axis=0, out=h, mode="clip")
+                    np.take(cvecs[b], anchors[tile], axis=0, out=h, mode="clip")
                     h += x_b
                     _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"],
                                          self.cfg.groups, scratch)
@@ -716,29 +718,14 @@ class MlpScorer(Scorer):
         self._check_finite(z)
         return z.astype(np.float64, copy=False)
 
-    def _distinct_pairs(self, anchors: np.ndarray, t: np.ndarray):
-        """(anchors, t) of the distinct (anchor, t) pairs, ordered by t then anchor, and
-        each row's pair index.
-
-        When every row shares one t, as in every sampler call, a K-entry
-        presence mask finds the distinct anchors in place of two sorts.
-        """
-        if len(t) and np.all(t == t[0]):
-            present = np.zeros(self.k, dtype=bool)
-            present[anchors] = True
-            labels = np.flatnonzero(present)
-            return labels, np.full(len(labels), t[0]), (np.cumsum(present) - 1)[anchors]
-        _, t_index = np.unique(t, return_inverse=True)
-        _, first, index = np.unique(t_index * self.k + anchors,
-                                    return_index=True, return_inverse=True)
-        return anchors[first], t[first], index
-
     def score_batch(self, features, anchors, t):
         z = self.inference_logits(features, anchors, t)
-        rows = np.arange(z.shape[0])
-        values = np.exp(z - z[rows, anchors][:, None])
-        values[rows, anchors] = 1.0
-        return values
+        # Reduced column by column: on 4,000 x 8 logits numpy's max(axis=1) took 255-330
+        # us and sum(axis=1) 74-90, a ufunc over the K columns 20-23 us each.
+        z -= functools.reduce(np.maximum, z.T)[:, None]
+        np.exp(z, out=z)
+        z /= functools.reduce(np.add, z.T)[:, None]
+        return z
 
     def _check_finite(self, z: np.ndarray) -> None:
         if not np.all(np.isfinite(z)):

@@ -9,37 +9,38 @@ kernel:
   cp    probability vector; r = 1; _cp_step_batch, rank-one, O(K) per row
   cl    n_samples label trajectories, averaged as one-hots at the end;
         r = n_samples; _cl_step_batch, then sample_categorical_rows
-  full  probability vector, with the K x K score matrix rebuilt from one
-        scorer row per anchor; r = K; reverse_step_full
+  full  probability vector, with a K x K matrix of class distributions,
+        one scorer row per anchor; r = K; reverse_step_full
 
 nfe = r * n_steps per input.  The engine takes inputs in the fewest
 contiguous, near-equal blocks of at most max(1, SCORER_ROWS // r) inputs,
 so memory stays bounded; per block it runs scorer.prepare once on the
 repeated features (work that does not depend on the anchor or t) and then
-one score_batch call per step, whose scores go straight into the step's
-kernel and are dropped before the next call.  The features reach the
-scorer in the dtype they come in (a dataset's float32, as load_dataset
-returns it): the engine makes no wider copy, and each scorer casts where
-it computes (MlpScorer.prepare, to its parameters' float32).
+one score_batch call per step, at the step's t, whose class distributions
+go straight into the step's kernel and are dropped before the next call.
+The features reach the scorer in the dtype they come in (a dataset's
+float32, as load_dataset returns it): the engine makes no wider copy, and
+each scorer casts where it computes (MlpScorer.prepare, to its
+parameters' float32).
 
 The step is exact over its interval [s, t]: the forward process keeps a
 share e = exp(-K (sigma_bar(t) - sigma_bar(s))) of the label distribution
 and spreads the rest uniformly, q_t = e q_s + c with c = (1 - e) / K.
-_denoise inverts that for the normalized score column,
-q_s = max((q_t - c) / e, 0), renormalized and floored at PROB_FLOOR, and
-the kernel moves the state by the posterior of the label at s given the
+_denoise inverts that for the scorer's distribution q_t, floored at
+PROB_FLOOR as read: q_s = max((q_t - c) / e, 0), renormalized and floored,
+and the kernel moves the state by the posterior of the label at s given the
 label at t, q_s(i) (e [i = j] + c) / q_t(j).  With an exact scorer this is
 the exact posterior at any step count (the uniform-rate case of the Tweedie
 tau-leaping denoiser of Lou, Meng & Ermon, arXiv:2310.16834).  The
-denoised column's roundoff grows as float eps / e, so a step that keeps
+denoised distribution's roundoff grows as float eps / e, so a step that keeps
 less than MIN_KEPT_SHARE of the signal raises ValidationError, naming the
 schedule, before the first scorer call (check_samplable, which computes
 each step's e).
 
-Clip telemetry.  A learned score column can sit below the uniform floor c,
-where the denoised column goes negative.  Those entries are clipped and the
-column renormalized; the share of the column's remaining mass that the clip
-took, a probability in [0, 1), is recorded.  Entries below zero by no more
+Clip telemetry.  A learned distribution can put a label below the uniform
+floor c, where the denoised distribution goes negative.  Those entries are
+clipped and the rest renormalized; the share of the remaining mass that the
+clip took, a probability in [0, 1), is recorded.  Entries below zero by no more
 than roundoff (ROUNDOFF * c) are clipped but not counted, so an exact
 scorer records none.  Clipping keeps coarse-step sweeps runnable while
 making the violation visible.
@@ -64,11 +65,11 @@ from .score import Scorer, floor_probs
 from .transition import ensure_distribution, sample_categorical_rows
 
 STRATEGIES = ("argmax", "argmin")
-# A denoised score entry below zero by at most ROUNDOFF * c is roundoff, not a
+# A denoised entry below zero by at most ROUNDOFF * c is roundoff, not a
 # scorer below the uniform floor c: clipped, but not counted as clipping.
 ROUNDOFF = 64 * np.finfo(np.float64).eps
 # The least share e of the label signal a step may keep: _denoise divides the
-# scores' roundoff by e, unseen.  On a 10-class ring (tests/oracles.ExactScorer,
+# read's roundoff by e, unseen.  On a 10-class ring (tests/oracles.ExactScorer,
 # 200 inputs) one cp step read 6.1e-4 mean TV from the exact posterior at
 # e = 9.4e-14, with nothing clipped, and 3.2e-8 at e = 2.1e-9.
 MIN_KEPT_SHARE = 1e-8
@@ -112,11 +113,11 @@ class PosteriorEstimate:
     uniform start.  nfe counts scorer rows per input.  clamp_mass is the
     probability mass clipped from an input, summed over its steps (cl:
     averaged over its trajectories) and averaged over the inputs.  A step's
-    mass is the share of the denoised score column that the clip took
-    (_denoise): the one column of cp, the column at a cl trajectory's label,
-    and for full the K anchor columns weighted by the state's probabilities,
+    mass is the share of the denoised class distribution that the clip took
+    (_denoise): cp's one read, the read at a cl trajectory's label, and for
+    full the K reads, one per anchor, weighted by the state's probabilities,
     which for a scorer whose anchors agree (cp's rank-one view) is cp's one
-    column.  n_clamped counts the (row, step) pairs whose clipped mass is
+    read.  n_clamped counts the (row, step) pairs whose clipped mass is
     above 0; a row is an input for cp and full, a trajectory for cl.
     """
 
@@ -159,7 +160,7 @@ def check_samplable(schedule: LogLinearSchedule, k: int, n_steps: int,
 
 
 def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
-    """The score distribution q_s at the step's start s, from the normalized score
+    """The class distribution q_s at the step's start s, from the scorer's floored
     distribution q_t at its end t, along axis; e is the step's kept share
     (check_samplable).
 
@@ -173,19 +174,19 @@ def _denoise(q_t: np.ndarray, e: float, axis: int = -1):
     kept = np.maximum(d, 0.0)
     total = kept.sum(axis=axis, keepdims=True)
     if not np.all(total > 0.0):
-        raise NumericalError(f"a denoised score column has no mass: the step keeps {e:.1e} of "
-                             f"the label signal, below float precision; use more steps")
+        raise NumericalError(f"a denoised read has no mass: the step keeps {e:.1e} of the "
+                             f"label signal, below float precision; use more steps")
     clipped = np.where(d < -ROUNDOFF * c, -d, 0.0).sum(axis=axis, keepdims=True) / total
     return floor_probs(kept / total), clipped.squeeze(axis)
 
 
 def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, e: float):
-    """One exact reverse step of rows p (n, K), each with an explicit K x K score
-    matrix (n, K, K) whose column j holds the scores anchored at j; e, finite in
-    [MIN_KEPT_SHARE, 1], is the step's kept share (check_samplable).
+    """One exact reverse step of rows p (n, K), each with a K x K matrix (n, K, K)
+    whose column j is the scorer's class distribution read at anchor j; e,
+    finite in [MIN_KEPT_SHARE, 1], is the step's kept share (check_samplable).
 
-    Column j of the kernel is q_s(j) * (e [i = j] + c) / q_t(j)(j), where q(j)
-    is the score column anchored at j, normalized and denoised by _denoise.
+    Column j of the kernel is q_s(j) * (e [i = j] + c) / q_t(j)(j), where q_t(j)
+    is column j, floored, and q_s(j) its denoising by _denoise.
     Returns (next p rows, clipped probability mass per row).
     """
     s_matrix = np.asarray(s_matrix, dtype=np.float64)
@@ -196,14 +197,13 @@ def reverse_step_full(s_matrix: np.ndarray, p: np.ndarray, e: float):
     if s_matrix.shape != p.shape + (k,):
         raise ValidationError(f"score matrix shape {s_matrix.shape} does not match "
                               f"probabilities of shape {p.shape}")
-    if np.any(s_matrix <= 0.0) or not np.all(np.isfinite(s_matrix)):
-        raise ValidationError("score matrix entries must be positive and finite")
-    if np.abs(np.diagonal(s_matrix, axis1=1, axis2=2) - 1.0).max() > 1e-9:
-        raise ValidationError("score matrix diagonal must be one")
+    if np.any(s_matrix < 0.0) or not np.all(np.abs(s_matrix.sum(axis=1) - 1.0) <= 1e-9):
+        raise ValidationError("every score matrix column must be a class distribution: "
+                              "finite, non-negative and summing to one")
     if not MIN_KEPT_SHARE <= e <= 1.0:
         raise ValidationError(f"e must be a kept share in [{MIN_KEPT_SHARE:.0e}, 1], got {e}")
 
-    q_t = floor_probs(s_matrix / s_matrix.sum(axis=1, keepdims=True))
+    q_t = floor_probs(s_matrix)
     q_s, clip = _denoise(q_t, e, axis=1)
     w = p / np.diagonal(q_t, axis1=1, axis2=2)
     p_next = ((1.0 - e) / k * (q_s @ w[..., None])[..., 0]
@@ -226,32 +226,29 @@ def _cp_step_batch(q_hat: np.ndarray, p: np.ndarray, e: float):
 
 
 def _cl_step_batch(scores: np.ndarray, states: np.ndarray, e: float):
-    """Next-label distributions for trajectories at labels states, from the scores
-    anchored at those labels, and the clipped mass per trajectory: label i in
-    proportion to q_s(i) (e [i = j] + c) from label j, q_s the denoised score
-    distribution."""
+    """Next-label distributions for trajectories at labels states, from the class
+    distributions read at those labels, and the clipped mass per trajectory:
+    label i in proportion to q_s(i) (e [i = j] + c) from label j, q_s the
+    denoised read."""
     n, k = scores.shape
     rows = np.arange(n)
-    q_s, clip = _denoise(floor_probs(scores / scores.sum(axis=1, keepdims=True)), e)
+    q_s, clip = _denoise(floor_probs(scores), e)
     probs = (1.0 - e) / k * q_s
     probs[rows, states] += e * q_s[rows, states]
     return probs / probs.sum(axis=1, keepdims=True), clip
 
 
 def _step(method: str, scores: np.ndarray, state: np.ndarray, e: float, u: np.ndarray | None):
-    """One reverse step of a block's rows from their scores: the next state and the
-    clipped mass per row.  e is the step's kept share; u holds cl's one
-    uniform per trajectory for the step."""
+    """One reverse step of a block's rows from their reads: the next state and the
+    clipped mass per row.  e is the step's kept share; u, cl's uniforms for the step."""
     if method == "cp":
-        q_hat = floor_probs(scores / scores.sum(axis=1, keepdims=True))
-        return _cp_step_batch(q_hat, state, e)
+        return _cp_step_batch(floor_probs(scores), state, e)
     if method == "cl":
         next_labels, step_clamp = _cl_step_batch(scores, state, e)
         return sample_categorical_rows(next_labels, u), step_clamp
     nb, k = state.shape
-    s_matrix = scores.reshape(nb, k, k).transpose(0, 2, 1).copy()
-    s_matrix[:, np.arange(k), np.arange(k)] = 1.0  # column j: scores anchored at j
-    return reverse_step_full(s_matrix, state, e)
+    # column j of each input's matrix: the read at anchor j
+    return reverse_step_full(scores.reshape(nb, k, k).transpose(0, 2, 1), state, e)
 
 
 def _distribution(state: np.ndarray, n_inputs: int, k: int) -> np.ndarray:
@@ -297,11 +294,10 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
                 anchors = _select_labels_batch(state, cfg.strategy)
             elif method == "cl":
                 anchors = state
-            # The scores go straight into the step, so neither they nor the
+            # The reads go straight into the step, so neither they nor the
             # step's temporaries outlive it into the next scorer call.
-            state, step_clamp = _step(
-                method, scorer.score_batch(prepared, anchors, np.full(nb * r, t)), state,
-                e, uniforms[:, step + 1] if method == "cl" else None)
+            state, step_clamp = _step(method, scorer.score_batch(prepared, anchors, t), state,
+                                      e, uniforms[:, step + 1] if method == "cl" else None)
             clamp_rows += step_clamp
             n_clamped += int(np.count_nonzero(step_clamp > 0.0))
             if snapshots is not None:
@@ -345,9 +341,9 @@ def posterior_cl(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
 
 def posterior_full(y: np.ndarray, scorer: Scorer, schedule: LogLinearSchedule,
                    cfg: SamplerConfig) -> PosteriorEstimate:
-    """Posterior of one input (dim,) or rows (n, dim) with the K x K score
-    matrix rebuilt every step; with an exact scorer it matches cp to roundoff
-    (rank-one consistency).  Intended for small K."""
+    """Posterior of one input (dim,) or rows (n, dim) with the K x K matrix of
+    reads, one per anchor, rebuilt every step; with an exact scorer it matches
+    cp to roundoff (rank-one consistency).  Intended for small K."""
     return _reverse("full", y, scorer, schedule, cfg)[0]
 
 

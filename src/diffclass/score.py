@@ -1,10 +1,9 @@
-"""Probability-ratio scores anchored at a reference label.
+"""The scorer interface: a denoiser read as class distributions.
 
-A score column for anchor j holds the ratios q_i / q_j, so its anchor
-entry is exactly one and all entries are positive.  Normalizing a column
-recovers the distribution it was derived from, which is what lets the
-class-probability sampler rebuild the full rank-one score matrix from a
-single column.
+A read (Scorer.score_batch) estimates, per row of features, the label's
+forward marginal at one noise time t given the features and the row's
+anchor label: a distribution over the K labels, which the sampler's steps
+take as it is.  The ratio form q_i / q_j against an anchor j is the loss's.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ def floor_probs(q: np.ndarray) -> np.ndarray:
 
 
 class Scorer:
-    """Produces a score column for (features, anchor label, time).
+    """Reads one class distribution per row of (features, anchor label) at one time.
 
     Subclasses implement score_batch; scoring is read-only on any internal
     state, so concurrent calls across inputs are safe.  A caller that scores
@@ -39,21 +38,20 @@ class Scorer:
         """Rows for repeated score_batch calls; the base class keeps the features as they are."""
         return features
 
-    def score_batch(self, features: np.ndarray, anchors: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Score columns for a batch: (n, dim) features or their prepare result,
-        (n,) anchors, (n,) times -> (n, K)."""
+    def score_batch(self, features: np.ndarray, anchors: np.ndarray, t: float) -> np.ndarray:
+        """Class distributions for a batch: (n, dim) features or their prepare result,
+        (n,) anchors, one time t shared by every row -> (n, K) rows that sum to one."""
         raise NotImplementedError
 
-    def _check_rows(self, n: int, anchors, t) -> tuple[np.ndarray, np.ndarray]:
-        """anchors and t as arrays, checked to hold one integer label in [0, K) and one
-        time per row of n; raises ValidationError otherwise."""
+    def _check_anchors(self, n: int, anchors) -> np.ndarray:
+        """anchors as an array, checked to hold one integer label in [0, K) per row of n;
+        raises ValidationError otherwise."""
         anchors = np.asarray(anchors)
-        t = np.asarray(t, dtype=np.float64)
-        if anchors.shape != (n,) or t.shape != (n,):
-            raise ValidationError(f"need one anchor and one time per row: {n} rows, "
-                                  f"anchors of shape {anchors.shape}, t of shape {t.shape}")
+        if anchors.shape != (n,):
+            raise ValidationError(f"need one anchor per row: {n} rows, "
+                                  f"anchors of shape {anchors.shape}")
         if anchors.size and not np.issubdtype(anchors.dtype, np.integer):
             raise ValidationError(f"anchors must be integer labels, not {anchors.dtype}")
         if anchors.size and (anchors.min() < 0 or anchors.max() >= self.k):
             raise ValidationError(f"anchors must lie in [0, {self.k})")
-        return anchors, t
+        return anchors

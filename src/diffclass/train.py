@@ -1,4 +1,4 @@
-"""Stochastic training of the ratio-score network.
+"""Stochastic training of the scorer network on ratio scores.
 
 One step per batch: build the clean one-hot label distribution, draw one
 noise time per example, iid uniform on [0, 1), push the distribution
@@ -51,10 +51,11 @@ The comparison grid's cross-entropy baseline is the same network read at
 one fixed (BASELINE_ANCHOR, BASELINE_T), where the conditioning is one
 constant row that each block's cb could hold: the scorer's trunk,
 GroupNorm and head as a plain classifier.  fit trains it with
-cross_entropy on the same loop, and ce_baseline_proba reads it without a
-cache.  fit's per-epoch validation (EVAL_STEPS cp steps on EVAL_SUBSET
-held-out inputs) runs only when the caller passes held-out data, and
-draws nothing from the training stream.
+cross_entropy on the same loop, and ce_baseline_proba is the scorer's
+read there (MlpScorer.score_batch, the softmax of its logits).  fit's
+per-epoch validation (EVAL_STEPS cp steps on EVAL_SUBSET held-out
+inputs) runs only when the caller passes held-out data, and draws
+nothing from the training stream.
 
 All randomness flows from the config seed, so a fixed seed reproduces the
 run bit-for-bit with one BLAS thread.
@@ -428,8 +429,6 @@ def fit(config: TrainConfig, task: MixtureTask, train_data: tuple[np.ndarray, np
 
 
 def ce_baseline_proba(scorer: MlpScorer, features: np.ndarray) -> np.ndarray:
-    """Class probabilities of a fit(..., cross_entropy=True) scorer on the inference
-    path (no cache)."""
-    n = len(features)
-    z = scorer.inference_logits(features, np.full(n, BASELINE_ANCHOR), np.full(n, BASELINE_T))
-    return np.exp(_log_softmax(z))
+    """Class probabilities of a fit(..., cross_entropy=True) scorer: its read at
+    (BASELINE_ANCHOR, BASELINE_T)."""
+    return scorer.score_batch(features, np.full(len(features), BASELINE_ANCHOR), BASELINE_T)

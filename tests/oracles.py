@@ -164,22 +164,17 @@ def normalize_scores(s: ScoreColumn) -> np.ndarray:
 
 
 def score_column(scorer: Scorer, y: np.ndarray, j: int, t: float) -> ScoreColumn:
-    """One input's score column anchored at j, from a one-row score_batch call."""
-    values = scorer.score_batch(
-        np.asarray(y, dtype=np.float64)[None, :],
-        np.asarray([j]),
-        np.asarray([t], dtype=np.float64),
-    )[0]
-    values[j] = 1.0
-    return ScoreColumn(values, int(j))
+    """One input's ratio column anchored at j, from a one-row score_batch read at t."""
+    q = scorer.score_batch(np.asarray(y, dtype=np.float64)[None, :], np.asarray([j]), t)[0]
+    return exact_score_column(q, int(j))
 
 
 class ExactScorer(Scorer):
     """Oracle scorer built from a known clean-label posterior.
 
     posterior_fn maps a batch of features (n, dim) to exact clean posteriors
-    (n, K); the score at time t is the ratio column of the forward marginal
-    after sigma_bar(t) total noise.
+    (n, K); the read at time t is the forward marginal after sigma_bar(t)
+    total noise, whatever the anchor.
     """
 
     def __init__(self, posterior_fn, k: int, schedule: LogLinearSchedule):
@@ -189,13 +184,8 @@ class ExactScorer(Scorer):
 
     def score_batch(self, features, anchors, t):
         features = np.asarray(features, dtype=np.float64)
-        anchors, t = self._check_rows(len(features), anchors, t)
-        q0 = self.posterior_fn(features)
-        qt = floor_probs(forward_marginal(q0, np.asarray(self.schedule.sigma_bar(t))))
-        rows = np.arange(len(anchors))
-        values = qt / qt[rows, anchors][:, None]
-        values[rows, anchors] = 1.0
-        return values
+        self._check_anchors(len(features), anchors)
+        return forward_marginal(self.posterior_fn(features), self.schedule.sigma_bar(float(t)))
 
 
 def bayes_accuracy(task: MixtureTask, corruption: CorruptionSpec, n: int,
@@ -227,13 +217,13 @@ def in_float64(scorer):
 
 
 class UniformScorer(Scorer):
-    """All-ones scores for every query; the uniform-belief fixed point."""
+    """The uniform distribution for every query; the uniform-belief fixed point."""
 
     def __init__(self, k: int):
         self.k = k
 
     def score_batch(self, features, anchors, t):
-        return np.ones((len(anchors), self.k))
+        return np.full((len(anchors), self.k), 1.0 / self.k)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,23 @@ class TestTrainEval:
                            method, "--steps", "2", "--out", out] + extra)
             assert rc == 0
 
+    def test_a_checkpoint_with_a_large_logit_gap_evaluates_with_every_method(self, tmp_path):
+        """A head bias of 800 nats on label 0 takes every other label's read below
+        float64's range: eval still exits 0 with cp, cl and full, on finite rows."""
+        stem = _gen(tmp_path, "train", 128, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        assert cli.main(["train", "--data", stem, "--checkpoint", ckpt] + TINY_TRAIN) == 0
+        scorer = MlpScorer.load(ckpt)
+        scorer.params["out_b"][0] = 800.0
+        scorer.save(ckpt)
+        for method in ("cp", "cl", "full"):
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["eval", "--data", stem, "--checkpoint", ckpt, "--method", method,
+                             "--steps", "4", "--n-samples", "4", "--out", str(out)]) == 0, method
+            header, row = out.read_text().splitlines()
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert all(np.isfinite(float(cells[key])) for key in ("top1", "mean_tv", "nll"))
+
     def test_only_cp_fills_the_strategy_cell(self, tmp_path):
         """--strategy is cp's anchor rule: cl and full take none and leave the
         eval CSV's strategy cell empty; every method keeps the seed."""

@@ -23,8 +23,9 @@ from diffclass.mlp import (GN_EPS, MlpConfig, MlpScorer, PreparedFeatures,
                            _silu_slope, backward_logits, load_params, param_shapes, row_tiles,
                            silu, silu_from_half)
 from diffclass.schedule import LogLinearSchedule
-from diffclass.train import (AdamState, TrainConfig, batch_loss_and_grads, ce_baseline_proba,
-                             cross_entropy_loss_and_grads, fit, train_step)
+from diffclass.sampler import SamplerConfig, posterior_cp, step_times
+from diffclass.train import (BASELINE_T, AdamState, TrainConfig, batch_loss_and_grads,
+                             ce_baseline_proba, cross_entropy_loss_and_grads, fit, train_step)
 from oracles import (fit_data, in_float64, reference_groupnorm, reference_groupnorm_backward,
                      reference_logits, score_column, silu_grad)
 
@@ -43,30 +44,50 @@ def _small_scorer(seed=0, head_scale=0.0):
     return scorer
 
 
+def _per_time(read, features, anchors, t):
+    """read(features, anchors, tau) for each distinct time tau of t, each in a call of
+    its own on the rows at tau, put back in row order."""
+    out = None
+    for tau in np.unique(t):
+        rows = t == tau
+        got = read(features[rows], anchors[rows], float(tau))
+        out = np.empty((len(t), got.shape[1]), got.dtype) if out is None else out
+        out[rows] = got
+    return out
+
+
+def _assert_distributions(values):
+    """Every row is non-negative and sums to one within 1e-12."""
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 class TestOutputContract:
-    def test_anchor_entry_exactly_one(self):
+    def test_rows_are_class_distributions(self):
+        """Each row of a read is a distribution over the K labels, at every time, each
+        time read in a call of its own."""
         scorer = _small_scorer(head_scale=0.5)
         rng = np.random.default_rng(1)
         y = rng.standard_normal((20, 3))
         anchors = rng.integers(0, 5, 20)
         t = rng.random(20)
-        values = scorer.score_batch(y, anchors, t)
-        assert np.all(values[np.arange(20), anchors] == 1.0)
-        assert np.all(values > 0.0)
+        values = _per_time(scorer.score_batch, y, anchors, t)
+        assert values.shape == (20, 5)
+        _assert_distributions(values)
 
-    def test_zero_head_gives_all_ones(self):
+    def test_zero_head_gives_uniform_rows(self):
         scorer = _small_scorer()  # head is zero-initialized
-        values = scorer.score_batch(np.ones((4, 3)), np.array([0, 1, 2, 3]), np.full(4, 0.3))
-        np.testing.assert_allclose(values, 1.0, atol=1e-15)
+        values = scorer.score_batch(np.ones((4, 3)), np.array([0, 1, 2, 3]), 0.3)
+        np.testing.assert_allclose(values, 1.0 / 5, atol=1e-15)
 
     def test_logit_shift_invariance(self):
-        """Adding a constant to every output logit leaves the scores unchanged.
+        """Adding a constant to every output logit leaves the reads unchanged.
 
         On float64 parameters, so that the shifted bias is not rounded to float32."""
         scorer = in_float64(_small_scorer(head_scale=0.4))
         y = np.random.default_rng(2).standard_normal((6, 3))
         anchors = np.array([0, 1, 2, 3, 4, 0])
-        t = np.full(6, 0.5)
+        t = 0.5
         before = scorer.score_batch(y, anchors, t)
         scorer.params["out_b"] = scorer.params["out_b"] + 3.7
         after = scorer.score_batch(y, anchors, t)
@@ -75,8 +96,8 @@ class TestOutputContract:
     def test_deterministic(self):
         scorer = _small_scorer(head_scale=0.3)
         y = np.random.default_rng(3).standard_normal((8, 3))
-        a = scorer.score_batch(y, np.zeros(8, dtype=int), np.full(8, 0.2))
-        b = scorer.score_batch(y, np.zeros(8, dtype=int), np.full(8, 0.2))
+        a = scorer.score_batch(y, np.zeros(8, dtype=int), 0.2)
+        b = scorer.score_batch(y, np.zeros(8, dtype=int), 0.2)
         assert np.array_equal(a, b)
 
     def test_empirical_lipschitz_probe(self):
@@ -96,7 +117,7 @@ class TestOutputContract:
         scorer = _small_scorer(head_scale=0.3)
         scorer.params["in_w"][0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            scorer.score_batch(np.ones((2, 3)), np.array([0, 1]), np.array([0.1, 0.2]))
+            scorer.score_batch(np.ones((2, 3)), np.array([0, 1]), 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +131,7 @@ def trained_scorer():
 def _shared_time_batch(n, seed):
     """Inputs as one cp step sees them: every row at one t, anchors over all K."""
     rng = np.random.default_rng(seed)
-    return 3.0 * rng.standard_normal((n, 2)), rng.integers(0, 8, n), np.full(n, 0.625)
-
-
-def _distinct_pairs(anchors, t):
-    """(first row, row -> pair index) of the distinct (anchor, t) pairs."""
-    _, first, index = np.unique(np.stack([t, anchors]), axis=1,
-                                return_index=True, return_inverse=True)
-    return first, index.ravel()
+    return 3.0 * rng.standard_normal((n, 2)), rng.integers(0, 8, n), 0.625
 
 
 def _float64_reference(scorer):
@@ -138,39 +152,37 @@ class TestInferencePath:
         anchors = rng.integers(0, 8, n)
         t = rng.choice(np.linspace(1.0, 0.125, 8), n)
         z64, _ = _float64_reference(trained_scorer).logits(y, anchors, t)
-        z32 = trained_scorer.inference_logits(y, anchors, t)
+        z32 = _per_time(trained_scorer.inference_logits, y, anchors, t)
         assert z32.dtype == np.float64
         assert np.abs(z32 - z64).max() <= 1e-5
         assert np.array_equal(z32.argmax(axis=1), z64.argmax(axis=1))
 
-    def test_conditioning_runs_once_per_distinct_pair(self, trained_scorer, monkeypatch):
-        rows_seen = []
+    def test_conditioning_runs_once_per_call_on_k_rows(self, trained_scorer, monkeypatch):
+        """A read, each step of a sampler and the baseline's read each run the
+        conditioning once, on the K labels at the call's one t."""
+        calls = []
         original = trained_scorer.conditioning
 
         def spy(anchors, t):
-            rows_seen.append(len(anchors))
+            calls.append((anchors.tolist(), t.tolist()))
             return original(anchors, t)
 
         monkeypatch.setattr(trained_scorer, "conditioning", spy)
-        trained_scorer.score_batch(*_shared_time_batch(1000, 11))
-        assert rows_seen == [8]
-
-    @pytest.mark.parametrize("labels", [[3], [0, 7], [1, 2, 5, 6], list(range(8))])
-    def test_shared_time_pairs_match_the_sorted_pairs(self, trained_scorer, labels):
-        """At one shared t the presence mask finds the pairs, in the order and
-        with the row indices that sorting gives."""
-        anchors = np.random.default_rng(len(labels)).choice(labels, 300)
-        t = np.full(300, 0.625)
-        first, index = _distinct_pairs(anchors, t)
-        pair_anchors, pair_t, got_index = trained_scorer._distinct_pairs(anchors, t)
-        assert np.array_equal(pair_anchors, anchors[first]) and np.array_equal(pair_t, t[first])
-        assert np.array_equal(got_index, index)
+        y, anchors, t = _shared_time_batch(1000, 11)
+        trained_scorer.score_batch(y, anchors, t)
+        assert calls == [(list(range(8)), [t] * 8)]
+        calls.clear()
+        posterior_cp(y, trained_scorer, trained_scorer.schedule, SamplerConfig(n_steps=2))
+        assert calls == [(list(range(8)), [step_t] * 8) for step_t, _ in step_times(2)]
+        calls.clear()
+        ce_baseline_proba(trained_scorer, y)
+        assert calls == [(list(range(8)), [BASELINE_T] * 8)]
 
     def test_gathered_conditioning_matches_per_row(self, trained_scorer):
-        """Distinct rows gathered per row equal the per-row computation.
+        """The K-row table at one t, gathered by anchor, equals the per-row computation.
 
         The conditioning runs in the parameters' float32.  A matmul over the
-        few distinct rows and the same rows inside an n-row matmul may round
+        K label rows and the same rows inside an n-row matmul may round
         differently (BLAS picks its kernel by row count), so the match is to
         float32 rounding, not to the bit: each entry sums time_embed_dim
         products and two table entries, and two orders of that sum differ by
@@ -178,20 +190,18 @@ class TestInferencePath:
         600-row calls differed by up to 9.5e-7).  A wrong gather is off by O(1).
         """
         y, anchors, t = _shared_time_batch(600, 12)
-        t[::3] = 0.25
-        first, index = _distinct_pairs(anchors, t)
-        assert len(first) == 16
-        cond_u, tf_u = trained_scorer.conditioning(anchors[first], t[first])
-        cond_rows, _ = trained_scorer.conditioning(anchors, t)
-        assert cond_u.dtype == cond_rows.dtype == np.float32
-        params = trained_scorer.params
-        terms = (np.abs(tf_u) @ np.abs(params["time_w"].T) + np.abs(params["time_b"])
-                 + np.abs(params["embed"][anchors[first]]))
-        bound = (trained_scorer.cfg.time_embed_dim + 2) * np.finfo(np.float32).eps * terms
-        assert np.all(np.abs(cond_u[index] - cond_rows) <= bound[index])
-        z_gather = trained_scorer.inference_logits(y, anchors, t)
-        z_rows, _ = trained_scorer.logits(y, anchors, t)
-        np.testing.assert_allclose(z_gather, z_rows, rtol=0, atol=1e-5)
+        for tau in (t, 0.25):
+            table, tf_k = trained_scorer.conditioning(np.arange(8), np.full(8, tau))
+            cond_rows, _ = trained_scorer.conditioning(anchors, np.full(600, tau))
+            assert table.dtype == cond_rows.dtype == np.float32
+            params = trained_scorer.params
+            terms = (np.abs(tf_k) @ np.abs(params["time_w"].T) + np.abs(params["time_b"])
+                     + np.abs(params["embed"]))
+            bound = (trained_scorer.cfg.time_embed_dim + 2) * np.finfo(np.float32).eps * terms
+            assert np.all(np.abs(table[anchors] - cond_rows) <= bound[anchors])
+            z_gather = trained_scorer.inference_logits(y, anchors, tau)
+            z_rows, _ = trained_scorer.logits(y, anchors, np.full(600, tau))
+            np.testing.assert_allclose(z_gather, z_rows, rtol=0, atol=1e-5)
 
     def test_in_place_forms_compute_the_training_arithmetic(self):
         """silu is silu_from_half at x / 2, keeping its 1 + tanh(x / 2), and the in-place
@@ -227,7 +237,7 @@ class TestInferencePath:
                    for a in (opt.flat, opt.grad, opt.m, opt.v, opt.best, opt.scratch))
         train_step(scorer, opt, rng.standard_normal((16, 2)),
                    rng.integers(0, 4, 16), config.schedule(), rng, lr=1e-3)
-        scorer.score_batch(rng.standard_normal((16, 2)), rng.integers(0, 4, 16), np.full(16, 0.5))
+        scorer.score_batch(rng.standard_normal((16, 2)), rng.integers(0, 4, 16), 0.5)
         assert all(v.dtype == np.float32 for v in scorer.params.values())
         assert all(v.dtype == np.float32 for v in opt.grads.values())
 
@@ -236,41 +246,41 @@ class TestInferencePath:
         scorer = _small_scorer(head_scale=0.3)
         scorer.params[name].flat[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            scorer.score_batch(np.ones((5, 3)), np.arange(5), np.full(5, 0.5))
+            scorer.score_batch(np.ones((5, 3)), np.arange(5), 0.5)
 
     def test_out_of_range_anchor_rejected(self):
-        """Anchors out of range, of the wrong type, or not one anchor and one t per row."""
+        """Anchors out of range, of the wrong type, or not one anchor per row; and in
+        the training forward, not one time per row."""
         scorer = _small_scorer()
         with pytest.raises(ValidationError, match=r"\[0, 5\)"):
-            scorer.score_batch(np.ones((2, 3)), np.array([0, 5]), np.full(2, 0.5))
+            scorer.score_batch(np.ones((2, 3)), np.array([0, 5]), 0.5)
         with pytest.raises(ValidationError, match="integer"):
-            scorer.score_batch(np.ones((2, 3)), np.array([0.0, 1.0]), np.full(2, 0.5))
+            scorer.score_batch(np.ones((2, 3)), np.array([0.0, 1.0]), 0.5)
         y = np.ones((5, 3))
-        for anchors, t in ((np.arange(5), np.full(1, 0.5)),      # once broadcast
-                           (np.arange(4), np.full(5, 0.5)),
-                           (np.zeros(6, dtype=int), np.full(5, 0.5)),
-                           (np.arange(5), np.full(6, 0.5)),
-                           (np.zeros((5, 1), dtype=int), np.full(5, 0.5)),
-                           (np.int64(0), np.float64(0.5))):
+        for anchors in (np.arange(4), np.zeros(6, dtype=int), np.zeros((5, 1), dtype=int),
+                        np.int64(0)):
             for rows in (y, scorer.prepare(y)):
                 with pytest.raises(ValidationError, match="5 rows"):
-                    scorer.score_batch(rows, anchors, t)
+                    scorer.score_batch(rows, anchors, 0.5)
+        for t in (np.full(1, 0.5), np.full(6, 0.5), np.float64(0.5)):
+            with pytest.raises(ValidationError, match="one time per row: 5 rows"):
+                scorer.logits(y, np.arange(5), t)
         for features in (np.ones((5, 4)), np.ones(3), np.ones((5, 3, 1))):
             with pytest.raises(ValidationError, match="features"):
-                scorer.score_batch(features, np.arange(5), np.full(5, 0.5))
+                scorer.score_batch(features, np.arange(5), 0.5)
 
 
 class TestPreparedPath:
     def test_prepared_rows_score_like_raw_features_bit_for_bit(self, trained_scorer):
-        y, anchors, t = _shared_time_batch(2500, 16)
-        t[::2] = 0.25
+        y, anchors, _ = _shared_time_batch(2500, 16)
         prepared = trained_scorer.prepare(y)
         assert isinstance(prepared, PreparedFeatures) and len(prepared) == 2500
         assert prepared.base.dtype == np.float32
-        expected = trained_scorer.score_batch(y, anchors, t)
-        assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
-        # the prepared rows are not written to: a second call gives the same bits
-        assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
+        for t in (0.625, 0.25):
+            expected = trained_scorer.score_batch(y, anchors, t)
+            assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
+            # the prepared rows are not written to: a second call gives the same bits
+            assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000))
@@ -297,8 +307,7 @@ class TestPreparedPath:
         every row (BLAS picks its kernel by row count), hence the tolerance.
         """
         y, anchors, t = _shared_time_batch(2500, 18)
-        t[::3] = 0.25
-        untiled, _ = trained_scorer.logits(y.astype(np.float32), anchors, t)
+        untiled, _ = trained_scorer.logits(y.astype(np.float32), anchors, np.full(2500, t))
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
         tiled = trained_scorer.inference_logits(y, anchors, t)
         np.testing.assert_allclose(tiled, untiled, rtol=0, atol=1e-5)
@@ -352,8 +361,9 @@ class TestPreparedPath:
            group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
            seed=st.integers(0, 2**16))
     def test_prepared_path_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
-        """Scores keep their contract and the float32 inference logits stay near those of
-        the float64 training forward on float64 copies of the parameters."""
+        """Reads are class distributions, and the float32 inference logits stay near those
+        of the float64 training forward on float64 copies of the parameters, at each
+        time in a call of its own."""
         cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
                         hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
                         groups=groups)
@@ -363,14 +373,13 @@ class TestPreparedPath:
         n = 40
         y = 2.0 * rng.standard_normal((n, dim))
         anchors = rng.integers(0, k, n)
-        t = rng.choice([1.0, 0.5, 0.125], n)
         prepared = scorer.prepare(y)
         assert prepared.base.dtype == np.float32
-        values = scorer.score_batch(prepared, anchors, t)
-        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
-        assert np.all(values[np.arange(n), anchors] == 1.0)
-        z64, _ = _float64_reference(scorer).logits(y, anchors, t)
-        assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
+        reference = _float64_reference(scorer)
+        for t in (1.0, 0.5, 0.125):
+            _assert_distributions(scorer.score_batch(prepared, anchors, t))
+            z64, _ = reference.logits(y, anchors, np.full(n, t))
+            assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
 
 
 def _on_pool_thread() -> bool:
@@ -402,7 +411,6 @@ class TestWorkers:
     def test_logits_do_not_depend_on_the_worker_count(self, trained_scorer, monkeypatch,
                                                       set_workers, tile_rows):
         y, anchors, t = _shared_time_batch(3500, 19)
-        t[::3] = 0.25
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
         assert len(row_tiles(len(y))) >= 3
         runs = []
@@ -422,7 +430,7 @@ class TestWorkers:
         scorer = _small_scorer(head_scale=0.3)
         scorer.params["in_w"][:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            scorer.score_batch(np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5))
+            scorer.score_batch(np.ones((40, 3)), np.arange(40) % 5, 0.5)
 
     @pytest.mark.parametrize("error", [ValidationError, NumericalError])
     def test_an_error_in_a_pool_tile_reaches_the_caller(self, monkeypatch, error):
@@ -431,7 +439,7 @@ class TestWorkers:
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         monkeypatch.setattr(mlp, "WORKERS", 2)
         scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
         expected = scorer.score_batch(y, anchors, t)
         prepared = scorer.prepare(y)
         branch = mlp._inference_branch
@@ -460,7 +468,7 @@ class TestWorkers:
         monkeypatch.setattr(mlp, "WORKERS", 2)
         monkeypatch.setattr(mlp, "_pool", None)      # a pool of WORKERS - 1 = 1 thread
         scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
         expected = scorer.score_batch(y, anchors, t)
         release = threading.Event()
         busy = mlp._executor().submit(release.wait)
@@ -484,7 +492,7 @@ class TestWorkers:
         each worker holds its first tile until three have one."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
         set_workers(2)
         expected = scorer.score_batch(y, anchors, t)
         prepared = scorer.prepare(y)
@@ -554,7 +562,7 @@ mlp.TILE_ROWS = 7
 cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
                     time_embed_dim=16, groups=4)
 scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
-scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, np.full(100, 0.5))
+scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, 0.5)
 assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
 """
         src = str(Path(mlp.__file__).resolve().parent.parent)
@@ -571,7 +579,7 @@ assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         monkeypatch.setattr(mlp, "WORKERS", 2)
         scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, np.full(40, 0.5)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
         expected = scorer.score_batch(y, anchors, t).tobytes()
         assert mlp._pool is not None
 
@@ -764,7 +772,8 @@ class TestReferenceForward:
         scale = max(1.0, np.abs(want).max())
         z, cache = scorer.logits(y, anchors, t)
         assert np.abs(z - want).max() <= 1e-12 * scale
-        assert np.abs(scorer.inference_logits(y, anchors, t) - want).max() <= 1e-5 * scale
+        got = _per_time(scorer.inference_logits, y, anchors, t)
+        assert np.abs(got - want).max() <= 1e-5 * scale
 
         target = rng.standard_normal((n, k))
         grads = scorer.param_grads(np.cos(z) * target, cache)
@@ -929,8 +938,7 @@ class TestSerialization:
         b = MlpScorer.load(path)
         y = np.random.default_rng(8).standard_normal((5, 3))
         anchors = np.array([0, 1, 2, 3, 4])
-        t = np.full(5, 0.7)
-        assert np.array_equal(a.score_batch(y, anchors, t), b.score_batch(y, anchors, t))
+        assert np.array_equal(a.score_batch(y, anchors, 0.7), b.score_batch(y, anchors, 0.7))
 
     def test_sidecar_metadata_written(self, tmp_path):
         scorer = _small_scorer()

@@ -31,42 +31,44 @@ def _exact_setup(k=10, separation=2.0, sched=(1.0, 0.9), seed=0, n=8):
 
 
 def _below_floor_setup(k=10, n=4):
-    """An exact scorer of a gentler schedule than the sampler's: its columns at a
-    coarse step sit below the sampler's uniform floor c, so the step clips them."""
+    """An exact scorer of a gentler schedule than the sampler's: its reads at a
+    coarse step put labels below the sampler's uniform floor c, so the step clips them."""
     task, schedule, _, y, _ = _exact_setup(k=k, separation=4.0, n=n)
     scorer = ExactScorer(lambda f: true_posterior_batch(task, f), k, LogLinearSchedule(0.1, 0.9))
     return schedule, scorer, y
 
 
+def _columns(q, k):
+    """Rows q (n, K) as (n, K, K) matrices whose every column is q: each anchor reads q."""
+    return np.repeat(q[:, :, None], k, axis=2)
+
+
 class TestReverseStepFull:
     def test_e_one_is_identity(self):
         """A step that keeps all of the signal (e = 1) denoises nothing and moves
-        no mass."""
+        no mass, whatever distribution each anchor's column holds."""
         rng = np.random.default_rng(1)
-        q = rng.dirichlet(np.ones(4), size=3)
-        s = q[:, :, None] / q[:, None, :]
+        s = rng.dirichlet(np.ones(4), size=(3, 4)).transpose(0, 2, 1)
         p = rng.dirichlet(np.ones(4), size=3)
         out, clamp = reverse_step_full(s, p, 1.0)
         np.testing.assert_allclose(out, p, atol=1e-15)
         assert clamp.tolist() == [0.0] * 3
 
     def test_mass_conserved_without_clamping(self):
-        """Scores of a forward marginal over the step, q = e q0 + c, clip nothing."""
+        """Reads of a forward marginal over the step, q = e q0 + c, clip nothing."""
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = 0.9 * rng.dirichlet(np.ones(6) * 5) + 0.1 / 6
-            s = np.outer(q, 1.0 / q)
             p = rng.dirichlet(np.ones(6))
-            out, clamp = reverse_step_full(s[None], p[None], 0.9)
+            out, clamp = reverse_step_full(_columns(q[None], 6), p[None], 0.9)
             assert abs(out.sum() - 1.0) < 1e-12
             assert out.min() >= 0.0 and clamp.tolist() == [0.0]
 
     def test_clipped_rows_report_their_mass(self):
-        """A peaked column sits below the uniform floor c = (1 - e) / K of a step
-        keeping e = 0.5: the kernel clips it, reports the mass, here above 1e-3,
-        and still returns a distribution; each row steps as it does alone."""
-        q = np.array([0.9, 0.05, 0.05])
-        s = np.outer(q, 1.0 / q)[None]
+        """A peaked column puts labels below the uniform floor c = (1 - e) / K of a
+        step keeping e = 0.5: the kernel clips them, reports the mass, here above
+        1e-3, and still returns a distribution; each row steps as it does alone."""
+        s = _columns(np.array([[0.9, 0.05, 0.05]]), 3)
         p = np.full((1, 3), 1 / 3)
         out, clamp = reverse_step_full(s, p, 0.5)
         assert clamp[0] > 1e-3
@@ -78,32 +80,39 @@ class TestReverseStepFull:
     @pytest.mark.parametrize("k", [2, 3, 8, 16])
     @pytest.mark.parametrize("e", [1e-8, 0.01, 0.5, 1.0])
     def test_rank_one_matrices_take_cp_step(self, k, e):
-        """On rank-one matrices s[:, i, j] = q_i / q_j every anchor reads q, so the
-        full step is cp's rank-one step, rows and clipped mass."""
+        """On matrices whose every column is q every anchor reads q, so the full
+        step is cp's rank-one step, rows and clipped mass."""
         rng = np.random.default_rng([k, int(e * 1e8)])
         q = rng.dirichlet(np.ones(k), size=32)
         p = rng.dirichlet(np.ones(k), size=32)
-        out, clamp = reverse_step_full(q[:, :, None] / q[:, None, :], p, e)
+        out, clamp = reverse_step_full(_columns(q, k), p, e)
         ref, ref_clamp = _cp_step_batch(floor_probs(q), p, e)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(clamp, ref_clamp, rtol=0, atol=1e-12)
 
     def test_rejects_bad_input(self):
+        """Every column must be a distribution: finite, non-negative and summing to one
+        within 1e-9."""
         p = np.full((1, 3), 1 / 3)
+        uniform = np.full((1, 3, 3), 1 / 3)
+        reverse_step_full(uniform + 1e-11, p, 0.5)      # columns off by 3e-11 pass
+        off_sum = uniform.copy()
+        off_sum[0, 2, 1] += 1e-6                        # column 1 sums to 1 + 1e-6
+        negative = uniform.copy()
+        negative[0, :, 2] = [-0.1, 0.6, 0.5]            # column 2 sums to one
+        non_finite = uniform.copy()
+        non_finite[0, 1, 0] = np.nan
+        for bad in (2.0 * uniform, off_sum, negative, non_finite):
+            with pytest.raises(ValidationError, match="distribution"):
+                reverse_step_full(bad, p, 0.5)
         with pytest.raises(ValidationError):
-            reverse_step_full(np.ones((1, 3, 3)) * 2.0, p, 0.5)  # diagonal not one
-        bad = np.ones((1, 3, 3))
-        bad[0, 0, 1] = -1.0
-        with pytest.raises(ValidationError):
-            reverse_step_full(bad, p, 0.5)
-        with pytest.raises(ValidationError):
-            reverse_step_full(np.ones((2, 3, 3)), p, 0.5)  # one matrix per row
+            reverse_step_full(np.repeat(uniform, 2, axis=0), p, 0.5)  # one matrix per row
         with pytest.raises(ValidationError, match="rows"):
-            reverse_step_full(np.ones((3, 3)), p[0], 0.5)  # a lone vector is not rows
+            reverse_step_full(uniform[0], p[0], 0.5)  # a lone vector is not rows
         # e is a kept share in [MIN_KEPT_SHARE, 1]
         for e in (1.5, 0.0, -0.2, float("nan"), float("inf"), 0.1 * sampler.MIN_KEPT_SHARE):
             with pytest.raises(ValidationError):
-                reverse_step_full(np.ones((1, 3, 3)), p, e)
+                reverse_step_full(uniform, p, e)
 
 
 class TestSelectLabel:
@@ -223,15 +232,15 @@ class TestCpDrawsNothing:
 
 class TestClStep:
     def test_uniform_scores_column(self):
-        """All-ones scores, K=3, over a step keeping e = 0.94: off-anchor
+        """The uniform read, K=3, over a step keeping e = 0.94: off-anchor
         c = (1 - e) / 3 = 0.02 each, anchor e + c = 0.96."""
-        probs, overshoot = _cl_step_batch(np.ones((1, 3)), np.array([1]), e=0.94)
+        probs, overshoot = _cl_step_batch(np.full((1, 3), 1 / 3), np.array([1]), e=0.94)
         np.testing.assert_allclose(probs, [[0.02, 0.96, 0.02]], atol=1e-15)
         assert overshoot.tolist() == [0.0]
 
     def test_zero_dt_is_one_hot(self):
         """A step of zero length keeps e = 1: every trajectory stays at its label."""
-        probs, _ = _cl_step_batch(np.ones((1, 4)), np.array([2]), e=1.0)
+        probs, _ = _cl_step_batch(np.full((1, 4), 0.25), np.array([2]), e=1.0)
         np.testing.assert_allclose(probs, [[0, 0, 1, 0]], atol=1e-15)
 
     def test_sums_to_one_random_inputs(self):
@@ -239,17 +248,16 @@ class TestClStep:
         for _ in range(100):
             k = int(rng.integers(2, 9))
             j = int(rng.integers(k))
-            values = np.exp(0.3 * rng.standard_normal(k))
-            values[j] = 1.0
+            values = rng.dirichlet(np.ones(k))
             probs, _ = _cl_step_batch(values[None, :], np.array([j]), e=rng.random())
             assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
 
     def test_negative_self_probability_clamped_and_counted(self):
-        """Scores (4, 1, 4) from label 1 normalize to (4, 1, 4) / 9; over a step keeping
-        e = 0.5 the floor is c = 1/6, so the label's denoised entry 1/9 - c is
-        negative: clipped to PROB_FLOOR, its 1/18 counted against the 10/18 kept,
-        and the label keeps (c + e) PROB_FLOOR / (c + (c + e) PROB_FLOOR)."""
-        values = np.array([[4.0, 1.0, 4.0]])
+        """The read (4, 1, 4) / 9 from label 1, over a step keeping e = 0.5, whose
+        floor is c = 1/6: the label's denoised entry 1/9 - c is negative, so it is
+        clipped to PROB_FLOOR, its 1/18 counted against the 10/18 kept, and the
+        label keeps (c + e) PROB_FLOOR / (c + (c + e) PROB_FLOOR)."""
+        values = np.array([[4.0, 1.0, 4.0]]) / 9
         probs, overshoot = _cl_step_batch(values, np.array([1]), e=0.5)
         assert overshoot[0] == pytest.approx(0.1, rel=1e-12)
         assert probs[0, 1] == pytest.approx(4 * PROB_FLOOR, rel=1e-9)
@@ -264,7 +272,7 @@ class TestPosteriorCl:
         assert est.nfe == 8
 
     def test_uniform_scorer_stays_uniform(self):
-        """All-ones scores give an exchangeable chain; terminal draws stay uniform."""
+        """Uniform reads give an exchangeable chain; terminal draws stay uniform."""
         k, n_samples = 5, 100_000
         schedule = LogLinearSchedule(0.5, 0.5)
         cfg = SamplerConfig(n_steps=4, n_samples=n_samples, seed=11)
@@ -296,7 +304,8 @@ class TestPosteriorCl:
 
 class TestPosteriorFull:
     def test_equals_cp_with_exact_scorer(self):
-        """Rank-one consistency: per-column rebuild equals single-call normalization."""
+        """Rank-one consistency: every anchor reads the same distribution, so the
+        K x K matrix's step is cp's one-read step."""
         _, schedule, scorer, y, _ = _exact_setup(n=3)
         for i in range(3):
             cfg = SamplerConfig(n_steps=16)
@@ -354,7 +363,7 @@ class TestExactStep:
         assert clip[0] == pytest.approx((1 / 6 - 0.05) / (0.95 - 2 / 6), rel=1e-12)
         assert 0.0 < p_next[0, 0] < 1e3 * PROB_FLOOR
         assert p_next.sum() == pytest.approx(1.0, abs=1e-15)
-        _, clip_cl = _cl_step_batch(np.array([[0.05, 0.45, 0.5]]) / 0.45, np.array([1]), e=0.5)
+        _, clip_cl = _cl_step_batch(np.array([[0.05, 0.45, 0.5]]), np.array([1]), e=0.5)
         assert clip_cl[0] == pytest.approx(clip[0], rel=1e-12)
 
     @pytest.mark.parametrize("sigma_bar_max", [3.0, 23.0, 400.0])
@@ -424,7 +433,8 @@ class TestPreparedFeatures:
 
     def test_blocks_prepare_once_and_score_once_per_step(self, monkeypatch):
         """Inputs go in the fewest near-equal blocks of at most SCORER_ROWS // r: one
-        prepare per block and one score_batch per step per block.
+        prepare per block and one score_batch per step per block, each at the
+        step's time of the grid, as one float.
         (TestSamplerProperties checks that the blocking leaves the outputs
         unchanged.)"""
         cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
@@ -437,8 +447,9 @@ class TestPreparedFeatures:
         prepare, score_batch = scorer.prepare, scorer.score_batch
         monkeypatch.setattr(scorer, "prepare", lambda f: prepared.append(len(f)) or prepare(f))
         monkeypatch.setattr(scorer, "score_batch",
-                            lambda f, a, t: scored.append(len(a)) or score_batch(f, a, t))
+                            lambda f, a, t: scored.append((len(a), t)) or score_batch(f, a, t))
         monkeypatch.setattr(sampler, "SCORER_ROWS", 10)
+        grid = [t for t, _ in step_times(5)]
         # r = 1, 3 and 4 rows per input: blocks of at most 10, 3 and 2 inputs
         for method, blocks in (("cp", [7]), ("cl", [2, 2, 3]), ("full", [1, 2, 2, 2])):
             prepared.clear()
@@ -446,8 +457,31 @@ class TestPreparedFeatures:
             est = sampler.METHOD_SAMPLERS[method](y, scorer, schedule, sampler_cfg)
             r = {"cp": 1, "cl": 3, "full": 4}[method]
             assert prepared == [b * r for b in blocks], method
-            assert scored == [b * r for b in blocks for _ in range(5)], method
+            rows = [b * r for b in blocks for _ in range(5)]
+            assert [n for n, _ in scored] == rows, method
+            assert all(isinstance(t, float) for _, t in scored), method
+            assert [t for _, t in scored] == grid * len(blocks), method
             assert est.probs.shape == (7, 4) and est.nfe == 5 * r
+
+
+class TestLargeLogitGap:
+    @pytest.mark.parametrize("method", ["cp", "cl", "full"])
+    def test_a_logit_gap_of_800_nats_gives_finite_posteriors(self, method):
+        """A head bias of 800 nats on label 0 puts every other label's read at
+        exp(-800), below float64's range: each estimator still returns finite rows
+        on the simplex with label 0 on top, and raises nothing."""
+        cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
+                        n_blocks=2, time_embed_dim=8, groups=4)
+        scorer = MlpScorer(cfg, LogLinearSchedule(0.6, 0.7), seed=0)
+        rng = np.random.default_rng(4)
+        scorer.params["out_w"] = (0.3 * rng.standard_normal((4, 16))).astype(np.float32)
+        scorer.params["out_b"] = np.array([800.0, 0.0, 0.0, 0.0], np.float32)
+        y = rng.standard_normal((6, 2))
+        est = sampler.METHOD_SAMPLERS[method](y, scorer, scorer.schedule,
+                                              SamplerConfig(n_steps=4, n_samples=8, seed=1))
+        assert np.all(np.isfinite(est.probs)) and est.probs.min() >= 0.0
+        np.testing.assert_allclose(est.probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(est.probs.argmax(axis=1) == 0)
 
 
 class TestClampAccounting:
@@ -459,7 +493,7 @@ class TestClampAccounting:
         for method, rows in (("cp", 4), ("cl", 4 * 8), ("full", 4)):
             assert 0 < est[method].n_clamped <= rows * 2, method
             assert est[method].clamp_mass > 0.0, method
-        # every anchor of this scorer gives one distribution, so cp and full clip
+        # every anchor of this scorer reads one distribution, so cp and full clip
         # the same (row, step) pairs
         assert est["cp"].n_clamped == est["full"].n_clamped
         assert est["cp"].clamp_mass == pytest.approx(est["full"].clamp_mass, rel=1e-10)

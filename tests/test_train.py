@@ -30,8 +30,9 @@ def _tiny_config(**kw):
 
 class TestOptimumBehavior:
     def test_exact_oracle_predictions_give_zero_loss(self):
-        """On a task with deterministic labels the oracle scorer reproduces the
-        per-example noisy ratios exactly, so the objective sits at its minimum."""
+        """On a task with deterministic labels the ratios of the oracle scorer's
+        distribution, read at each row's own t, reproduce the per-example noisy
+        ratios exactly, so the objective sits at its minimum."""
         from diffclass.data import true_posterior_batch
 
         task = MixtureTask.ring(4, 2, separation=60.0)
@@ -46,7 +47,9 @@ class TestOptimumBehavior:
         qt = floor_probs(forward_marginal(q0, np.asarray(schedule.sigma_bar(t))))
         anchors = sample_categorical_rows(qt, rng.random(n))
         s_true = qt / qt[np.arange(n), anchors][:, None]
-        s_pred = scorer.score_batch(y, anchors, t)
+        q_pred = floor_probs(np.concatenate([scorer.score_batch(y[i:i + 1], anchors[i:i + 1], t[i])
+                                             for i in range(n)]))
+        s_pred = q_pred / q_pred[np.arange(n), anchors][:, None]
         per, _ = score_entropy_terms(s_true, s_pred)
         losses = np.asarray(schedule.sigma(t)) / 4 * per.sum(axis=1)
         assert losses.mean() < 1e-10
