@@ -73,16 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-data", help="held-out dataset stem for per-epoch metrics (default: "
                                        f"{EVAL_SUBSET} fresh draws of the dataset's task, "
                                        "on a stream of their own)")
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--sigma-bar-max", type=float, default=0.6)
-    p.add_argument("--schedule-decay", type=float, default=0.7)
-    p.add_argument("--grad-clip", type=float, default=1.0)
-    p.add_argument("--hidden-dim", type=int, default=128,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--sigma-bar-max", type=float, default=TrainConfig.sigma_bar_max)
+    p.add_argument("--schedule-decay", type=float, default=TrainConfig.schedule_decay)
+    p.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip)
+    p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim,
                    help="scorer width, at least 4; its GroupNorm groups number the largest "
                         "divisor of the width up to min(8, width // 4)")
-    p.add_argument("--blocks", type=int, default=3)
+    p.add_argument("--blocks", type=int, default=TrainConfig.n_blocks)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-level determinism)")
@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--method", choices=sorted(METHOD_SAMPLERS), default="cp")
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--n-samples", type=int, default=16)
-    p.add_argument("--strategy", choices=STRATEGIES, default="argmin",
+    p.add_argument("--n-samples", type=int, default=SamplerConfig.n_samples)
+    p.add_argument("--strategy", choices=STRATEGIES, default=SamplerConfig.strategy,
                    help="cp's anchor rule; applies only to cp, so cl and full leave "
                         "the CSV's strategy cell empty")
     p.add_argument("--timing", action="store_true")

@@ -29,10 +29,13 @@ from .sampler import (METHOD_SAMPLERS, STRATEGIES, SamplerConfig, check_samplabl
                       posterior_cl, posterior_cp, posterior_cp_batch, posterior_full,
                       step_times)
 from .schedule import LogLinearSchedule
-from .score import Scorer
+from .score import PROB_FLOOR, Scorer
 from .train import TrainConfig, ce_baseline_proba, fit
 
-PROB_FLOOR_NLL = 1e-12
+# (method, steps, n_samples) cells of the quality-efficiency sweep (nfe_sweep).
+SWEEP_GRID = (("cp", 1, 1), ("cp", 2, 1), ("cp", 4, 1), ("cp", 8, 1), ("cp", 16, 1),
+              ("cl", 2, 16), ("cl", 4, 16), ("cl", 8, 16), ("cl", 2, 64),
+              ("full", 2, 1), ("full", 4, 1))
 
 
 @dataclass(frozen=True)
@@ -78,39 +81,27 @@ def evaluate_on(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
     # The exact posteriors are taken after the estimator, so they do not add to its peak memory.
     q_true = true_posterior_batch(task, features, corruption)
     mean_tv = float(0.5 * np.abs(probs - q_true).sum(axis=1).mean())
-    nll = float(-np.log(np.maximum(probs[np.arange(n_eval), labels], PROB_FLOOR_NLL)).mean())
+    nll = float(-np.log(np.maximum(probs[np.arange(n_eval), labels], PROB_FLOOR)).mean())
     return EvalReport(top1, top5, mean_tv, nll, nfe, wall_ms)
 
 
 def evaluate(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
              sampler_cfg: SamplerConfig, n_eval: int, rng: np.random.Generator,
-             schedule: LogLinearSchedule, method: str = "cp",
-             timing: bool = False) -> EvalReport:
-    """Score a posterior estimator against the exact posterior on fresh draws."""
+             schedule: LogLinearSchedule, method: str = "cp") -> EvalReport:
+    """Score a posterior estimator against the exact posterior on fresh draws, untimed."""
     if n_eval < 1:
         raise ValidationError("n_eval must be >= 1")
     features, labels = generate(task, n_eval, corruption, rng)
     return evaluate_on(scorer, task, corruption, features, labels, sampler_cfg,
-                       schedule, method=method, timing=timing)
-
-
-def default_sweep_grid() -> list[tuple[str, int, int]]:
-    """(method, steps, n_samples) cells mirroring the quality-efficiency sweep."""
-    grid = [("cp", s, 1) for s in (1, 2, 4, 8, 16)]
-    grid += [("cl", s, n) for s, n in ((2, 16), (4, 16), (8, 16), (2, 64))]
-    grid += [("full", s, 1) for s in (2, 4)]
-    return grid
+                       schedule, method=method)
 
 
 def nfe_sweep(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
-              schedule: LogLinearSchedule, n_eval: int, seed: int,
-              grid: list[tuple[str, int, int]] | None = None) -> list[dict]:
-    """Accuracy versus scorer-evaluation budget across estimator settings."""
-    grid = default_sweep_grid() if grid is None else grid
-    if not grid:
-        raise ValidationError("sweep grid must be non-empty")
+              schedule: LogLinearSchedule, n_eval: int, seed: int) -> list[dict]:
+    """Accuracy versus scorer-evaluation budget: one row per SWEEP_GRID cell, each
+    scored on the same n_eval fresh draws of default_rng(seed)."""
     rows = []
-    for method, steps, n_samples in grid:
+    for method, steps, n_samples in SWEEP_GRID:
         cfg = SamplerConfig(n_steps=steps, n_samples=n_samples, seed=seed)
         report = evaluate(scorer, task, corruption, cfg, n_eval,
                           np.random.default_rng(seed), schedule, method=method)

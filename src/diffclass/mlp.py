@@ -25,7 +25,8 @@ finite-difference gradient tests).  The logits become float64 once, where
 logits and inference_logits return them, for the loss and the sampler;
 the backward takes dL/dz back into the parameters' dtype once.  Only the
 time embedding's angles are float64 (time_features).
-Every GroupNorm group holds at least MIN_GROUP_UNITS units (MlpConfig).
+The GroupNorm group count is no setting: MlpConfig.groups derives it from
+hidden_dim, so every group holds at least MIN_GROUP_UNITS units.
 
 Both forwards run on one form of the parameters (inference_params): every
 affine map that only feeds a SiLU is halved, so each SiLU takes its
@@ -138,13 +139,14 @@ WORKERS = min(2, _usable_cpus())
 
 @dataclass(frozen=True)
 class MlpConfig:
+    """The scorer's widths and block count; its GroupNorm group count is derived (groups)."""
+
     n_classes: int
     feature_dim: int
     embed_dim: int = 64
     hidden_dim: int = 128
     n_blocks: int = 3
     time_embed_dim: int = 64
-    groups: int = 8
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
@@ -153,17 +155,20 @@ class MlpConfig:
             raise ValidationError("feature_dim must be positive")
         if self.n_blocks < 1:
             raise ValidationError("n_blocks must be positive: the conditioning enters in the blocks")
-        if min(self.embed_dim, self.hidden_dim, self.time_embed_dim, self.groups) < 1:
-            raise ValidationError("embed_dim, hidden_dim, time_embed_dim and groups must be positive")
-        if self.hidden_dim % self.groups != 0:
-            raise ValidationError("hidden_dim must be divisible by groups")
-        if self.hidden_dim // self.groups < MIN_GROUP_UNITS:
-            raise ValidationError(
-                f"hidden_dim={self.hidden_dim} over groups={self.groups} gives "
-                f"{self.hidden_dim // self.groups}-unit GroupNorm groups; "
-                f"each needs at least {MIN_GROUP_UNITS}")
+        if min(self.embed_dim, self.time_embed_dim) < 1:
+            raise ValidationError("embed_dim and time_embed_dim must be positive")
+        if self.hidden_dim < MIN_GROUP_UNITS:
+            raise ValidationError(f"hidden_dim={self.hidden_dim}: a GroupNorm group needs at "
+                                  f"least MIN_GROUP_UNITS={MIN_GROUP_UNITS} units")
         if self.time_embed_dim % 2 != 0:
             raise ValidationError("time_embed_dim must be even")
+
+    @functools.cached_property
+    def groups(self) -> int:
+        """GroupNorm groups per block, each of at least MIN_GROUP_UNITS units: the
+        largest divisor of hidden_dim up to min(8, hidden_dim // MIN_GROUP_UNITS)."""
+        cap = min(8, self.hidden_dim // MIN_GROUP_UNITS)
+        return next(g for g in range(cap, 0, -1) if self.hidden_dim % g == 0)
 
 
 def _array(work: dict | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -199,9 +204,9 @@ def silu(x: np.ndarray, tanh: np.ndarray | None = None,
     return silu_from_half(np.multiply(x, 0.5, out=out), np.empty_like(x) if tanh is None else tanh)
 
 
-def _silu_slope(s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """d silu(2u) / du from silu_from_half's output s and its t = 1 + tanh u, in out or
-    a new array: with tau = tanh u it is (1 + tau) + u (1 - tau)(1 + tau) = t + s * (2 - t)."""
+def _silu_slope(s: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d silu(2u) / du from silu_from_half's output s and its t = 1 + tanh u, in out:
+    with tau = tanh u it is (1 + tau) + u (1 - tau)(1 + tau) = t + s * (2 - t)."""
     slope = np.subtract(2.0, t, out=out)
     slope *= s
     slope += t
@@ -293,11 +298,10 @@ def _center(x: np.ndarray, groups: int, scratch: np.ndarray) -> np.ndarray:
     return _group_means(scratch, groups)
 
 
-def _gn_forward(x, gamma, beta, groups, out=None):
+def _gn_forward(x, gamma, beta, groups, out):
     """GroupNorm; normalizes x in place (x becomes xhat) and returns the affine output,
-    in out or a new array, and the cache (xhat, variances of shape (n, groups, 1))."""
+    in out, an array of x's shape, and the cache (xhat, variances of shape (n, groups, 1))."""
     n, h = x.shape
-    out = np.empty_like(x) if out is None else out
     var = _center(x, groups, out)[:, :, None]
     xg = x.reshape(n, groups, h // groups)
     xg /= np.sqrt(var + GN_EPS)
@@ -306,17 +310,17 @@ def _gn_forward(x, gamma, beta, groups, out=None):
     return out, (x, var)
 
 
-def _gn_backward(dout, gamma, cache, groups, out=None):
+def _gn_backward(dout, gamma, cache, groups, out):
     """GroupNorm backward; returns (dx, dgamma, dbeta), dx = (g - mean(g) - xhat *
     mean(g * xhat)) / std per group with g = dout * gamma, the means by _group_means.
 
-    out, when given, is (dx, dgamma, dbeta, scratch): arrays of dout's shape
-    for dx and the temporaries, and of gamma's for the gain's and shift's
-    gradients, all in dout's dtype; without it they are new arrays.
+    out is (dx, dgamma, dbeta, scratch): arrays of dout's shape for dx and
+    the temporaries, and of gamma's for the gain's and shift's gradients,
+    all in dout's dtype.
     """
     xhat, var = cache
     n, h = dout.shape
-    dx, dgamma, dbeta, scratch = (None,) * 4 if out is None else out
+    dx, dgamma, dbeta, scratch = out
     dout_xhat = np.multiply(dout, xhat, out=scratch)
     dgamma = np.sum(dout_xhat, axis=0, out=dgamma)
     dbeta = np.sum(dout, axis=0, out=dbeta)
@@ -776,7 +780,8 @@ class MlpScorer(Scorer):
 # of param_shapes(cfg), in sorted-name order, as little-endian float32, with
 # nothing between them.  <path>.meta, a data.write_header header, is the only
 # description of the file: format=scorer-checkpoint, format_version=2, every
-# MlpConfig field, and the schedule's sigma_bar_max and schedule_decay.
+# MlpConfig field, the groups hidden_dim derives (MlpConfig.groups), and the
+# schedule's sigma_bar_max and schedule_decay.
 # Version 1 files (a binary header, then each array's name and dims before its
 # values) are not read.
 # ---------------------------------------------------------------------------
@@ -789,6 +794,7 @@ def save_params(path: str, params: dict[str, np.ndarray], cfg: MlpConfig,
     write_header(path + ".meta", {
         "format": CHECKPOINT_FORMAT, "format_version": FORMAT_VERSION,
         **{field.name: getattr(cfg, field.name) for field in fields(MlpConfig)},
+        "groups": cfg.groups,
         "sigma_bar_max": repr(float(schedule.sigma_bar_max)),
         "schedule_decay": repr(float(schedule.decay))})
 
@@ -799,8 +805,9 @@ def load_params(path: str):
 
     Raises ValidationError naming the file when the .meta header is missing,
     is not UTF-8 text, is not a version-2 scorer checkpoint's or holds a
-    missing or invalid entry, and when the binary's length differs from the
-    byte count the header implies or a value is not finite.
+    missing or invalid entry, when the binary's length differs from the byte
+    count the header implies or its groups from MlpConfig.groups, and when a
+    value is not finite.
     """
     meta = read_header(path + ".meta")
     kind = (meta.get("format"), meta.get("format_version"))
@@ -828,6 +835,9 @@ def load_params(path: str):
     if size != 4 * count:
         raise ValidationError(f"{path}: {size} bytes, where the .meta header describes "
                               f"{4 * count} bytes ({count} float32 parameters)")
+    if meta.get("groups") != str(cfg.groups):
+        raise ValidationError(f"{path}.meta: groups={meta.get('groups')}, where "
+                              f"hidden_dim={cfg.hidden_dim} has {cfg.groups} GroupNorm groups")
     values = values.astype(np.float32, copy=False)
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{path}: holds non-finite values")

@@ -90,7 +90,7 @@ SCORER_ROWS = 4096
 class SamplerConfig:
     """One posterior call's settings; seed keys cl's streams, the only random draws."""
 
-    n_steps: int = 256
+    n_steps: int
     strategy: str = "argmin"
     n_samples: int = 16
     seed: int = 0

@@ -72,7 +72,7 @@ import numpy as np
 from .data import CorruptionSpec, MixtureTask, true_posterior_batch
 from .errors import NumericalError, ValidationError
 from .loss import loss_grad_wrt_logits, score_entropy_terms
-from .mlp import MIN_GROUP_UNITS, MlpConfig, MlpScorer
+from .mlp import MlpConfig, MlpScorer
 from .sampler import SamplerConfig, check_samplable, posterior_cp_batch
 from .schedule import LogLinearSchedule
 from .score import floor_probs
@@ -88,10 +88,10 @@ class TrainConfig:
     sigma_bar_max: float = 0.6
     schedule_decay: float = 0.7
     grad_clip: float = 1.0
-    embed_dim: int = 64
-    hidden_dim: int = 128
-    n_blocks: int = 3
-    time_embed_dim: int = 64
+    embed_dim: int = MlpConfig.embed_dim
+    hidden_dim: int = MlpConfig.hidden_dim
+    n_blocks: int = MlpConfig.n_blocks
+    time_embed_dim: int = MlpConfig.time_embed_dim
 
     def __post_init__(self) -> None:
         if min(self.epochs, self.batch_size) < 1:
@@ -105,15 +105,10 @@ class TrainConfig:
         return LogLinearSchedule(self.sigma_bar_max, self.schedule_decay)
 
     def mlp_config(self, n_classes: int, feature_dim: int) -> MlpConfig:
-        """The scorer's shape; its GroupNorm groups number the largest divisor of
-        hidden_dim up to min(8, hidden_dim // MIN_GROUP_UNITS)."""
-        # At least 1, so a width under MIN_GROUP_UNITS fails on its group size.
-        cap = max(1, min(8, self.hidden_dim // MIN_GROUP_UNITS))
-        groups = next(g for g in range(cap, 0, -1) if self.hidden_dim % g == 0)
-        return MlpConfig(
-            n_classes, feature_dim, embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
-            n_blocks=self.n_blocks, time_embed_dim=self.time_embed_dim, groups=groups,
-        )
+        """The scorer's shape: this config's widths and block count."""
+        return MlpConfig(n_classes, feature_dim, embed_dim=self.embed_dim,
+                         hidden_dim=self.hidden_dim, n_blocks=self.n_blocks,
+                         time_embed_dim=self.time_embed_dim)
 
 
 # The (anchor, t) at which the cross-entropy baseline reads its scorer.
@@ -310,8 +305,7 @@ def cross_entropy_loss_and_grads(scorer: MlpScorer, features: np.ndarray, labels
 @np.errstate(over="ignore", invalid="ignore")   # a diverging step raises NumericalError
 def train_step(scorer: MlpScorer, opt_state: AdamState, features: np.ndarray,
                labels: np.ndarray, schedule: LogLinearSchedule,
-               rng: np.random.Generator, lr: float, grad_clip: float = 1.0,
-               cross_entropy: bool = False):
+               rng: np.random.Generator, lr: float, grad_clip: float, cross_entropy: bool):
     """One stochastic update on a labeled batch; mutates scorer params and opt state.
 
     The loss is the score-entropy objective (batch_loss_and_grads), or with

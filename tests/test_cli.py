@@ -399,13 +399,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("entry", ["n_blocks=3", "n_blocks=1", "n_blocks=1000000000",
                                        "hidden_dim=64", "embed_dim=32", "n_classes=5",
-                                       "groups=5", "groups=16"])
+                                       "groups=4", "groups=5", "groups=16"])
     def test_meta_describing_another_model_is_2(self, tmp_path, wide_checkpoint, entry, capsys):
         """The .meta is the checkpoint's only description: one naming another model
-        exits 2, naming the file and, where the model is valid, both byte counts."""
-        message = {"groups=5": "hidden_dim must be divisible by groups",
-                   "groups=16": "hidden_dim=32 over groups=16 gives 2-unit GroupNorm groups"
-                   }.get(entry, "bytes, where the .meta header describes")
+        exits 2, naming the file and, where the model is valid, both byte counts.  A
+        group count other than the one the width derives (8 at 32) exits 2 too, though
+        it leaves the byte count as it was."""
+        message = (f"{entry}, where hidden_dim=32 has 8 GroupNorm groups"
+                   if entry.startswith("groups=") else "bytes, where the .meta header describes")
         train_stem, saved = wide_checkpoint
         ckpt = str(tmp_path / "m.ckpt")
         shutil.copy(saved, ckpt)

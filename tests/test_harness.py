@@ -5,8 +5,8 @@ import pytest
 
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
-from diffclass.harness import (compare_grid, evaluate, nfe_sweep, selection_ablation,
-                               topk_hits, trace_topk, write_csv)
+from diffclass.harness import (SWEEP_GRID, compare_grid, evaluate, evaluate_on, nfe_sweep,
+                               selection_ablation, topk_hits, trace_topk, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import TrainConfig, ce_baseline_proba, fit
@@ -63,37 +63,32 @@ class TestEvaluate:
         task = MixtureTask.ring(3, 2)
         sched = LogLinearSchedule(1.0, 0.5)
         cfg = SamplerConfig(n_steps=4)
-        silent = evaluate(_exact(task, sched), task, NONE, cfg, 50,
-                          np.random.default_rng(4), sched)
-        timed = evaluate(_exact(task, sched), task, NONE, cfg, 50,
-                         np.random.default_rng(4), sched, timing=True)
+        y, labels = generate(task, 50, NONE, np.random.default_rng(4))
+        silent = evaluate_on(_exact(task, sched), task, NONE, y, labels, cfg, sched)
+        timed = evaluate_on(_exact(task, sched), task, NONE, y, labels, cfg, sched, timing=True)
         assert np.isnan(silent.wall_ms) and timed.wall_ms > 0.0
+        assert np.isnan(evaluate(_exact(task, sched), task, NONE, cfg, 50,
+                                 np.random.default_rng(4), sched).wall_ms)
 
 
 class TestSweep:
     def test_nfe_accounting_in_rows(self):
+        """One row per SWEEP_GRID cell, in order, each with its scorer rows per input:
+        steps for cp, steps x n_samples for cl, steps x K for full."""
         task = MixtureTask.ring(10, 2, separation=2.0)
         sched = LogLinearSchedule(1.0, 0.9)
-        grid = [("cp", 8, 1), ("cl", 2, 16), ("full", 4, 1)]
-        rows = nfe_sweep(_exact(task, sched), task, NONE, sched, 20, seed=0, grid=grid)
-        by_method = {r["method"]: r for r in rows}
-        assert by_method["cp"]["nfe"] == 8
-        assert by_method["cl"]["nfe"] == 32
-        assert by_method["full"]["nfe"] == 40
-
-    def test_empty_grid_rejected(self):
-        task = MixtureTask.ring(3, 2)
-        sched = LogLinearSchedule(1.0, 0.5)
-        with pytest.raises(ValidationError):
-            nfe_sweep(_exact(task, sched), task, NONE, sched, 10, seed=0, grid=[])
+        rows = nfe_sweep(_exact(task, sched), task, NONE, sched, 20, seed=0)
+        assert len(rows) == len(SWEEP_GRID)
+        for row, (method, steps, n_samples) in zip(rows, SWEEP_GRID):
+            per_step = {"cp": 1, "cl": n_samples, "full": task.k}[method]
+            assert (row["method"], row["steps"], row["nfe"]) == (method, steps, steps * per_step)
 
     def test_deterministic_per_seed(self, tmp_path):
         task = MixtureTask.ring(5, 2, separation=2.0)
         sched = LogLinearSchedule(1.0, 0.5)
-        grid = [("cp", 4, 1), ("cl", 2, 8)]
         paths = []
         for run in range(2):
-            rows = nfe_sweep(_exact(task, sched), task, NONE, sched, 50, seed=7, grid=grid)
+            rows = nfe_sweep(_exact(task, sched), task, NONE, sched, 50, seed=7)
             path = tmp_path / f"sweep{run}.csv"
             write_csv(str(path), rows)
             paths.append(path.read_bytes())

@@ -30,7 +30,7 @@ from oracles import (fit_data, in_float64, reference_groupnorm, reference_groupn
                      reference_logits, score_column, silu_grad)
 
 SMALL = MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32,
-                  n_blocks=2, time_embed_dim=16, groups=4)
+                  n_blocks=2, time_embed_dim=16)
 SCHED = LogLinearSchedule(1.0, 0.5)
 
 
@@ -217,7 +217,7 @@ class TestInferencePath:
         xg = x.reshape(64, 4, 8)
         var = xg.var(axis=2, keepdims=True)
         xhat = ((xg - xg.mean(axis=2, keepdims=True)) / np.sqrt(var + GN_EPS)).reshape(64, 32)
-        out, (cached_xhat, cached_var) = _gn_forward(x.copy(), gamma, beta, 4)
+        out, (cached_xhat, cached_var) = _gn_forward(x.copy(), gamma, beta, 4, np.empty_like(x))
         assert np.array_equal(out, gamma * xhat + beta)
         assert np.array_equal(cached_xhat, xhat) and np.array_equal(cached_var, var)
 
@@ -236,7 +236,8 @@ class TestInferencePath:
         assert all(a.dtype == np.float32
                    for a in (opt.flat, opt.grad, opt.m, opt.v, opt.best, opt.scratch))
         train_step(scorer, opt, rng.standard_normal((16, 2)),
-                   rng.integers(0, 4, 16), config.schedule(), rng, lr=1e-3)
+                   rng.integers(0, 4, 16), config.schedule(), rng, lr=1e-3, grad_clip=1.0,
+                   cross_entropy=False)
         scorer.score_batch(rng.standard_normal((16, 2)), rng.integers(0, 4, 16), 0.5)
         assert all(v.dtype == np.float32 for v in scorer.params.values())
         assert all(v.dtype == np.float32 for v in opt.grads.values())
@@ -320,7 +321,7 @@ class TestPreparedPath:
         x = (offset + 3.0 * rng.standard_normal((500, 128))).astype(np.float32)
         gamma = rng.standard_normal(128).astype(np.float32)
         beta = rng.standard_normal(128).astype(np.float32)
-        out32, (xhat32, var32) = _gn_forward(x.copy(), gamma, beta, 8)
+        out32, (xhat32, var32) = _gn_forward(x.copy(), gamma, beta, 8, np.empty_like(x))
         out64, xhat64, var64 = reference_groupnorm(x, gamma, beta, 8)
         assert out32.dtype == np.float32 and var32.shape == var64.shape
         for got, want in ((out32, out64), (xhat32, xhat64), (var32, var64)):
@@ -357,16 +358,14 @@ class TestPreparedPath:
         assert np.abs(got - want).max() <= 8e-6
 
     @settings(max_examples=30, deadline=None)
-    @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
-           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
-           seed=st.integers(0, 2**16))
-    def test_prepared_path_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
+    @given(k=st.integers(2, 6), dim=st.integers(1, 4), hidden=st.integers(4, 128),
+           blocks=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_prepared_path_on_random_configs(self, k, dim, hidden, blocks, seed):
         """Reads are class distributions, and the float32 inference logits stay near those
         of the float64 training forward on float64 copies of the parameters, at each
         time in a call of its own."""
-        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
-                        hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
-                        groups=groups)
+        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8, hidden_dim=hidden,
+                        n_blocks=blocks, time_embed_dim=8)
         scorer = MlpScorer(cfg, SCHED, seed=seed)
         rng = np.random.default_rng(seed)
         scorer.params["out_w"] = (0.5 * rng.standard_normal((k, cfg.hidden_dim))).astype(np.float32)
@@ -560,7 +559,7 @@ import numpy as np
 from diffclass import mlp
 mlp.TILE_ROWS = 7
 cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
-                    time_embed_dim=16, groups=4)
+                    time_embed_dim=16)
 scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
 scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, 0.5)
 assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
@@ -657,13 +656,11 @@ class TestMixedPrecisionTraining:
         assert _relative_gap(g32, g64) <= 1e-4
 
     @settings(max_examples=25, deadline=None)
-    @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
-           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
-           seed=st.integers(0, 2**16))
-    def test_float32_gradients_on_random_configs(self, k, dim, groups, group_size, blocks, seed):
-        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
-                        hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
-                        groups=groups)
+    @given(k=st.integers(2, 6), dim=st.integers(1, 4), hidden=st.integers(4, 128),
+           blocks=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_float32_gradients_on_random_configs(self, k, dim, hidden, blocks, seed):
+        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8, hidden_dim=hidden,
+                        n_blocks=blocks, time_embed_dim=8)
         scorer = MlpScorer(cfg, SCHED, seed=seed)
         rng = np.random.default_rng(seed)
         scorer.params["out_w"] = (0.5 * rng.standard_normal((k, cfg.hidden_dim))).astype(np.float32)
@@ -681,8 +678,9 @@ class TestMixedPrecisionTraining:
         x = (offset + 3.0 * rng.standard_normal((300, 128))).astype(np.float32)
         gamma = rng.standard_normal(128).astype(np.float32)
         dout = rng.standard_normal((300, 128)).astype(np.float32)
-        _, cache32 = _gn_forward(x.copy(), gamma, np.zeros_like(gamma), 8)
-        got = _gn_backward(dout, gamma, cache32, 8)
+        _, cache32 = _gn_forward(x.copy(), gamma, np.zeros_like(gamma), 8, np.empty_like(x))
+        got = _gn_backward(dout, gamma, cache32, 8, (np.empty_like(dout), np.empty_like(gamma),
+                                                      np.empty_like(gamma), np.empty_like(dout)))
         want = reference_groupnorm_backward(dout, x, gamma, 8)
         for g, w in zip(got, want):
             assert g.dtype == np.float32 and g.shape == w.shape
@@ -750,14 +748,11 @@ class TestReferenceForward:
     into the inference form, shared by the forward and the backward, shows here."""
 
     @settings(max_examples=25, deadline=None)
-    @given(k=st.integers(2, 6), dim=st.integers(1, 4), groups=st.sampled_from([1, 2, 4, 8]),
-           group_size=st.sampled_from([4, 8, 16]), blocks=st.integers(1, 3),
-           seed=st.integers(0, 2**16))
-    def test_forwards_and_gradients_match_the_reference(self, k, dim, groups, group_size,
-                                                        blocks, seed):
-        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8,
-                        hidden_dim=groups * group_size, n_blocks=blocks, time_embed_dim=8,
-                        groups=groups)
+    @given(k=st.integers(2, 6), dim=st.integers(1, 4), hidden=st.integers(4, 128),
+           blocks=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_forwards_and_gradients_match_the_reference(self, k, dim, hidden, blocks, seed):
+        cfg = MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8, hidden_dim=hidden,
+                        n_blocks=blocks, time_embed_dim=8)
         scorer = in_float64(MlpScorer(cfg, SCHED, seed=seed))
         rng = np.random.default_rng(seed)
         # Every entry off its initial value, so b2, the biases, the GroupNorm shifts and
@@ -818,7 +813,7 @@ class TestBackwardReuse:
         u = (2.0 * np.random.default_rng(24).standard_normal(10_000)).astype(dtype)
         t = np.empty_like(u)
         s = silu_from_half(u.copy(), t)
-        slope = _silu_slope(s, t)
+        slope = _silu_slope(s, t, np.empty_like(s))
         assert slope.dtype == dtype and slope.tobytes() == (t + s * (2 - t)).tobytes()
         want = 2.0 * silu_grad(2.0 * u.astype(np.float64))
         assert np.all(np.abs(slope - want) <= 8 * np.finfo(dtype).eps * (1.0 + np.abs(u)))
@@ -832,7 +827,7 @@ class TestBackwardReuse:
         rng = np.random.default_rng(25)
         for k in (2, 5, 13):
             cfg = MlpConfig(n_classes=k, feature_dim=3, embed_dim=8, hidden_dim=16,
-                            n_blocks=2, time_embed_dim=8, groups=4)
+                            n_blocks=2, time_embed_dim=8)
             scorer = MlpScorer(cfg, SCHED, seed=k)
             scorer.params["out_w"] = (0.5 * rng.standard_normal((k, 16))).astype(np.float32)
             if dtype == np.float64:
@@ -987,7 +982,7 @@ class TestFormatFixtures:
 
     def test_version_2_file_loads_and_saves_to_the_same_bytes(self, tmp_path):
         params, cfg, schedule = load_params(str(FIXTURES / "v2.ckpt"))
-        assert cfg == MlpConfig(3, 2, hidden_dim=16, n_blocks=1, groups=4)
+        assert cfg == MlpConfig(3, 2, hidden_dim=16, n_blocks=1) and cfg.groups == 4
         assert schedule == LogLinearSchedule(0.6, 0.7)
         path = str(tmp_path / "again.ckpt")
         mlp.save_params(path, params, cfg, schedule)
@@ -1016,12 +1011,10 @@ def _n_parameters(cfg: MlpConfig) -> int:
 @st.composite
 def _models(draw):
     """A small random MlpConfig and schedule."""
-    groups = draw(st.integers(1, 3))
     cfg = MlpConfig(draw(st.integers(2, 6)), draw(st.integers(1, 4)),
-                    embed_dim=draw(st.integers(1, 8)),
-                    hidden_dim=4 * groups * draw(st.integers(1, 3)),
+                    embed_dim=draw(st.integers(1, 8)), hidden_dim=draw(st.integers(4, 36)),
                     n_blocks=draw(st.integers(1, 3)),
-                    time_embed_dim=2 * draw(st.integers(1, 4)), groups=groups)
+                    time_embed_dim=2 * draw(st.integers(1, 4)))
     schedule = LogLinearSchedule(draw(st.floats(1e-3, 10.0)), draw(st.floats(1e-3, 0.999)))
     return cfg, schedule
 
@@ -1058,7 +1051,7 @@ class TestCheckpointProperties:
         """Also at a block count of 10**9, whose shape table the loader must not build:
         param_shapes is patched to fail above both 2 blocks and the saved model's."""
         cfg, schedule = model
-        value *= 4 * cfg.groups if key == "hidden_dim" else 1
+        value *= 4 if key == "hidden_dim" else 1
         assume(value != getattr(cfg, key) and (key != "n_classes" or value >= 2))
         _, path = _saved(tmp_path_factory.mktemp("ckpt"), cfg, schedule, 0)
         meta = Path(path + ".meta").read_text(encoding="utf-8")
@@ -1147,9 +1140,13 @@ class TestLoaderProperties:
 
 
 class TestConfigValidation:
-    def test_hidden_must_divide_groups(self):
-        with pytest.raises(ValidationError):
-            MlpConfig(n_classes=3, feature_dim=2, hidden_dim=30, groups=8)
+    def test_derived_groups_are_the_most_of_at_least_four_units_up_to_eight(self):
+        """For every width from 4 to 512 the group count divides the width, leaves each
+        group at least 4 units, and is the largest such count up to 8 (brute force)."""
+        for hidden in range(4, 513):
+            groups = MlpConfig(n_classes=3, feature_dim=2, hidden_dim=hidden).groups
+            assert hidden % groups == 0 and hidden // groups >= 4, hidden
+            assert groups == max(g for g in range(1, 9) if hidden % g == 0 and hidden // g >= 4)
 
     def test_at_least_one_block(self):
         with pytest.raises(ValidationError):
@@ -1172,8 +1169,8 @@ class TestConfigValidation:
     @settings(max_examples=300, deadline=None)
     @given(hidden=st.integers(4, 4096))
     def test_default_groups_accept_every_width_of_at_least_four(self, hidden):
-        """With groups unset, every width of at least 4 builds a config, on the most
-        groups of at least 4 units, up to 8, that divide it."""
+        """Every width of at least 4 builds a config, on the most groups of at least 4
+        units, up to 8, that divide it."""
         groups = TrainConfig(hidden_dim=hidden).mlp_config(4, 2).groups
         assert hidden % groups == 0 and hidden // groups >= 4
         assert not any(hidden % more == 0 for more in range(groups + 1, min(8, hidden // 4) + 1))

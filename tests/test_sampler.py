@@ -123,9 +123,9 @@ class TestSelectLabel:
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
-            SamplerConfig(strategy="best")
+            SamplerConfig(n_steps=8, strategy="best")
         with pytest.raises(ValidationError):   # deleted: its anchors were random draws
-            SamplerConfig(strategy="sampling")
+            SamplerConfig(n_steps=8, strategy="sampling")
 
 
 class TestPosteriorCp:
@@ -391,9 +391,9 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             SamplerConfig(n_steps=0)
         with pytest.raises(ValidationError):
-            SamplerConfig(strategy="greedy")
+            SamplerConfig(n_steps=8, strategy="greedy")
         with pytest.raises(ValidationError):
-            SamplerConfig(n_samples=0)
+            SamplerConfig(n_steps=8, n_samples=0)
 
 
 class TestZeroInputs:
@@ -408,7 +408,7 @@ class TestPreparedFeatures:
     @pytest.mark.parametrize("method", ["cp", "cl", "full"])
     def test_each_estimator_prepares_once_per_call(self, method, monkeypatch):
         cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
-                        n_blocks=2, time_embed_dim=8, groups=4)
+                        n_blocks=2, time_embed_dim=8)
         schedule = LogLinearSchedule(0.6, 0.7)
         scorer = MlpScorer(cfg, schedule, seed=0)
         scorer.params["out_w"] = 0.3 * np.random.default_rng(1).standard_normal((4, 16))
@@ -438,7 +438,7 @@ class TestPreparedFeatures:
         (TestSamplerProperties checks that the blocking leaves the outputs
         unchanged.)"""
         cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
-                        n_blocks=2, time_embed_dim=8, groups=4)
+                        n_blocks=2, time_embed_dim=8)
         schedule = LogLinearSchedule(0.6, 0.7)
         scorer = MlpScorer(cfg, schedule, seed=0)
         y = np.random.default_rng(3).standard_normal((7, 2))
@@ -471,7 +471,7 @@ class TestLargeLogitGap:
         exp(-800), below float64's range: each estimator still returns finite rows
         on the simplex with label 0 on top, and raises nothing."""
         cfg = MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
-                        n_blocks=2, time_embed_dim=8, groups=4)
+                        n_blocks=2, time_embed_dim=8)
         scorer = MlpScorer(cfg, LogLinearSchedule(0.6, 0.7), seed=0)
         rng = np.random.default_rng(4)
         scorer.params["out_w"] = (0.3 * rng.standard_normal((4, 16))).astype(np.float32)
@@ -522,7 +522,7 @@ def _sampler_case(draw):
         scorer = ExactScorer(lambda f: true_posterior_batch(task, f), k, schedule)
     else:
         scorer = MlpScorer(MlpConfig(n_classes=k, feature_dim=dim, embed_dim=8, hidden_dim=16,
-                                     n_blocks=1, time_embed_dim=8, groups=4), schedule, seed=seed)
+                                     n_blocks=1, time_embed_dim=8), schedule, seed=seed)
         scorer.params["out_w"] = np.random.default_rng(seed).standard_normal((k, 16))
     y = np.random.default_rng(seed + 1).standard_normal((draw(st.integers(1, 4)), dim))
     return scorer, schedule, cfg, y

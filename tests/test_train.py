@@ -174,7 +174,8 @@ class TestMixedPrecision:
                 _, _, stats = train_step(
                     scorer, opt, y[lo:lo + config.batch_size], labels[lo:lo + config.batch_size],
                     scorer.schedule, step_rng,
-                    lr=learning_rate(config, opt.step, len(y) // config.batch_size))
+                    lr=learning_rate(config, opt.step, len(y) // config.batch_size),
+                    grad_clip=config.grad_clip, cross_entropy=False)
                 losses.append(stats.total)
             _, cache = scorer.logits(y[:1], labels[:1], np.full(1, 0.5))
             assert opt.flat.dtype == cache["h_top"].dtype == dtype
@@ -239,7 +240,8 @@ class TestWorkspace:
         monkeypatch.setattr(mlp, "forward_logits", checking_forward)
         rng = np.random.default_rng(7)
         for features, labels in batches:
-            train_step(scorer, opt, features, labels, config.schedule(), rng, lr=1e-2)
+            train_step(scorer, opt, features, labels, config.schedule(), rng, lr=1e-2,
+                       grad_clip=1.0, cross_entropy=False)
         assert [dtype for dtype, _ in forwards] == [np.dtype(np.float32)] * len(batches)
         assert len({form for _, form in forwards}) == len(batches)    # each step moved it
 
@@ -260,7 +262,8 @@ class TestWorkspace:
                 elif i == 2 and how == "new dict":
                     scorer.params = {k: v.copy() for k, v in scorer.params.items()}
                     scorer.params["out_w"] = head.copy()
-                train_step(scorer, opt, features, labels, config.schedule(), rng, lr=1e-2)
+                train_step(scorer, opt, features, labels, config.schedule(), rng, lr=1e-2,
+                           grad_clip=1.0, cross_entropy=False)
             assert all(np.shares_memory(v, opt.flat) for v in scorer.params.values())
             runs.append((scorer.params, opt))
         (untouched, _), (want, want_opt), *others = runs
@@ -328,12 +331,14 @@ class TestWorkspace:
         y, labels = generate(MixtureTask.ring(8, 2), 3 * 128, CorruptionSpec(), rng)
         batches = [(y[i:i + 128].astype(np.float32), labels[i:i + 128]) for i in (0, 128, 256)]
         for features, batch_labels in batches[:2]:
-            train_step(scorer, opt, features, batch_labels, scorer.schedule, rng, lr=1e-3)
+            train_step(scorer, opt, features, batch_labels, scorer.schedule, rng, lr=1e-3,
+                       grad_clip=1.0, cross_entropy=False)
         kept = dict(opt.work)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train_step(scorer, opt, *batches[2], scorer.schedule, rng, lr=1e-3)
+            train_step(scorer, opt, *batches[2], scorer.schedule, rng, lr=1e-3, grad_clip=1.0,
+                       cross_entropy=False)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -351,7 +356,7 @@ class TestWorkspace:
                                        np.random.default_rng(10))
         # A clip bound no norm reaches, so the step leaves its gradients as they were made.
         train_step(scorer, opt, features, labels, config.schedule(), np.random.default_rng(10),
-                   lr=1e-2, grad_clip=1e30)
+                   lr=1e-2, grad_clip=1e30, cross_entropy=False)
         for name, value in want.items():
             assert value.dtype == np.float32, name
             assert opt.grads[name].tobytes() == value.tobytes(), name
@@ -504,7 +509,8 @@ class TestSmokeTraining:
         for step in range(2000):
             lo = step * 32
             _, _, stats = train_step(scorer, opt, y[lo:lo + 32], labels[lo:lo + 32],
-                                     schedule, rng, lr=2e-3)
+                                     schedule, rng, lr=2e-3, grad_clip=1.0,
+                                     cross_entropy=False)
             losses.append(stats.total)
         early = np.mean(losses[:100])
         late = np.mean(losses[-100:])
@@ -538,7 +544,8 @@ class TestValidationErrors:
         opt = AdamState(scorer.params)
         with pytest.raises(ValidationError):
             train_step(scorer, opt, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                       config.schedule(), np.random.default_rng(0), lr=1e-3)
+                       config.schedule(), np.random.default_rng(0), lr=1e-3, grad_clip=1.0,
+                       cross_entropy=False)
 
     def test_out_of_range_labels_rejected(self):
         config = _tiny_config()
@@ -546,7 +553,8 @@ class TestValidationErrors:
         opt = AdamState(scorer.params)
         with pytest.raises(ValidationError):
             train_step(scorer, opt, np.zeros((2, 2)), np.array([0, 3]),
-                       config.schedule(), np.random.default_rng(0), lr=1e-3)
+                       config.schedule(), np.random.default_rng(0), lr=1e-3, grad_clip=1.0,
+                       cross_entropy=False)
 
     def test_config_bounds(self):
         for field in ("epochs", "batch_size"):
