@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import harness
+from . import harness, mlp
 from .data import (CORRUPTION_KINDS, CorruptionSpec, MixtureTask, generate,
                    load_dataset, save_dataset)
 from .errors import NumericalError, ValidationError
@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule-decay", type=float, default=TrainConfig.schedule_decay)
     p.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip)
     p.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim,
-                   help="scorer width, at least 4; its GroupNorm groups number the largest "
-                        "divisor of the width up to min(8, width // 4)")
+                   help=f"scorer width, at least {mlp.MIN_GROUP_UNITS}; its GroupNorm groups "
+                        f"number the largest divisor of the width up to "
+                        f"min({mlp.MAX_GROUPS}, width // {mlp.MIN_GROUP_UNITS})")
     p.add_argument("--blocks", type=int, default=TrainConfig.n_blocks)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--timing", action="store_true",

@@ -75,11 +75,20 @@ workers through one queue (_run_workers): the calling thread and pool
 jobs, on threads started on the first such call, each take the next tile
 as they finish one, in work arrays of their own, writing disjoint rows of
 the base or logits array.  numpy releases the interpreter lock in its
-matmuls and ufuncs, so the workers run at once.  The tiles depend on the
-row count alone, so the logits do not depend on the worker count or on
-which worker ran a tile.  Smaller calls, among them every training batch
-and the 512-row validation, run inline.  Only the tiles run on the pool;
-the conditioning, the finiteness check and everything outside
+matmuls and ufuncs, so the workers run at once if they run on two CPUs,
+and each pool job sees to that: it first moves its thread onto the CPUs
+usable at import but the one the calling thread is on now (_pool_cpus).
+Left to the OS, the pool thread woke after single-threaded work on the
+caller's CPU and stayed there for seconds while the other CPU idled: in
+300 of 300 4,000-row calls on a 2-vCPU Xeon (5 runs of 60, each after 2 s
+of single-threaded work), which then took 10.3-12.3 ms a call (run
+medians) against 10.1-10.9 on one worker and 6.3-9.1 once placed.  The
+caller is never moved, so the single-threaded work around the calls runs
+where the OS puts it.  The tiles depend on the row count alone, so the
+logits do not depend on the worker count, on which worker ran a tile or
+on where it ran.  Smaller calls, among them every training batch and the
+512-row validation, run inline.  Only the tiles run on the pool; the
+conditioning, the finiteness check and everything outside
 inference_logits and prepare stay on the calling thread.
 """
 
@@ -108,6 +117,8 @@ GN_EPS = 1e-5
 # top-1 0.12-0.13 at hidden 8 on 8 groups, against 0.45-0.69 on 2.  Smaller
 # groups also magnify float32 rounding: 1.1e-4 logit error at 2 units, 1.5e-5 at 4.
 MIN_GROUP_UNITS = 4
+# The most GroupNorm groups a block has (MlpConfig.groups), 8 at hidden_dim >= 32.
+MAX_GROUPS = 8
 # Rows per inference tile (see row_tiles).  The trunk's tail makes ~16
 # elementwise passes per block over (rows, hidden) arrays; at 8,000 rows and
 # hidden 128 those are 4 MiB in float32, twice a 2 MiB L2 cache, and on a
@@ -121,20 +132,19 @@ MIN_GROUP_UNITS = 4
 TILE_ROWS = 1000
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# The CPUs this process may run on when mlp is imported, the set WORKERS counts
+# and the pool threads run among (_pool_cpus); None where the OS cannot say.
+_CPUS = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+_THREAD_STAT = "/proc/thread-self/stat"   # Linux: the calling thread's CPU is field 39
 
 
 # Workers that share one scorer call's row tiles (_run_workers): the calling
-# thread plus up to WORKERS - 1 pool jobs.  8,000-row eval-cp on a 2-vCPU Xeon,
-# one BLAS thread, medians of 10 benchmark runs: 22,375 rows/s with every tile
-# inline, 33,012 on two workers (with sampler.SCORER_ROWS halved to pay for
-# the second worker's memory).  Each worker costs its work arrays (~1.5 MiB at
-# 1,000-row tiles and hidden 128); more than two were not measured.
-WORKERS = min(2, _usable_cpus())
+# thread plus up to WORKERS - 1 pool jobs, kept on other CPUs (_pool_cpus).
+# 8,000-row eval-cp on a 2-vCPU Xeon, one BLAS thread, 10 alternating pairs of
+# benchmark runs: 38,324 rows/s (median) with every tile inline, 50,351 on two
+# workers, at 44.3 and 46.2 MiB peak RSS.  Each worker costs its work arrays
+# (~1.5 MiB at 1,000-row tiles and hidden 128); more than two were not measured.
+WORKERS = min(2, len(_CPUS) if _CPUS is not None else (os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -166,8 +176,8 @@ class MlpConfig:
     @functools.cached_property
     def groups(self) -> int:
         """GroupNorm groups per block, each of at least MIN_GROUP_UNITS units: the
-        largest divisor of hidden_dim up to min(8, hidden_dim // MIN_GROUP_UNITS)."""
-        cap = min(8, self.hidden_dim // MIN_GROUP_UNITS)
+        largest divisor of hidden_dim up to min(MAX_GROUPS, hidden_dim // MIN_GROUP_UNITS)."""
+        cap = min(MAX_GROUPS, self.hidden_dim // MIN_GROUP_UNITS)
         return next(g for g in range(cap, 0, -1) if self.hidden_dim % g == 0)
 
 
@@ -394,6 +404,32 @@ def _executor():
         return _pool
 
 
+def _pool_cpus() -> frozenset[int] | None:
+    """The CPUs for this call's pool jobs: those usable at import (_CPUS) but the one
+    the calling thread runs on now, read from _THREAD_STAT (~12 us); None, which
+    moves no thread, where that CPU cannot be read or no other is usable."""
+    if _CPUS is None:
+        return None
+    try:
+        with open(_THREAD_STAT, "rb") as fh:
+            # Fields count from 1; the command name, field 2, may hold spaces and ')'.
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[39 - 3])
+    except (OSError, ValueError, IndexError):
+        return None
+    return (_CPUS - {cpu}) or None
+
+
+def _placed(cpus: frozenset[int] | None, run, *args) -> None:
+    """run(*args) on a pool thread, first moved to cpus if they are given and it
+    is not there; where the move fails the thread stays where it is."""
+    if cpus is not None and os.sched_getaffinity(0) != cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+    run(*args)
+
+
 def _run_workers(n: int, alloc, run) -> None:
     """run(tiles, *alloc(rows)) on up to WORKERS workers that share the row tiles of
     range(n) (row_tiles) through one queue; rows is the largest tile's.
@@ -405,6 +441,13 @@ def _run_workers(n: int, alloc, run) -> None:
     runs dry the caller cancels every job that has not started, so a busy
     pool never holds it up, and waits for the running ones.  Raises the
     calling thread's error, else the first pool job's.
+
+    Before its first tile a pool job moves its thread, if it is elsewhere,
+    onto the CPUs usable at import but the one the calling thread is on now
+    (_pool_cpus, read once per call at ~12 us): the OS tends to wake the
+    pool thread on the caller's CPU, where the two workers run no faster
+    than one.  The caller keeps its CPUs; where its CPU cannot be read, no
+    other is usable or the move fails, the pool thread stays where it is.
 
     The calling thread allocates every job's work arrays: allocated on a
     pool thread, they come from glibc's arena for that thread, which keeps
@@ -420,7 +463,9 @@ def _run_workers(n: int, alloc, run) -> None:
             return next(queue, None)
 
     work = [(iter(take, None), *alloc(rows)) for _ in range(min(WORKERS, len(tiles)))]
-    futures = [_executor().submit(contextvars.copy_context().run, run, *job) for job in work[1:]]
+    cpus = _pool_cpus() if len(work) > 1 else None
+    futures = [_executor().submit(contextvars.copy_context().run, _placed, cpus, run, *job)
+               for job in work[1:]]
     try:
         run(*work[0])
     finally:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from diffclass import cli, harness, mlp, sampler, train
 from diffclass.data import CorruptionSpec, MixtureTask, generate, load_dataset, save_dataset
 from diffclass.errors import NumericalError
-from diffclass.mlp import MlpScorer
+from diffclass.mlp import MlpConfig, MlpScorer
 
 TINY_TRAIN = ["--epochs", "2", "--batch-size", "64", "--hidden-dim", "32", "--blocks", "2"]
 SMALL_RUN = {"eval": ["--steps", "2"], "sweep": ["--n-eval", "8"],
@@ -568,6 +568,21 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and "hidden_dim" in err, err
         assert not (tmp_path / "n.ckpt").exists()
+
+    def test_width_help_states_the_group_rule_of_mlp(self, monkeypatch):
+        """--hidden-dim's help is built from mlp.MIN_GROUP_UNITS and mlp.MAX_GROUPS,
+        the values MlpConfig.groups uses, not from copies of them."""
+        monkeypatch.setattr(mlp, "MIN_GROUP_UNITS", 6)
+        monkeypatch.setattr(mlp, "MAX_GROUPS", 5)
+        cli.build_parser.cache_clear()
+        try:
+            sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+            help_text = next(a.help for a in sub.choices["train"]._actions
+                             if a.dest == "hidden_dim")
+        finally:
+            cli.build_parser.cache_clear()
+        assert MlpConfig(n_classes=2, feature_dim=1, hidden_dim=30).groups == 5
+        assert "at least 6;" in help_text and "min(5, width // 6)" in help_text, help_text
 
     @pytest.mark.parametrize("argv, name, value", [
         (["gen-data", "--separation", "inf"], "separation", "inf"),

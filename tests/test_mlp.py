@@ -570,6 +570,74 @@ assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+                        or not os.path.exists(mlp._THREAD_STAT),
+                        reason="needs sched_setaffinity, 2 usable CPUs and /proc/thread-self")
+    def test_the_pool_thread_runs_off_the_callers_cpu(self):
+        """With the caller pinned to CPU a, a pool tile of a two-worker call runs on
+        the usable CPUs but a; re-pinned to b, the next call moves the pool off b.
+        The caller's tiles wait until a pool tile has run: a cancelled job never moves."""
+        code = """
+import os, threading
+import numpy as np
+from diffclass import mlp
+usable = os.sched_getaffinity(0)
+a, b = min(usable), max(usable)
+mlp.TILE_ROWS = 7
+mlp.WORKERS = 2
+cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
+                    time_embed_dim=16)
+scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
+branch, seen, pool_ran = mlp._inference_branch, [], threading.Event()
+
+def spy(*args):
+    if threading.current_thread().name.startswith("diffclass-tiles"):
+        seen.append((caller, os.sched_getaffinity(0)))
+        pool_ran.set()
+    else:
+        assert pool_ran.wait(timeout=20), "no tile ran on the pool"
+    return branch(*args)
+
+mlp._inference_branch = spy
+for caller in (a, b):
+    os.sched_setaffinity(0, {caller})
+    pool_ran.clear()
+    scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, 0.5)
+assert {cpu for cpu, _ in seen} == {a, b}, seen
+assert all(cpus == usable - {cpu} for cpu, cpus in seen), seen
+"""
+        src = str(Path(mlp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_an_unreadable_cpu_moves_no_thread(self, monkeypatch, set_workers, tmp_path):
+        """Where reading the caller's CPU raises OSError, a pool tile still runs, no
+        thread's CPUs are set, and the logits are the same."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _small_scorer(head_scale=0.3)
+        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
+        expected = scorer.score_batch(y, anchors, t)
+        monkeypatch.setattr(mlp, "_THREAD_STAT", str(tmp_path / "missing"))
+        placed = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: placed.append(args),
+                            raising=False)
+        branch, pool_ran = mlp._inference_branch, threading.Event()
+
+        def spy(*args):
+            if _on_pool_thread():
+                pool_ran.set()
+            else:
+                assert pool_ran.wait(timeout=20), "no tile ran on the pool"
+            return branch(*args)
+
+        monkeypatch.setattr(mlp, "_inference_branch", spy)
+        got = scorer.score_batch(y, anchors, t)
+        assert mlp._pool_cpus() is None and pool_ran.is_set()
+        assert not placed and np.array_equal(got, expected)
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs fork")
     def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
