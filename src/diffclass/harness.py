@@ -10,7 +10,7 @@ train.fit on the same rows, passing no held-out data, so neither runs
 fit's per-epoch validation.
 
 With a fixed seed every function here is deterministic with one BLAS
-thread, whatever the scorer's worker count (mlp.WORKERS); wall-clock
+thread, whatever the sampler's worker count (sampler.WORKERS); wall-clock
 fields are left empty unless timing is requested so CSV outputs stay
 byte-identical across runs.
 """
@@ -48,10 +48,16 @@ class EvalReport:
     wall_ms: float
 
 
+def label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each true label's place among its row's classes by falling probability, 0 at
+    the top, ties broken by lowest class index: one stable sort per row."""
+    order = np.argsort(-probs, axis=1, kind="stable")
+    return np.argmax(order == labels[:, None], axis=1)
+
+
 def topk_hits(probs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Whether the true label ranks in the top k; ties broken by lowest class index."""
-    order = np.argsort(-probs, axis=1, kind="stable")
-    return (order[:, :k] == labels[:, None]).any(axis=1)
+    return label_ranks(probs, labels) < k
 
 
 def _run_method(method: str, features: np.ndarray, scorer: Scorer,
@@ -76,8 +82,9 @@ def evaluate_on(scorer: Scorer, task: MixtureTask, corruption: CorruptionSpec,
     t0 = time.perf_counter()
     probs, nfe = _run_method(method, features, scorer, schedule, sampler_cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3 if timing else float("nan")
-    top1 = float(topk_hits(probs, labels, 1).mean())
-    top5 = float(topk_hits(probs, labels, 5).mean()) if task.k > 5 else float("nan")
+    ranks = label_ranks(probs, labels)
+    top1 = float((ranks < 1).mean())
+    top5 = float((ranks < 5).mean()) if task.k > 5 else float("nan")
     # The exact posteriors are taken after the estimator, so they do not add to its peak memory.
     q_true = true_posterior_batch(task, features, corruption)
     mean_tv = float(0.5 * np.abs(probs - q_true).sum(axis=1).mean())

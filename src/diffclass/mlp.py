@@ -50,7 +50,7 @@ entry's straight into param_grads' destination, in a fit the optimizer's
 float32 gradient buffer.
 
 Inference (MlpScorer.prepare, inference_logits) builds the form once per
-prepare call and keeps no cache.  Its GroupNorm (_inference_groupnorm)
+prepare call and keeps no backprop cache.  Its GroupNorm (_inference_groupnorm)
 spreads the halved gain into a (groups, hidden) matrix, so one matmul of
 the per-group reciprocal standard deviations gives the scale the rows
 take in one multiply; it never forms xhat, which the gain's gradient
@@ -59,47 +59,34 @@ GroupNorms, and _gn_backward, take their group means by one
 block-averaging matmul (_group_means, through _center for the
 statistics), in either dtype.  The block loops stay two as well: they
 differ in the cache, the GroupNorm form, where the conditioning rows come
-from and block 0's prefix, and inference's loop runs on the pool thread
-below.  The prefix (prepare) runs the input layer and block 0's residual
-branch, none of which sees the conditioning, once per set of inputs,
-which a sampler reuses on every step; the tail (inference_logits) runs
-the rest, with the conditioning once per call, for the K labels at the
-call's one t.  Both run over contiguous row tiles (row_tiles) of fewer than
-2 * TILE_ROWS rows, and of at least TILE_ROWS unless the call has fewer,
-in (rows, hidden) work arrays that every tile reuses, so the tail's
-elementwise passes stay in the L2 cache; with no tile under TILE_ROWS
-rows the result equals one untiled call bit for bit.
-
-A call of at least 2 * TILE_ROWS rows shares its tiles over WORKERS
-workers through one queue (_run_workers): the calling thread and pool
-jobs, on threads started on the first such call, each take the next tile
-as they finish one, in work arrays of their own, writing disjoint rows of
-the base or logits array.  numpy releases the interpreter lock in its
-matmuls and ufuncs, so the workers run at once if they run on two CPUs,
-and each pool job sees to that: it first moves its thread onto the CPUs
-usable at import but the one the calling thread is on now (_pool_cpus).
-Left to the OS, the pool thread woke after single-threaded work on the
-caller's CPU and stayed there for seconds while the other CPU idled: in
-300 of 300 4,000-row calls on a 2-vCPU Xeon (5 runs of 60, each after 2 s
-of single-threaded work), which then took 10.3-12.3 ms a call (run
-medians) against 10.1-10.9 on one worker and 6.3-9.1 once placed.  The
-caller is never moved, so the single-threaded work around the calls runs
-where the OS puts it.  The tiles depend on the row count alone, so the
-logits do not depend on the worker count, on which worker ran a tile or
-on where it ran.  Smaller calls, among them every training batch and the
-512-row validation, run inline.  Only the tiles run on the pool; the
-conditioning, the finiteness check and everything outside
-inference_logits and prepare stay on the calling thread.
+from and block 0's prefix.  The prefix runs the input layer and block 0's
+residual branch, none of which sees the conditioning, once per set of
+inputs, which a sampler reuses on every step: prepare allocates its rows,
+and the first read of each slice of them fills that slice
+(PreparedFeatures), so a sampler's workers run it tile by tile.  Run in
+prepare on the calling thread alone, it took 4.6 ms per 4,000-row engine
+block, and 8,000-row eval-cp read 5.8% fewer rows/s (medians of 10
+alternating benchmark pairs, slower in 7; 2-vCPU Xeon, one BLAS thread).
+The tail runs the rest, with the conditioning's per-block projections for
+the K labels built once per t and prepare call (PreparedFeatures.tables,
+which keeps the two latest), each row gathering its anchor's.  Both run over
+contiguous row tiles (row_tiles) of fewer than 2 * TILE_ROWS rows, and of
+at least TILE_ROWS unless the call has fewer, in (rows, hidden) work
+arrays that every tile reuses, so the tail's elementwise passes stay in
+the L2 cache; with no tile under TILE_ROWS rows the result equals one
+untiled call bit for bit.
+A read runs its tiles in turn on the calling thread, in work arrays from
+the caller's work space when it gives one (score_batch's space), and
+starts no thread: the sampler shares its tiles over its workers
+(sampler.WORKERS).
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import os
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -107,7 +94,7 @@ import numpy as np
 from .data import read_header, write_header
 from .errors import NumericalError, ValidationError
 from .schedule import LogLinearSchedule
-from .score import Scorer
+from .score import Scorer, from_space
 
 CHECKPOINT_FORMAT = "scorer-checkpoint"
 FORMAT_VERSION = 2
@@ -130,21 +117,6 @@ MAX_GROUPS = 8
 # a smaller remainder tile: with 1,024-row tiles the last 832 of 8,000 rows
 # were off by up to 1.5e-7.
 TILE_ROWS = 1000
-
-
-# The CPUs this process may run on when mlp is imported, the set WORKERS counts
-# and the pool threads run among (_pool_cpus); None where the OS cannot say.
-_CPUS = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-_THREAD_STAT = "/proc/thread-self/stat"   # Linux: the calling thread's CPU is field 39
-
-
-# Workers that share one scorer call's row tiles (_run_workers): the calling
-# thread plus up to WORKERS - 1 pool jobs, kept on other CPUs (_pool_cpus).
-# 8,000-row eval-cp on a 2-vCPU Xeon, one BLAS thread, 10 alternating pairs of
-# benchmark runs: 38,324 rows/s (median) with every tile inline, 50,351 on two
-# workers, at 44.3 and 46.2 MiB peak RSS.  Each worker costs its work arrays
-# (~1.5 MiB at 1,000-row tiles and hidden 128); more than two were not measured.
-WORKERS = min(2, len(_CPUS) if _CPUS is not None else (os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -230,7 +202,7 @@ def _time_frequencies(half: int) -> np.ndarray:
     return freqs
 
 
-def time_features(u: np.ndarray, n_dims: int, dtype, work: dict | None = None) -> np.ndarray:
+def time_features(u: np.ndarray, n_dims: int, dtype, work: dict | None) -> np.ndarray:
     """Sinusoidal features of a scalar in [0, 1], geometric frequency ladder, in dtype:
     the sines fill the first half of the columns and the cosines the second.  The angles
     are float64, each feature rounded once to dtype; the arrays come from work (_array)."""
@@ -378,111 +350,13 @@ def row_tiles(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-_pool = None                 # the executor of _run_workers, started on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, whose copy has no threads; the next call starts one."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor():
-    """The pool of WORKERS - 1 threads, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # Imported here, not at module level: a process that never runs a
-            # call over 2 * TILE_ROWS rows (training) does not pay its memory.
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="diffclass-tiles")
-        return _pool
-
-
-def _pool_cpus() -> frozenset[int] | None:
-    """The CPUs for this call's pool jobs: those usable at import (_CPUS) but the one
-    the calling thread runs on now, read from _THREAD_STAT (~12 us); None, which
-    moves no thread, where that CPU cannot be read or no other is usable."""
-    if _CPUS is None:
-        return None
-    try:
-        with open(_THREAD_STAT, "rb") as fh:
-            # Fields count from 1; the command name, field 2, may hold spaces and ')'.
-            cpu = int(fh.read().rsplit(b")", 1)[1].split()[39 - 3])
-    except (OSError, ValueError, IndexError):
-        return None
-    return (_CPUS - {cpu}) or None
-
-
-def _placed(cpus: frozenset[int] | None, run, *args) -> None:
-    """run(*args) on a pool thread, first moved to cpus if they are given and it
-    is not there; where the move fails the thread stays where it is."""
-    if cpus is not None and os.sched_getaffinity(0) != cpus:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
-    run(*args)
-
-
-def _run_workers(n: int, alloc, run) -> None:
-    """run(tiles, *alloc(rows)) on up to WORKERS workers that share the row tiles of
-    range(n) (row_tiles) through one queue; rows is the largest tile's.
-
-    The calling thread and up to WORKERS - 1 pool jobs, none for a call of
-    one tile, each run in work arrays of their own and take the queue's
-    next tile as they finish one; a pool job runs in a copy of the
-    caller's context, so it keeps the caller's np.errstate.  When the queue
-    runs dry the caller cancels every job that has not started, so a busy
-    pool never holds it up, and waits for the running ones.  Raises the
-    calling thread's error, else the first pool job's.
-
-    Before its first tile a pool job moves its thread, if it is elsewhere,
-    onto the CPUs usable at import but the one the calling thread is on now
-    (_pool_cpus, read once per call at ~12 us): the OS tends to wake the
-    pool thread on the caller's CPU, where the two workers run no faster
-    than one.  The caller keeps its CPUs; where its CPU cannot be read, no
-    other is usable or the move fails, the pool thread stays where it is.
-
-    The calling thread allocates every job's work arrays: allocated on a
-    pool thread, they come from glibc's arena for that thread, which keeps
-    its freed pages apart from the main heap's: 8,000-row eval-cp on a
-    2-vCPU Xeon then peaked 1.8 MiB higher.
-    """
-    tiles = row_tiles(n)
-    rows = max(tile.stop - tile.start for tile in tiles)
-    lock, queue = threading.Lock(), iter(tiles)
-
-    def take() -> slice | None:
-        with lock:
-            return next(queue, None)
-
-    work = [(iter(take, None), *alloc(rows)) for _ in range(min(WORKERS, len(tiles)))]
-    cpus = _pool_cpus() if len(work) > 1 else None
-    futures = [_executor().submit(contextvars.copy_context().run, _placed, cpus, run, *job)
-               for job in work[1:]]
-    try:
-        run(*work[0])
-    finally:
-        started = [future for future in futures if not future.cancel()]
-        for future in started:
-            future.exception()       # waits; the loop below raises
-    for future in started:
-        future.result()
-
-
 # The master entries that inference_params halves, by name prefix; param_grads gives
 # each half its form entry's gradient.
 HALVED = ("in_w", "in_b", "w1_", "b1_", "gn_g_", "gn_b_")
 
 
 def inference_params(params: dict[str, np.ndarray], cfg: MlpConfig,
-                     work: dict | None = None) -> dict[str, np.ndarray]:
+                     work: dict | None) -> dict[str, np.ndarray]:
     """The form both forwards run on, in the parameters' dtype.
 
     The HALVED entries (in_w, in_b and each block's w1, b1, gn_g, gn_b) are
@@ -531,25 +405,46 @@ def _inference_branch(q: dict, b: int, h: np.ndarray, out: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
+# Held while a read looks up or builds a t's conditioning rows (MlpScorer._cvecs),
+# so the workers that share one prepare call's slices build each table once.
+_TABLES_LOCK = threading.Lock()
+
+
+@dataclass
 class PreparedFeatures:
-    """Inputs already run through the prefix of the inference trunk.
+    """Inputs for the inference trunk's tail, their prefix run, or deferred to the
+    first read of each slice.
 
     params are the inference form of the parameters (inference_params) the
-    prefix ran with, which the tail must use too; base holds block 0's input
-    plus its residual branch less b2, one row per input.  Nothing writes to
-    base, so every step can reuse it.
+    prefix runs with, which the tail must use too; base holds block 0's
+    input plus its residual branch less b2, one row per input, once the
+    prefix has run: until then, pending holds the inputs in the parameters'
+    dtype (None after), and the first read of the rows fills base.  Slicing
+    gives the same view of a range of rows, so each slice's first read fills
+    its own.  tables maps the latest times read to the tail's per-block
+    conditioning rows for the K labels (MlpScorer._cvecs), shared by every
+    slice of one prepare call.  A read runs the prefix in its own work arrays
+    and copies the result into base before it clears pending, so two reads
+    that both find pending set write base's rows twice, to the same bits, and
+    no read sees them half written.  Nothing writes to base once it is filled,
+    so every step can reuse it.
     """
 
     params: dict[str, np.ndarray]
     base: np.ndarray
+    pending: np.ndarray | None
+    tables: dict
 
     def __len__(self) -> int:
         return self.base.shape[0]
 
+    def __getitem__(self, rows: slice) -> "PreparedFeatures":
+        return PreparedFeatures(self.params, self.base[rows],
+                                None if self.pending is None else self.pending[rows], self.tables)
+
 
 def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray,
-                   work: dict | None = None):
+                   work: dict | None):
     """Training forward of (n, f) rows at (n, d) conditioning rows on the form q
     (inference_params); returns (logits, cache).
 
@@ -638,6 +533,15 @@ def backward_logits(q: dict, cfg: MlpConfig, dz: np.ndarray, cache: dict,
     return dcond
 
 
+def _reduce_columns(ufunc, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc folded over the columns of z, left to right, into out: what
+    functools.reduce(ufunc, z.T) gives, without a new array per column."""
+    ufunc(z[:, 0], z[:, 1], out=out)
+    for column in z.T[2:]:
+        ufunc(out, column, out=out)
+    return out
+
+
 class MlpScorer(Scorer):
     """Trainable scorer; deterministic given parameters and inputs."""
 
@@ -695,85 +599,121 @@ class MlpScorer(Scorer):
         return z.astype(np.float64, copy=False), cache
 
     def prepare(self, features: np.ndarray) -> PreparedFeatures:
-        """Run the conditioning-free prefix of the inference trunk once.
-
-        Builds the inference form of the parameters and runs the input layer
-        and block 0's residual branch on the rows, in the parameters' dtype,
-        tile by tile on the workers (_run_workers); score_batch takes the
-        result in place of the features at any anchors and times, until the
+        """Rows for the inference trunk's tail, at any anchors and times, until the
         parameters change.
+
+        Builds the inference form of the parameters, takes a copy of the
+        features in their dtype, so a later change to the caller's features
+        changes no read, and allocates the prefix's output, one row per input;
+        the input layer and block 0's residual branch run at the first read of
+        each slice of the rows (PreparedFeatures), in that read's work arrays.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
             raise ValidationError(f"features must be (rows, {self.cfg.feature_dim}); "
                                   f"got shape {features.shape}")
-        q = inference_params(self.params, self.cfg)
+        q = inference_params(self.params, self.cfg, None)
         dtype = q["in_w"].dtype
-        base = np.empty((features.shape[0], self.cfg.hidden_dim), dtype)
+        return PreparedFeatures(q, np.empty((len(features), self.cfg.hidden_dim), dtype),
+                                np.array(features, dtype), {})
 
-        def run(tiles: Iterable[slice], h_work: np.ndarray, scratch_work: np.ndarray) -> None:
+    def space_words(self, rows: int) -> int:
+        """Float64 words of score_batch's space for reads of up to rows rows: the
+        float64 distributions, the trunk's logits and three (rows, hidden) work
+        arrays in the parameters' dtype (_read)."""
+        size = np.dtype(self.params["in_w"].dtype).itemsize
+        return sum(-(-n // 8) for n in (rows * self.k * 8, rows * self.k * size,
+                                         *[rows * self.cfg.hidden_dim * size] * 3))
+
+    def _cvecs(self, features: PreparedFeatures, t: float) -> list[np.ndarray]:
+        """Each block's conditioning rows for the K labels at t, cw silu(cond) + cb:
+        built at the first read at t of features' prepare call, which keeps the
+        tables of the two latest times built.  A sampler's tiles read at most two
+        adjacent times at once unless one lags, whose read then builds its own
+        again, to the same bits; more tables would grow with the step count."""
+        tables = features.tables
+        with _TABLES_LOCK:
+            cvecs = tables.get(t)
+            if cvecs is None:
+                q = features.params
+                cond, _ = self.conditioning(np.arange(self.k), np.full(self.k, t))
+                sc = silu(cond)
+                cvecs = tables[t] = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"]
+                                     for b in range(self.cfg.n_blocks)]
+                if len(tables) > 2:
+                    del tables[next(iter(tables))]
+        return cvecs
+
+    def _read(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray, t: float,
+              space: np.ndarray | None) -> np.ndarray:
+        """Float64 logits of the inference path, the first len(features) * K words of
+        space (from_space), or a new array where space is None; every work
+        array comes from space after them, or is new."""
+        if not isinstance(features, PreparedFeatures):
+            features = self.prepare(features)
+        anchors = self._check_anchors(len(features), anchors)
+        q, base = features.params, features.base
+        n, dtype = len(base), base.dtype
+        tiles = row_tiles(n)
+        rows = max(tile.stop - tile.start for tile in tiles)
+        logits, at = from_space(space, 0, (n, self.k), np.float64)
+        z, at = from_space(space, at, (n, self.k), dtype)
+        h_work, at = from_space(space, at, (rows, self.cfg.hidden_dim), dtype)
+        x_work, at = from_space(space, at, (rows, self.cfg.hidden_dim), dtype)
+        scratch_work, _ = from_space(space, at, (rows, self.cfg.hidden_dim), dtype)
+        pending = features.pending
+        if pending is not None:
             for tile in tiles:
-                h, scratch = (w[:tile.stop - tile.start] for w in (h_work, scratch_work))
-                np.matmul(features[tile].astype(dtype, copy=False), q["in_w"].T, out=h)
+                h, x, scratch = (w[:tile.stop - tile.start] for w in (h_work, x_work, scratch_work))
+                np.matmul(pending[tile], q["in_w"].T, out=h)
                 h += q["in_b"]
                 silu_from_half(h, scratch)
-                _inference_branch(q, 0, h, base[tile], scratch)
-
-        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), dtype)
-                                              for _ in range(2)], run)
-        return PreparedFeatures(q, base)
+                base[tile] = _inference_branch(q, 0, h, x, scratch)
+            features.pending = None
+        cvecs = self._cvecs(features, float(t))
+        for tile in tiles:
+            h, x, scratch = (w[:tile.stop - tile.start] for w in (h_work, x_work, scratch_work))
+            for b in range(self.cfg.n_blocks):
+                x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
+                # The indices are in range, so "clip" gathers what "raise" would,
+                # without the buffered copy numpy makes for out= under "raise".
+                np.take(cvecs[b], anchors[tile], axis=0, out=h, mode="clip")
+                h += x_b
+                _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"], self.cfg.groups,
+                                     scratch)
+                silu_from_half(h, scratch)
+            zt = np.matmul(h, q["out_w"].T, out=z[tile])
+            zt += q["out_b"]
+        self._check_finite(z)
+        logits[...] = z
+        return logits
 
     def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
                          t: float) -> np.ndarray:
         """Float64 logits of the inference path, which keeps no cache.
 
-        features are raw rows, prepared here, or the result of prepare;
-        anchors hold one integer label per row, and every row is read at
-        the one time t.  The conditioning and its per-block projections run
-        once per call, for the K labels at t, and each row gathers its
-        anchor's.  The tail runs tile by tile on the workers (_run_workers),
-        each in (rows, hidden) work arrays that its tiles reuse, so its
-        temporaries stay cache-sized; the logits do not depend on the tiling
-        while every tile holds at least TILE_ROWS rows, nor on the worker
-        count.  Everything runs in the dtype of the prepared rows, the
-        parameters'; the logits are widened to float64 once, at the end.
+        features are raw rows, prepared here, or the result of prepare or a
+        slice of it; anchors hold one integer label per row, and every row is
+        read at the one time t.  The conditioning and its per-block
+        projections are built once per t and prepare call, for the K labels,
+        and each row gathers its anchor's.  The tail runs tile by tile, in
+        (rows, hidden) work arrays that its tiles reuse, so its temporaries
+        stay cache-sized; the logits do not depend on the tiling while every
+        tile holds at least TILE_ROWS rows.  Everything runs in the dtype of
+        the prepared rows, the parameters'; the logits are widened to float64
+        once, at the end.
         """
-        if not isinstance(features, PreparedFeatures):
-            features = self.prepare(features)
-        anchors = self._check_anchors(len(features), anchors)
-        q, base = features.params, features.base
-        cond, _ = self.conditioning(np.arange(self.k), np.full(self.k, float(t)))
-        sc = silu(cond)
-        cvecs = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"] for b in range(self.cfg.n_blocks)]
-        z = np.empty((len(base), self.k), base.dtype)
+        return self._read(features, anchors, t, None)
 
-        def run(tiles: Iterable[slice], *arrays: np.ndarray) -> None:
-            for tile in tiles:
-                h, x, scratch = (w[:tile.stop - tile.start] for w in arrays)
-                for b in range(self.cfg.n_blocks):
-                    x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
-                    # The indices are in range, so "clip" gathers what "raise" would,
-                    # without the buffered copy numpy makes for out= under "raise".
-                    np.take(cvecs[b], anchors[tile], axis=0, out=h, mode="clip")
-                    h += x_b
-                    _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"],
-                                         self.cfg.groups, scratch)
-                    silu_from_half(h, scratch)
-                zt = np.matmul(h, q["out_w"].T, out=z[tile])
-                zt += q["out_b"]
-
-        _run_workers(len(base), lambda rows: [np.empty((rows, self.cfg.hidden_dim), base.dtype)
-                                              for _ in range(3)], run)
-        self._check_finite(z)
-        return z.astype(np.float64, copy=False)
-
-    def score_batch(self, features, anchors, t):
-        z = self.inference_logits(features, anchors, t)
+    def score_batch(self, features, anchors, t, space=None):
+        z = self._read(features, anchors, t, space)
         # Reduced column by column: on 4,000 x 8 logits numpy's max(axis=1) took 255-330
-        # us and sum(axis=1) 74-90, a ufunc over the K columns 20-23 us each.
-        z -= functools.reduce(np.maximum, z.T)[:, None]
+        # us and sum(axis=1) 74-90, a ufunc over the K columns 20-23 us each.  The row
+        # values go in the words of space after z, which the read no longer needs.
+        row, _ = from_space(space, z.nbytes, (len(z),), np.float64)
+        z -= _reduce_columns(np.maximum, z, row)[:, None]
         np.exp(z, out=z)
-        z /= functools.reduce(np.add, z.T)[:, None]
+        z /= _reduce_columns(np.add, z, row)[:, None]
         return z
 
     def _check_finite(self, z: np.ndarray) -> None:

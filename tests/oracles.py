@@ -182,7 +182,7 @@ class ExactScorer(Scorer):
         self.k = k
         self.schedule = schedule
 
-    def score_batch(self, features, anchors, t):
+    def score_batch(self, features, anchors, t, space=None):
         features = np.asarray(features, dtype=np.float64)
         self._check_anchors(len(features), anchors)
         return forward_marginal(self.posterior_fn(features), self.schedule.sigma_bar(float(t)))
@@ -222,7 +222,7 @@ class UniformScorer(Scorer):
     def __init__(self, k: int):
         self.k = k
 
-    def score_batch(self, features, anchors, t):
+    def score_batch(self, features, anchors, t, space=None):
         return np.full((len(anchors), self.k), 1.0 / self.k)
 
 

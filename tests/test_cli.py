@@ -77,11 +77,11 @@ class TestTrainEval:
         assert (last["tv"], last["top1"]) == (report["mean_tv"], report["top1"])
 
     def test_fixed_seed_byte_identical_outputs(self, tmp_path, monkeypatch):
-        """Same seed, full train+eval runs on 1, 2 and 3 scorer workers: all CSV
+        """Same seed, full train+eval runs on 1, 2 and 3 sampler workers: all CSV
         artifacts and checkpoints match bytewise.
 
-        Scorer tiles of 7 rows make every validation and eval call span many
-        tiles, and so share them over the workers (tests/test_acceptance.py's
+        Scorer tiles of 7 rows cut every validation and eval block into many
+        tiles, whose steps the workers share (tests/test_acceptance.py's
         criterion 10 runs the default tiling).
         """
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
@@ -89,7 +89,7 @@ class TestTrainEval:
         test = _gen(tmp_path, "test", 256, seed=1)
         artifacts = []
         for run, workers in enumerate((1, 2, 3)):
-            monkeypatch.setattr(mlp, "WORKERS", workers)
+            monkeypatch.setattr(sampler, "WORKERS", workers)
             ckpt = str(tmp_path / f"m{run}.ckpt")
             metrics = str(tmp_path / f"metrics{run}.csv")
             evalcsv = str(tmp_path / f"eval{run}.csv")

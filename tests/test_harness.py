@@ -5,8 +5,8 @@ import pytest
 
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
-from diffclass.harness import (SWEEP_GRID, compare_grid, evaluate, evaluate_on, nfe_sweep,
-                               selection_ablation, topk_hits, trace_topk, write_csv)
+from diffclass.harness import (SWEEP_GRID, compare_grid, evaluate, evaluate_on, label_ranks,
+                               nfe_sweep, selection_ablation, topk_hits, trace_topk, write_csv)
 from diffclass.sampler import SamplerConfig, step_times
 from diffclass.schedule import LogLinearSchedule
 from diffclass.train import TrainConfig, ce_baseline_proba, fit
@@ -26,6 +26,20 @@ class TestTopK:
         assert topk_hits(probs, np.array([0]), 1)[0]
         assert not topk_hits(probs, np.array([1]), 1)[0]
         assert topk_hits(probs, np.array([1]), 2)[0]
+
+    def test_ranks_read_every_top_k_of_one_stable_sort(self):
+        """label_ranks(probs, labels) < k is the hit of the true label in the first k
+        classes of each row's stable order by falling probability, at every k,
+        on rows full of ties and zeros."""
+        rng = np.random.default_rng(12)
+        probs = rng.integers(0, 4, (500, 8)).astype(np.float64)
+        probs[0] = 0.0
+        probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1.0)
+        labels = rng.integers(0, 8, 500)
+        order = np.argsort(-probs, axis=1, kind="stable")
+        ranks = label_ranks(probs, labels)
+        for k in range(1, 9):
+            assert np.array_equal(ranks < k, (order[:, :k] == labels[:, None]).any(axis=1))
 
 
 class TestEvaluate:

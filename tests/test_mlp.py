@@ -1,12 +1,9 @@
 """Scorer network: output contract, gradients vs finite differences, checkpoints."""
 
-import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -381,318 +378,76 @@ class TestPreparedPath:
             assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
 
 
-def _on_pool_thread() -> bool:
-    return threading.current_thread().name.startswith("diffclass-tiles")
-
-
-@pytest.fixture
-def set_workers(monkeypatch):
-    """set_workers(n) sets mlp.WORKERS to n and drops the pool, so the next
-    multi-tile call starts a pool of n - 1 threads (the pool keeps the size it
-    started with); a dropped pool, and the last one after the test, is shut down."""
-    monkeypatch.setattr(mlp, "_pool", None)
-
-    def set_to(n):
-        if mlp._pool is not None:
-            mlp._pool.shutdown()
-        monkeypatch.setattr(mlp, "WORKERS", n)
-        mlp._pool = None
-
-    yield set_to
-    if mlp._pool is not None:
-        mlp._pool.shutdown()
-
-
-class TestWorkers:
-    """Row tiles shared through one queue by the calling thread and the pool (_run_workers)."""
+class TestReads:
+    """A read runs inline, in the caller's work space when it gives one."""
 
     @pytest.mark.parametrize("tile_rows", [7, mlp.TILE_ROWS])
-    def test_logits_do_not_depend_on_the_worker_count(self, trained_scorer, monkeypatch,
-                                                      set_workers, tile_rows):
-        y, anchors, t = _shared_time_batch(3500, 19)
+    def test_a_read_into_a_space_equals_one_without(self, trained_scorer, monkeypatch,
+                                                    tile_rows):
+        """score_batch into a work space of space_words(n) words gives the bits of a
+        read without one, returns them as the space's first n * K words, and starts
+        no thread; a prepared slice's first read fills the slice's rows only."""
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
-        assert len(row_tiles(len(y))) >= 3
-        runs = []
-        for workers in (1, 2, 3):
-            set_workers(workers)
-            prepared = trained_scorer.prepare(y)
-            runs.append((prepared.base.tobytes(),
-                         trained_scorer.inference_logits(prepared, anchors, t).tobytes()))
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        y, anchors, t = _shared_time_batch(2500, 19)
+        expected = trained_scorer.score_batch(y, anchors, t)
+        threads = threading.active_count()
+        space = np.full(trained_scorer.space_words(2500), np.nan)
+        prepared = trained_scorer.prepare(y)
+        head = prepared[:1200]
+        got = trained_scorer.score_batch(head, anchors[:1200], t, space)
+        assert np.shares_memory(got, space[:1200 * 8]) and got.shape == (1200, 8)
+        assert np.array_equal(got, expected[:1200])
+        assert head.pending is None and prepared.pending is not None
+        got = trained_scorer.score_batch(prepared, anchors, t, space)
+        assert np.array_equal(got, expected) and threading.active_count() == threads
 
-    def test_workers_keep_the_callers_errstate(self, monkeypatch):
-        """A multi-worker call on non-finite parameters raises NumericalError: the
-        pool's tiles run under the caller's np.errstate, so no RuntimeWarning
-        escapes (warnings are errors in this suite)."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        monkeypatch.setattr(mlp, "WORKERS", 2)
-        scorer = _small_scorer(head_scale=0.3)
-        scorer.params["in_w"][:] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            scorer.score_batch(np.ones((40, 3)), np.arange(40) % 5, 0.5)
-
-    @pytest.mark.parametrize("error", [ValidationError, NumericalError])
-    def test_an_error_in_a_pool_tile_reaches_the_caller(self, monkeypatch, error):
-        """The caller's tiles wait, up to 20 s, until a pool tile has started and
-        failed, so the pool cannot be left without a tile."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        monkeypatch.setattr(mlp, "WORKERS", 2)
-        scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
-        expected = scorer.score_batch(y, anchors, t)
-        prepared = scorer.prepare(y)
-        branch = mlp._inference_branch
-        pool_failed = threading.Event()
-
-        def failing(*args):
-            if _on_pool_thread():
-                pool_failed.set()
-                raise error("a pool tile failed")
-            assert pool_failed.wait(timeout=20), "no tile started on the pool"
-            return branch(*args)
-
-        monkeypatch.setattr(mlp, "_inference_branch", failing)
-        with pytest.raises(error, match="a pool tile failed"):
-            scorer.prepare(y)
-        pool_failed.clear()
-        with pytest.raises(error, match="a pool tile failed"):
-            scorer.score_batch(prepared, anchors, t)
-        monkeypatch.setattr(mlp, "_inference_branch", branch)
-        assert np.array_equal(scorer.score_batch(y, anchors, t), expected)
-
-    def test_a_busy_pool_does_not_hold_up_a_call(self, monkeypatch):
-        """A multi-tile call finishes while the pool's only thread is busy: the
-        caller takes every tile and cancels the job that never started."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        monkeypatch.setattr(mlp, "WORKERS", 2)
-        monkeypatch.setattr(mlp, "_pool", None)      # a pool of WORKERS - 1 = 1 thread
-        scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
-        expected = scorer.score_batch(y, anchors, t)
-        release = threading.Event()
-        busy = mlp._executor().submit(release.wait)
-        results = []
-        caller = threading.Thread(target=lambda: results.append(scorer.score_batch(y, anchors, t)))
-        try:
-            caller.start()
-            caller.join(timeout=20)
-            finished = not caller.is_alive()
-        finally:
-            release.set()
-            busy.result(timeout=20)
-            caller.join(timeout=20)
-            mlp._pool.shutdown()
-        assert finished, "the call waited for the busy pool"
-        assert np.array_equal(results[0], expected)
-
-    def test_three_workers_run_on_three_threads(self, monkeypatch, set_workers):
-        """A multi-tile call at three workers, after one at two, runs its tiles on
-        three threads under set_workers, which the other three-worker tests use:
-        each worker holds its first tile until three have one."""
+    def test_first_reads_of_one_prepared_call_on_several_threads_agree(self, monkeypatch):
+        """Four threads make the first reads of one prepare call's rows at once, at a
+        1 us switch interval, each into its own space: each gets the bits of a lone
+        read.  A change to the features after prepare changes no read."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
-        set_workers(2)
-        expected = scorer.score_batch(y, anchors, t)
-        prepared = scorer.prepare(y)
-        set_workers(3)
-        branch = mlp._inference_branch
-        lock, threads = threading.Lock(), set()
-        meeting = threading.Barrier(3, timeout=10)
-
-        def first_tiles_meet(*args):
-            with lock:
-                first = threading.current_thread().name not in threads
-                threads.add(threading.current_thread().name)
-            if first:
-                meeting.wait()
-            return branch(*args)
-
-        monkeypatch.setattr(mlp, "_inference_branch", first_tiles_meet)
-        got = scorer.score_batch(prepared, anchors, t)
-        assert len(threads) == 3 and np.array_equal(got, expected)
-
-    def test_every_tile_runs_exactly_once(self, trained_scorer, monkeypatch):
-        """Three workers under a 1 us switch interval run each tile of row_tiles(n)
-        once, in prepare and in inference_logits, and give the one-worker logits."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        y, anchors, t = _shared_time_batch(400, 22)
-        monkeypatch.setattr(mlp, "WORKERS", 1)
-        expected = trained_scorer.inference_logits(y, anchors, t)
-        monkeypatch.setattr(mlp, "WORKERS", 3)
-        monkeypatch.setattr(mlp, "_pool", None)      # a pool of WORKERS - 1 = 2 threads
-        run_workers = mlp._run_workers
-        calls = []
-
-        def spy(n, alloc, run):
-            ran = []
-            calls.append((n, ran))
-
-            def recording(tiles, *work):
-                def record():
-                    for tile in tiles:
-                        ran.append((tile.start, tile.stop))
-                        yield tile
-                run(record(), *work)
-
-            run_workers(n, alloc, recording)
-
-        monkeypatch.setattr(mlp, "_run_workers", spy)
+        rng = np.random.default_rng(21)
+        y, anchors = rng.standard_normal((300, 3)), rng.integers(0, 5, 300)
+        expected = scorer.score_batch(y, anchors, 0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = trained_scorer.inference_logits(y, anchors, t)
+            for _ in range(5):
+                features = y.copy()
+                prepared = scorer.prepare(features)
+                features[...] = 0.0
+                start, got = threading.Barrier(4), [None] * 4
+
+                def read(i):
+                    start.wait()
+                    got[i] = scorer.score_batch(prepared, anchors, 0.5,
+                                                np.empty(scorer.space_words(300)))
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert all(np.array_equal(g, expected) for g in got)
         finally:
             sys.setswitchinterval(interval)
-            mlp._pool.shutdown()
-        assert len(calls) == 2 and np.array_equal(got, expected)
-        for n, ran in calls:
-            assert sorted(ran) == [(tile.start, tile.stop) for tile in row_tiles(n)]
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-    def test_one_usable_cpu_starts_no_thread(self):
-        """In a process pinned to one CPU a multi-tile call runs inline."""
-        code = """
-import os, threading
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import numpy as np
-from diffclass import mlp
-mlp.TILE_ROWS = 7
-cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
-                    time_embed_dim=16)
-scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
-scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, 0.5)
-assert mlp.WORKERS == 1 and mlp._pool is None and threading.active_count() == 1
-"""
-        src = str(Path(mlp.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
-                        or not os.path.exists(mlp._THREAD_STAT),
-                        reason="needs sched_setaffinity, 2 usable CPUs and /proc/thread-self")
-    def test_the_pool_thread_runs_off_the_callers_cpu(self):
-        """With the caller pinned to CPU a, a pool tile of a two-worker call runs on
-        the usable CPUs but a; re-pinned to b, the next call moves the pool off b.
-        The caller's tiles wait until a pool tile has run: a cancelled job never moves."""
-        code = """
-import os, threading
-import numpy as np
-from diffclass import mlp
-usable = os.sched_getaffinity(0)
-a, b = min(usable), max(usable)
-mlp.TILE_ROWS = 7
-mlp.WORKERS = 2
-cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
-                    time_embed_dim=16)
-scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
-branch, seen, pool_ran = mlp._inference_branch, [], threading.Event()
-
-def spy(*args):
-    if threading.current_thread().name.startswith("diffclass-tiles"):
-        seen.append((caller, os.sched_getaffinity(0)))
-        pool_ran.set()
-    else:
-        assert pool_ran.wait(timeout=20), "no tile ran on the pool"
-    return branch(*args)
-
-mlp._inference_branch = spy
-for caller in (a, b):
-    os.sched_setaffinity(0, {caller})
-    pool_ran.clear()
-    scorer.score_batch(np.ones((100, 3)), np.arange(100) % 5, 0.5)
-assert {cpu for cpu, _ in seen} == {a, b}, seen
-assert all(cpus == usable - {cpu} for cpu, cpus in seen), seen
-"""
-        src = str(Path(mlp.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-
-    def test_an_unreadable_cpu_moves_no_thread(self, monkeypatch, set_workers, tmp_path):
-        """Where reading the caller's CPU raises OSError, a pool tile still runs, no
-        thread's CPUs are set, and the logits are the same."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        set_workers(2)
+    def test_the_conditioning_is_built_once_per_time_and_prepare_call(self, monkeypatch):
+        """Reads of any slices of one prepare call at one t build one table; a new t
+        or a new prepare call builds another."""
         scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
-        expected = scorer.score_batch(y, anchors, t)
-        monkeypatch.setattr(mlp, "_THREAD_STAT", str(tmp_path / "missing"))
-        placed = []
-        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: placed.append(args),
-                            raising=False)
-        branch, pool_ran = mlp._inference_branch, threading.Event()
-
-        def spy(*args):
-            if _on_pool_thread():
-                pool_ran.set()
-            else:
-                assert pool_ran.wait(timeout=20), "no tile ran on the pool"
-            return branch(*args)
-
-        monkeypatch.setattr(mlp, "_inference_branch", spy)
-        got = scorer.score_batch(y, anchors, t)
-        assert mlp._pool_cpus() is None and pool_ran.is_set()
-        assert not placed and np.array_equal(got, expected)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs fork")
-    def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
-        """The child's copy of the pool has no threads; the child drops it and
-        starts a pool of its own on its first multi-worker call."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
-        monkeypatch.setattr(mlp, "WORKERS", 2)
-        scorer = _small_scorer(head_scale=0.3)
-        y, anchors, t = np.ones((40, 3)), np.arange(40) % 5, 0.5
-        expected = scorer.score_batch(y, anchors, t).tobytes()
-        assert mlp._pool is not None
-
-        def child():
-            fresh = mlp._pool is None
-            same = scorer.score_batch(y, anchors, t).tobytes() == expected
-            os._exit(0 if fresh and same else 1)
-
-        process = multiprocessing.get_context("fork").Process(target=child)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns about fork() in a process with threads.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            process.start()
-        process.join(timeout=120)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=10)
-        assert process.exitcode == 0
-
-    def test_concurrent_callers_get_their_own_logits(self, trained_scorer, monkeypatch,
-                                                     set_workers):
-        """Callers on more threads than CPUs, each sharing its tiles over three
-        workers, under a short switch interval: every result equals the
-        serial one, and every caller finishes."""
-        monkeypatch.setattr(mlp, "TILE_ROWS", 50)
-        set_workers(3)
-        batches = [_shared_time_batch(400, seed) for seed in range(6)]
-        expected = [trained_scorer.inference_logits(*batch) for batch in batches]
-        results = [None] * len(batches)
-
-        def call(i):
-            for _ in range(3):
-                results[i] = trained_scorer.inference_logits(*batches[i])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(np.array_equal(got, want) for got, want in zip(results, expected))
+        built = []
+        conditioning = scorer.conditioning
+        monkeypatch.setattr(scorer, "conditioning",
+                            lambda a, t: built.append(float(t[0])) or conditioning(a, t))
+        y, anchors = np.ones((40, 3)), np.arange(40) % 5
+        prepared = scorer.prepare(y)
+        for rows in (slice(0, 10), slice(10, 40), slice(0, 40)):
+            scorer.score_batch(prepared[rows], anchors[rows], 0.5)
+        scorer.score_batch(prepared, anchors, 0.25)
+        scorer.score_batch(scorer.prepare(y), anchors, 0.5)
+        assert built == [0.5, 0.25, 0.5]
 
 
 def _grads_at(scorer, features, labels, seed):
@@ -765,7 +520,7 @@ class TestMixedPrecisionTraining:
             scorer = _small_scorer(head_scale=0.3)
             if dtype == np.float64:
                 scorer = in_float64(scorer)
-            want = mlp.inference_params(scorer.params, SMALL)
+            want = mlp.inference_params(scorer.params, SMALL, None)
             for features in (y, y.astype(np.float32)):
                 z, cache = scorer.logits(features, anchors, rng.random(6))
                 assert z.dtype == np.float64

@@ -1,5 +1,14 @@
-"""Reverse-process estimators: kernel goldens, convergence, consistency, accounting."""
+"""Reverse-process estimators: kernel goldens, convergence, consistency, accounting,
+and the workers that run the engine's (tile, step) units."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffclass import sampler
+from diffclass import mlp, sampler
 
 from diffclass.data import CorruptionSpec, MixtureTask, generate, true_posterior_batch
 from diffclass.errors import NumericalError, ValidationError
@@ -86,7 +95,7 @@ class TestReverseStepFull:
         q = rng.dirichlet(np.ones(k), size=32)
         p = rng.dirichlet(np.ones(k), size=32)
         out, clamp = reverse_step_full(_columns(q, k), p, e)
-        ref, ref_clamp = _cp_step_batch(floor_probs(q), p, e)
+        ref, ref_clamp = _cp_step_batch(floor_probs(q), p, e, None)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(clamp, ref_clamp, rtol=0, atol=1e-12)
 
@@ -118,8 +127,8 @@ class TestReverseStepFull:
 class TestSelectLabel:
     def test_argmin_ties_take_lowest_index(self):
         p = np.array([[0.8, 0.1, 0.1]])
-        assert _select_labels_batch(p, "argmin").tolist() == [1]
-        assert _select_labels_batch(p, "argmax").tolist() == [0]
+        assert _select_labels_batch(p, "argmin", None).tolist() == [1]
+        assert _select_labels_batch(p, "argmax", None).tolist() == [0]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
@@ -234,13 +243,14 @@ class TestClStep:
     def test_uniform_scores_column(self):
         """The uniform read, K=3, over a step keeping e = 0.94: off-anchor
         c = (1 - e) / 3 = 0.02 each, anchor e + c = 0.96."""
-        probs, overshoot = _cl_step_batch(np.full((1, 3), 1 / 3), np.array([1]), e=0.94)
+        probs, overshoot = _cl_step_batch(np.full((1, 3), 1 / 3), np.array([1]), e=0.94,
+                                          work=None)
         np.testing.assert_allclose(probs, [[0.02, 0.96, 0.02]], atol=1e-15)
         assert overshoot.tolist() == [0.0]
 
     def test_zero_dt_is_one_hot(self):
         """A step of zero length keeps e = 1: every trajectory stays at its label."""
-        probs, _ = _cl_step_batch(np.full((1, 4), 0.25), np.array([2]), e=1.0)
+        probs, _ = _cl_step_batch(np.full((1, 4), 0.25), np.array([2]), e=1.0, work=None)
         np.testing.assert_allclose(probs, [[0, 0, 1, 0]], atol=1e-15)
 
     def test_sums_to_one_random_inputs(self):
@@ -249,7 +259,7 @@ class TestClStep:
             k = int(rng.integers(2, 9))
             j = int(rng.integers(k))
             values = rng.dirichlet(np.ones(k))
-            probs, _ = _cl_step_batch(values[None, :], np.array([j]), e=rng.random())
+            probs, _ = _cl_step_batch(values[None, :], np.array([j]), e=rng.random(), work=None)
             assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
 
     def test_negative_self_probability_clamped_and_counted(self):
@@ -258,7 +268,7 @@ class TestClStep:
         clipped to PROB_FLOOR, its 1/18 counted against the 10/18 kept, and the
         label keeps (c + e) PROB_FLOOR / (c + (c + e) PROB_FLOOR)."""
         values = np.array([[4.0, 1.0, 4.0]]) / 9
-        probs, overshoot = _cl_step_batch(values, np.array([1]), e=0.5)
+        probs, overshoot = _cl_step_batch(values, np.array([1]), e=0.5, work=None)
         assert overshoot[0] == pytest.approx(0.1, rel=1e-12)
         assert probs[0, 1] == pytest.approx(4 * PROB_FLOOR, rel=1e-9)
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
@@ -359,11 +369,12 @@ class TestExactStep:
         c - 0.05 against the (0.45 - c) + (0.5 - c) kept, and leaves that label a
         positive probability of the floor's order."""
         p_next, clip = _cp_step_batch(np.array([[0.05, 0.45, 0.5]]), np.full((1, 3), 1 / 3),
-                                      e=0.5)
+                                      e=0.5, work=None)
         assert clip[0] == pytest.approx((1 / 6 - 0.05) / (0.95 - 2 / 6), rel=1e-12)
         assert 0.0 < p_next[0, 0] < 1e3 * PROB_FLOOR
         assert p_next.sum() == pytest.approx(1.0, abs=1e-15)
-        _, clip_cl = _cl_step_batch(np.array([[0.05, 0.45, 0.5]]), np.array([1]), e=0.5)
+        _, clip_cl = _cl_step_batch(np.array([[0.05, 0.45, 0.5]]), np.array([1]), e=0.5,
+                                    work=None)
         assert clip_cl[0] == pytest.approx(clip[0], rel=1e-12)
 
     @pytest.mark.parametrize("sigma_bar_max", [3.0, 23.0, 400.0])
@@ -415,8 +426,8 @@ class TestPreparedFeatures:
         prepared, scored = [], []
         prepare, score_batch = scorer.prepare, scorer.score_batch
         monkeypatch.setattr(scorer, "prepare", lambda f: prepared.append(len(f)) or prepare(f))
-        monkeypatch.setattr(scorer, "score_batch",
-                            lambda f, a, t: scored.append(len(a)) or score_batch(f, a, t))
+        monkeypatch.setattr(scorer, "score_batch", lambda f, a, t, space: scored.append(len(a))
+                            or score_batch(f, a, t, space))
         sampler_cfg = SamplerConfig(n_steps=5, n_samples=6, seed=2)
         y = np.random.default_rng(3).standard_normal((7, 2))
         if method == "cp":
@@ -446,8 +457,8 @@ class TestPreparedFeatures:
         prepared, scored = [], []
         prepare, score_batch = scorer.prepare, scorer.score_batch
         monkeypatch.setattr(scorer, "prepare", lambda f: prepared.append(len(f)) or prepare(f))
-        monkeypatch.setattr(scorer, "score_batch",
-                            lambda f, a, t: scored.append((len(a), t)) or score_batch(f, a, t))
+        monkeypatch.setattr(scorer, "score_batch", lambda f, a, t, space: scored.append((len(a), t))
+                            or score_batch(f, a, t, space))
         monkeypatch.setattr(sampler, "SCORER_ROWS", 10)
         grid = [t for t, _ in step_times(5)]
         # r = 1, 3 and 4 rows per input: blocks of at most 10, 3 and 2 inputs
@@ -573,3 +584,393 @@ class TestSamplerProperties:
             np.testing.assert_allclose(est.probs, one_at_a_time, rtol=0, atol=atol)
         else:
             assert np.array_equal(est.probs, one_at_a_time)
+
+
+def _worker_scorer(k=5):
+    """A small untrained scorer whose random head makes its reads differ by anchor."""
+    scorer = MlpScorer(MlpConfig(n_classes=k, feature_dim=3, embed_dim=16, hidden_dim=32,
+                                 n_blocks=2, time_embed_dim=16), LogLinearSchedule(1.0, 0.5),
+                       seed=0)
+    rng = np.random.default_rng(100)
+    for name in ("out_w", "out_b"):
+        scorer.params[name] = (0.8 * rng.standard_normal(scorer.params[name].shape)
+                               ).astype(np.float32)
+    return scorer
+
+
+def _on_pool_thread() -> bool:
+    return threading.current_thread().name.startswith("diffclass-tiles")
+
+
+def _outputs(est):
+    """Every output of an estimate, as bytes and numbers, for exact comparison."""
+    return (est.probs.tobytes(), est.trajectory.tobytes(), est.clamp_mass, est.n_clamped, est.nfe)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """set_workers(n) sets sampler.WORKERS to n and drops the pool, so the next
+    multi-tile block starts a pool of n - 1 threads (the pool keeps the size it
+    started with); a dropped pool, and the last one after the test, is shut down."""
+    monkeypatch.setattr(sampler, "_pool", None)
+
+    def set_to(n):
+        if sampler._pool is not None:
+            sampler._pool.shutdown()
+        monkeypatch.setattr(sampler, "WORKERS", n)
+        sampler._pool = None
+
+    yield set_to
+    if sampler._pool is not None:
+        sampler._pool.shutdown()
+
+
+@pytest.fixture
+def short_switches():
+    """A 1 us switch interval, so the workers interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _run_in_child(code: str) -> None:
+    src = str(Path(sampler.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+class TestWorkers:
+    """Tiles of each engine block, stepped by the calling thread and the pool (_run_units)."""
+
+    @pytest.mark.parametrize("method", ["cp", "cl", "full"])
+    def test_the_schedule_cannot_change_an_output(self, method, monkeypatch, set_workers,
+                                                  short_switches):
+        """7-row tiles on 1, 2 and 3 workers, in blocks of several tiles, and with the
+        queue forced to hand out the tile returned last (each worker then keeps one
+        tile to its last step, while the other tiles wait at their first): the
+        probabilities, trajectory, clamp_mass and n_clamped are equal bit for bit."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(sampler, "SCORER_ROWS", 120)
+        scorer = _worker_scorer()
+        y = np.random.default_rng(5).standard_normal((90, 3))
+        cfg = SamplerConfig(n_steps=4, n_samples=4, seed=3, record_trajectory=True)
+        runs = []
+        for workers, take in ((1, None), (2, None), (3, None), (2, "last"), (3, "last")):
+            set_workers(workers)
+            if take == "last":
+                monkeypatch.setattr(sampler, "_take", lambda ready: ready.pop())
+            runs.append(_outputs(sampler.METHOD_SAMPLERS[method](y, scorer, scorer.schedule, cfg)))
+        assert runs[0][3] > 0
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_every_unit_runs_once_and_in_step_order(self, monkeypatch, set_workers,
+                                                    short_switches):
+        """Three workers read each tile of each block once per step, at the grid's
+        times in order, on rows of the scorer's tiles."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        monkeypatch.setattr(sampler, "SCORER_ROWS", 100)
+        set_workers(3)
+        scorer = _worker_scorer()
+        lock, reads = threading.Lock(), {}
+        score_batch = scorer.score_batch
+
+        def spy(features, anchors, t, space):
+            with lock:
+                # keyed by the tile's prepared rows, kept so that no id is reused
+                reads.setdefault(id(features), (features, []))[1].append((len(anchors), t))
+            return score_batch(features, anchors, t, space)
+
+        monkeypatch.setattr(scorer, "score_batch", spy)
+        y = np.random.default_rng(6).standard_normal((230, 3))
+        posterior_cp(y, scorer, scorer.schedule, SamplerConfig(n_steps=5))
+        grid = [t for t, _ in step_times(5)]
+        units = [tile_units for _, tile_units in reads.values()]
+        # 230 inputs: three blocks of 76-77 inputs, each of ten or eleven 7-row tiles
+        tiles = [tile.stop - tile.start for n in (76, 77, 77) for tile in mlp.row_tiles(n)]
+        assert sorted(tile[0][0] for tile in units) == sorted(tiles)
+        assert all([t for _, t in tile] == grid and len({rows for rows, _ in tile}) == 1
+                   for tile in units)
+
+    @pytest.mark.parametrize("error", [ValidationError, NumericalError])
+    def test_a_pool_error_reaches_the_caller_and_stops_the_other_worker(self, monkeypatch,
+                                                                         set_workers, error):
+        """An error raised in a pool unit's read is the caller's error, and no worker
+        takes a unit after it.  The pool's unit fails once the caller's first unit
+        has started, and that unit waits, up to 20 s, for the failure, then 0.2 s
+        more for the pool's worker to record it."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _worker_scorer()
+        y = np.random.default_rng(7).standard_normal((80, 3))
+        cfg = SamplerConfig(n_steps=4)
+        expected = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        score_batch = scorer.score_batch
+        caller_started, pool_failed = threading.Event(), threading.Event()
+        lock, taken = threading.Lock(), []
+
+        def failing(features, anchors, t, space):
+            with lock:
+                taken.append((_on_pool_thread(), pool_failed.is_set()))
+            if _on_pool_thread():
+                assert caller_started.wait(timeout=20), "no unit started on the caller"
+                pool_failed.set()
+                raise error("a pool unit failed")
+            caller_started.set()
+            assert pool_failed.wait(timeout=20), "no unit started on the pool"
+            time.sleep(0.2)
+            return score_batch(features, anchors, t, space)
+
+        monkeypatch.setattr(scorer, "score_batch", failing)
+        with pytest.raises(error, match="a pool unit failed"):
+            posterior_cp(y, scorer, scorer.schedule, cfg)
+        assert sorted(taken) == [(False, False), (True, False)]
+        monkeypatch.setattr(scorer, "score_batch", score_batch)
+        assert np.array_equal(posterior_cp(y, scorer, scorer.schedule, cfg).probs, expected)
+
+    @pytest.mark.parametrize("error", [ValidationError, NumericalError])
+    def test_an_error_in_the_scorer_on_the_pool_reaches_the_caller(self, monkeypatch,
+                                                                   set_workers, error):
+        """An error raised inside MlpScorer's read on the pool thread, in the pool's
+        first unit, which also runs its tile's prefix, is the caller's error; the
+        caller's unit waits, up to 20 s, until it has been raised.  The scorer
+        then reads as before."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _worker_scorer()
+        y = np.random.default_rng(8).standard_normal((80, 3))
+        cfg = SamplerConfig(n_steps=4)
+        expected = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        branch = mlp._inference_branch
+        pool_failed = threading.Event()
+
+        def failing(*args):
+            if _on_pool_thread():
+                pool_failed.set()
+                raise error("a pool read failed")
+            assert pool_failed.wait(timeout=20), "no unit started on the pool"
+            return branch(*args)
+
+        monkeypatch.setattr(mlp, "_inference_branch", failing)
+        with pytest.raises(error, match="a pool read failed"):
+            posterior_cp(y, scorer, scorer.schedule, cfg)
+        monkeypatch.setattr(mlp, "_inference_branch", branch)
+        assert np.array_equal(posterior_cp(y, scorer, scorer.schedule, cfg).probs, expected)
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, set_workers):
+        """A multi-tile posterior on non-finite parameters raises NumericalError: the
+        pool's units run under the caller's np.errstate, so no RuntimeWarning
+        escapes (warnings are errors in this suite)."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _worker_scorer()
+        scorer.params["in_w"][:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            posterior_cp(np.ones((40, 3)), scorer, scorer.schedule, SamplerConfig(n_steps=2))
+
+    def test_a_busy_pool_does_not_hold_up_a_block(self, monkeypatch, set_workers):
+        """A multi-tile block finishes while the pool's only thread is busy: the
+        caller runs every unit and cancels the job that never started."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _worker_scorer()
+        y, cfg = np.ones((40, 3)), SamplerConfig(n_steps=3)
+        expected = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        release = threading.Event()
+        busy = sampler._executor().submit(release.wait)
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(posterior_cp(y, scorer, scorer.schedule, cfg).probs))
+        try:
+            caller.start()
+            caller.join(timeout=20)
+            finished = not caller.is_alive()
+        finally:
+            release.set()
+            busy.result(timeout=20)
+            caller.join(timeout=20)
+        assert finished, "the block waited for the busy pool"
+        assert np.array_equal(results[0], expected)
+
+    def test_three_workers_run_on_three_threads(self, monkeypatch, set_workers):
+        """A multi-tile block at three workers, after one at two, runs its units on
+        three threads under set_workers, which the other three-worker tests use:
+        each worker holds its first unit until three have one."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        scorer = _worker_scorer()
+        y, cfg = np.ones((40, 3)), SamplerConfig(n_steps=2)
+        set_workers(2)
+        expected = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        set_workers(3)
+        score_batch = scorer.score_batch
+        lock, threads = threading.Lock(), set()
+        meeting = threading.Barrier(3, timeout=10)
+
+        def first_units_meet(*args):
+            with lock:
+                first = threading.current_thread().name not in threads
+                threads.add(threading.current_thread().name)
+            if first:
+                meeting.wait()
+            return score_batch(*args)
+
+        monkeypatch.setattr(scorer, "score_batch", first_units_meet)
+        got = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        assert len(threads) == 3 and np.array_equal(got, expected)
+
+    def test_concurrent_callers_get_their_own_posteriors(self, monkeypatch, set_workers,
+                                                         short_switches):
+        """Callers on more threads than CPUs, each sharing its blocks' units with a
+        pool of two threads: every result equals the serial one, and every caller
+        finishes."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 50)
+        set_workers(3)
+        scorer = _worker_scorer()
+        cfg = SamplerConfig(n_steps=3)
+        inputs = [np.random.default_rng(seed).standard_normal((300, 3)) for seed in range(6)]
+        expected = [posterior_cp(y, scorer, scorer.schedule, cfg).probs for y in inputs]
+        results = [None] * len(inputs)
+
+        def call(i):
+            for _ in range(3):
+                results[i] = posterior_cp(inputs[i], scorer, scorer.schedule, cfg).probs
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(np.array_equal(got, want) for got, want in zip(results, expected))
+
+    def test_an_unreadable_cpu_moves_no_thread(self, monkeypatch, set_workers, tmp_path):
+        """Where reading the caller's CPU raises OSError, a pool unit still runs, no
+        thread's CPUs are set, and the posteriors are the same."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _worker_scorer()
+        y, cfg = np.ones((40, 3)), SamplerConfig(n_steps=2)
+        expected = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        monkeypatch.setattr(sampler, "_THREAD_STAT", str(tmp_path / "missing"))
+        placed = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: placed.append(args),
+                            raising=False)
+        score_batch, pool_ran = scorer.score_batch, threading.Event()
+
+        def spy(*args):
+            if _on_pool_thread():
+                pool_ran.set()
+            else:
+                assert pool_ran.wait(timeout=20), "no unit ran on the pool"
+            return score_batch(*args)
+
+        monkeypatch.setattr(scorer, "score_batch", spy)
+        got = posterior_cp(y, scorer, scorer.schedule, cfg).probs
+        assert sampler._pool_cpus() is None and pool_ran.is_set()
+        assert not placed and np.array_equal(got, expected)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs fork")
+    def test_a_forked_child_starts_its_own_pool(self, monkeypatch, set_workers):
+        """The child's copy of the pool has no threads; the child drops it and
+        starts a pool of its own on its first multi-tile block."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 7)
+        set_workers(2)
+        scorer = _worker_scorer()
+        y, cfg = np.ones((40, 3)), SamplerConfig(n_steps=2)
+        expected = posterior_cp(y, scorer, scorer.schedule, cfg).probs.tobytes()
+        assert sampler._pool is not None
+
+        def child():
+            fresh = sampler._pool is None
+            same = posterior_cp(y, scorer, scorer.schedule, cfg).probs.tobytes() == expected
+            os._exit(0 if fresh and same else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about fork() in a process with threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=10)
+        assert process.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_usable_cpu_starts_no_thread(self):
+        """In a process pinned to one CPU a multi-tile block runs inline."""
+        _run_in_child("""
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from diffclass import mlp, sampler
+mlp.TILE_ROWS = 7
+cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
+                    time_embed_dim=16)
+scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
+sampler.posterior_cp(np.ones((100, 3)), scorer, scorer.schedule, sampler.SamplerConfig(n_steps=2))
+assert sampler.WORKERS == 1 and sampler._pool is None and threading.active_count() == 1
+""")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+                        or not os.path.exists(sampler._THREAD_STAT),
+                        reason="needs sched_setaffinity, 2 usable CPUs and /proc/thread-self")
+    def test_the_pool_thread_runs_off_the_callers_cpu(self):
+        """With the caller pinned to CPU a, a pool unit of a two-worker block runs on
+        the usable CPUs but a; re-pinned to b, the next block moves the pool off b.
+        The caller's units wait until a pool unit has run: a cancelled job never moves."""
+        _run_in_child("""
+import os, threading
+import numpy as np
+from diffclass import mlp, sampler
+usable = os.sched_getaffinity(0)
+a, b = min(usable), max(usable)
+mlp.TILE_ROWS = 7
+sampler.WORKERS = 2
+cfg = mlp.MlpConfig(n_classes=5, feature_dim=3, embed_dim=16, hidden_dim=32, n_blocks=2,
+                    time_embed_dim=16)
+scorer = mlp.MlpScorer(cfg, mlp.LogLinearSchedule(1.0, 0.5), seed=0)
+score_batch, seen, pool_ran = scorer.score_batch, [], threading.Event()
+
+def spy(*args):
+    if threading.current_thread().name.startswith("diffclass-tiles"):
+        seen.append((caller, os.sched_getaffinity(0)))
+        pool_ran.set()
+    else:
+        assert pool_ran.wait(timeout=20), "no unit ran on the pool"
+    return score_batch(*args)
+
+scorer.score_batch = spy
+for caller in (a, b):
+    os.sched_setaffinity(0, {caller})
+    pool_ran.clear()
+    sampler.posterior_cp(np.ones((100, 3)), scorer, scorer.schedule,
+                         sampler.SamplerConfig(n_steps=2))
+assert {cpu for cpu, _ in seen} == {a, b}, seen
+assert all(cpus == usable - {cpu} for cpu, cpus in seen), seen
+""")
+
+    def test_one_tile_blocks_start_no_thread(self, tmp_path):
+        """Posteriors whose blocks each hold one tile run inline and start no thread:
+        train's 512-row validation, a one-input trace and a 1,900-row eval, in a
+        fresh process on as many CPUs as this one.  This keeps train's peak memory
+        free of a second worker's."""
+        _run_in_child(f"""
+import threading
+from diffclass import cli, sampler
+stem = {str(tmp_path)!r}
+for name, n, seed in (("train", 1024, 0), ("held", 1900, 1)):
+    assert cli.main(["gen-data", "--k", "4", "--n", str(n), "--seed", str(seed),
+                     "--stem", f"{{stem}}/{{name}}"]) == 0
+assert cli.main(["train", "--data", f"{{stem}}/train", "--eval-data", f"{{stem}}/held",
+                 "--epochs", "2", "--batch-size", "64", "--hidden-dim", "32", "--blocks", "2",
+                 "--checkpoint", f"{{stem}}/m.ckpt"]) == 0
+assert cli.main(["trace", "--data", f"{{stem}}/held", "--checkpoint", f"{{stem}}/m.ckpt",
+                 "--steps", "8", "--out", f"{{stem}}/trace.csv"]) == 0
+assert cli.main(["eval", "--data", f"{{stem}}/held", "--checkpoint", f"{{stem}}/m.ckpt",
+                 "--out", f"{{stem}}/eval.csv"]) == 0
+assert sampler._pool is None and threading.active_count() == 1, threading.enumerate()
+""")

@@ -229,7 +229,7 @@ class TestWorkspace:
         forwards = []
 
         def checking_forward(q, cfg, features, cond, *args, **kwargs):
-            want = mlp.inference_params(scorer.params, cfg)
+            want = mlp.inference_params(scorer.params, cfg, None)
             assert q.keys() == want.keys()
             for name, value in q.items():
                 assert value.dtype == want[name].dtype, name
