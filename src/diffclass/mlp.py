@@ -60,21 +60,20 @@ block-averaging matmul (_group_means, through _center for the
 statistics), in either dtype.  The block loops stay two as well: they
 differ in the cache, the GroupNorm form, where the conditioning rows come
 from and block 0's prefix.  The prefix runs the input layer and block 0's
-residual branch, none of which sees the conditioning, once per set of
-inputs, which a sampler reuses on every step: prepare allocates its rows,
-and the first read of each slice of them fills that slice
-(PreparedFeatures), so a sampler's workers run it tile by tile.  Run in
-prepare on the calling thread alone, it took 4.6 ms per 4,000-row engine
-block, and 8,000-row eval-cp read 5.8% fewer rows/s (medians of 10
-alternating benchmark pairs, slower in 7; 2-vCPU Xeon, one BLAS thread).
-The tail runs the rest, with the conditioning's per-block projections for
-the K labels built once per t and prepare call (PreparedFeatures.tables,
-which keeps the two latest), each row gathering its anchor's.  Both run over
-contiguous row tiles (row_tiles) of fewer than 2 * TILE_ROWS rows, and of
-at least TILE_ROWS unless the call has fewer, in (rows, hidden) work
-arrays that every tile reuses, so the tail's elementwise passes stay in
-the L2 cache; with no tile under TILE_ROWS rows the result equals one
-untiled call bit for bit.
+residual branch, none of which sees the conditioning, once per input, which
+a sampler reuses for every row of the input and on every step: prepare
+allocates one base row per input (PreparedFeatures), and fill, which the
+sampler calls in each tile's first unit, writes the tile's, so its workers
+run the prefix.  Run in prepare on the calling thread alone, it took 4.6 ms
+per 4,000-row engine block, and 8,000-row eval-cp read 5.8% fewer rows/s
+(medians of 10 alternating benchmark pairs, slower in 7; 2-vCPU Xeon, one
+BLAS thread).  The tail runs the rest, each row gathering its input's base
+row and its anchor's per-block conditioning rows, built for the K labels
+apart from the rows (tables).  Both run over contiguous row tiles
+(row_tiles) of fewer than 2 * TILE_ROWS rows, and of at least TILE_ROWS
+unless the call has fewer, in (rows, hidden) work arrays that every tile
+reuses, so the tail's elementwise passes stay in the L2 cache; with no tile
+under TILE_ROWS rows the result equals one untiled call bit for bit.
 A read runs its tiles in turn on the calling thread, in work arrays from
 the caller's work space when it gives one (score_batch's space), and
 starts no thread: the sampler shares its tiles over its workers
@@ -86,7 +85,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -405,42 +403,20 @@ def _inference_branch(q: dict, b: int, h: np.ndarray, out: np.ndarray,
     return out
 
 
-# Held while a read looks up or builds a t's conditioning rows (MlpScorer._cvecs),
-# so the workers that share one prepare call's slices build each table once.
-_TABLES_LOCK = threading.Lock()
-
-
-@dataclass
+@dataclass(frozen=True)
 class PreparedFeatures:
-    """Inputs for the inference trunk's tail, their prefix run, or deferred to the
-    first read of each slice.
+    """One block of inputs for the inference trunk, one row per input.
 
     params are the inference form of the parameters (inference_params) the
-    prefix runs with, which the tail must use too; base holds block 0's
-    input plus its residual branch less b2, one row per input, once the
-    prefix has run: until then, pending holds the inputs in the parameters'
-    dtype (None after), and the first read of the rows fills base.  Slicing
-    gives the same view of a range of rows, so each slice's first read fills
-    its own.  tables maps the latest times read to the tail's per-block
-    conditioning rows for the K labels (MlpScorer._cvecs), shared by every
-    slice of one prepare call.  A read runs the prefix in its own work arrays
-    and copies the result into base before it clears pending, so two reads
-    that both find pending set write base's rows twice, to the same bits, and
-    no read sees them half written.  Nothing writes to base once it is filled,
-    so every step can reuse it.
+    prefix and the tail both run with; features, the inputs in its dtype, a
+    copy, so a later change to the caller's features changes no read; base,
+    the prefix's output (block 0's input plus its residual branch, less b2),
+    which MlpScorer.fill writes, each row once, before any read of it.
     """
 
     params: dict[str, np.ndarray]
+    features: np.ndarray
     base: np.ndarray
-    pending: np.ndarray | None
-    tables: dict
-
-    def __len__(self) -> int:
-        return self.base.shape[0]
-
-    def __getitem__(self, rows: slice) -> "PreparedFeatures":
-        return PreparedFeatures(self.params, self.base[rows],
-                                None if self.pending is None else self.pending[rows], self.tables)
 
 
 def forward_logits(q: dict, cfg: MlpConfig, features: np.ndarray, cond: np.ndarray,
@@ -599,61 +575,74 @@ class MlpScorer(Scorer):
         return z.astype(np.float64, copy=False), cache
 
     def prepare(self, features: np.ndarray) -> PreparedFeatures:
-        """Rows for the inference trunk's tail, at any anchors and times, until the
-        parameters change.
-
-        Builds the inference form of the parameters, takes a copy of the
-        features in their dtype, so a later change to the caller's features
-        changes no read, and allocates the prefix's output, one row per input;
-        the input layer and block 0's residual branch run at the first read of
-        each slice of the rows (PreparedFeatures), in that read's work arrays.
-        """
+        """One row per input for reads at any anchors and times, until the parameters
+        change: the inference form of the parameters, a copy of the features in its
+        dtype, and the prefix's rows, allocated here and written by fill."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
             raise ValidationError(f"features must be (rows, {self.cfg.feature_dim}); "
                                   f"got shape {features.shape}")
         q = inference_params(self.params, self.cfg, None)
         dtype = q["in_w"].dtype
-        return PreparedFeatures(q, np.empty((len(features), self.cfg.hidden_dim), dtype),
-                                np.array(features, dtype), {})
+        return PreparedFeatures(q, np.array(features, dtype),
+                                np.empty((len(features), self.cfg.hidden_dim), dtype))
+
+    def tables(self, times) -> dict[float, list[np.ndarray]]:
+        """Each block's conditioning rows for the K labels at each of times, cw silu(cond)
+        + cb on the inference form, which every row read at that time gathers by its
+        anchor: one conditioning call per time."""
+        q = inference_params(self.params, self.cfg, None)
+        tables = {}
+        for t in times:
+            sc = silu(self.conditioning(np.arange(self.k), np.full(self.k, t))[0])
+            tables[float(t)] = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"]
+                                for b in range(self.cfg.n_blocks)]
+        return tables
+
+    def fill(self, prepared: PreparedFeatures, inputs: slice, space: np.ndarray | None) -> None:
+        """Runs the prefix (the input layer and block 0's residual branch) of prepared's
+        inputs at inputs into their base rows, tile by tile (row_tiles), in two
+        (rows, hidden) work arrays from space (from_space), or new ones."""
+        q, features, base = prepared.params, prepared.features[inputs], prepared.base[inputs]
+        tiles = row_tiles(len(base))
+        shape = (max(tile.stop - tile.start for tile in tiles), self.cfg.hidden_dim)
+        h_work, at = from_space(space, 0, shape, base.dtype)
+        scratch_work, _ = from_space(space, at, shape, base.dtype)
+        for tile in tiles:
+            h, scratch = h_work[:tile.stop - tile.start], scratch_work[:tile.stop - tile.start]
+            np.matmul(features[tile], q["in_w"].T, out=h)
+            h += q["in_b"]
+            silu_from_half(h, scratch)
+            _inference_branch(q, 0, h, base[tile], scratch)
 
     def space_words(self, rows: int) -> int:
         """Float64 words of score_batch's space for reads of up to rows rows: the
         float64 distributions, the trunk's logits and three (rows, hidden) work
-        arrays in the parameters' dtype (_read)."""
+        arrays in the parameters' dtype (_read); fill takes two of those arrays' worth."""
         size = np.dtype(self.params["in_w"].dtype).itemsize
         return sum(-(-n // 8) for n in (rows * self.k * 8, rows * self.k * size,
                                          *[rows * self.cfg.hidden_dim * size] * 3))
 
-    def _cvecs(self, features: PreparedFeatures, t: float) -> list[np.ndarray]:
-        """Each block's conditioning rows for the K labels at t, cw silu(cond) + cb:
-        built at the first read at t of features' prepare call, which keeps the
-        tables of the two latest times built.  A sampler's tiles read at most two
-        adjacent times at once unless one lags, whose read then builds its own
-        again, to the same bits; more tables would grow with the step count."""
-        tables = features.tables
-        with _TABLES_LOCK:
-            cvecs = tables.get(t)
-            if cvecs is None:
-                q = features.params
-                cond, _ = self.conditioning(np.arange(self.k), np.full(self.k, t))
-                sc = silu(cond)
-                cvecs = tables[t] = [sc @ q[f"cw_{b}"].T + q[f"cb_{b}"]
-                                     for b in range(self.cfg.n_blocks)]
-                if len(tables) > 2:
-                    del tables[next(iter(tables))]
-        return cvecs
-
-    def _read(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray, t: float,
+    def _read(self, features, anchors: np.ndarray, t: float,
               space: np.ndarray | None) -> np.ndarray:
-        """Float64 logits of the inference path, the first len(features) * K words of
-        space (from_space), or a new array where space is None; every work
-        array comes from space after them, or is new."""
-        if not isinstance(features, PreparedFeatures):
-            features = self.prepare(features)
-        anchors = self._check_anchors(len(features), anchors)
-        q, base = features.params, features.base
-        n, dtype = len(base), base.dtype
+        """Float64 logits of the inference path, the first n * K words of space
+        (from_space), or a new array where space is None; every work array comes
+        from space after them, or is new.  Raw rows, or a prepare result given
+        alone, are prepared and filled for this read, at a table built for t."""
+        if not isinstance(features, tuple):
+            if isinstance(features, PreparedFeatures):
+                features = features.features
+            prepared = self.prepare(features)
+            self.fill(prepared, slice(None), space)
+            features = (prepared, slice(None), self.tables([t]))
+        prepared, inputs, tables = features
+        q, base = prepared.params, prepared.base
+        # Rows that are their inputs (a slice) read the base in place; others gather it.
+        in_place = isinstance(inputs, slice)
+        n = len(base[inputs]) if in_place else len(inputs)
+        dtype = base.dtype
+        anchors = self._check_anchors(n, anchors)
+        cvecs = tables[float(t)]
         tiles = row_tiles(n)
         rows = max(tile.stop - tile.start for tile in tiles)
         logits, at = from_space(space, 0, (n, self.k), np.float64)
@@ -661,22 +650,14 @@ class MlpScorer(Scorer):
         h_work, at = from_space(space, at, (rows, self.cfg.hidden_dim), dtype)
         x_work, at = from_space(space, at, (rows, self.cfg.hidden_dim), dtype)
         scratch_work, _ = from_space(space, at, (rows, self.cfg.hidden_dim), dtype)
-        pending = features.pending
-        if pending is not None:
-            for tile in tiles:
-                h, x, scratch = (w[:tile.stop - tile.start] for w in (h_work, x_work, scratch_work))
-                np.matmul(pending[tile], q["in_w"].T, out=h)
-                h += q["in_b"]
-                silu_from_half(h, scratch)
-                base[tile] = _inference_branch(q, 0, h, x, scratch)
-            features.pending = None
-        cvecs = self._cvecs(features, float(t))
         for tile in tiles:
             h, x, scratch = (w[:tile.stop - tile.start] for w in (h_work, x_work, scratch_work))
+            # The indices are in range, so "clip" gathers what "raise" would,
+            # without the buffered copy numpy makes for out= under "raise".
+            x_0 = (base[inputs][tile] if in_place
+                   else np.take(base, inputs[tile], axis=0, out=x, mode="clip"))
             for b in range(self.cfg.n_blocks):
-                x_b = base[tile] if b == 0 else _inference_branch(q, b, h, x, scratch)
-                # The indices are in range, so "clip" gathers what "raise" would,
-                # without the buffered copy numpy makes for out= under "raise".
+                x_b = x_0 if b == 0 else _inference_branch(q, b, h, x, scratch)
                 np.take(cvecs[b], anchors[tile], axis=0, out=h, mode="clip")
                 h += x_b
                 _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"], self.cfg.groups,
@@ -688,20 +669,19 @@ class MlpScorer(Scorer):
         logits[...] = z
         return logits
 
-    def inference_logits(self, features: np.ndarray | PreparedFeatures, anchors: np.ndarray,
-                         t: float) -> np.ndarray:
+    def inference_logits(self, features, anchors: np.ndarray, t: float) -> np.ndarray:
         """Float64 logits of the inference path, which keeps no cache.
 
-        features are raw rows, prepared here, or the result of prepare or a
-        slice of it; anchors hold one integer label per row, and every row is
-        read at the one time t.  The conditioning and its per-block
-        projections are built once per t and prepare call, for the K labels,
-        and each row gathers its anchor's.  The tail runs tile by tile, in
-        (rows, hidden) work arrays that its tiles reuse, so its temporaries
-        stay cache-sized; the logits do not depend on the tiling while every
-        tile holds at least TILE_ROWS rows.  Everything runs in the dtype of
-        the prepared rows, the parameters'; the logits are widened to float64
-        once, at the end.
+        features are raw rows or a prepare result, prepared and filled here, or
+        an engine tile's (prepared, inputs, tables) (Scorer.score_batch);
+        anchors hold one integer label per row, and every row is read at the
+        one time t.  Each row gathers its input's base row and its anchor's
+        conditioning rows from the table of t (tables).  The tail runs tile
+        by tile, in (rows, hidden) work arrays that its tiles reuse, so its
+        temporaries stay cache-sized; the logits do not depend on the tiling
+        while every tile holds at least TILE_ROWS rows.  Everything runs in
+        the dtype of the prepared rows, the parameters'; the logits are
+        widened to float64 once, at the end.
         """
         return self._read(features, anchors, t, None)
 

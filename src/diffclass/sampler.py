@@ -14,18 +14,19 @@ kernel:
 
 nfe = r * n_steps per input.  The engine takes inputs in the fewest
 contiguous, near-equal blocks of at most max(1, SCORER_ROWS // r) inputs,
-so memory stays bounded.  Per block it runs scorer.prepare once on the
-repeated features and cuts the block's scorer rows into the scorer's
-tiles (mlp.row_tiles; for full, moved to whole inputs), each of which
-carries its own state, anchors and clip sums through all n_steps.  A
-(tile, step) unit picks the tile's anchors, reads its rows through
-score_batch at the step's t (the first read of a tile also runs its
-prefix, the work that does not depend on the anchor or t) and takes the
-step's kernel (_step); the read's distributions go straight into the
-kernel and are spent before the tile's next read.  The features reach the
-scorer in the dtype they come in (a dataset's float32, as load_dataset
-returns it): the engine makes no wider copy, and each scorer casts where
-it computes (MlpScorer, to its parameters' float32).
+so memory stays bounded.  It builds once what the reads at each step's
+time share (Scorer.tables).  Per block it prepares one row per input and
+cuts the block's scorer rows into the scorer's tiles (mlp.row_tiles),
+moved to whole inputs, each of which carries its own state, anchors and
+clip sums through all n_steps.  A (tile, step) unit picks the tile's
+anchors, reads its rows through score_batch at the step's t and takes the
+step's kernel (_step); a tile's first unit first fills its inputs' rows
+(Scorer.fill, MlpScorer's prefix: the work that does not depend on the
+anchor or t).  The read's distributions go straight into the kernel and
+are spent before the tile's next read.  The features reach the scorer in
+the dtype they come in (a dataset's float32, as load_dataset returns it):
+the engine makes no wider copy, and each scorer casts where it computes
+(MlpScorer, to its parameters' float32).
 
 Workers.  A block of several tiles runs its units on WORKERS workers
 (_run_units): the calling thread and pool jobs, on threads started on the
@@ -465,33 +466,31 @@ def _run_units(n_tiles: int, workers: list, run) -> None:
         future.result()
 
 
-def _tiles(n_rows: int, r: int, whole: bool) -> list[slice]:
+def _tiles(n_rows: int, r: int) -> list[slice]:
     """The scorer-row slices of a block's tiles: the scorer's row tiles (row_tiles),
-    their bounds moved down to whole inputs of r rows where whole is set."""
-    tiles = row_tiles(n_rows)
-    if not whole:
-        return tiles
-    bounds = [r * (tile.start // r) for tile in tiles] + [n_rows]
+    their bounds moved down to whole inputs of r rows."""
+    bounds = [r * (tile.start // r) for tile in row_tiles(n_rows)] + [n_rows]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _block(method: str, features: np.ndarray, first: int, scorer: Scorer,
+def _block(method: str, features: np.ndarray, first: int, scorer: Scorer, tables,
            steps: list[tuple[float, float]], cfg: SamplerConfig):
     """One block of inputs, input first onward, through every step.
 
     Returns (state, clipped mass per row, n_clamped, trajectory or None).
-    The rows are cut into the scorer's tiles (_tiles; whole inputs for
-    full), each of which carries its rows of the state, the anchors and the
-    clip sums through the steps; _run_units runs the (tile, step) units.
-    A unit picks the tile's anchors, reads its prepared rows at the step's
-    t (the first read also runs the rows' prefix, MlpScorer.prepare) and
-    steps them (_step).  The calling thread allocates every array a unit
-    writes: one work space per worker, which holds the read's arrays and
-    then, after the read's distributions, the kernel's (_kernel_work).
+    The rows are cut into the scorer's tiles (_tiles), each of which carries
+    its rows of the state, the anchors and the clip sums through the steps;
+    _run_units runs the (tile, step) units.  A unit picks the tile's
+    anchors, reads its rows at the step's t, each its input's prepared row,
+    and steps them (_step); a tile's first unit first fills its inputs'
+    rows.  The calling thread allocates every array a unit writes: the
+    prepared rows, and one work space per worker, which holds the read's
+    arrays and then, after the read's distributions, the kernel's
+    (_kernel_work).
     """
     nb, k = len(features), scorer.k
     r = {"cp": 1, "cl": cfg.n_samples, "full": k}[method]
-    prepared = scorer.prepare(np.repeat(features, r, axis=0))
+    prepared = scorer.prepare(features)
     if method == "cl":
         # state: the current label of each trajectory, input-major
         uniforms = np.stack([np.random.default_rng([cfg.seed + i, j]).random(len(steps) + 1)
@@ -503,11 +502,13 @@ def _block(method: str, features: np.ndarray, first: int, scorer: Scorer,
         state = np.full((nb, k), 1.0 / k)
         # full: the K anchors of each input; cp: each input's, picked per step
         anchors = np.tile(np.arange(k), nb) if method == "full" else np.empty(nb, np.intp)
-    tiles = _tiles(nb * r, r, method == "full")
+    tiles = _tiles(nb * r, r)
+    inputs = [slice(tile.start // r, tile.stop // r) for tile in tiles]
     # each tile's rows of the state: inputs for cp and full, trajectories for cl
-    per = 1 if method == "cl" else r
-    parts = [slice(tile.start // per, tile.stop // per) for tile in tiles]
-    views = [prepared[tile] for tile in tiles]
+    parts = tiles if method == "cl" else inputs
+    # what each tile reads: cp's rows are their inputs; cl's and full's index theirs
+    reads = [(prepared, own if r == 1 else np.arange(tile.start, tile.stop) // r, tables)
+             for tile, own in zip(tiles, inputs)]
     done, clamped = [0] * len(tiles), [0] * len(tiles)
     clamp_rows = np.zeros(len(state))
     snapshots = None
@@ -525,9 +526,11 @@ def _block(method: str, features: np.ndarray, first: int, scorer: Scorer,
     def run(i: int, worker: tuple[np.ndarray, list[np.ndarray]]) -> bool:
         tile, part, step = tiles[i], parts[i], done[i]
         (t, e), (space, kernel) = steps[step], worker
+        if step == 0:
+            scorer.fill(prepared, inputs[i], space)
         if method == "cp":
             _select_labels_batch(state[part], cfg.strategy, anchors[part])
-        scores = scorer.score_batch(views[i], anchors[tile], t, space)
+        scores = scorer.score_batch(reads[i], anchors[tile], t, space)
         work = [array[:len(scores)] for array in kernel]
         clip = _step(method, scores, state[part], e,
                      uniforms[part, step + 1] if method == "cl" else None, work)
@@ -560,12 +563,13 @@ def _reverse(method: str, y: np.ndarray, scorer: Scorer, schedule: LogLinearSche
     n_blocks = -(-n // per_block)
     bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
     steps = check_samplable(schedule, k, cfg.n_steps, f"{method} posterior")
+    tables = scorer.tables([t for t, _ in steps])
     probs, clamp, trajectories = [], [], []
     n_clamped = 0
     for lo, hi in zip(bounds, bounds[1:]):
         nb = hi - lo
         state, clamp_rows, clamped, snapshots = _block(method, features[lo:hi], lo, scorer,
-                                                       steps, cfg)
+                                                       tables, steps, cfg)
         n_clamped += clamped
         probs.append(ensure_distribution(_distribution(state, nb, k), f"{method} posterior"))
         clamp.append(clamp_rows.reshape(nb, -1).mean(axis=1))

@@ -39,21 +39,32 @@ class Scorer:
     """Reads one class distribution per row of (features, anchor label) at one time.
 
     Subclasses implement score_batch; scoring is read-only on the scorer's
-    state, so concurrent calls across inputs are safe.  A caller that scores
-    the same rows many times (a sampler, once per step) passes them through
-    prepare once and gives the result, or a slice of its rows, to
-    score_batch in place of the features.  prepare's result may defer work
-    that does not depend on the anchor or t to the first read of each slice
-    (MlpScorer does), which then runs on the thread of that read; reads of
-    one prepared slice on several threads at once stay safe.
+    state.  A sampler's posterior call (sampler._reverse) calls tables(times)
+    once, before any read, then per block of inputs prepare(features), both
+    on the calling thread; then per tile of the block's rows, on whichever
+    worker takes the unit and in that worker's space, fill(prepared, inputs,
+    space) for the tile's inputs in its first unit, and score_batch((prepared,
+    inputs, tables), anchors, t, space) once per step.  Units of different
+    tiles run at once: no two tiles hold the same input, a tile reads only
+    rows its own fill wrote, and the tables, built before, are only read, so
+    no two reads that may run at once write what the other reads.  A read of
+    raw features, or of a prepare result alone, prepares its own rows.
     """
 
     k: int
 
+    def tables(self, times):
+        """What every read at each of times shares, which depends on the parameters and t
+        alone; the base class's reads share nothing."""
+        return None
+
     def prepare(self, features: np.ndarray):
-        """Rows for repeated score_batch calls, which slice like the features; the base
-        class keeps the features as they are."""
+        """One row per input for one block's reads; the base class keeps the features."""
         return features
+
+    def fill(self, prepared, inputs: slice, space: np.ndarray | None) -> None:
+        """Does the reads' work that depends on the inputs alone, for prepared's inputs at
+        inputs, in space; the base class has none."""
 
     def space_words(self, rows: int) -> int:
         """Float64 words of the work space (score_batch's space) for reads of up to rows
@@ -63,12 +74,14 @@ class Scorer:
 
     def score_batch(self, features: np.ndarray, anchors: np.ndarray, t: float,
                     space: np.ndarray | None = None) -> np.ndarray:
-        """Class distributions for a batch: (n, dim) features or their prepare result,
-        (n,) anchors, one time t shared by every row -> (n, K) rows that sum to one,
-        which belong to the caller.  space, a flat float64 array of at least
-        space_words(n) words, is scratch the read may write its arrays in instead
-        of allocating them, its result among them: the caller keeps it, and the
-        result, until the next read into it."""
+        """Class distributions for a batch: (n, dim) features, their prepare result, or
+        a tile's (prepared, inputs, tables), inputs being each row's input (a slice
+        where the rows are the inputs) and t one of the tables' times; (n,) anchors,
+        one time t shared by every row -> (n, K) rows that sum to one, which belong
+        to the caller.  space, a flat float64 array of at least space_words(n) words, is
+        scratch the read may write its arrays in instead of allocating them, its
+        result among them: the caller keeps it, and the result, until the next read
+        into it."""
         raise NotImplementedError
 
     def _check_anchors(self, n: int, anchors) -> np.ndarray:

@@ -183,6 +183,8 @@ class ExactScorer(Scorer):
         self.schedule = schedule
 
     def score_batch(self, features, anchors, t, space=None):
+        if isinstance(features, tuple):      # an engine tile's (prepared, inputs, tables)
+            features = features[0][features[1]]
         features = np.asarray(features, dtype=np.float64)
         self._check_anchors(len(features), anchors)
         return forward_marginal(self.posterior_fn(features), self.schedule.sigma_bar(float(t)))

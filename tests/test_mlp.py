@@ -4,7 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,7 +272,7 @@ class TestPreparedPath:
     def test_prepared_rows_score_like_raw_features_bit_for_bit(self, trained_scorer):
         y, anchors, _ = _shared_time_batch(2500, 16)
         prepared = trained_scorer.prepare(y)
-        assert isinstance(prepared, PreparedFeatures) and len(prepared) == 2500
+        assert isinstance(prepared, PreparedFeatures) and len(prepared.base) == 2500
         assert prepared.base.dtype == np.float32
         for t in (0.625, 0.25):
             expected = trained_scorer.score_batch(y, anchors, t)
@@ -386,67 +386,84 @@ class TestReads:
                                                     tile_rows):
         """score_batch into a work space of space_words(n) words gives the bits of a
         read without one, returns them as the space's first n * K words, and starts
-        no thread; a prepared slice's first read fills the slice's rows only."""
+        no thread.  An engine tile's read of filled rows, in place or gathered by
+        input index, gives the bits of a read of its rows' features."""
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
         y, anchors, t = _shared_time_batch(2500, 19)
         expected = trained_scorer.score_batch(y, anchors, t)
         threads = threading.active_count()
         space = np.full(trained_scorer.space_words(2500), np.nan)
-        prepared = trained_scorer.prepare(y)
-        head = prepared[:1200]
-        got = trained_scorer.score_batch(head, anchors[:1200], t, space)
+        prepared, tables = trained_scorer.prepare(y), trained_scorer.tables([t])
+        head = slice(0, 1200)
+        trained_scorer.fill(prepared, head, space)
+        got = trained_scorer.score_batch((prepared, head, tables), anchors[head], t, space)
         assert np.shares_memory(got, space[:1200 * 8]) and got.shape == (1200, 8)
-        assert np.array_equal(got, expected[:1200])
-        assert head.pending is None and prepared.pending is not None
-        got = trained_scorer.score_batch(prepared, anchors, t, space)
+        assert np.array_equal(got, expected[head])
+        inputs = np.arange(1200) // 4
+        got = trained_scorer.score_batch((prepared, inputs, tables), anchors[head], t, space)
+        assert np.array_equal(got, trained_scorer.score_batch(y[inputs], anchors[head], t))
+        got = trained_scorer.score_batch(y, anchors, t, space)
         assert np.array_equal(got, expected) and threading.active_count() == threads
 
-    def test_first_reads_of_one_prepared_call_on_several_threads_agree(self, monkeypatch):
-        """Four threads make the first reads of one prepare call's rows at once, at a
-        1 us switch interval, each into its own space: each gets the bits of a lone
-        read.  A change to the features after prepare changes no read."""
+    def test_disjoint_tiles_of_one_prepare_call_read_on_several_threads_agree(self, monkeypatch):
+        """Four threads fill and read disjoint tiles of one prepare call at once, at a
+        1 us switch interval, each in its own space: each gets the bits of a lone
+        read of its rows.  A change to the features after prepare changes no read."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
         scorer = _small_scorer(head_scale=0.3)
         rng = np.random.default_rng(21)
         y, anchors = rng.standard_normal((300, 3)), rng.integers(0, 5, 300)
-        expected = scorer.score_batch(y, anchors, 0.5)
+        tiles = [slice(75 * i, 75 * (i + 1)) for i in range(4)]
+        expected = [scorer.score_batch(y[tile], anchors[tile], 0.5) for tile in tiles]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
                 features = y.copy()
-                prepared = scorer.prepare(features)
+                prepared, tables = scorer.prepare(features), scorer.tables([0.5])
                 features[...] = 0.0
-                start, got = threading.Barrier(4), [None] * 4
+                start, got = threading.Barrier(4, timeout=20), [None] * 4
 
                 def read(i):
+                    space, tile = np.empty(scorer.space_words(75)), tiles[i]
                     start.wait()
-                    got[i] = scorer.score_batch(prepared, anchors, 0.5,
-                                                np.empty(scorer.space_words(300)))
+                    scorer.fill(prepared, tile, space)
+                    got[i] = scorer.score_batch((prepared, tile, tables), anchors[tile], 0.5, space)
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
-                    thread.join()
-                assert all(np.array_equal(g, expected) for g in got)
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(np.array_equal(g, e) for g, e in zip(got, expected))
         finally:
             sys.setswitchinterval(interval)
 
-    def test_the_conditioning_is_built_once_per_time_and_prepare_call(self, monkeypatch):
-        """Reads of any slices of one prepare call at one t build one table; a new t
-        or a new prepare call builds another."""
+    def test_the_prepared_rows_are_frozen(self):
+        """No field of a prepare result can be assigned after prepare."""
+        prepared = _small_scorer().prepare(np.ones((4, 3)))
+        for name in ("params", "features", "base"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(prepared, name, None)
+
+    def test_the_conditioning_is_built_once_per_time_of_the_tables(self, monkeypatch):
+        """tables builds one conditioning per time; reads through it at any rows and
+        those times build none, and a read of raw rows builds its own."""
         scorer = _small_scorer(head_scale=0.3)
         built = []
         conditioning = scorer.conditioning
         monkeypatch.setattr(scorer, "conditioning",
                             lambda a, t: built.append(float(t[0])) or conditioning(a, t))
         y, anchors = np.ones((40, 3)), np.arange(40) % 5
+        tables = scorer.tables([0.5, 0.25])
+        assert built == [0.5, 0.25]
         prepared = scorer.prepare(y)
-        for rows in (slice(0, 10), slice(10, 40), slice(0, 40)):
-            scorer.score_batch(prepared[rows], anchors[rows], 0.5)
-        scorer.score_batch(prepared, anchors, 0.25)
-        scorer.score_batch(scorer.prepare(y), anchors, 0.5)
+        scorer.fill(prepared, slice(0, 40), None)
+        for rows in (slice(0, 10), slice(10, 40), np.arange(40) // 2):
+            for t in (0.5, 0.25):
+                scorer.score_batch((prepared, rows, tables), anchors[:len(anchors[rows])], t)
+        scorer.score_batch(y, anchors, 0.5)
         assert built == [0.5, 0.25, 0.5]
 
 

@@ -438,7 +438,7 @@ class TestPreparedFeatures:
             est = runner(y[0], scorer, schedule, sampler_cfg)
             probs, rows, nfe = est.probs, (6 if method == "cl" else 4), est.nfe
             assert nfe == (30 if method == "cl" else 20)
-        assert prepared == [rows]
+        assert prepared == [7 if method == "cp" else 1]
         assert scored == [rows] * 5 and sum(scored) == (nfe * 7 if method == "cp" else nfe)
         np.testing.assert_allclose(np.sum(probs, axis=-1), 1.0, atol=1e-12)
 
@@ -467,12 +467,32 @@ class TestPreparedFeatures:
             scored.clear()
             est = sampler.METHOD_SAMPLERS[method](y, scorer, schedule, sampler_cfg)
             r = {"cp": 1, "cl": 3, "full": 4}[method]
-            assert prepared == [b * r for b in blocks], method
+            assert prepared == blocks, method
             rows = [b * r for b in blocks for _ in range(5)]
             assert [n for n, _ in scored] == rows, method
             assert all(isinstance(t, float) for _, t in scored), method
             assert [t for _, t in scored] == grid * len(blocks), method
             assert est.probs.shape == (7, 4) and est.nfe == 5 * r
+
+    @pytest.mark.parametrize("method", ["cp", "cl"])
+    def test_a_posterior_in_several_blocks_builds_the_conditioning_once_per_step(
+            self, method, monkeypatch):
+        """Three blocks of 3-4 inputs, at 2 samples for cl, read the conditioning of
+        each step's time once in all, not once per block or read."""
+        monkeypatch.setattr(mlp, "TILE_ROWS", 2)
+        monkeypatch.setattr(sampler, "SCORER_ROWS", 4 if method == "cp" else 8)
+        scorer = MlpScorer(MlpConfig(n_classes=4, feature_dim=2, embed_dim=8, hidden_dim=16,
+                                     n_blocks=2, time_embed_dim=8), LogLinearSchedule(0.6, 0.7))
+        built, blocks = [], []
+        conditioning, prepare = scorer.conditioning, scorer.prepare
+        monkeypatch.setattr(scorer, "conditioning",
+                            lambda a, t: built.append(float(t[0])) or conditioning(a, t))
+        monkeypatch.setattr(scorer, "prepare", lambda f: blocks.append(len(f)) or prepare(f))
+        y = np.random.default_rng(4).standard_normal((10, 2))
+        sampler.METHOD_SAMPLERS[method](y, scorer, scorer.schedule,
+                                        SamplerConfig(n_steps=4, n_samples=2))
+        assert blocks == [3, 3, 4]
+        assert built == [t for t, _ in step_times(4)]
 
 
 class TestLargeLogitGap:
@@ -733,8 +753,8 @@ class TestWorkers:
     @pytest.mark.parametrize("error", [ValidationError, NumericalError])
     def test_an_error_in_the_scorer_on_the_pool_reaches_the_caller(self, monkeypatch,
                                                                    set_workers, error):
-        """An error raised inside MlpScorer's read on the pool thread, in the pool's
-        first unit, which also runs its tile's prefix, is the caller's error; the
+        """An error raised inside MlpScorer's prefix on the pool thread, which the pool's
+        first unit runs (MlpScorer.fill) before its read, is the caller's error; the
         caller's unit waits, up to 20 s, until it has been raised.  The scorer
         then reads as before."""
         monkeypatch.setattr(mlp, "TILE_ROWS", 7)
