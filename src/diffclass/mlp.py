@@ -627,20 +627,15 @@ class MlpScorer(Scorer):
               space: np.ndarray | None) -> np.ndarray:
         """Float64 logits of the inference path, the first n * K words of space
         (from_space), or a new array where space is None; every work array comes
-        from space after them, or is new.  Raw rows, or a prepare result given
-        alone, are prepared and filled for this read, at a table built for t."""
+        from space after them, or is new.  Raw rows are prepared and filled for
+        this read, at a table built for t."""
         if not isinstance(features, tuple):
-            if isinstance(features, PreparedFeatures):
-                features = features.features
             prepared = self.prepare(features)
             self.fill(prepared, slice(None), space)
-            features = (prepared, slice(None), self.tables([t]))
+            features = (prepared, np.arange(len(prepared.base)), self.tables([t]))
         prepared, inputs, tables = features
         q, base = prepared.params, prepared.base
-        # Rows that are their inputs (a slice) read the base in place; others gather it.
-        in_place = isinstance(inputs, slice)
-        n = len(base[inputs]) if in_place else len(inputs)
-        dtype = base.dtype
+        n, dtype = len(inputs), base.dtype
         anchors = self._check_anchors(n, anchors)
         cvecs = tables[float(t)]
         tiles = row_tiles(n)
@@ -654,12 +649,12 @@ class MlpScorer(Scorer):
             h, x, scratch = (w[:tile.stop - tile.start] for w in (h_work, x_work, scratch_work))
             # The indices are in range, so "clip" gathers what "raise" would,
             # without the buffered copy numpy makes for out= under "raise".
-            x_0 = (base[inputs][tile] if in_place
-                   else np.take(base, inputs[tile], axis=0, out=x, mode="clip"))
+            np.take(base, inputs[tile], axis=0, out=x, mode="clip")
             for b in range(self.cfg.n_blocks):
-                x_b = x_0 if b == 0 else _inference_branch(q, b, h, x, scratch)
+                if b:
+                    _inference_branch(q, b, h, x, scratch)
                 np.take(cvecs[b], anchors[tile], axis=0, out=h, mode="clip")
-                h += x_b
+                h += x
                 _inference_groupnorm(h, q[f"gn_scale_{b}"], q[f"gn_b_{b}"], self.cfg.groups,
                                      scratch)
                 silu_from_half(h, scratch)
@@ -672,8 +667,8 @@ class MlpScorer(Scorer):
     def inference_logits(self, features, anchors: np.ndarray, t: float) -> np.ndarray:
         """Float64 logits of the inference path, which keeps no cache.
 
-        features are raw rows or a prepare result, prepared and filled here, or
-        an engine tile's (prepared, inputs, tables) (Scorer.score_batch);
+        features are raw rows, prepared and filled here, or an engine tile's
+        (prepared, inputs, tables) (Scorer.score_batch);
         anchors hold one integer label per row, and every row is read at the
         one time t.  Each row gathers its input's base row and its anchor's
         conditioning rows from the table of t (tables).  The tail runs tile

@@ -506,9 +506,8 @@ def _block(method: str, features: np.ndarray, first: int, scorer: Scorer, tables
     inputs = [slice(tile.start // r, tile.stop // r) for tile in tiles]
     # each tile's rows of the state: inputs for cp and full, trajectories for cl
     parts = tiles if method == "cl" else inputs
-    # what each tile reads: cp's rows are their inputs; cl's and full's index theirs
-    reads = [(prepared, own if r == 1 else np.arange(tile.start, tile.stop) // r, tables)
-             for tile, own in zip(tiles, inputs)]
+    # what each tile reads: the input of each of its rows
+    reads = [(prepared, np.arange(tile.start, tile.stop) // r, tables) for tile in tiles]
     done, clamped = [0] * len(tiles), [0] * len(tiles)
     clamp_rows = np.zeros(len(state))
     snapshots = None

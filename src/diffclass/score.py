@@ -48,7 +48,7 @@ class Scorer:
     tiles run at once: no two tiles hold the same input, a tile reads only
     rows its own fill wrote, and the tables, built before, are only read, so
     no two reads that may run at once write what the other reads.  A read of
-    raw features, or of a prepare result alone, prepares its own rows.
+    raw features prepares its own rows.
     """
 
     k: int
@@ -74,14 +74,13 @@ class Scorer:
 
     def score_batch(self, features: np.ndarray, anchors: np.ndarray, t: float,
                     space: np.ndarray | None = None) -> np.ndarray:
-        """Class distributions for a batch: (n, dim) features, their prepare result, or
-        a tile's (prepared, inputs, tables), inputs being each row's input (a slice
-        where the rows are the inputs) and t one of the tables' times; (n,) anchors,
-        one time t shared by every row -> (n, K) rows that sum to one, which belong
-        to the caller.  space, a flat float64 array of at least space_words(n) words, is
-        scratch the read may write its arrays in instead of allocating them, its
-        result among them: the caller keeps it, and the result, until the next read
-        into it."""
+        """Class distributions for a batch: (n, dim) features, or a tile's (prepared,
+        inputs, tables), inputs being each row's input index and t one of the
+        tables' times; (n,) anchors, one time t shared by every row -> (n, K) rows
+        that sum to one, which belong to the caller.  space, a flat float64 array of
+        at least space_words(n) words, is scratch the read may write its arrays in
+        instead of allocating them, its result among them: the caller keeps it, and
+        the result, until the next read into it."""
         raise NotImplementedError
 
     def _check_anchors(self, n: int, anchors) -> np.ndarray:

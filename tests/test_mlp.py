@@ -255,9 +255,10 @@ class TestInferencePath:
         with pytest.raises(ValidationError, match="integer"):
             scorer.score_batch(np.ones((2, 3)), np.array([0.0, 1.0]), 0.5)
         y = np.ones((5, 3))
+        tile = (scorer.prepare(y), np.arange(5), scorer.tables([0.5]))
         for anchors in (np.arange(4), np.zeros(6, dtype=int), np.zeros((5, 1), dtype=int),
                         np.int64(0)):
-            for rows in (y, scorer.prepare(y)):
+            for rows in (y, tile):
                 with pytest.raises(ValidationError, match="5 rows"):
                     scorer.score_batch(rows, anchors, 0.5)
         for t in (np.full(1, 0.5), np.full(6, 0.5), np.float64(0.5)):
@@ -270,15 +271,19 @@ class TestInferencePath:
 
 class TestPreparedPath:
     def test_prepared_rows_score_like_raw_features_bit_for_bit(self, trained_scorer):
+        """Rows filled once and read as an engine tile, at two times of one table, give
+        the bits of reads of the raw features, twice: a read writes no prepared row."""
         y, anchors, _ = _shared_time_batch(2500, 16)
         prepared = trained_scorer.prepare(y)
         assert isinstance(prepared, PreparedFeatures) and len(prepared.base) == 2500
         assert prepared.base.dtype == np.float32
+        tables = trained_scorer.tables([0.625, 0.25])
+        trained_scorer.fill(prepared, slice(None), None)
+        tile = (prepared, np.arange(2500), tables)
         for t in (0.625, 0.25):
             expected = trained_scorer.score_batch(y, anchors, t)
-            assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
-            # the prepared rows are not written to: a second call gives the same bits
-            assert np.array_equal(trained_scorer.score_batch(prepared, anchors, t), expected)
+            for _ in range(2):
+                assert np.array_equal(trained_scorer.score_batch(tile, anchors, t), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 50_000), tile_rows=st.integers(1, 3000))
@@ -369,13 +374,15 @@ class TestPreparedPath:
         n = 40
         y = 2.0 * rng.standard_normal((n, dim))
         anchors = rng.integers(0, k, n)
-        prepared = scorer.prepare(y)
+        prepared, times = scorer.prepare(y), (1.0, 0.5, 0.125)
         assert prepared.base.dtype == np.float32
+        scorer.fill(prepared, slice(None), None)
+        tile = (prepared, np.arange(n), scorer.tables(times))
         reference = _float64_reference(scorer)
-        for t in (1.0, 0.5, 0.125):
-            _assert_distributions(scorer.score_batch(prepared, anchors, t))
+        for t in times:
+            _assert_distributions(scorer.score_batch(tile, anchors, t))
             z64, _ = reference.logits(y, anchors, np.full(n, t))
-            assert np.abs(scorer.inference_logits(prepared, anchors, t) - z64).max() <= 1e-4
+            assert np.abs(scorer.inference_logits(tile, anchors, t) - z64).max() <= 1e-4
 
 
 class TestReads:
@@ -386,8 +393,9 @@ class TestReads:
                                                     tile_rows):
         """score_batch into a work space of space_words(n) words gives the bits of a
         read without one, returns them as the space's first n * K words, and starts
-        no thread.  An engine tile's read of filled rows, in place or gathered by
-        input index, gives the bits of a read of its rows' features."""
+        no thread.  fill writes its inputs' base rows and no other, and an engine
+        tile's read of filled rows, each its own input or several to an input,
+        gives the bits of a read of its rows' features."""
         monkeypatch.setattr(mlp, "TILE_ROWS", tile_rows)
         y, anchors, t = _shared_time_batch(2500, 19)
         expected = trained_scorer.score_batch(y, anchors, t)
@@ -395,8 +403,11 @@ class TestReads:
         space = np.full(trained_scorer.space_words(2500), np.nan)
         prepared, tables = trained_scorer.prepare(y), trained_scorer.tables([t])
         head = slice(0, 1200)
+        prepared.base[...] = np.nan
         trained_scorer.fill(prepared, head, space)
-        got = trained_scorer.score_batch((prepared, head, tables), anchors[head], t, space)
+        assert np.isfinite(prepared.base[head]).all() and np.isnan(prepared.base[1200:]).all()
+        got = trained_scorer.score_batch((prepared, np.arange(1200), tables), anchors[head], t,
+                                         space)
         assert np.shares_memory(got, space[:1200 * 8]) and got.shape == (1200, 8)
         assert np.array_equal(got, expected[head])
         inputs = np.arange(1200) // 4
@@ -428,7 +439,8 @@ class TestReads:
                     space, tile = np.empty(scorer.space_words(75)), tiles[i]
                     start.wait()
                     scorer.fill(prepared, tile, space)
-                    got[i] = scorer.score_batch((prepared, tile, tables), anchors[tile], 0.5, space)
+                    rows = np.arange(tile.start, tile.stop)
+                    got[i] = scorer.score_batch((prepared, rows, tables), anchors[tile], 0.5, space)
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
                 for thread in threads:
@@ -460,9 +472,9 @@ class TestReads:
         assert built == [0.5, 0.25]
         prepared = scorer.prepare(y)
         scorer.fill(prepared, slice(0, 40), None)
-        for rows in (slice(0, 10), slice(10, 40), np.arange(40) // 2):
+        for rows in (np.arange(10), np.arange(10, 40), np.arange(40) // 2):
             for t in (0.5, 0.25):
-                scorer.score_batch((prepared, rows, tables), anchors[:len(anchors[rows])], t)
+                scorer.score_batch((prepared, rows, tables), anchors[rows], t)
         scorer.score_batch(y, anchors, 0.5)
         assert built == [0.5, 0.25, 0.5]
 

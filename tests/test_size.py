@@ -14,7 +14,7 @@ SETTABLE_CEILING = 83
 # The most source lines src/diffclass may hold, as tools/size.py counts them.  A
 # change that raises it says in CHANGES.md why, with the numbers that paid for
 # the lines; a change that deletes lines lowers it to the new count.
-LINES_CEILING = 3043
+LINES_CEILING = 3036
 
 SYNTHETIC = '''\
 import dataclasses
